@@ -110,12 +110,31 @@ def keyed_hash(seed, x, range_size):
     return int.from_bytes(digest[:8], "little") % range_size
 
 
-def stash_encode(x, seeds, params):
-    """Field encoding of a full element for stash comparisons.
+def _hash_words(prefix, values):
+    """uint64 array: the first 8 digest bytes (little-endian) of
+    sha256(prefix + v.to_bytes(8, "little")) for each v, as _hash_raw and
+    keyed_hash compute them one at a time. The prefix is hashed once and
+    copied per value."""
+    buf = np.asarray(values, dtype="<u8").tobytes()
+    copy = hashlib.sha256(prefix).copy
+    digests = []
+    append = digests.append
+    for off in range(0, len(buf), 8):
+        h = copy()
+        h.update(buf[off : off + 8])
+        append(h.digest())
+    # every 4th word: the first 8 of each digest's 32 bytes
+    return np.frombuffer(b"".join(digests), dtype="<u8")[::4]
 
-    Reduced into [0, k * 2^sigma2) so it can never equal a dummy encoding.
+
+def stash_encode(xs, seeds, params):
+    """Field encodings of full elements for stash comparisons, one per element.
+
+    Entry t equals keyed_hash(seeds.keyed_seed, xs[t], dummy_alice), reduced
+    into [0, k * 2^sigma2) so it can never equal a dummy encoding.
     """
-    return keyed_hash(seeds.keyed_seed, x, params.dummy_alice)
+    words = _hash_words(seeds.keyed_seed, xs)
+    return (words % params.dummy_alice).astype(np.int64)
 
 
 def invert_placement(i, enc, seeds, params):
@@ -130,23 +149,38 @@ def invert_placement(i, enc, seeds, params):
     return (x1 << params.sigma2) + x2
 
 
-def _suffix_hash_map(seeds, params, suffixes):
-    """{suffix: [h_0(suffix), ..., h_{k-1}(suffix)]} for the given suffixes."""
-    out = {}
-    for x2 in suffixes:
-        x2 = int(x2)
-        out[x2] = [bin_hash(j, x2, seeds, params) for j in range(params.k)]
-    return out
+def _candidate_bins(arr, seeds, params):
+    """(k, len(arr)) array: entry [j, t] is the bin of arr[t] under hash j.
+
+    bin_hash is evaluated once per distinct suffix, into a (u, k) table.
+    """
+    x2 = arr & ((1 << params.sigma2) - 1)
+    uniq, inv = np.unique(x2, return_inverse=True)
+    hvals = np.empty((uniq.size, params.k), dtype=np.int64)
+    for j, seed in enumerate(seeds.bin_seeds):
+        hvals[:, j] = _hash_words(seed + bytes([j]), uniq) % params.alpha
+    return (hvals[inv].T + (arr >> params.sigma2)) % params.alpha
+
+
+def as_element_array(elements):
+    """Elements as an int64 array: an ndarray is taken as is, anything else
+    iterable is read with np.fromiter."""
+    if isinstance(elements, np.ndarray):
+        return elements.astype(np.int64, copy=False)
+    return np.fromiter(elements, dtype=np.int64)
 
 
 def _check_input_set(elements, params):
-    arr = np.asarray(list(elements), dtype=np.int64)
+    """The input as a sorted int64 array, so tables do not depend on the
+    order the elements arrive in; rejects oversize, out-of-range and
+    duplicate input."""
+    arr = np.sort(as_element_array(elements))
     if arr.size > params.n:
         raise ValueError(f"set larger than n={params.n}")
     if arr.size:
-        if arr.min() < 0 or arr.max() >= (1 << params.sigma):
+        if arr[0] < 0 or arr[-1] >= (1 << params.sigma):
             raise ValueError(f"elements must be in [0, 2^{params.sigma})")
-        if np.unique(arr).size != arr.size:
+        if (arr[1:] == arr[:-1]).any():
             raise ValueError("duplicate elements in input set")
     return arr
 
@@ -195,44 +229,49 @@ def build_cuckoo_table(elements, params, seed_source=None, seeds=None):
 
 
 def _try_build_cuckoo(arr, params, seeds, budget):
-    alpha = params.alpha
-    sigma2 = params.sigma2
-    mask2 = (1 << sigma2) - 1
-    bins = np.full(alpha, params.dummy_alice, dtype=np.int64)
-    origins = np.full(alpha, -1, dtype=np.int64)
-    hash_used = np.full(alpha, -1, dtype=np.int8)
-    stash = []
+    """Round-based parallel insertion (Alcantara et al., TOG 2009).
 
-    hmap = _suffix_hash_map(seeds, params, np.unique(arr & mask2))
+    Each round every pending item claims its bin under its current hash
+    index; the lowest item index wins each claimed bin and displaces the
+    occupant. Losers and displaced occupants move on to their next hash
+    index. Items still pending after `budget` rounds go to the stash, or
+    the attempt fails (None) when more than stash_size remain.
+    """
+    size, k = arr.size, params.k
+    cand = _candidate_bins(arr, seeds, params)
+    owner = np.full(params.alpha, -1, dtype=np.int64)  # item index per bin
+    claim = np.full(params.alpha, size, dtype=np.int64)
+    hash_index = np.zeros(size, dtype=np.int64)
+    pending = np.arange(size, dtype=np.int64)
+    for _ in range(budget):
+        if not pending.size:
+            break
+        want = cand[hash_index[pending], pending]
+        np.minimum.at(claim, want, pending)
+        won = claim[want] == pending
+        claim[want] = size
+        won_bins = want[won]
+        evicted = owner[won_bins]
+        owner[won_bins] = pending[won]
+        pending = np.concatenate((pending[~won], evicted[evicted >= 0]))
+        hash_index[pending] = (hash_index[pending] + 1) % k
+    if pending.size > params.stash_size:
+        return None
 
-    for start in arr:
-        x = int(start)
-        j = 0
-        placed = False
-        for _ in range(budget):
-            x1 = x >> sigma2
-            x2 = x & mask2
-            i = (hmap[x2][j] + x1) % alpha
-            if origins[i] < 0:
-                bins[i] = (j << sigma2) + x2
-                origins[i] = x
-                hash_used[i] = j
-                placed = True
-                break
-            # evict the occupant and reinsert it under its next hash
-            evicted, j_ev = int(origins[i]), int(hash_used[i])
-            bins[i] = (j << sigma2) + x2
-            origins[i] = x
-            hash_used[i] = j
-            x = evicted
-            j = (j_ev + 1) % params.k
-        if not placed:
-            if len(stash) < params.stash_size:
-                stash.append(x)
-            else:
-                return None
+    placed = np.flatnonzero(owner >= 0)
+    items = owner[placed]
+    bins = np.full(params.alpha, params.dummy_alice, dtype=np.int64)
+    bins[placed] = (hash_index[items] << params.sigma2) + (
+        arr[items] & ((1 << params.sigma2) - 1)
+    )
+    origins = np.full(params.alpha, -1, dtype=np.int64)
+    origins[placed] = arr[items]
     return CuckooTable(
-        bins=bins, origins=origins, stash=stash, seeds=seeds, params=params
+        bins=bins,
+        origins=origins,
+        stash=arr[np.sort(pending)].tolist(),
+        seeds=seeds,
+        params=params,
     )
 
 
@@ -255,16 +294,8 @@ def build_bin_table(elements, params, seeds):
     if arr.size == 0:
         return BinTable(bins=table, seeds=seeds, params=params)
 
-    y1 = arr >> sigma2
-    y2 = arr & mask2
-    uniq, inv = np.unique(y2, return_inverse=True)
-    hmap = _suffix_hash_map(seeds, params, uniq)
-    hvals = np.array([hmap[int(s)] for s in uniq], dtype=np.int64)  # (u, k)
-
-    all_bins = np.concatenate(
-        [(hvals[inv, j] + y1) % alpha for j in range(k)]
-    )
-    all_encs = np.concatenate([(j << sigma2) + y2 for j in range(k)])
+    all_bins = _candidate_bins(arr, seeds, params).ravel()
+    all_encs = np.concatenate([(j << sigma2) + (arr & mask2) for j in range(k)])
 
     counts = np.bincount(all_bins, minlength=alpha)
     if counts.max() > beta:
@@ -272,8 +303,9 @@ def build_bin_table(elements, params, seeds):
             f"bin load {int(counts.max())} exceeds beta={beta}; "
             "parameter guarantee violated"
         )
-    order = np.argsort(all_bins, kind="stable")
-    sorted_bins = all_bins[order]
+    # sort by (bin, position): a stable sort by bin, as one plain sort
+    total = all_bins.size
+    sorted_bins, order = np.divmod(np.sort(all_bins * total + np.arange(total)), total)
     sorted_encs = all_encs[order]
     starts = np.zeros(alpha, dtype=np.int64)
     starts[1:] = np.cumsum(counts)[:-1]

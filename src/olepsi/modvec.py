@@ -22,6 +22,12 @@ def dtype_for(q):
     return np.uint64
 
 
+def work_dtype(q):
+    """Signed dtype for products of two values reduced mod q, and for
+    sums of a few: int32 while q < 2^15, int64 above."""
+    return np.int32 if q < (1 << 15) else np.int64
+
+
 def _check(q):
     if q >= 1 << 31:
         raise ValueError(f"vectorized path requires q < 2^31, got {q}")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..modvec import dtype_for, mod_inv
+from ..modvec import dtype_for, mod_inv, work_dtype
 from ..prg import Prg
 
 
@@ -44,7 +44,7 @@ def derive_r_a_arrays(s_A, s_B, r_B_inv, q):
     """r_A = (s_A + s_B) / r_B per slot, chunked to bound temporaries."""
     count, slot_len = s_B.shape
     out = np.empty((count, slot_len), dtype=dtype_for(q))
-    wide = np.int32 if q < (1 << 15) else np.int64
+    wide = work_dtype(q)
     step = _row_chunk(slot_len)
     for lo in range(0, count, step):
         hi = lo + step

@@ -22,11 +22,12 @@ import numpy as np
 from .hashing import (
     HASH_SEED_LEN,
     HashSeeds,
+    as_element_array,
     build_bin_table,
     build_cuckoo_table,
     stash_encode,
 )
-from .modvec import dtype_for
+from .modvec import dtype_for, work_dtype
 from .prg import Prg, Seed
 from .transport import (
     ALICE_C,
@@ -221,11 +222,10 @@ def psi_alice(session, elements, channel):
     c = (bins_inv.s_A[: p.alpha].astype(np.int64) - table.bins) % q
     send_elements(channel, ALICE_C, c, p.modulus)
 
-    stash_items = list(table.stash)
+    stash_items = table.stash
     if p.stash_size:
         enc_st = np.full(p.stash_size, p.dummy_alice, dtype=np.int64)
-        for t, x in enumerate(stash_items):
-            enc_st[t] = stash_encode(int(x), session.seeds, p)
+        enc_st[: len(stash_items)] = stash_encode(stash_items, session.seeds, p)
         c_st = (stash_inv.s_A[: p.stash_size].astype(np.int64) - enc_st) % q
         send_elements(channel, ALICE_C, c_st, p.modulus)
 
@@ -325,7 +325,7 @@ def _bob_reply(c, enc_rows, inv, q):
     rows, slot = enc_rows.shape
     out = np.empty((rows, slot), dtype=dtype_for(q))
     step = max(1, _CHUNK // max(slot, 1))
-    c = c.astype(np.int64)
+    c = c.astype(work_dtype(q))
     for lo in range(0, rows, step):
         hi = min(rows, lo + step)
         t = (c[lo:hi, None] + enc_rows[lo:hi] + inv.s_B[lo:hi]) % q
@@ -341,9 +341,9 @@ def _stash_encodings(elements, seeds, params, rng=None):
     The shuffle hides insertion order from positional matches; padding uses
     Bob's dummy encoding, which no keyed encoding can equal.
     """
-    vals = [stash_encode(int(y), seeds, params) for y in elements]
+    vals = stash_encode(as_element_array(elements), seeds, params)
     enc = np.full(params.n, params.dummy_bob, dtype=np.int64)
-    enc[: len(vals)] = vals
+    enc[: vals.size] = vals
     if rng is None:
         rng = np.random.default_rng(list(os.urandom(16)))
     rng.shuffle(enc)

@@ -133,6 +133,41 @@ def test_cuckoo_random_set_membership():
         assert t.bins[i] == encode_item(j, x2, p).enc
 
 
+def test_cuckoo_and_bin_tables_ignore_input_type_and_order():
+    p = derive_params(1 << 10, 2)
+    seeds = fixed_seeds(2)
+    rng = np.random.default_rng(29)
+    xs = rng.choice(1 << 32, size=1 << 10, replace=False)
+    as_set = build_cuckoo_table(set(xs.tolist()), p, seeds=seeds)
+    for other in (xs, xs[::-1].copy(), xs.tolist()):
+        t = build_cuckoo_table(other, p, seeds=seeds)
+        assert np.array_equal(t.bins, as_set.bins)
+        assert np.array_equal(t.origins, as_set.origins)
+        assert t.stash == as_set.stash
+    assert np.array_equal(build_bin_table(xs, p, seeds).bins,
+                          build_bin_table(set(xs.tolist()), p, seeds).bins)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_cuckoo_placement_invariants_2_14(k):
+    p = derive_params(1 << 14, k)
+    rng = np.random.default_rng(31 + k)
+    xs = rng.choice(1 << 32, size=1 << 14, replace=False)
+    t = build_cuckoo_table(xs, p, seed_source=seed_source(k))
+    real = np.flatnonzero(t.origins >= 0)
+    placed = t.origins[real]
+    assert len(t.stash) <= p.stash_size
+    assert real.size + len(t.stash) == xs.size
+    assert set(placed.tolist()) | set(t.stash) == set(xs.tolist())
+    assert (t.bins[t.origins < 0] == p.dummy_alice).all()
+    for i, x in zip(real.tolist(), placed.tolist()):
+        x1, x2 = split_element(x, p)
+        j = int(t.bins[i]) >> p.sigma2
+        assert j < k
+        assert bin_index(j, x1, x2, t.seeds, p) == i
+        assert t.bins[i] == encode_item(j, x2, p).enc
+
+
 def test_cuckoo_with_stash_k2():
     p = derive_params(1 << 10, 2)
     rng = np.random.default_rng(11)
@@ -264,9 +299,13 @@ def test_distinct_elements_distinct_pairs_sigma32():
 def test_stash_encode_range():
     p = derive_params(1 << 8, 2)
     seeds = fixed_seeds(2)
-    vals = {stash_encode(x, seeds, p) for x in range(500)}
-    assert all(0 <= v < p.dummy_alice for v in vals)
-    assert stash_encode(7, seeds, p) == keyed_hash(seeds.keyed_seed, 7, p.dummy_alice)
+    vals = stash_encode(np.arange(500), seeds, p)
+    assert vals.dtype == np.int64 and vals.shape == (500,)
+    assert ((0 <= vals) & (vals < p.dummy_alice)).all()
+    assert vals[7] == keyed_hash(seeds.keyed_seed, 7, p.dummy_alice)
+    # one batched call is bit-identical to the scalar keyed hash per element
+    assert vals.tolist() == [keyed_hash(seeds.keyed_seed, x, p.dummy_alice) for x in range(500)]
+    assert stash_encode(np.empty(0, dtype=np.int64), seeds, p).size == 0
 
 
 @settings(max_examples=50, deadline=None)

@@ -6,6 +6,7 @@ against brute-force set intersection, which is the natural frozen oracle.
 """
 
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from olepsi.online import (
     PROTOCOL_VERSION,
     UNKNOWN_TOKEN,
     OnlineError,
+    _bob_reply,
     PsiSession,
     SeedMismatch,
     TupleExhausted,
@@ -104,6 +106,28 @@ def test_comparison_equivalence_property(q, x, y, raw):
     c = compare_alice_c(m.element(x), s_A)
     d = compare_bob_d(c, m.element(y), s_B, r_B.inv())
     assert compare_alice_check(d, r_A) == (x == y)
+
+
+@pytest.mark.parametrize("q", [32749, 32771])  # either side of the int32 bound
+def test_bob_reply_matches_scalar_formula_at_extremes(q):
+    """The vectorized reply equals (c + enc + s_B) * r_B_inv mod q per slot,
+    with every input at q - 1 in some rows, on the int32 and int64 paths."""
+    rng = np.random.default_rng(q)
+    rows, slot = 40, 7
+    c = rng.integers(0, q, rows)
+    enc = rng.integers(0, q, (rows, slot))
+    s_B = rng.integers(0, q, (rows, slot))
+    r_B_inv = rng.integers(1, q, (rows, slot))
+    for a in (c, enc, s_B, r_B_inv):
+        a[:5] = q - 1
+    inv = SimpleNamespace(s_B=s_B.astype(np.uint16), r_B_inv=r_B_inv.astype(np.uint16))
+    d = _bob_reply(c.astype(np.uint16), enc.astype(np.uint16), inv, q)
+    expect = [
+        [(int(c[i]) + int(enc[i, j]) + int(s_B[i, j])) * int(r_B_inv[i, j]) % q
+         for j in range(slot)]
+        for i in range(rows)
+    ]
+    assert d.tolist() == expect
 
 
 def test_d_never_hits_r_a_on_mismatch_and_spreads():
