@@ -285,6 +285,11 @@ class BinTable:
 
 
 def build_bin_table(elements, params, seeds):
+    """Bob's table, each bin's entries in a fresh random slot order, so a
+    match's slot does not reveal Bob's other entries in that bin. Entries
+    whose random sort keys tie keep encoding order: in a bin of load L that
+    has probability below L^2 / 2^(rand_bits + 1), and rand_bits >= 27 on
+    every PARAM_TABLE row."""
     arr = _check_input_set(elements, params)
     alpha, beta, k = params.alpha, params.beta, params.k
     sigma2 = params.sigma2
@@ -303,12 +308,19 @@ def build_bin_table(elements, params, seeds):
             f"bin load {int(counts.max())} exceeds beta={beta}; "
             "parameter guarantee violated"
         )
-    # sort by (bin, position): a stable sort by bin, as one plain sort
-    total = all_bins.size
-    sorted_bins, order = np.divmod(np.sort(all_bins * total + np.arange(total)), total)
-    sorted_encs = all_encs[order]
+    # one sort of (bin, random, encoding) keys packed in an int64
+    enc_bits = (params.dummy_alice - 1).bit_length()
+    rand_bits = min(32, 63 - (alpha - 1).bit_length() - enc_bits)
+    if rand_bits < 16:
+        raise ValueError(f"sigma={params.sigma} leaves too few key bits to shuffle bin slots")
+    rand = np.frombuffer(os.urandom(4 * all_bins.size), dtype="<u4") >> (32 - rand_bits)
+    keys = all_bins << (rand_bits + enc_bits)
+    keys |= rand.astype(np.int64) << enc_bits
+    keys |= all_encs
+    keys.sort()
+    sorted_bins = keys >> (rand_bits + enc_bits)
     starts = np.zeros(alpha, dtype=np.int64)
     starts[1:] = np.cumsum(counts)[:-1]
-    slots = np.arange(sorted_bins.size, dtype=np.int64) - starts[sorted_bins]
-    table[sorted_bins, slots] = sorted_encs
+    slots = np.arange(keys.size, dtype=np.int64) - starts[sorted_bins]
+    table[sorted_bins, slots] = keys & ((1 << enc_bits) - 1)
     return BinTable(bins=table, seeds=seeds, params=params)

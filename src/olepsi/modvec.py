@@ -33,11 +33,6 @@ def _check(q):
         raise ValueError(f"vectorized path requires q < 2^31, got {q}")
 
 
-def mod_mul(a, b, q):
-    _check(q)
-    return (a % q) * (b % q) % q
-
-
 def mod_pow(base, exp, q):
     """base**exp mod q, elementwise, square-and-multiply."""
     _check(q)
@@ -54,19 +49,27 @@ def mod_pow(base, exp, q):
 
 @lru_cache(maxsize=8)
 def inverse_table(q):
-    """Inverses of all of F_q (index 0 unused, set to 0)."""
+    """Inverses of all of F_q in dtype_for(q) (index 0 unused, set to 0);
+    read-only, since every caller shares it."""
     _check(q)
-    table = np.zeros(q, dtype=np.int64)
+    table = np.zeros(q, dtype=dtype_for(q))
     table[1:] = mod_pow(np.arange(1, q, dtype=np.int64), q - 2, q)
+    table.flags.writeable = False
     return table
 
 
 def mod_inv(vals, q):
-    """Elementwise inverse of nonzero values in F_q."""
+    """Elementwise inverse of nonzero values in F_q.
+
+    Unsigned input with q <= _TABLE_LIMIT comes back in dtype_for(q), any
+    other input in int64.
+    """
     _check(q)
-    vals = np.asarray(vals, dtype=np.int64)
-    if (vals % q == 0).any():
-        raise ZeroDivisionError("inverse of zero element")
+    vals = np.asarray(vals)
     if q <= _TABLE_LIMIT:
-        return inverse_table(q)[vals % q]
-    return mod_pow(vals, q - 2, q)
+        inv = inverse_table(q).take(vals, mode="wrap")  # wrap: the entry at vals mod q
+    else:
+        inv = mod_pow(vals, q - 2, q)
+    if (inv == 0).any():
+        raise ZeroDivisionError("inverse of zero element")
+    return inv if vals.dtype.kind == "u" else inv.astype(np.int64, copy=False)

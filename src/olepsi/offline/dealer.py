@@ -13,16 +13,11 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 
+from ..codec import pack_words, unpack_words
 from ..field import PrimeModulus
 from ..modvec import dtype_for
 from ..prg import SEED_LEN, Seed
-from ..tuples import (
-    AliceInventory,
-    BobInventory,
-    _pack_array,
-    _unpack_array,
-    inventory_token,
-)
+from ..tuples import AliceInventory, BobInventory, inventory_token
 from ._expand import derive_r_a_arrays, expand_bob_arrays, expand_s_a
 
 _SECTION_DOMAINS = (b"bins", b"stash")
@@ -104,7 +99,7 @@ def encode_to_alice(msg, modulus):
     for r_A in r_A_lists:
         count, slot_len = r_A.shape
         parts.append(_SECTION_HEAD.pack(count, slot_len))
-        parts.append(_pack_array(r_A, modulus.byte_len))
+        parts.append(pack_words(r_A, modulus.byte_len))
     return b"".join(parts)
 
 
@@ -118,9 +113,11 @@ def decode_to_alice(data):
         count, slot_len = _SECTION_HEAD.unpack_from(data, off)
         off += _SECTION_HEAD.size
         nbytes = count * slot_len * modulus.byte_len
-        block = _unpack_array(data[off : off + nbytes], modulus.byte_len, count * slot_len)
+        block = unpack_words(
+            data[off : off + nbytes], modulus.byte_len, count * slot_len, dtype_for(q)
+        )
         off += nbytes
-        r_A_lists.append(block.reshape(count, slot_len).astype(dtype_for(modulus.q)))
+        r_A_lists.append(block.reshape(count, slot_len))
     if off != len(data):
         raise ValueError("trailing bytes in dealer message")
     return Seed(seed_bytes), tuple(r_A_lists), token, modulus

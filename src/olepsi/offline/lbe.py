@@ -22,6 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from ..codec import unpack_words
 from ..field import InversionOfZero, smallest_prime_at_least
 from ..modvec import dtype_for
 from ..prg import Prg, Seed
@@ -188,7 +189,7 @@ def lbe_batch(params, count, *, slot_len=None, seed=None, lbe=None):
     r_B = prg.nonzero_elements(modulus, count * L, dtype=dt).reshape(count, L)
     s_B = prg.elements(modulus, count * L, dtype=dt).reshape(count, L)
     mask = np.uint64(lbe.u_domain - 1)
-    u_vals = np.frombuffer(prg.read(8 * count * L), dtype="<u8") & mask
+    u_vals = unpack_words(prg.read(8 * count * L), 8, count * L, np.uint64) & mask
     u_vals = u_vals.reshape(count, L)
     r_A = np.empty((count, L), dtype=dt)
     for i in range(count):

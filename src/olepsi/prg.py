@@ -12,6 +12,9 @@ import os
 
 import numpy as np
 
+from .codec import unpack_words
+from .modvec import dtype_for
+
 SEED_LEN = 32
 _BLOCK = 65536
 
@@ -70,30 +73,23 @@ class Prg:
             n -= len(take)
         return b"".join(chunks)
 
-    def _words(self, count, width, mask):
-        raw = self.read(count * width)
-        a = np.frombuffer(raw, dtype=np.uint8).reshape(count, width)
-        vals = np.zeros(count, dtype=np.uint64)
-        for b in range(width):
-            vals |= a[:, b].astype(np.uint64) << np.uint64(8 * b)
-        return (vals & np.uint64(mask)).astype(np.int64)
-
     def _sample(self, modulus, count, reject_zero, dtype):
         q = modulus.q
         width = modulus.byte_len
         mask = (1 << modulus.bit_len) - 1
         rate = q / float(mask + 1)
+        word = dtype_for(q)
         out = np.empty(count, dtype=dtype)
         have = 0
         while have < count:
             need = count - have
             draw = min(int(need / rate * 1.05) + 16, 1 << 22)
-            vals = self._words(draw, width, mask)
+            vals = unpack_words(self.read(draw * width), width, draw, word) & mask
+            keep = vals < q
             if reject_zero:
-                vals = vals[(vals < q) & (vals != 0)]
-            else:
-                vals = vals[vals < q]
-            take = min(len(vals), need)
+                keep &= vals != 0
+            vals = np.compress(keep, vals)
+            take = min(vals.size, need)
             out[have : have + take] = vals[:take]
             have += take
         return out

@@ -21,8 +21,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from .codec import pack_words, unpack_words
 from .modvec import dtype_for
-from .tuples import _pack_array, _unpack_array
 
 SETUP = 1
 ALICE_C = 2
@@ -244,7 +244,7 @@ def recv_frame(channel, *, elements_of=None):
 def send_elements(channel, msg_type, values, modulus):
     """Pack a vector of field elements into one frame and send it."""
     values = np.asarray(values)
-    payload = _pack_array(values, modulus.byte_len)
+    payload = pack_words(values, modulus.byte_len)
     send_frame(
         channel,
         Frame(msg_type, payload),
@@ -261,10 +261,10 @@ def recv_elements(channel, expect_type, modulus):
     if len(frame.payload) % modulus.byte_len:
         raise TransportError("payload is not a whole number of elements")
     count = len(frame.payload) // modulus.byte_len
-    vals = _unpack_array(frame.payload, modulus.byte_len, count)
+    vals = unpack_words(frame.payload, modulus.byte_len, count, dtype_for(modulus.q))
     if count and int(vals.max()) >= modulus.q:
         raise TransportError("element out of field range")
-    return vals.astype(dtype_for(modulus.q))
+    return vals
 
 
 def bits_per_element_measured(stats, n):

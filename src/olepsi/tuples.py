@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .codec import pack_words, unpack_words
 from .field import FieldElement, PrimeModulus
 from .modvec import dtype_for, mod_inv
 
@@ -229,41 +230,14 @@ def random_tuple(modulus, prg):
     )
 
 
-# widths with a native little-endian dtype skip the per-byte loop
-_EXACT_WIDTH = {1: "<u1", 2: "<u2", 4: "<u4", 8: "<u8"}
-
-
-def _pack_array(vals, width):
-    a = np.asarray(vals).ravel()
-    code = _EXACT_WIDTH.get(width)
-    if code is not None:
-        return a.astype(code, copy=False).tobytes()
-    a = a.astype(np.uint64, copy=False)
-    out = np.empty((a.size, width), dtype=np.uint8)
-    for b in range(width):
-        out[:, b] = (a >> np.uint64(8 * b)).astype(np.uint8)
-    return out.tobytes()
-
-
-def _unpack_array(data, width, count, dtype=np.int64):
-    code = _EXACT_WIDTH.get(width)
-    if code is not None:
-        return np.frombuffer(data, dtype=code).astype(dtype, copy=False)
-    a = np.frombuffer(data, dtype=np.uint8).reshape(count, width)
-    vals = np.zeros(count, dtype=np.uint64)
-    for b in range(width):
-        vals |= a[:, b].astype(np.uint64) << np.uint64(8 * b)
-    return vals.astype(dtype)
-
-
 def _alice_payload(inv):
     block = np.concatenate([inv.s_A[:, None], inv.r_A], axis=1)
-    return _pack_array(block, inv.modulus.byte_len)
+    return pack_words(block, inv.modulus.byte_len)
 
 
 def _bob_payload(inv):
     block = np.stack([inv.r_B, inv.r_B_inv, inv.s_B], axis=2)
-    return _pack_array(block, inv.modulus.byte_len)
+    return pack_words(block, inv.modulus.byte_len)
 
 
 def _section_header(modulus, count, slot_len, token, side=SIDE_BOB):
@@ -327,7 +301,7 @@ def load_inventories(path, side):
                 data = f.read(need)
                 if len(data) < need:
                     raise TupleFileError("truncated alice section payload")
-                block = _unpack_array(data, width, count * (1 + slot_len), kind)
+                block = unpack_words(data, width, count * (1 + slot_len), kind)
                 block = block.reshape(count, 1 + slot_len)
                 out.append(AliceInventory(modulus, block[:, 0], block[:, 1:]))
             else:
@@ -335,7 +309,7 @@ def load_inventories(path, side):
                 data = f.read(need)
                 if len(data) < need:
                     raise TupleFileError("truncated bob section payload")
-                block = _unpack_array(data, width, count * slot_len * 3, kind)
+                block = unpack_words(data, width, count * slot_len * 3, kind)
                 block = block.reshape(count, slot_len, 3)
                 out.append(
                     BobInventory(

@@ -144,8 +144,28 @@ def test_cuckoo_and_bin_tables_ignore_input_type_and_order():
         assert np.array_equal(t.bins, as_set.bins)
         assert np.array_equal(t.origins, as_set.origins)
         assert t.stash == as_set.stash
-    assert np.array_equal(build_bin_table(xs, p, seeds).bins,
-                          build_bin_table(set(xs.tolist()), p, seeds).bins)
+    # bin slots are shuffled per build, so compare each bin's contents
+    assert np.array_equal(np.sort(build_bin_table(xs, p, seeds).bins, axis=1),
+                          np.sort(build_bin_table(set(xs.tolist()), p, seeds).bins, axis=1))
+
+
+def test_bin_table_slot_order_is_fresh_per_build():
+    p = derive_params(1 << 10, 3)
+    seeds = fixed_seeds(3)
+    ys = np.random.default_rng(31).choice(1 << 32, size=1 << 10, replace=False)
+    t1 = build_bin_table(ys, p, seeds).bins
+    t2 = build_bin_table(ys, p, seeds).bins
+    assert np.array_equal(np.sort(t1, axis=1), np.sort(t2, axis=1))
+    # every bin holds its real entries first, so only their order may differ
+    assert np.array_equal(t1 == p.dummy_bob, t2 == p.dummy_bob)
+    assert not np.array_equal(t1, t2)
+
+
+def test_bin_table_rejects_sigma_too_wide_to_shuffle():
+    # bin and encoding bits would leave no room for the random sort key
+    p = derive_params(1 << 10, 2, sigma=60)
+    with pytest.raises(ValueError):
+        build_bin_table([1, 2], p, fixed_seeds(2))
 
 
 @pytest.mark.parametrize("k", [2, 3])

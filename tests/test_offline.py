@@ -1,5 +1,7 @@
 """Offline backends: seeded, dealer, OT/Gilboa, LBE simulation."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -27,7 +29,12 @@ from olepsi.offline import dealer as dealer_mod
 from olepsi.offline.lbe import LbeSimParams, lbe_batch, lbe_reconstruct
 from olepsi.params import derive_params
 from olepsi.prg import Prg, Seed
-from olepsi.tuples import inventory_token, validate_batch, validate_inventories
+from olepsi.tuples import (
+    inventory_token,
+    save_inventories,
+    validate_batch,
+    validate_inventories,
+)
 
 M11 = PrimeModulus(11)
 
@@ -156,6 +163,37 @@ def test_dealer_alice_expansion_golden_prefix():
     msg = dealer_generate(Seed(bytes([1]) * 32), Seed(bytes([2]) * 32), 5, p)
     alice = expand_alice(msg.to_alice[0], msg.to_alice[1], p)
     assert alice[0].s_A[:4].tolist() == [157, 43, 24, 43]
+
+
+@pytest.mark.parametrize(
+    "k, sigma, q, token, alice_sha, bob_sha, dealer_sha",
+    [
+        (2, 20, 4099, "1aabf85980d597a88715ce26726637e9",
+         "9a212147ddc1be1aa4feef6bff4fcc2ed9ab93ab56819c34c7725c8ee8b38e82",
+         "9bff1a90185b370e97734938d45759dcc296da16faececff468de9502a30f8a3",
+         "74f1e7e79832833e2ae4913a248ebbc4e560808bb30cc6bc215c1b1f75a86bf1"),
+        (3, 25, 393241, "0c09b4e59f5879db925fe14b02edd757",
+         "b7d822bd0ed151367a24579d8d44590bc7b43793354abeb5d4d08912262622f7",
+         "aa0fea890125bd3eab8b59b065790d7c9bfeef40cd761c310e5bb14a59e7ef78",
+         "caf4944ce16eac3c8af7a6a3ede8b807cb7eef267b8cbbb02a9edb680836b0dd"),
+    ],
+)
+def test_seed_inventory_and_dealer_bytes_golden(
+    tmp_path, k, sigma, q, token, alice_sha, bob_sha, dealer_sha
+):
+    # frozen: token, tuple files and dealer message at a 2-byte and a 3-byte q
+    p = derive_params(1 << 8, k, sigma=sigma)
+    assert p.modulus.q == q
+    alice, bob = generate_psi_inventories("seed", p, Seed(bytes(range(32))))
+    tok = inventory_token(bob)
+    assert tok.hex() == token
+    save_inventories(tmp_path / "a", alice, "alice", tok)
+    save_inventories(tmp_path / "b", bob, "bob", tok)
+    assert hashlib.sha256((tmp_path / "a").read_bytes()).hexdigest() == alice_sha
+    assert hashlib.sha256((tmp_path / "b").read_bytes()).hexdigest() == bob_sha
+    msg = dealer_generate(Seed(bytes(32)), Seed(bytes([1]) * 32), 5, p)
+    data = encode_to_alice(msg, p.modulus)
+    assert hashlib.sha256(data).hexdigest() == dealer_sha
 
 
 def test_dealer_alice_message_roundtrip():

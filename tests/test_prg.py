@@ -58,6 +58,17 @@ def test_elements_golden_vector_q11():
     assert got == [6, 5, 4, 5, 9, 0, 3, 9, 10, 7, 4, 9]
 
 
+def test_elements_golden_vector_width3():
+    # 3-byte words; q is the offline-16k-mix modulus
+    m = PrimeModulus(786449)
+    assert list(Prg(Z32).elements(m, 8)) == [
+        280022, 607631, 644064, 288714, 72091, 763987, 372012, 554893,
+    ]
+    assert list(Prg(Z32, tag=b"nz").nonzero_elements(m, 8)) == [
+        65827, 430502, 30136, 752004, 365093, 782342, 457545, 462680,
+    ]
+
+
 def test_elements_in_range():
     m = PrimeModulus(251)
     vals = Prg(Seed.random()).elements(m, 10000)

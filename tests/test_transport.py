@@ -16,6 +16,7 @@ from olepsi.transport import (
     Frame,
     OversizeFrame,
     TcpListener,
+    TransportError,
     UnexpectedType,
     UnknownType,
     bits_per_element_measured,
@@ -104,6 +105,33 @@ def test_element_range_checked_on_recv():
     send_frame(a, Frame(ALICE_C, (6151).to_bytes(2, "little")))
     with pytest.raises(Exception):
         recv_elements(b, ALICE_C, Q6151)
+
+
+@pytest.mark.parametrize("q", [6151, 786449])
+def test_element_at_or_above_q_raises_transport_error(q):
+    m = PrimeModulus(q)
+    for bad in (q, (1 << (8 * m.byte_len)) - 1):
+        a, b = memory_channel_pair()
+        payload = b"".join(v.to_bytes(m.byte_len, "little") for v in (1, bad, 0))
+        send_frame(a, Frame(ALICE_C, payload))
+        with pytest.raises(TransportError):
+            recv_elements(b, ALICE_C, m)
+
+
+@pytest.mark.parametrize(
+    "q", [251, 65521, 16777213, 4294967291, 1099511627689, (1 << 62) - 57]
+)
+def test_element_codec_roundtrip_at_field_ends(q):
+    # widths 1-5 and 8: 0 and q-1 travel as little-endian byte_len-byte words
+    m = PrimeModulus(q)
+    vals = [0, q - 1, 1]
+    a, b = memory_channel_pair()
+    send_elements(a, BOB_D, np.array(vals), m)
+    send_elements(a, BOB_D, np.array(vals), m)
+    frame = recv_frame(b)
+    assert frame.payload == b"".join(v.to_bytes(m.byte_len, "little") for v in vals)
+    got = recv_elements(b, BOB_D, m)
+    assert [int(v) for v in got] == vals
 
 
 def test_element_vector_roundtrip_and_dtype():
