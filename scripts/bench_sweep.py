@@ -3,7 +3,8 @@
 
 Each cell runs one full PSI (offline generation + online protocol over the
 in-memory transport) and prints the structured bench report. Single
-threaded by design; expect the ot and lbe-sim backends to dominate.
+threaded by design; expect the ot backend, at ceil(log2 q) transfers per
+tuple, to dominate.
 """
 
 import argparse

@@ -4,6 +4,7 @@ All protocol moduli fit well below 2^31, so products of reduced values fit
 int64. Callers with larger moduli must use the scalar FieldElement path.
 """
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -47,13 +48,47 @@ def mod_pow(base, exp, q):
     return result
 
 
+def _primitive_root(q):
+    """Smallest generator of F_q^*, from the prime factors of q - 1."""
+    factors, n, d = [], q - 1, 2
+    while d * d <= n:
+        if n % d == 0:
+            factors.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        factors.append(n)
+    return next(
+        g for g in range(1, q) if all(pow(g, (q - 1) // f, q) != 1 for f in factors)
+    )
+
+
+def _powers(base, count, q):
+    """[base^0, ..., base^(count-1)] mod q as int64."""
+    out = [1]
+    for _ in range(count - 1):
+        out.append(out[-1] * base % q)
+    return np.array(out, dtype=np.int64)
+
+
 @lru_cache(maxsize=8)
 def inverse_table(q):
     """Inverses of all of F_q in dtype_for(q) (index 0 unused, set to 0);
-    read-only, since every caller shares it."""
+    read-only, since every caller shares it.
+
+    With g a generator, powers[k] = g^k for k < q - 1 comes from one outer
+    product of two ~sqrt(q)-long power lists, and the inverse of g^k is
+    g^(q-1-k) = powers[-k mod (q-1)].
+    """
     _check(q)
+    g = _primitive_root(q)
+    step = math.isqrt(q - 1) + 1
+    small = _powers(g, step, q)
+    big = _powers(pow(g, step, q), -(-(q - 1) // step), q)
+    powers = (big[:, None] * small % q).ravel()[: q - 1]
     table = np.zeros(q, dtype=dtype_for(q))
-    table[1:] = mod_pow(np.arange(1, q, dtype=np.int64), q - 2, q)
+    table[powers] = np.concatenate((powers[:1], powers[:0:-1]))
     table.flags.writeable = False
     return table
 

@@ -12,6 +12,12 @@ real construction, so it is kept and its distribution is testable.  The
 modulus product must clear Q^2 * 2^lambda (hiding) and the slightly
 larger no-wraparound bound, so CRT reconstruction is exact over the
 integers.
+
+The batch path replays this for about 2^16 slots at a time: it forms
+x = (s_A + s_B) * r_B^{-1} + u*Q on Python-int (object) arrays, takes the
+residues x mod q_i and recombines them with the CRT basis, so it stays
+exact however wide the q_i and basis terms are.  The scalar API runs the
+same routine on one slot.
 """
 
 from __future__ import annotations
@@ -24,9 +30,11 @@ import numpy as np
 
 from ..codec import unpack_words
 from ..field import InversionOfZero, smallest_prime_at_least
-from ..modvec import dtype_for
+from ..modvec import dtype_for, mod_inv
 from ..prg import Prg, Seed
 from ..tuples import AliceInventory, BobInventory
+
+_CHUNK_SLOTS = 1 << 16  # slots per object-array CRT pass in lbe_batch
 
 
 @dataclass(frozen=True)
@@ -109,6 +117,7 @@ def _prime_window(bound, m, start):
     return tuple(run)
 
 
+@lru_cache(maxsize=16)
 def lbe_params_for(modulus, lam, m=2):
     """Smallest run of m consecutive primes clearing both product bounds.
 
@@ -154,17 +163,24 @@ def _check_inputs(lbe, s_A, s_B, r_B, u):
         raise ValueError("u out of range")
 
 
+def _crt_replay(lbe, s_A, s_B, r_B_inv, u):
+    """v = CRT(x mod q_i) mod Q' for x = (s_A + s_B) * r_B_inv + u*Q.
+
+    Runs on Python ints or, elementwise, on object arrays of them (s_A and
+    u object, the others may be unsigned arrays), so it is exact for q_i and
+    CRT basis terms of any size.
+    """
+    x = (s_A + s_B) * r_B_inv + u * lbe.modulus.q
+    v = 0
+    for qi, bi in zip(lbe.q_i, _crt_basis(lbe)):
+        v += (x % qi) * bi
+    return v % lbe.Q_prime
+
+
 def lbe_reconstruct(lbe, s_A, s_B, r_B, u):
     """The integer v recovered by CRT, before reduction mod Q."""
     _check_inputs(lbe, s_A, s_B, r_B, u)
-    Q = lbe.modulus.q
-    inv = pow(r_B, -1, Q)
-    basis = _crt_basis(lbe)
-    v = 0
-    for qi, bi in zip(lbe.q_i, basis):
-        d_i = (((s_A % qi) + (s_B % qi)) * (inv % qi) + (u * Q) % qi) % qi
-        v += d_i * bi
-    return v % lbe.Q_prime
+    return _crt_replay(lbe, s_A, s_B, pow(r_B, -1, lbe.modulus.q), u)
 
 
 def lbe_sim_tuple(lbe, s_A, s_B, r_B, u):
@@ -191,13 +207,14 @@ def lbe_batch(params, count, *, slot_len=None, seed=None, lbe=None):
     mask = np.uint64(lbe.u_domain - 1)
     u_vals = unpack_words(prg.read(8 * count * L), 8, count * L, np.uint64) & mask
     u_vals = u_vals.reshape(count, L)
+    r_B_inv = mod_inv(r_B, q)
     r_A = np.empty((count, L), dtype=dt)
-    for i in range(count):
-        s = int(s_A[i])
-        for j in range(L):
-            r_A[i, j] = lbe_sim_tuple(
-                lbe, s, int(s_B[i, j]), int(r_B[i, j]), int(u_vals[i, j])
-            )
+    step = max(1, _CHUNK_SLOTS // max(L, 1))
+    for lo in range(0, count, step):
+        hi = lo + step
+        s = s_A[lo:hi, None].astype(object)
+        u = u_vals[lo:hi].astype(object)
+        r_A[lo:hi] = _crt_replay(lbe, s, s_B[lo:hi], r_B_inv[lo:hi], u) % q
     alice = AliceInventory(modulus, s_A, r_A)
-    bob = BobInventory.from_r_b_s_b(modulus, r_B, s_B)
+    bob = BobInventory(modulus, r_B, r_B_inv, s_B)
     return alice, bob

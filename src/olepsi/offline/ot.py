@@ -138,12 +138,19 @@ class DealerAssistedOt(OtProvider):
         n = len(c)
         pp = self._pads.elements(self.modulus, 2 * n)
         p0, p1 = pp[0::2], pp[1::2]
-        cstar = (np.frombuffer(self._bits.read(n), dtype=np.uint8) & 1).astype(np.int64)
+        cstar = (np.frombuffer(self._bits.read(n), dtype=np.uint8) & 1).astype(bool)
+        c = c == 1
         delta = c ^ cstar
-        e0 = (m0 - np.where(delta == 1, p1, p0)) % q
-        e1 = (m1 - np.where(delta == 1, p0, p1)) % q
-        pad = np.where(cstar == 1, p1, p0)
-        out = (np.where(c == 1, e1, e0) + pad) % q
+        # every operand is reduced, so one conditional +q replaces each % q;
+        # (x >> 63) & q is q exactly where the int64 x is negative
+        e0 = m0 - np.where(delta, p1, p0)
+        e0 += (e0 >> 63) & q
+        e1 = m1 - np.where(delta, p0, p1)
+        e1 += (e1 >> 63) & q
+        pad = np.where(cstar, p1, p0)
+        out = np.where(c, e1, e0)
+        out += pad - q
+        out += (out >> 63) & q
         if self.record:
             for i in range(n):
                 self.receiver_records.append(

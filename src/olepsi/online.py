@@ -229,7 +229,7 @@ def psi_alice(session, elements, channel):
         c_st = (stash_inv.s_A[: p.stash_size].astype(np.int64) - enc_st) % q
         send_elements(channel, ALICE_C, c_st, p.modulus)
 
-    d = recv_elements(channel, BOB_D, p.modulus)
+    d = recv_elements(channel, BOB_D, p.modulus, p.alpha * p.beta)
     if d.size != p.alpha * p.beta:
         raise OnlineError(f"expected {p.alpha * p.beta} d-values, got {d.size}")
     d = d.reshape(p.alpha, p.beta)
@@ -242,7 +242,7 @@ def psi_alice(session, elements, channel):
         out.add(int(table.origins[i]))
 
     if p.stash_size:
-        d_st = recv_elements(channel, BOB_D, p.modulus)
+        d_st = recv_elements(channel, BOB_D, p.modulus, p.stash_size * p.n)
         if d_st.size != p.stash_size * p.n:
             raise OnlineError(
                 f"expected {p.stash_size * p.n} stash d-values, got {d_st.size}"
@@ -286,11 +286,11 @@ def psi_bob(session, elements, channel):
     recv0 = channel.stats.elements_received
     _setup_exchange(session, channel)
 
-    c = recv_elements(channel, ALICE_C, p.modulus)
+    c = recv_elements(channel, ALICE_C, p.modulus, p.alpha)
     if c.size != p.alpha:
         raise OnlineError(f"expected {p.alpha} c-values, got {c.size}")
     if p.stash_size:
-        c_st = recv_elements(channel, ALICE_C, p.modulus)
+        c_st = recv_elements(channel, ALICE_C, p.modulus, p.stash_size)
         if c_st.size != p.stash_size:
             raise OnlineError(
                 f"expected {p.stash_size} stash c-values, got {c_st.size}"

@@ -224,14 +224,19 @@ def send_frame(channel, frame, *, elements=0, bit_len=0):
     channel.stats.add_sent(_HEAD.size + n, elements, bit_len)
 
 
-def recv_frame(channel, *, elements_of=None):
-    """Read one frame.  elements_of: modulus used to count received elements."""
+def recv_frame(channel, *, elements_of=None, max_payload=MAX_PAYLOAD):
+    """Read one frame.  elements_of: modulus used to count received elements.
+
+    A header declaring more than max_payload (capped at MAX_PAYLOAD) bytes
+    raises OversizeFrame before any of the payload is read.
+    """
     head = channel.recv_bytes(_HEAD.size)
     n, msg_type = _HEAD.unpack(head)
     if msg_type not in FRAME_TYPES:
         raise UnknownType(f"frame type {msg_type}")
-    if n > MAX_PAYLOAD:
-        raise OversizeFrame(f"{n} byte payload")
+    limit = min(max_payload, MAX_PAYLOAD)
+    if n > limit:
+        raise OversizeFrame(f"{n} byte payload, limit {limit}")
     payload = channel.recv_bytes(n)
     elements = bit_len = 0
     if elements_of is not None and n:
@@ -253,9 +258,11 @@ def send_elements(channel, msg_type, values, modulus):
     )
 
 
-def recv_elements(channel, expect_type, modulus):
-    """Receive one frame of packed elements; enforces the frame type."""
-    frame = recv_frame(channel, elements_of=modulus)
+def recv_elements(channel, expect_type, modulus, max_count):
+    """Receive one frame of at most max_count packed elements; enforces the
+    frame type.  The count is checked against the frame header, so a peer
+    cannot make us read or allocate more than the protocol needs."""
+    frame = recv_frame(channel, elements_of=modulus, max_payload=max_count * modulus.byte_len)
     if frame.msg_type != expect_type:
         raise UnexpectedType(f"wanted type {expect_type}, got {frame.msg_type}")
     if len(frame.payload) % modulus.byte_len:

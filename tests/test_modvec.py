@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from olepsi.modvec import dtype_for, mod_inv
+from olepsi.modvec import dtype_for, inverse_table, mod_inv, mod_pow
 
 
 @pytest.mark.parametrize("dtype", [np.uint16, np.uint32])
@@ -21,3 +21,21 @@ def test_mod_inv_rejects_zero(dtype):
     for bad in (0, q):
         with pytest.raises(ZeroDivisionError):
             mod_inv(np.array([3, bad, 5], dtype=dtype), q)
+
+
+@pytest.mark.parametrize("q", [2, 3, 11, 6151])
+def test_inverse_table_matches_pow_on_all_of_field(q):
+    table = inverse_table(q)
+    assert table.dtype == dtype_for(q)
+    assert table.tolist() == [0] + [pow(x, -1, q) for x in range(1, q)]
+    assert not table.flags.writeable
+    with pytest.raises(ZeroDivisionError):
+        mod_inv(np.array([0], dtype=dtype_for(q)), q)
+
+
+def test_inverse_table_matches_fermat_construction():
+    # the generator-power table equals x^(q-2) by square-and-multiply
+    q = 786449
+    fermat = np.zeros(q, dtype=np.int64)
+    fermat[1:] = mod_pow(np.arange(1, q, dtype=np.int64), q - 2, q)
+    assert (inverse_table(q).astype(np.int64) == fermat).all()

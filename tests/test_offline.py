@@ -26,6 +26,7 @@ from olepsi.offline import (
     subseed,
 )
 from olepsi.offline import dealer as dealer_mod
+from olepsi.offline import lbe as lbe_mod
 from olepsi.offline.lbe import LbeSimParams, lbe_batch, lbe_reconstruct
 from olepsi.params import derive_params
 from olepsi.prg import Prg, Seed
@@ -196,6 +197,30 @@ def test_seed_inventory_and_dealer_bytes_golden(
     assert hashlib.sha256(data).hexdigest() == dealer_sha
 
 
+@pytest.mark.parametrize(
+    "backend, k, sigma, q, token, alice_sha",
+    [
+        ("ot", 2, 20, 4099, "e6e2d608b1a420375ac2b160565f0085",
+         "f9c2a578640f4514af1b81ef6bb41e7b73e21ccda2b88dd5da6edabbffcd6b04"),
+        ("ot", 3, 25, 393241, "1b5c98c04d6755d421ff59ae6748c664",
+         "4b43e0bac535b0b990ab9a48d46b509bc32b709bd1836f7b240f5d94bdf0801e"),
+        ("lbe-sim", 2, 20, 4099, "8ac54e6e7ba28c4c6f9440acc2dc67f0",
+         "cf7840463d29edf2e14db104dac96a3e3442bd0edcb4ea6c062cd83211b76610"),
+        ("lbe-sim", 3, 25, 393241, "ecdd7615e66da485e015cf460e79314d",
+         "f8c6ac9843b2b5c06026a248bca5a0a279f17876e3967cfa5dd949a6820519a4"),
+    ],
+)
+def test_ot_and_lbe_inventory_golden(tmp_path, backend, k, sigma, q, token, alice_sha):
+    # frozen: Bob's token and Alice's tuple file, with (k=2) and without a stash
+    p = derive_params(1 << 8, k, sigma=sigma)
+    assert p.modulus.q == q and (p.stash_size > 0) == (k == 2)
+    alice, bob = generate_psi_inventories(backend, p, Seed(bytes(range(32))))
+    tok = inventory_token(bob)
+    assert tok.hex() == token
+    save_inventories(tmp_path / "a", alice, "alice", tok)
+    assert hashlib.sha256((tmp_path / "a").read_bytes()).hexdigest() == alice_sha
+
+
 def test_dealer_alice_message_roundtrip():
     p = params_small()
     msg = dealer_generate(Seed(bytes([1]) * 32), Seed(bytes([2]) * 32), 3, p)
@@ -262,6 +287,30 @@ def test_ot_deterministic_given_seed():
         ot.ot_send_many([1, 2, 3], [4, 5, 6])
         outs.append(ot.ot_receive_many([0, 1, 0]).tolist())
     assert outs[0] == outs[1] == [1, 5, 3]
+
+
+def test_ot_vector_transcript_golden():
+    # frozen: the receiver's view of six transfers at a 3-byte q, with the
+    # messages at both ends of the field; pins how the pad and bit streams
+    # are consumed
+    mod = PrimeModulus(786449)
+    q = mod.q
+    ot = DealerAssistedOt(mod, seed=Seed(bytes([3]) * 32), record=True)
+    m0 = [0, q - 1, 5, 123456, q - 1, 0]
+    m1 = [q - 1, 0, 786000, 7, 0, 1]
+    c = [0, 1, 1, 0, 1, 0]
+    ot.ot_send_many(m0, m1)
+    out = ot.ot_receive_many(c)
+    assert out.tolist() == [0, 0, 786000, 123456, 0, 0]
+    assert [(r.delta, r.e0, r.e1, r.cstar, r.pad) for r in ot.receiver_records] == [
+        (1, 189799, 224306, 1, 596650),
+        (1, 205117, 617274, 0, 169175),
+        (0, 384953, 430644, 1, 355356),
+        (0, 494594, 746065, 0, 415311),
+        (0, 323668, 692605, 1, 93844),
+        (1, 8244, 328827, 1, 778205),
+    ]
+    assert [r.output for r in ot.receiver_records] == out.tolist()
 
 
 def test_ot_session_discipline():
@@ -415,6 +464,76 @@ def test_lbe_batch_validates():
     assert validate_inventories(alice, bob)
 
 
+def _residue_loop_reconstruct(lbe, s_A, s_B, r_B, u):
+    # reference: the per-residue scalar CRT with its own basis
+    Q = lbe.modulus.q
+    inv = pow(r_B, -1, Q)
+    Qp = lbe.Q_prime
+    v = 0
+    for qi in lbe.q_i:
+        Ni = Qp // qi
+        d_i = (((s_A % qi) + (s_B % qi)) * (inv % qi) + (u * Q) % qi) % qi
+        v += d_i * Ni * pow(Ni, -1, qi)
+    return v % Qp
+
+
+def _lbe_u_draws(seed, modulus, count, slot_len, lbe):
+    # replays lbe_batch's stream: s_A, r_B, s_B, then one 8-byte u per slot
+    prg = Prg(seed, tag=b"lbe")
+    prg.elements(modulus, count)
+    prg.nonzero_elements(modulus, count * slot_len)
+    prg.elements(modulus, count * slot_len)
+    raw = np.frombuffer(prg.read(8 * count * slot_len), dtype="<u8")
+    return (raw & np.uint64(lbe.u_domain - 1)).reshape(count, slot_len)
+
+
+def _assert_batch_matches_scalar(p, count, lbe):
+    seed = Seed(bytes([6]) * 32)
+    alice, bob = lbe_batch(p, count, seed=seed, lbe=lbe)
+    assert validate_inventories(alice, bob)
+    u = _lbe_u_draws(seed, p.modulus, count, p.beta, lbe)
+    for i in range(count):
+        s_A = int(alice.s_A[i])
+        for j in range(p.beta):
+            args = (s_A, int(bob.s_B[i, j]), int(bob.r_B[i, j]), int(u[i, j]))
+            want = lbe_sim_tuple(lbe, *args)
+            assert _residue_loop_reconstruct(lbe, *args) % p.modulus.q == want
+            assert int(alice.r_A[i, j]) == want
+
+
+def test_lbe_batch_matches_scalar_across_ragged_chunks(monkeypatch):
+    # 64-slot chunks of 4 rows at beta=15: 10 rows give chunks 4, 4 and 2
+    monkeypatch.setattr(lbe_mod, "_CHUNK_SLOTS", 64)
+    p = params_small()
+    _assert_batch_matches_scalar(p, 10, lbe_params_for(p.modulus, p.lam))
+
+
+def test_lbe_batch_matches_scalar_single_modulus():
+    p = params_small()
+    one = lbe_params_for(p.modulus, p.lam, m=1)
+    assert one.u_domain == 1
+    _assert_batch_matches_scalar(p, 6, one)
+
+
+def test_lbe_batch_matches_scalar_lambda40_width3():
+    # 40-bit q_i: each CRT basis term is near 2^77, far past int64
+    p = derive_params(1 << 8, 3, sigma=25)
+    assert p.modulus.byte_len == 3
+    lbe = lbe_params_for(p.modulus, 40)
+    assert min(lbe.q_i) > 1 << 36 and lbe.Q_prime > 1 << 76
+    _assert_batch_matches_scalar(p, 4, lbe)
+
+
+def test_lbe_reconstruct_matches_residue_loop_at_extremes():
+    p = derive_params(1 << 8, 3, sigma=25)
+    Q = p.modulus.q
+    lbe = lbe_params_for(p.modulus, 40)
+    top = lbe.u_domain - 1
+    for args in [(Q - 1, Q - 1, 1, top), (Q - 1, Q - 1, Q - 1, top), (0, 0, 1, 0),
+                 (Q - 1, 0, 2, top), (12345, 6789, Q - 2, 1 << 39)]:
+        assert lbe_reconstruct(lbe, *args) == _residue_loop_reconstruct(lbe, *args)
+
+
 # ---------------------------------------------------------------- orchestrator
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -429,7 +548,7 @@ def test_generate_psi_inventories(backend):
 
 def test_generate_psi_inventories_deterministic_backends():
     p = params_small()
-    for backend in ("seed", "dealer"):
+    for backend in BACKENDS:
         a1, b1 = generate_psi_inventories(backend, p, Seed(bytes([9]) * 32), bin_count=4)
         a2, b2 = generate_psi_inventories(backend, p, Seed(bytes([9]) * 32), bin_count=4)
         for x, y in zip(a1, a2):

@@ -1,5 +1,6 @@
 """Framing, channels, and communication accounting."""
 
+import struct
 import threading
 from fractions import Fraction
 
@@ -45,7 +46,7 @@ def test_framing_arithmetic_one_element():
     assert a.stats.bytes_sent == 7
     assert a.stats.elements_sent == 1
     assert a.stats.theoretical_bits_sent == 13  # ceil(log2 6151)
-    vals = recv_elements(b, ALICE_C, Q6151)
+    vals = recv_elements(b, ALICE_C, Q6151, 1)
     assert vals.tolist() == [516]
     assert b.stats.bytes_received == 7
     assert b.stats.elements_received == 1
@@ -93,18 +94,28 @@ def test_oversize_frame_rejected():
         send_frame(a, Frame(SETUP, Huge()))
 
 
+def test_element_frame_over_expected_count_fails_at_header():
+    # the peer sends only an ALICE_C header declaring one element too many:
+    # the error comes from the header, before any wait for the payload
+    a, b = memory_channel_pair(timeout=5.0)
+    a.send_bytes(struct.pack(">IB", 4 * Q6151.byte_len, ALICE_C))
+    with pytest.raises(OversizeFrame):
+        recv_elements(b, ALICE_C, Q6151, 3)
+    assert b.stats.bytes_received == 0
+
+
 def test_unexpected_type_on_element_recv():
     a, b = memory_channel_pair()
     send_elements(a, BOB_D, np.array([1, 2]), Q6151)
     with pytest.raises(UnexpectedType):
-        recv_elements(b, ALICE_C, Q6151)
+        recv_elements(b, ALICE_C, Q6151, 2)
 
 
 def test_element_range_checked_on_recv():
     a, b = memory_channel_pair()
     send_frame(a, Frame(ALICE_C, (6151).to_bytes(2, "little")))
     with pytest.raises(Exception):
-        recv_elements(b, ALICE_C, Q6151)
+        recv_elements(b, ALICE_C, Q6151, 1)
 
 
 @pytest.mark.parametrize("q", [6151, 786449])
@@ -115,7 +126,7 @@ def test_element_at_or_above_q_raises_transport_error(q):
         payload = b"".join(v.to_bytes(m.byte_len, "little") for v in (1, bad, 0))
         send_frame(a, Frame(ALICE_C, payload))
         with pytest.raises(TransportError):
-            recv_elements(b, ALICE_C, m)
+            recv_elements(b, ALICE_C, m, 3)
 
 
 @pytest.mark.parametrize(
@@ -130,7 +141,7 @@ def test_element_codec_roundtrip_at_field_ends(q):
     send_elements(a, BOB_D, np.array(vals), m)
     frame = recv_frame(b)
     assert frame.payload == b"".join(v.to_bytes(m.byte_len, "little") for v in vals)
-    got = recv_elements(b, BOB_D, m)
+    got = recv_elements(b, BOB_D, m, 3)
     assert [int(v) for v in got] == vals
 
 
@@ -139,7 +150,7 @@ def test_element_vector_roundtrip_and_dtype():
     rng = np.random.default_rng(1)
     vals = rng.integers(6151, size=1000)
     send_elements(a, BOB_D, vals, Q6151)
-    got = recv_elements(b, BOB_D, Q6151)
+    got = recv_elements(b, BOB_D, Q6151, 1000)
     assert got.dtype == np.uint16
     assert (got == vals).all()
     assert a.stats.bytes_sent == 5 + 2000
