@@ -15,7 +15,7 @@ import sys
 from .field import FieldError, PrimeModulus
 from .hashing import HashingError
 from .mismatch import MismatchTriples, mismatch_keyed, mismatch_plain
-from .offline import generate_psi_inventories, subseed
+from .offline import gen_seeded, generate_psi_inventories, subseed
 from .offline.dealer import (
     dealer_generate,
     decode_to_alice,
@@ -28,7 +28,7 @@ from .offline.dealer import (
 from .offline.ot import DealerAssistedOt, OtError
 from .online import OnlineError, PsiSession, ot_via_psi, psi_alice, psi_bob
 from .params import derive_params, online_bits_per_element
-from .prg import Prg, Seed
+from .prg import SEED_LEN, Prg, Seed
 from .runner import bench_run, small_psi_engine
 from .transport import (
     DEALER_A,
@@ -47,7 +47,6 @@ from .tuples import (
     TupleFileError,
     inventory_token,
     load_inventories,
-    random_batch,
     save_inventories,
 )
 
@@ -291,7 +290,7 @@ def cmd_mismatch_demo(args):
     prg = Prg(Seed.random(), tag=b"demo")
     print(f"plain variant, q={q}, ell={ell}")
     for x, y in ((0xA5, 0xA5), (0xA5, 0xA4), (0x00, 0xFF)):
-        batch = random_batch(m, ell, prg)
+        batch = gen_seeded(Seed(prg.read(SEED_LEN)), 1, m, ell)
         ot = DealerAssistedOt(m)
         got = mismatch_plain(x, y, ell, ot, batch, prg=prg)
         print(f"  x={x:#04x} y={y:#04x} -> mismatch={got} (expected {x != y})")

@@ -1,8 +1,8 @@
-"""Prime-field arithmetic over small runtime-chosen moduli.
+"""Prime moduli chosen at runtime.
 
 Everything the protocol computes lives in F_q for a prime q chosen from the
-hashing parameters. Moduli stay below 2^62 so plain Python integers (and
-int64 numpy lanes elsewhere) never overflow.
+hashing parameters. Field values are plain ints and numpy arrays reduced
+mod a PrimeModulus; the vectorized arithmetic is in modvec.
 """
 
 MAX_MODULUS = 1 << 62
@@ -15,19 +15,7 @@ class FieldError(Exception):
     pass
 
 
-class ModulusMismatch(FieldError):
-    pass
-
-
 class InversionOfZero(FieldError):
-    pass
-
-
-class OutOfRange(FieldError):
-    pass
-
-
-class BadLength(FieldError):
     pass
 
 
@@ -73,9 +61,6 @@ class PrimeModulus:
         self.bit_len = q.bit_length()
         self.byte_len = (self.bit_len + 7) // 8
 
-    def element(self, value):
-        return FieldElement(value % self.q, self)
-
     def __eq__(self, other):
         return isinstance(other, PrimeModulus) and self.q == other.q
 
@@ -84,75 +69,6 @@ class PrimeModulus:
 
     def __repr__(self):
         return f"PrimeModulus({self.q})"
-
-
-class FieldElement:
-    """An element of F_q. Immutable; mixing moduli is rejected."""
-
-    __slots__ = ("value", "modulus")
-
-    def __init__(self, value, modulus):
-        if not 0 <= value < modulus.q:
-            raise OutOfRange(f"value {value} not in [0, {modulus.q})")
-        self.value = value
-        self.modulus = modulus
-
-    def _check(self, other):
-        if not isinstance(other, FieldElement):
-            raise TypeError(f"expected FieldElement, got {type(other).__name__}")
-        if self.modulus != other.modulus:
-            raise ModulusMismatch(
-                f"mixed moduli {self.modulus.q} and {other.modulus.q}"
-            )
-
-    def __add__(self, other):
-        self._check(other)
-        return FieldElement((self.value + other.value) % self.modulus.q, self.modulus)
-
-    def __sub__(self, other):
-        self._check(other)
-        return FieldElement((self.value - other.value) % self.modulus.q, self.modulus)
-
-    def __mul__(self, other):
-        self._check(other)
-        return FieldElement((self.value * other.value) % self.modulus.q, self.modulus)
-
-    def __neg__(self):
-        return FieldElement(-self.value % self.modulus.q, self.modulus)
-
-    def inv(self):
-        if self.value == 0:
-            raise InversionOfZero("0 has no multiplicative inverse")
-        return FieldElement(pow(self.value, -1, self.modulus.q), self.modulus)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FieldElement)
-            and self.value == other.value
-            and self.modulus == other.modulus
-        )
-
-    def __hash__(self):
-        return hash((self.value, self.modulus.q))
-
-    def __repr__(self):
-        return f"FieldElement({self.value} mod {self.modulus.q})"
-
-
-def fe_add(a, b):
-    return a + b
-
-
-def fe_sub(a, b):
-    return a - b
-
-
-def fe_mul(a, b):
-    return a * b
-
-
-def fe_inv(a):
-    return a.inv()
 
 
 def smallest_prime_at_least(lower):
@@ -166,17 +82,3 @@ def smallest_prime_at_least(lower):
         if is_prime(n):
             return PrimeModulus(n)
         n += 1
-
-
-def fe_to_bytes(a):
-    """Fixed-width little-endian wire encoding, ceil(bit_len/8) bytes."""
-    return a.value.to_bytes(a.modulus.byte_len, "little")
-
-
-def fe_from_bytes(data, modulus):
-    if len(data) != modulus.byte_len:
-        raise BadLength(f"expected {modulus.byte_len} bytes, got {len(data)}")
-    value = int.from_bytes(data, "little")
-    if value >= modulus.q:
-        raise OutOfRange(f"decoded value {value} >= modulus {modulus.q}")
-    return FieldElement(value, modulus)

@@ -65,15 +65,6 @@ class HashSeeds:
         return cls(bin_seeds=tuple(parts[:k]), keyed_seed=parts[k])
 
 
-@dataclass(frozen=True)
-class EncodedItem:
-    """A table entry: enc = hash_index * 2^sigma2 + suffix."""
-
-    enc: int
-    hash_index: int
-    origin: int = None
-
-
 def split_element(x, params):
     """(sigma1-bit prefix, sigma2-bit suffix) of x."""
     return x >> params.sigma2, x & ((1 << params.sigma2) - 1)
@@ -94,14 +85,6 @@ def bin_hash(j, x2, seeds, params):
 def bin_index(j, x1, x2, seeds, params):
     """Bin for prefix x1, suffix x2 under hash function j."""
     return (bin_hash(j, x2, seeds, params) + x1) % params.alpha
-
-
-def encode_item(j, x2, params, origin=None):
-    if not 0 <= j < params.k:
-        raise ValueError(f"hash index {j} not in [0, {params.k})")
-    if not 0 <= x2 < (1 << params.sigma2):
-        raise ValueError("suffix out of range")
-    return EncodedItem(enc=(j << params.sigma2) + x2, hash_index=j, origin=origin)
 
 
 def keyed_hash(seed, x, range_size):

@@ -17,8 +17,12 @@ the keys agree and the strings differ (or an ell/q hash coincidence hits).
 import secrets
 from dataclasses import dataclass
 
+import numpy as np
+
 from .hashing import keyed_hash
-from .online import compare_alice_c, compare_alice_check, compare_bob_d
+from .modvec import mod_inv
+from .online import _alice_c, _bob_reply
+from .tuples import BobInventory
 
 
 def _random_shares(total, ell, modulus, prg):
@@ -27,7 +31,7 @@ def _random_shares(total, ell, modulus, prg):
     if prg is None:
         shares = [secrets.randbelow(q) for _ in range(ell - 1)]
     else:
-        shares = [prg.element(modulus) for _ in range(ell - 1)]
+        shares = prg.elements(modulus, ell - 1).tolist()
     shares.append((total - sum(shares)) % q)
     return shares
 
@@ -40,43 +44,39 @@ def _check_input(value, ell, who):
 def _ot_masked_sum(x, y, ell, shares, ot, modulus):
     """Per-bit transfer of r_i + (x_i xor y_i); returns Bob's masked sum d."""
     q = modulus.q
-    d = 0
-    for i in range(ell):
-        xi = (x >> i) & 1
-        m0 = modulus.element((shares[i] + xi) % q)
-        m1 = modulus.element((shares[i] + (xi ^ 1)) % q)
-        ot.ot_send(m0, m1)
-        d = (d + ot.ot_receive((y >> i) & 1).value) % q
-    return d
+    xi = np.array([(x >> i) & 1 for i in range(ell)], dtype=np.int64)
+    r = np.array(shares, dtype=np.int64)
+    ot.ot_send_many((r + xi) % q, (r + (xi ^ 1)) % q)
+    o = ot.ot_receive_many([(y >> i) & 1 for i in range(ell)])
+    return sum(o.tolist()) % q
 
 
-def set_compare_single(e, candidates, alice_batch, bob_batch):
+def set_compare_single(e, candidates, alice, bob):
     """Degenerate set comparison: is Alice's e among Bob's candidates?
 
-    One shared-s_A batch backs the whole test: a single c-value out, one
-    d-value back per candidate, checked against the batch's r_A values.
+    The first batch of the (AliceInventory, BobInventory) pair backs the
+    whole test: a single c-value out, one d-value back per candidate,
+    checked against the batch's r_A values.
     """
-    if len(alice_batch.r_A) < len(candidates) or len(bob_batch.slots) < len(candidates):
+    k = len(candidates)
+    if alice.slot_len < k or bob.slot_len < k:
         raise ValueError("batch too short for the candidate set")
-    c = compare_alice_c(e, alice_batch.s_A)
-    hit = False
-    for j, cand in enumerate(candidates):
-        r_B, r_B_inv, s_B = bob_batch.slots[j]
-        d = compare_bob_d(c, cand, s_B, r_B_inv)
-        if compare_alice_check(d, alice_batch.r_A[j]):
-            hit = True
-    return hit
+    q = alice.modulus.q
+    c = _alice_c(alice.s_A[:1], e, q)
+    first = BobInventory(bob.modulus, bob.r_B[:1, :k], bob.r_B_inv[:1, :k], bob.s_B[:1, :k])
+    d = _bob_reply(c, np.asarray(candidates, dtype=np.int64).reshape(1, k), first, q)
+    return bool((d[0] == alice.r_A[0, :k]).any())
 
 
 def mismatch_plain(x, y, ell, ot, batch, *, prg=None, shares=None):
     """True exactly when x != y, for ell-bit x (Alice) and y (Bob).
 
-    batch is an (OleBatchAlice, OleBatchBob) pair with at least ell slots;
-    one call consumes it. shares overrides Alice's random pad values, which
-    pins the whole transcript for tests.
+    batch is an (AliceInventory, BobInventory) pair whose first batch has
+    at least ell slots; one call consumes it. shares overrides Alice's
+    random pad values, which pins the whole transcript for tests.
     """
-    alice_batch, bob_batch = batch
-    modulus = alice_batch.s_A.modulus
+    alice, bob = batch
+    modulus = alice.modulus
     q = modulus.q
     if q <= ell:
         raise ValueError(f"need q > ell, got q={q}, ell={ell}")
@@ -89,40 +89,43 @@ def mismatch_plain(x, y, ell, ot, batch, *, prg=None, shares=None):
     e = sum(shares) % q
 
     d = _ot_masked_sum(x, y, ell, shares, ot, modulus)
-    candidates = [modulus.element((d - j) % q) for j in range(1, ell + 1)]
-    return set_compare_single(modulus.element(e), candidates, alice_batch, bob_batch)
+    candidates = [(d - j) % q for j in range(1, ell + 1)]
+    return set_compare_single(e, candidates, alice, bob)
 
 
 @dataclass(frozen=True)
 class MismatchTriples:
-    """ell correlated slots sharing one r_A: r_A * r_B_i = s_A_i + s_B_i."""
+    """ell correlated slots sharing one r_A: r_A * r_B[i] = s_A[i] + s_B[i].
 
-    r_A: object
-    slots: tuple  # (s_A_i, r_B_i, r_B_inv_i, s_B_i) per slot
+    r_A is an int; s_A, r_B, r_B_inv and s_B are int64 arrays of length ell.
+    """
+
+    modulus: object
+    r_A: int
+    s_A: np.ndarray
+    r_B: np.ndarray
+    r_B_inv: np.ndarray
+    s_B: np.ndarray
 
     def __len__(self):
-        return len(self.slots)
+        return len(self.s_A)
 
     def validate(self):
-        for s_A, r_B, r_B_inv, s_B in self.slots:
-            if r_B.value == 0:
-                return False
-            if (r_B * r_B_inv).value != 1:
-                return False
-            if self.r_A * r_B != s_A + s_B:
-                return False
-        return True
+        q = self.modulus.q
+        if (self.r_B % q == 0).any():
+            return False
+        if (self.r_B * self.r_B_inv % q != 1).any():
+            return False
+        return bool((self.r_A * self.r_B % q == (self.s_A + self.s_B) % q).all())
 
     @classmethod
     def generate(cls, modulus, ell, prg):
-        r_A = modulus.element(prg.element(modulus))
-        slots = []
-        for _ in range(ell):
-            r_B = modulus.element(prg.nonzero_element(modulus))
-            s_B = modulus.element(prg.element(modulus))
-            s_A = r_A * r_B - s_B
-            slots.append((s_A, r_B, r_B.inv(), s_B))
-        return cls(r_A=r_A, slots=tuple(slots))
+        q = modulus.q
+        r_A = int(prg.elements(modulus, 1)[0])
+        r_B = prg.nonzero_elements(modulus, ell)
+        s_B = prg.elements(modulus, ell)
+        return cls(modulus=modulus, r_A=r_A, s_A=(r_A * r_B - s_B) % q, r_B=r_B,
+                   r_B_inv=mod_inv(r_B, q), s_B=s_B)
 
 
 def mismatch_keyed(key_a, x, key_b, y, triples, ot, *, h=None, h_seed=None,
@@ -136,7 +139,7 @@ def mismatch_keyed(key_a, x, key_b, y, triples, ot, *, h=None, h_seed=None,
     Alice reports whether any f_i equals her s_A_i. A key disagreement
     shifts every candidate away from r_A, leaving only hash coincidences.
     """
-    modulus = triples.r_A.modulus
+    modulus = triples.modulus
     q = modulus.q
     ell = len(triples)
     if q <= ell:
@@ -148,7 +151,7 @@ def mismatch_keyed(key_a, x, key_b, y, triples, ot, *, h=None, h_seed=None,
             raise ValueError("mismatch_keyed needs h or h_seed")
         h = lambda key: keyed_hash(h_seed, key, q)
 
-    total = (triples.r_A.value - h(key_a)) % q
+    total = (triples.r_A - h(key_a)) % q
     if shares is None:
         shares = _random_shares(total, ell, modulus, prg)
     else:
@@ -159,11 +162,6 @@ def mismatch_keyed(key_a, x, key_b, y, triples, ot, *, h=None, h_seed=None,
 
     d = _ot_masked_sum(x, y, ell, shares, ot, modulus)
 
-    h_b = h(key_b)
-    f = []
-    for j in range(1, ell + 1):
-        _, r_B, _, s_B = triples.slots[j - 1]
-        d_j = (d - j) % q
-        f.append(((d_j + h_b) * r_B.value - s_B.value) % q)
-
-    return any(f[i] == triples.slots[i][0].value for i in range(ell))
+    d_j = (d - np.arange(1, ell + 1)) % q
+    f = ((d_j + h(key_b)) * triples.r_B - triples.s_B) % q
+    return bool((f == triples.s_A).any())

@@ -1,7 +1,7 @@
 """Vectorized modular arithmetic on int64 arrays.
 
 All protocol moduli fit well below 2^31, so products of reduced values fit
-int64. Callers with larger moduli must use the scalar FieldElement path.
+int64. Moduli from 2^31 up are rejected here.
 """
 
 import math

@@ -26,7 +26,7 @@ from .dealer import (
 )
 from .gilboa import gilboa_batch, gilboa_share
 from .lbe import LbeSimParams, lbe_batch, lbe_params_for, lbe_sim_tuple
-from .ot import DealerAssistedOt, OtError, OtProvider
+from .ot import DealerAssistedOt, OtError
 from .seeded import gen_seeded
 
 BACKENDS = ("seed", "dealer", "ot", "lbe-sim")
@@ -52,7 +52,7 @@ def generate_psi_inventories(backend, params, master_seed=None, bin_count=None):
     if backend == "seed":
         shared = subseed(master, b"shared")
         halves = [
-            gen_seeded(shared, count, params, slot_len=slot_len, domain=domain)
+            gen_seeded(shared, count, params.modulus, slot_len, domain=domain)
             for count, slot_len, domain in sections
         ]
         return [a for a, _ in halves], [b for _, b in halves]

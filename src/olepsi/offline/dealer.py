@@ -42,27 +42,23 @@ def _sections(params, bin_count=None):
     return (bins, stash)
 
 
-def dealer_generate_raw(R_A, R_B, modulus, sections):
-    """One dealer run over explicit (count, slot_len) sections."""
-    if len(sections) > len(_SECTION_DOMAINS):
-        raise ValueError("too many sections for the domain-separation labels")
+def dealer_generate(R_A, R_B, count, params):
+    """PSI-shaped dealer run: `count` bin batches plus the stash section."""
+    modulus = params.modulus
     r_A_lists = []
     bob_invs = []
-    for (count, slot_len), domain in zip(sections, _SECTION_DOMAINS):
-        s_A = expand_s_a(R_A, modulus, count, domain)
-        r_B, r_B_inv, s_B = expand_bob_arrays(R_B, modulus, count, slot_len, domain)
+    for (rows, slot_len), domain in zip(_sections(params, count), _SECTION_DOMAINS):
+        s_A = expand_s_a(R_A, modulus, rows, domain)
+        r_B, r_B_inv, s_B = expand_bob_arrays(R_B, modulus, rows, slot_len, domain)
         r_A_lists.append(derive_r_a_arrays(s_A, s_B, r_B_inv, modulus.q))
         bob_invs.append(BobInventory(modulus, r_B, r_B_inv, s_B))
     token = inventory_token(bob_invs)
     return DealerMessages(to_alice=(R_A, tuple(r_A_lists)), to_bob=R_B, token=token)
 
 
-def dealer_generate(R_A, R_B, count, params):
-    """PSI-shaped dealer run: `count` bin batches plus the stash section."""
-    return dealer_generate_raw(R_A, R_B, params.modulus, _sections(params, count))
-
-
-def expand_alice_raw(R_A, r_A_lists, modulus):
+def expand_alice(R_A, r_A_lists, params):
+    """Alice's side of the dealer protocol: seed plus received r_A arrays."""
+    modulus = params.modulus
     invs = []
     for r_A, domain in zip(r_A_lists, _SECTION_DOMAINS):
         s_A = expand_s_a(R_A, modulus, r_A.shape[0], domain)
@@ -70,22 +66,14 @@ def expand_alice_raw(R_A, r_A_lists, modulus):
     return invs
 
 
-def expand_alice(R_A, r_A_lists, params):
-    """Alice's side of the dealer protocol: seed plus received r_A arrays."""
-    return expand_alice_raw(R_A, r_A_lists, params.modulus)
-
-
-def expand_bob_raw(R_B, modulus, sections):
+def expand_bob(R_B, params, *, bin_count=None):
+    """Bob's side: everything re-expanded from the 32-byte seed."""
+    modulus = params.modulus
     invs = []
-    for (count, slot_len), domain in zip(sections, _SECTION_DOMAINS):
+    for (count, slot_len), domain in zip(_sections(params, bin_count), _SECTION_DOMAINS):
         r_B, r_B_inv, s_B = expand_bob_arrays(R_B, modulus, count, slot_len, domain)
         invs.append(BobInventory(modulus, r_B, r_B_inv, s_B))
     return invs
-
-
-def expand_bob(R_B, params, *, bin_count=None):
-    """Bob's side: everything re-expanded from the 32-byte seed."""
-    return expand_bob_raw(R_B, params.modulus, _sections(params, bin_count))
 
 
 _ALICE_HEAD = struct.Struct("<32s16sQB")

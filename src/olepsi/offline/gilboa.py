@@ -23,36 +23,30 @@ from ..prg import Prg, Seed
 from ..tuples import AliceInventory, BobInventory
 
 
-def gilboa_share(ot, alice_in, bob_in, ell=None, rho=None):
-    """Share the product of two field elements; returns (s_A, s_B).
+def gilboa_share(ot, r_A, r_B, ell=None, rho=None):
+    """Share r_A * r_B over the OT's field; returns the ints (s_A, s_B).
 
-    rho may be injected for reproducibility; by default each rho_i is
-    drawn fresh.  Costs exactly ell OT invocations.
+    r_A lies in [0, q) and r_B in [1, q). rho may be injected for
+    reproducibility; by default each rho_i is drawn fresh.  Costs exactly
+    ell OT invocations, sent as one vector.
     """
-    modulus = alice_in.modulus
-    if bob_in.modulus != modulus:
-        raise ValueError("inputs from different fields")
-    if bob_in.value == 0:
-        raise ValueError("bob_in must be nonzero")
-    q = modulus.q
-    ell = modulus.bit_len if ell is None else ell
-    if bob_in.value >> ell:
-        raise ValueError("ell too small to decompose bob_in")
+    q = ot.modulus.q
+    if not 0 <= r_A < q:
+        raise ValueError(f"r_A must lie in [0, {q})")
+    if not 0 < r_B < q:
+        raise ValueError(f"r_B must lie in [1, {q})")
+    ell = ot.modulus.bit_len if ell is None else ell
+    if r_B >> ell:
+        raise ValueError("ell too small to decompose r_B")
     if rho is None:
         rho = [secrets.randbelow(q) for _ in range(ell)]
     if len(rho) != ell:
         raise ValueError("rho must have exactly ell entries")
-    r_A, r_B = alice_in.value, bob_in.value
-    s_A = 0
-    s_B = 0
-    for i in range(1, ell + 1):
-        m0 = (-rho[i - 1]) % q
-        m1 = (r_A * pow(2, i - 1, q) - rho[i - 1]) % q
-        ot.ot_send(modulus.element(m0), modulus.element(m1))
-        o = ot.ot_receive((r_B >> (i - 1)) & 1)
-        s_A = (s_A + rho[i - 1]) % q
-        s_B = (s_B + o.value) % q
-    return modulus.element(s_A), modulus.element(s_B)
+    m0 = [-p % q for p in rho]
+    m1 = [(r_A * pow(2, i, q) - p) % q for i, p in enumerate(rho)]
+    ot.ot_send_many(m0, m1)
+    o = ot.ot_receive_many([(r_B >> i) & 1 for i in range(ell)])
+    return sum(rho) % q, sum(o.tolist()) % q
 
 
 def gilboa_batch(ot, params, count, *, slot_len=None, seed=None, rho_sink=None):

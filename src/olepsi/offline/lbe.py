@@ -30,7 +30,7 @@ import numpy as np
 
 from ..codec import unpack_words
 from ..field import InversionOfZero, smallest_prime_at_least
-from ..modvec import dtype_for, mod_inv
+from ..modvec import dtype_for
 from ..prg import Prg, Seed
 from ..tuples import AliceInventory, BobInventory
 
@@ -207,14 +207,12 @@ def lbe_batch(params, count, *, slot_len=None, seed=None, lbe=None):
     mask = np.uint64(lbe.u_domain - 1)
     u_vals = unpack_words(prg.read(8 * count * L), 8, count * L, np.uint64) & mask
     u_vals = u_vals.reshape(count, L)
-    r_B_inv = mod_inv(r_B, q)
+    bob = BobInventory.from_r_b_s_b(modulus, r_B, s_B)
     r_A = np.empty((count, L), dtype=dt)
     step = max(1, _CHUNK_SLOTS // max(L, 1))
     for lo in range(0, count, step):
         hi = lo + step
         s = s_A[lo:hi, None].astype(object)
         u = u_vals[lo:hi].astype(object)
-        r_A[lo:hi] = _crt_replay(lbe, s, s_B[lo:hi], r_B_inv[lo:hi], u) % q
-    alice = AliceInventory(modulus, s_A, r_A)
-    bob = BobInventory(modulus, r_B, r_B_inv, s_B)
-    return alice, bob
+        r_A[lo:hi] = _crt_replay(lbe, s, s_B[lo:hi], bob.r_B_inv[lo:hi], u) % q
+    return AliceInventory(modulus, s_A, r_A), bob

@@ -12,16 +12,14 @@ from ..tuples import AliceInventory, BobInventory
 from ._expand import derive_r_a_arrays, expand_bob_arrays, expand_s_a
 
 
-def gen_seeded(shared_seed, count, params, *, slot_len=None, domain=b"bins"):
-    """Expand `count` batches of `slot_len` tuples from one shared seed.
+def gen_seeded(shared_seed, count, modulus, slot_len, *, domain=b"bins"):
+    """Expand `count` batches of `slot_len` tuples over F_q from one seed.
 
     Returns (AliceInventory, BobInventory), both deterministic functions
     of the seed: running twice yields bit-identical arrays.
     """
     if count < 0:
         raise ValueError("count must be >= 0")
-    modulus = params.modulus
-    slot_len = params.beta if slot_len is None else slot_len
     s_A = expand_s_a(shared_seed, modulus, count, domain)
     r_B, r_B_inv, s_B = expand_bob_arrays(shared_seed, modulus, count, slot_len, domain)
     r_A = derive_r_a_arrays(s_A, s_B, r_B_inv, modulus.q)

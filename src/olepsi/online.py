@@ -62,21 +62,6 @@ class SeedMismatch(OnlineError):
     """Setup exchange shows the parties disagree on parameters, seeds or tuples."""
 
 
-def compare_alice_c(x_enc, s_A):
-    """Alice's message for one comparison: c = s_A - x_enc."""
-    return s_A - x_enc
-
-
-def compare_bob_d(c, y_enc, s_B, r_B_inv):
-    """Bob's reply: d = (c + y_enc + s_B) * r_B_inv."""
-    return (c + y_enc + s_B) * r_B_inv
-
-
-def compare_alice_check(d, r_A):
-    """True exactly when the compared encodings were equal."""
-    return d == r_A
-
-
 def derive_hash_seeds(params, token=UNKNOWN_TOKEN):
     """Shared hash seeds derived from public setup data.
 
@@ -180,16 +165,21 @@ def _verify_setup(session, payload):
 
 
 def _setup_exchange(session, channel):
-    """Verify agreement before any comparison traffic. Alice speaks first."""
+    """Verify agreement before any comparison traffic. Alice speaks first.
+
+    A peer that agrees sends a payload as long as ours, so a header
+    declaring more raises OversizeFrame before any payload is read.
+    """
     mine = Frame(SETUP, _setup_payload(session))
+    bound = len(mine.payload)
     if session.role == "alice":
         send_frame(channel, mine)
-        reply = recv_frame(channel)
+        reply = recv_frame(channel, max_payload=bound)
         if reply.msg_type != SETUP:
             raise UnexpectedType(f"wanted SETUP, got type {reply.msg_type}")
         _verify_setup(session, reply.payload)
     else:
-        frame = recv_frame(channel)
+        frame = recv_frame(channel, max_payload=bound)
         if frame.msg_type != SETUP:
             raise UnexpectedType(f"wanted SETUP, got type {frame.msg_type}")
         _verify_setup(session, frame.payload)
@@ -219,14 +209,14 @@ def psi_alice(session, elements, channel):
     recv0 = channel.stats.elements_received
     _setup_exchange(session, channel)
 
-    c = (bins_inv.s_A[: p.alpha].astype(np.int64) - table.bins) % q
+    c = _alice_c(bins_inv.s_A[: p.alpha], table.bins, q)
     send_elements(channel, ALICE_C, c, p.modulus)
 
     stash_items = table.stash
     if p.stash_size:
         enc_st = np.full(p.stash_size, p.dummy_alice, dtype=np.int64)
         enc_st[: len(stash_items)] = stash_encode(stash_items, session.seeds, p)
-        c_st = (stash_inv.s_A[: p.stash_size].astype(np.int64) - enc_st) % q
+        c_st = _alice_c(stash_inv.s_A[: p.stash_size], enc_st, q)
         send_elements(channel, ALICE_C, c_st, p.modulus)
 
     d = recv_elements(channel, BOB_D, p.modulus, p.alpha * p.beta)
@@ -318,6 +308,11 @@ def psi_bob(session, elements, channel):
             f"{p.alpha * p.beta + p.stash_size * p.n}"
         )
     return None
+
+
+def _alice_c(s_A, enc, q):
+    """c = s_A - enc mod q: Alice's message per batch, as int64."""
+    return (s_A.astype(np.int64) - enc) % q
 
 
 def _bob_reply(c, enc_rows, inv, q):

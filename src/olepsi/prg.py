@@ -101,9 +101,3 @@ class Prg:
     def nonzero_elements(self, modulus, count, dtype=np.int64):
         """count uniform elements of F_q \\ {0}."""
         return self._sample(modulus, count, reject_zero=True, dtype=dtype)
-
-    def element(self, modulus):
-        return int(self.elements(modulus, 1)[0])
-
-    def nonzero_element(self, modulus):
-        return int(self.nonzero_elements(modulus, 1)[0])

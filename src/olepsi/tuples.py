@@ -1,19 +1,19 @@
-"""OLE tuple types, batch validation, array inventories, and the batch file format.
+"""OLE tuple inventories, their validation, token and file format.
 
-One plain tuple (r_A, r_B, s_A, s_B) with r_A * r_B = s_A + s_B backs one
-equality comparison. The communication-optimized batch shares a single s_A
-across beta slots of independent (r_A, r_B, s_B). Bob's half stores r_B's
-inverse alongside so the online phase never inverts anything.
+One tuple slot (r_A, r_B, s_A, s_B) with r_A * r_B = s_A + s_B backs one
+equality comparison. A communication-optimized batch shares a single s_A
+across its slots of independent (r_A, r_B, s_B); an inventory holds `count`
+batches as arrays, one row per batch. Bob's half stores r_B's inverse
+alongside so the online phase never inverts anything.
 """
 
 import hashlib
 import struct
-from dataclasses import dataclass
 
 import numpy as np
 
 from .codec import pack_words, unpack_words
-from .field import FieldElement, PrimeModulus
+from .field import PrimeModulus
 from .modvec import dtype_for, mod_inv
 
 FILE_VERSION = 1
@@ -29,71 +29,6 @@ class TupleFileError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class OleTuple:
-    """Correlated randomness for one comparison: r_A * r_B = s_A + s_B."""
-
-    r_A: FieldElement
-    r_B: FieldElement
-    r_B_inv: FieldElement
-    s_A: FieldElement
-    s_B: FieldElement
-
-    @classmethod
-    def from_values(cls, modulus, r_A, r_B, s_A, s_B):
-        rb = modulus.element(r_B)
-        return cls(
-            r_A=modulus.element(r_A),
-            r_B=rb,
-            r_B_inv=rb.inv(),
-            s_A=modulus.element(s_A),
-            s_B=modulus.element(s_B),
-        )
-
-    def is_valid(self):
-        if self.r_B.value == 0:
-            return False
-        if (self.r_B * self.r_B_inv).value != 1:
-            return False
-        return self.r_A * self.r_B == self.s_A + self.s_B
-
-
-@dataclass(frozen=True)
-class OleBatchAlice:
-    """Alice's half of an optimized batch: one s_A, a list of r_A values."""
-
-    s_A: FieldElement
-    r_A: tuple
-
-
-@dataclass(frozen=True)
-class OleBatchBob:
-    """Bob's half: per slot (r_B, r_B_inv, s_B)."""
-
-    slots: tuple
-
-
-def validate_batch(alice, bob):
-    """True iff every slot satisfies r_A * r_B = s_A + s_B with valid inverses."""
-    if len(alice.r_A) != len(bob.slots):
-        raise ValueError(
-            f"batch length mismatch: {len(alice.r_A)} vs {len(bob.slots)}"
-        )
-    for r_A, (r_B, r_B_inv, s_B) in zip(alice.r_A, bob.slots):
-        if r_B.value == 0:
-            return False
-        if (r_B * r_B_inv).value != 1:
-            return False
-        if r_A * r_B != alice.s_A + s_B:
-            return False
-    return True
-
-
-def derive_r_A(s_A, s_B, r_B):
-    """(s_A + s_B) / r_B, the dealer's formula for Alice's check values."""
-    return (s_A + s_B) * r_B.inv()
-
-
 def _as_int_array(a):
     # keep compact storage dtypes (uint16 at PSI scale); widen anything else
     a = np.asarray(a)
@@ -103,7 +38,7 @@ def _as_int_array(a):
 
 
 class AliceInventory:
-    """Array-backed sequence of OleBatchAlice: s_A (count,), r_A (count, L)."""
+    """Alice's halves of `count` batches: s_A (count,), r_A (count, L)."""
 
     def __init__(self, modulus, s_A, r_A):
         s_A = _as_int_array(s_A)
@@ -121,19 +56,9 @@ class AliceInventory:
     def __len__(self):
         return self.s_A.shape[0]
 
-    def __getitem__(self, i):
-        m = self.modulus
-        return OleBatchAlice(
-            s_A=m.element(int(self.s_A[i])),
-            r_A=tuple(m.element(int(v)) for v in self.r_A[i]),
-        )
-
-    def __iter__(self):
-        return (self[i] for i in range(len(self)))
-
 
 class BobInventory:
-    """Array-backed sequence of OleBatchBob: r_B, r_B_inv, s_B all (count, L)."""
+    """Bob's halves of `count` batches: r_B, r_B_inv, s_B all (count, L)."""
 
     def __init__(self, modulus, r_B, r_B_inv, s_B):
         r_B = _as_int_array(r_B)
@@ -159,21 +84,10 @@ class BobInventory:
     def __len__(self):
         return self.r_B.shape[0]
 
-    def __getitem__(self, i):
-        m = self.modulus
-        return OleBatchBob(
-            slots=tuple(
-                (m.element(int(r)), m.element(int(ri)), m.element(int(s)))
-                for r, ri, s in zip(self.r_B[i], self.r_B_inv[i], self.s_B[i])
-            )
-        )
-
-    def __iter__(self):
-        return (self[i] for i in range(len(self)))
-
 
 def validate_inventories(alice, bob):
-    """Vectorized validate_batch over whole inventories."""
+    """True iff every slot satisfies r_A * r_B = s_A + s_B with r_B nonzero
+    and r_B * r_B_inv = 1."""
     if len(alice) != len(bob) or alice.slot_len != bob.slot_len:
         raise ValueError("inventory shape mismatch")
     q = alice.modulus.q
@@ -190,44 +104,6 @@ def validate_inventories(alice, bob):
         if not (lhs == rhs).all():
             return False
     return True
-
-
-def sample_tuple_arrays(modulus, count, prg):
-    """count independent plain tuples as arrays (r_A, r_B, r_B_inv, s_A, s_B)."""
-    q = modulus.q
-    r_B = prg.nonzero_elements(modulus, count)
-    s_A = prg.elements(modulus, count)
-    s_B = prg.elements(modulus, count)
-    r_B_inv = mod_inv(r_B, q)
-    r_A = (s_A + s_B) % q * r_B_inv % q
-    return r_A, r_B, r_B_inv, s_A, s_B
-
-
-def random_batch(modulus, slot_len, prg):
-    """One communication-optimized batch pair with a shared s_A."""
-    s_A = modulus.element(prg.element(modulus))
-    r_A = []
-    slots = []
-    for _ in range(slot_len):
-        r_B = modulus.element(prg.nonzero_element(modulus))
-        s_B = modulus.element(prg.element(modulus))
-        r_A.append((s_A + s_B) * r_B.inv())
-        slots.append((r_B, r_B.inv(), s_B))
-    return OleBatchAlice(s_A=s_A, r_A=tuple(r_A)), OleBatchBob(slots=tuple(slots))
-
-
-def random_tuple(modulus, prg):
-    r_A, r_B, r_B_inv, s_A, s_B = (
-        int(a[0]) for a in sample_tuple_arrays(modulus, 1, prg)
-    )
-    m = modulus
-    return OleTuple(
-        r_A=m.element(r_A),
-        r_B=m.element(r_B),
-        r_B_inv=m.element(r_B_inv),
-        s_A=m.element(s_A),
-        s_B=m.element(s_B),
-    )
 
 
 def _alice_payload(inv):

@@ -14,12 +14,12 @@ from scipy.stats import chisquare
 
 from olepsi.field import PrimeModulus
 from olepsi.mismatch import MismatchTriples, mismatch_keyed, mismatch_plain
-from olepsi.offline import BACKENDS, generate_psi_inventories
+from olepsi.offline import BACKENDS, gen_seeded, generate_psi_inventories
 from olepsi.offline.gilboa import gilboa_batch, gilboa_share
 from olepsi.offline.lbe import lbe_params_for, lbe_reconstruct, lbe_sim_tuple
 from olepsi.offline.ot import DealerAssistedOt
 from olepsi.params import derive_params, online_bits_per_element
-from olepsi.prg import Prg, Seed
+from olepsi.prg import SEED_LEN, Prg, Seed
 from olepsi.runner import (
     bench_sets,
     make_sessions,
@@ -28,17 +28,19 @@ from olepsi.runner import (
     small_psi_engine,
 )
 from olepsi.transport import bits_per_element_measured
-from olepsi.tuples import (
-    OleBatchAlice,
-    OleBatchBob,
-    random_batch,
-    sample_tuple_arrays,
-    validate_batch,
-)
+from olepsi.tuples import AliceInventory, BobInventory, validate_inventories
 
 
 def seed(i):
     return Seed(i.to_bytes(32, "little"))
+
+
+def tuple_arrays(modulus, count, master, tag):
+    """count independent tuples as flat int64 arrays (r_A, r_B, r_B_inv, s_A,
+    s_B): gen_seeded batches of one slot each, so no two share an s_A."""
+    alice, bob = gen_seeded(master, count, modulus, 1, domain=tag)
+    flat = lambda a: a.astype(np.int64).reshape(count)
+    return flat(alice.r_A), flat(bob.r_B), flat(bob.r_B_inv), flat(alice.s_A), flat(bob.s_B)
 
 
 def test_criterion_1_exhaustive_comparison_correctness_q251():
@@ -47,8 +49,7 @@ def test_criterion_1_exhaustive_comparison_correctness_q251():
     t0 = time.perf_counter()
     q = 251
     m = PrimeModulus(q)
-    prg = Prg(seed(1), tag=b"crit1")
-    r_A, r_B, r_B_inv, s_A, s_B = sample_tuple_arrays(m, 1000, prg)
+    r_A, r_B, r_B_inv, s_A, s_B = tuple_arrays(m, 1000, seed(1), b"crit1")
     y = np.arange(q)[:, None]  # q x 1, broadcast against 1000 tuples
     for x in range(q):
         c = (s_A - x) % q
@@ -68,8 +69,7 @@ def test_criterion_2_masking_distributions_q101():
     q = 101
     m = PrimeModulus(q)
     N = 100_000
-    prg = Prg(seed(2), tag=b"crit2")
-    r_A, r_B, r_B_inv, s_A, s_B = sample_tuple_arrays(m, N, prg)
+    r_A, r_B, r_B_inv, s_A, s_B = tuple_arrays(m, N, seed(2), b"crit2")
     x_enc, y_enc = 7, 8
 
     c = (s_A - x_enc) % q
@@ -161,13 +161,13 @@ def test_criterion_6_gilboa_products_and_batch_costs():
     m = PrimeModulus(251)
     ot = DealerAssistedOt(m, seed=seed(6))
     prg = Prg(seed(60), tag=b"crit6")
-    for _ in range(10_000):
-        r_A = m.element(prg.element(m))
-        r_B = m.element(prg.nonzero_element(m))
+    r_As = prg.elements(m, 10_000).tolist()
+    r_Bs = prg.nonzero_elements(m, 10_000).tolist()
+    for r_A, r_B in zip(r_As, r_Bs):
         before = ot.invocations
         s_A, s_B = gilboa_share(ot, r_A, r_B)
         assert ot.invocations - before == m.bit_len
-        assert s_A + s_B == r_A * r_B
+        assert (s_A + s_B) % m.q == r_A * r_B % m.q
 
     p = derive_params(64, 3, sigma=16)
     ot2 = DealerAssistedOt(p.modulus, seed=seed(61))
@@ -180,17 +180,10 @@ def test_criterion_6_gilboa_products_and_batch_costs():
     # every slot's rho list closes to the batch's shared s_A
     assert (rho.sum(axis=2) % p.modulus.q == alice.s_A[:, None]).all()
     for i in range(count):
-        a = OleBatchAlice(
-            s_A=p.modulus.element(int(alice.s_A[i])),
-            r_A=tuple(p.modulus.element(int(v)) for v in alice.r_A[i]),
-        )
-        b = OleBatchBob(slots=tuple(
-            (p.modulus.element(int(bob.r_B[i, j])),
-             p.modulus.element(int(bob.r_B_inv[i, j])),
-             p.modulus.element(int(bob.s_B[i, j])))
-            for j in range(p.beta)
-        ))
-        assert validate_batch(a, b)
+        a = AliceInventory(p.modulus, alice.s_A[i : i + 1], alice.r_A[i : i + 1])
+        b = BobInventory(p.modulus, bob.r_B[i : i + 1], bob.r_B_inv[i : i + 1],
+                         bob.s_B[i : i + 1])
+        assert validate_inventories(a, b)
 
 
 @pytest.mark.slow
@@ -238,7 +231,7 @@ def test_criterion_8_mismatch_protocols():
     prg = Prg(seed(8), tag=b"crit8")
     for x in range(16):
         for y in range(16):
-            batch = random_batch(m, ell, prg)
+            batch = gen_seeded(Seed(prg.read(SEED_LEN)), 1, m, ell)
             ot = DealerAssistedOt(m)
             assert mismatch_plain(x, y, ell, ot, batch, prg=prg) == (x != y)
 

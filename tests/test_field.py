@@ -1,22 +1,30 @@
+"""Prime moduli, and field arithmetic in the one representation the code
+uses: values stored in dtype_for(q) arrays, widened to work_dtype(q) for
+sums and products, inverted through mod_inv, encoded through the codec."""
+
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from olepsi.codec import pack_words, unpack_words
 from olepsi.field import (
-    BadLength,
-    FieldElement,
     FieldError,
-    InversionOfZero,
-    ModulusMismatch,
-    OutOfRange,
     PrimeModulus,
-    fe_add,
-    fe_from_bytes,
-    fe_inv,
-    fe_mul,
-    fe_sub,
-    fe_to_bytes,
     is_prime,
     smallest_prime_at_least,
+)
+from olepsi.modvec import dtype_for, mod_inv, work_dtype
+from olepsi.offline import DealerAssistedOt, gen_seeded, gilboa_share
+from olepsi.online import PsiSession
+from olepsi.params import derive_params
+from olepsi.prg import Seed
+from olepsi.transport import (
+    ALICE_C,
+    Frame,
+    TransportError,
+    memory_channel_pair,
+    recv_elements,
+    send_frame,
 )
 
 Q11 = PrimeModulus(11)
@@ -47,44 +55,63 @@ def _is_prime_oracle(n):
     return True
 
 
+def _vec(vals, q):
+    return np.array(vals, dtype=dtype_for(q))
+
+
+def _add(a, b, q):
+    return (_vec(a, q).astype(work_dtype(q)) + _vec(b, q)) % q
+
+
+def _sub(a, b, q):
+    return (_vec(a, q).astype(work_dtype(q)) - _vec(b, q)) % q
+
+
+def _mul(a, b, q):
+    return _vec(a, q).astype(work_dtype(q)) * _vec(b, q) % q
+
+
 def test_add_examples():
-    assert fe_add(Q11.element(10), Q11.element(5)).value == 4
-    assert fe_add(Q11.element(0), Q11.element(7)).value == 7
-    assert fe_add(Q11.element(6), Q11.element(5)).value == 0
+    assert _add([10, 0, 6], [5, 7, 5], 11).tolist() == [4, 7, 0]
+    # 250 + 250 wraps a uint8 lane; the work dtype does not
+    assert _add([250], [250], 251).tolist() == [249]
 
 
 def test_sub_examples():
-    assert fe_sub(Q11.element(4), Q11.element(5)).value == 10
-    assert fe_sub(Q11.element(7), Q11.element(0)).value == 7
-    assert fe_sub(Q11.element(3), Q11.element(3)).value == 0
+    assert _sub([4, 7, 3], [5, 0, 3], 11).tolist() == [10, 7, 0]
+    assert _sub([0], [250], 251).tolist() == [1]
 
 
 def test_mul_examples():
-    assert fe_mul(Q11.element(6), Q11.element(4)).value == 2
-    assert fe_mul(Q11.element(1), Q11.element(9)).value == 9
-    assert fe_mul(Q11.element(0), Q11.element(9)).value == 0
+    assert _mul([6, 1, 0], [4, 9, 9], 11).tolist() == [2, 9, 0]
+    # (q-1)^2 = 1 on either side of the int32 work-dtype bound
+    for q in (32749, 32771):
+        assert _mul([q - 1], [q - 1], q).tolist() == [1]
 
 
 def test_inv_examples():
-    assert fe_inv(Q11.element(3)).value == 4
-    assert fe_inv(Q11.element(1)).value == 1
-    assert fe_inv(Q11.element(10)).value == 10
+    assert mod_inv(_vec([3, 1, 10], 11), 11).tolist() == [4, 1, 10]
     # cross-check against the extended-Euclid oracle
-    for a in range(1, 11):
-        assert fe_inv(Q11.element(a)).value == _inv_oracle(a, 11)
+    got = mod_inv(_vec(range(1, 11), 11), 11).tolist()
+    assert got == [_inv_oracle(a, 11) for a in range(1, 11)]
 
 
 def test_inv_of_zero_rejected():
-    with pytest.raises(InversionOfZero):
-        fe_inv(Q11.element(0))
+    with pytest.raises(ZeroDivisionError):
+        mod_inv(_vec([3, 0], 11), 11)
 
 
 def test_modulus_mismatch_rejected():
-    q13 = PrimeModulus(13)
-    with pytest.raises(ModulusMismatch):
-        fe_add(Q11.element(1), q13.element(1))
-    with pytest.raises(ModulusMismatch):
-        fe_mul(Q11.element(1), q13.element(1))
+    # inventories over another field are refused by the session
+    p = derive_params(1 << 8, 2, sigma=16)
+    other = PrimeModulus(251)
+    assert p.modulus != other
+    alice, _ = gen_seeded(Seed(bytes(32)), 1, other, 1)
+    with pytest.raises(ValueError, match="modulus"):
+        PsiSession("alice", p, (alice,))
+    # and a value of F_13 that is no value of F_11 is refused by the OT
+    with pytest.raises(ValueError):
+        DealerAssistedOt(Q11).ot_send_many([1], [12])
 
 
 def test_smallest_prime_at_least():
@@ -125,28 +152,35 @@ def test_is_prime_against_oracle():
 
 def test_bytes_examples():
     q = PrimeModulus(6151)
-    assert fe_to_bytes(q.element(516)) == bytes([0x04, 0x02])
-    assert fe_to_bytes(q.element(0)) == bytes([0x00, 0x00])
-    with pytest.raises(OutOfRange):
-        fe_from_bytes(bytes([0xFF, 0xFF]), q)
-    with pytest.raises(BadLength):
-        fe_from_bytes(bytes([0x01]), q)
+    assert bytes(pack_words(np.array([516, 0]), q.byte_len)) == bytes([0x04, 0x02, 0, 0])
+    assert unpack_words(bytes([0x04, 0x02]), 2, 1, np.uint16).tolist() == [516]
+    # received words are checked against q and against the word width
+    for payload, match in ((bytes([0xFF, 0xFF]), "range"), (bytes([0x01]), "whole")):
+        chan_a, chan_b = memory_channel_pair(timeout=2.0)
+        send_frame(chan_a, Frame(ALICE_C, payload))
+        with pytest.raises(TransportError, match=match):
+            recv_elements(chan_b, ALICE_C, q, 1)
 
 
 def test_element_out_of_range_rejected():
-    with pytest.raises(OutOfRange):
-        FieldElement(11, Q11)
-    with pytest.raises(OutOfRange):
-        FieldElement(-1, Q11)
+    ot = DealerAssistedOt(Q11, seed=Seed(bytes(32)))
+    for bad in (11, -1):
+        with pytest.raises(ValueError):
+            ot.ot_send_many([bad], [0])
+    with pytest.raises(ValueError):
+        gilboa_share(ot, 11, 3)
 
 
-_PRIMES = [5, 11, 101, 251, 6151, 12301, (1 << 61) - 1]
-_MODULI = {q: PrimeModulus(q) for q in _PRIMES}
+# every modulus the vectorized arithmetic supports: below 2^31, covering
+# the inverse-table and the square-and-multiply inversion paths
+_PRIMES = [5, 11, 101, 251, 6151, 12301, (1 << 31) - 1]
+# the codec also carries the widest moduli PrimeModulus accepts
+_CODEC_PRIMES = _PRIMES + [786449, (1 << 61) - 1]
 
 
 @st.composite
-def _pairs(draw):
-    q = draw(st.sampled_from(_PRIMES))
+def _pairs(draw, primes=_PRIMES):
+    q = draw(st.sampled_from(primes))
     a = draw(st.integers(0, q - 1))
     b = draw(st.integers(0, q - 1))
     return q, a, b
@@ -159,27 +193,29 @@ def _triples(draw):
     return q, vals
 
 
+def _one(op, a, b, q):
+    return int(op([a], [b], q)[0])
+
+
 @given(_triples())
 def test_field_axioms(case):
     q, (a, b, c) = case
-    m = _MODULI[q]
-    fa, fb, fc = m.element(a), m.element(b), m.element(c)
-    assert (fa + fb).value == (a + b) % q
-    assert (fa * fb).value == a * b % q
-    assert ((fa + fb) + fc) == (fa + (fb + fc))
-    assert (fa + fb) == (fb + fa)
-    assert (fa * fb) == (fb * fa)
-    assert ((fa * fb) * fc) == (fa * (fb * fc))
-    assert (fa * (fb + fc)) == (fa * fb + fa * fc)
+    add = lambda x, y: _one(_add, x, y, q)
+    mul = lambda x, y: _one(_mul, x, y, q)
+    assert add(a, b) == (a + b) % q
+    assert mul(a, b) == a * b % q
+    assert add(add(a, b), c) == add(a, add(b, c))
+    assert add(a, b) == add(b, a)
+    assert mul(a, b) == mul(b, a)
+    assert mul(mul(a, b), c) == mul(a, mul(b, c))
+    assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
 
 
 @given(_pairs())
 def test_sub_undoes_add(case):
     q, a, b = case
-    m = _MODULI[q]
-    fa, fb = m.element(a), m.element(b)
-    assert (fa + fb - fb) == fa
-    assert (fa - fb).value == (a - b) % q
+    assert _one(_sub, _one(_add, a, b, q), b, q) == a
+    assert _one(_sub, a, b, q) == (a - b) % q
 
 
 @given(_pairs())
@@ -187,16 +223,16 @@ def test_inverse_property(case):
     q, a, _ = case
     if a == 0:
         return
-    m = _MODULI[q]
-    fa = m.element(a)
-    assert (fa * fe_inv(fa)).value == 1
-    assert fe_inv(fa).value == _inv_oracle(a, q)
+    inv = int(mod_inv(_vec([a], q), q)[0])
+    assert a * inv % q == 1
+    assert inv == _inv_oracle(a, q)
 
 
-@given(_pairs())
+@given(_pairs(_CODEC_PRIMES))
 def test_bytes_roundtrip(case):
     q, a, _ = case
-    m = _MODULI[q]
-    encoded = fe_to_bytes(m.element(a))
+    m = PrimeModulus(q)
+    encoded = bytes(pack_words(np.array([a]), m.byte_len))
     assert len(encoded) == m.byte_len
-    assert fe_from_bytes(encoded, m).value == a
+    assert encoded == a.to_bytes(m.byte_len, "little")
+    assert unpack_words(encoded, m.byte_len, 1, dtype_for(q)).tolist() == [a]

@@ -13,7 +13,6 @@ from olepsi.hashing import (
     bin_index,
     build_bin_table,
     build_cuckoo_table,
-    encode_item,
     invert_placement,
     keyed_hash,
     split_element,
@@ -44,18 +43,26 @@ def test_split_element_examples():
     assert split_element(0xDEADBEEF, p) == (0xDEADB, 0xEEF)
 
 
+def _enc(j, x2, p):
+    # table encoding: hash index above the sigma2-bit suffix
+    return (j << p.sigma2) + x2
+
+
 def test_encode_item_examples():
+    """Tables store enc = j * 2^sigma2 + x2, all below dummy_alice;
+    invert_placement reads one back and refuses a hash index >= k."""
     p = derive_params(1 << 21, 3)  # k=3 with sigma2 = 11
     assert p.sigma2 == 11
-    assert encode_item(0, 5, p).enc == 5
-    assert encode_item(2, 0, p, origin=77).enc == 4096
-    item = encode_item(1, (1 << p.sigma2) - 1, p)
-    assert item.enc == (1 << (p.sigma2 + 1)) - 1
-    assert item.enc < p.dummy_alice
-    with pytest.raises(ValueError):
-        encode_item(3, 0, p)
-    with pytest.raises(ValueError):
-        encode_item(0, 1 << p.sigma2, p)
+    assert _enc(0, 5, p) == 5
+    assert _enc(2, 0, p) == 4096
+    assert _enc(1, (1 << p.sigma2) - 1, p) == (1 << (p.sigma2 + 1)) - 1
+    assert _enc(p.k - 1, (1 << p.sigma2) - 1, p) == p.dummy_alice - 1
+    seeds = fixed_seeds(3)
+    x1, x2 = 5, 9
+    for j in range(p.k):
+        i = bin_index(j, x1, x2, seeds, p)
+        assert invert_placement(i, _enc(j, x2, p), seeds, p) == (x1 << p.sigma2) + x2
+    assert invert_placement(0, _enc(3, 0, p), seeds, p) is None
 
 
 def test_bin_index_zero_prefix():
@@ -112,7 +119,7 @@ def test_cuckoo_singleton_uses_first_hash():
     x1, x2 = split_element(x, p)
     i = bin_index(0, x1, x2, seeds, p)
     assert t.origins[i] == x
-    assert t.bins[i] == encode_item(0, x2, p).enc
+    assert t.bins[i] == _enc(0, x2, p)
     assert t.occupied() == 1
 
 
@@ -130,7 +137,7 @@ def test_cuckoo_random_set_membership():
         x1, x2 = split_element(x, p)
         j = int(t.bins[i]) >> p.sigma2
         assert bin_index(j, x1, x2, t.seeds, p) == i
-        assert t.bins[i] == encode_item(j, x2, p).enc
+        assert t.bins[i] == _enc(j, x2, p)
 
 
 def test_cuckoo_and_bin_tables_ignore_input_type_and_order():
@@ -185,7 +192,7 @@ def test_cuckoo_placement_invariants_2_14(k):
         j = int(t.bins[i]) >> p.sigma2
         assert j < k
         assert bin_index(j, x1, x2, t.seeds, p) == i
-        assert t.bins[i] == encode_item(j, x2, p).enc
+        assert t.bins[i] == _enc(j, x2, p)
 
 
 def test_cuckoo_with_stash_k2():
@@ -237,7 +244,7 @@ def test_bin_table_singleton_three_distinct_bins():
     t = build_bin_table([y], p, seeds)
     assert int((t.bins != p.dummy_bob).sum()) == 3
     for j in range(3):
-        assert encode_item(j, y2, p).enc in t.bins[idx[j]]
+        assert _enc(j, y2, p) in t.bins[idx[j]]
 
 
 def test_bin_table_every_element_under_every_hash():
@@ -251,7 +258,7 @@ def test_bin_table_every_element_under_every_hash():
         y1, y2 = split_element(int(y), p)
         for j in range(3):
             i = bin_index(j, y1, y2, seeds, p)
-            assert encode_item(j, y2, p).enc in t.bins[i]
+            assert _enc(j, y2, p) in t.bins[i]
     # total non-dummy entries: one per (element, hash)
     assert int((t.bins != p.dummy_bob).sum()) == 3 * ys.size
 
@@ -274,7 +281,7 @@ def test_bin_table_same_bin_collision_keeps_both_encodings():
     y, y1, y2, idx = collided
     t = build_bin_table(ys, p, seeds)
     for j in range(3):
-        assert encode_item(j, y2, p).enc in t.bins[idx[j]]
+        assert _enc(j, y2, p) in t.bins[idx[j]]
 
 
 def test_bin_table_overflow():
@@ -295,7 +302,7 @@ def test_exhaustive_inversion_small_domain():
         x1, x2 = split_element(x, p)
         for j in range(p.k):
             i = bin_index(j, x1, x2, seeds, p)
-            enc = encode_item(j, x2, p).enc
+            enc = _enc(j, x2, p)
             assert invert_placement(i, enc, seeds, p) == x
             key = (i, enc)
             assert key not in seen or seen[key] == x
@@ -311,7 +318,7 @@ def test_distinct_elements_distinct_pairs_sigma32():
     for x in xs:
         x1, x2 = split_element(int(x), p)
         for j in range(3):
-            key = (bin_index(j, x1, x2, seeds, p), encode_item(j, x2, p).enc)
+            key = (bin_index(j, x1, x2, seeds, p), _enc(j, x2, p))
             assert key not in seen, "two elements share (bin, encoding)"
             seen[key] = int(x)
 

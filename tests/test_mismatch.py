@@ -5,6 +5,9 @@ the keyed slot trace f_0 = (4+9)*3 - 1 = 5) are worked by hand. Everything
 else is checked against the boolean x != y, which needs no oracle.
 """
 
+import dataclasses
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,9 +20,10 @@ from olepsi.mismatch import (
     mismatch_plain,
     set_compare_single,
 )
+from olepsi.offline import gen_seeded
 from olepsi.offline.ot import DealerAssistedOt
-from olepsi.prg import Prg, Seed
-from olepsi.tuples import random_batch, validate_batch
+from olepsi.prg import SEED_LEN, Prg, Seed
+from olepsi.tuples import validate_inventories
 
 M11 = PrimeModulus(11)
 M17 = PrimeModulus(17)
@@ -28,6 +32,11 @@ M251 = PrimeModulus(251)
 
 def _prg(tag):
     return Prg(Seed(b"\x42" * 32), tag=tag)
+
+
+def random_batch(modulus, slot_len, prg):
+    # one fresh shared-s_A batch, seeded from the caller's stream
+    return gen_seeded(Seed(prg.read(SEED_LEN)), 1, modulus, slot_len)
 
 
 class TestPlainPinnedTrace:
@@ -54,18 +63,15 @@ class TestPlainPinnedTrace:
 def test_set_compare_single_membership():
     prg = _prg(b"scs")
     alice, bob = random_batch(M17, 5, prg)
-    assert validate_batch(alice, bob)
-    e = M17.element(9)
-    inside = [M17.element(v) for v in (3, 9, 11)]
-    outside = [M17.element(v) for v in (3, 8, 11)]
-    assert set_compare_single(e, inside, alice, bob) is True
-    assert set_compare_single(e, outside, alice, bob) is False
+    assert validate_inventories(alice, bob)
+    assert set_compare_single(9, [3, 9, 11], alice, bob) is True
+    assert set_compare_single(9, [3, 8, 11], alice, bob) is False
 
 
 def test_set_compare_single_batch_too_short():
     alice, bob = random_batch(M17, 2, _prg(b"short"))
     with pytest.raises(ValueError):
-        set_compare_single(M17.element(1), [M17.element(v) for v in (1, 2, 3)], alice, bob)
+        set_compare_single(1, [1, 2, 3], alice, bob)
 
 
 def test_plain_exhaustive_ell_2():
@@ -113,10 +119,10 @@ class TestKeyedPinnedTrace:
     """q=11, r_A=2, first slot (s_A=5, r_B=3, s_B=1), H == 9, shares [3,1]."""
 
     def _triples(self):
-        e = M11.element
-        first = (e(5), e(3), e(3).inv(), e(1))
-        second = (e(6), e(4), e(4).inv(), e(2))  # 2*4 = 6+2
-        return MismatchTriples(r_A=e(2), slots=(first, second))
+        # slot 0: (s_A, r_B, r_B_inv, s_B) = (5, 3, 4, 1); slot 1: 2*4 = 6+2
+        a = lambda *v: np.array(v, dtype=np.int64)
+        return MismatchTriples(modulus=M11, r_A=2, s_A=a(5, 6), r_B=a(3, 4),
+                               r_B_inv=a(4, 3), s_B=a(1, 2))
 
     def test_slots_are_valid(self):
         assert self._triples().validate()
@@ -183,15 +189,14 @@ def test_keyed_validation():
 
 
 def test_triples_validate_rejects_tampering():
-    e = M251.element
     good = MismatchTriples.generate(M251, 4, _prg(b"tamper"))
     assert good.validate()
-    s_A, r_B, r_B_inv, s_B = good.slots[2]
-    bad_slots = list(good.slots)
-    bad_slots[2] = (s_A + e(1), r_B, r_B_inv, s_B)
-    assert not MismatchTriples(r_A=good.r_A, slots=tuple(bad_slots)).validate()
-    bad_slots[2] = (s_A, e(0), r_B_inv, s_B)
-    assert not MismatchTriples(r_A=good.r_A, slots=tuple(bad_slots)).validate()
+    s_A = good.s_A.copy()
+    s_A[2] = (s_A[2] + 1) % 251
+    assert not dataclasses.replace(good, s_A=s_A).validate()
+    r_B = good.r_B.copy()
+    r_B[2] = 0
+    assert not dataclasses.replace(good, r_B=r_B).validate()
 
 
 def test_plain_ot_count_is_ell():

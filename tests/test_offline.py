@@ -1,11 +1,12 @@
 """Offline backends: seeded, dealer, OT/Gilboa, LBE simulation."""
 
 import hashlib
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from olepsi.field import FieldError, InversionOfZero, ModulusMismatch, PrimeModulus
+from olepsi.field import FieldError, InversionOfZero, PrimeModulus
 from olepsi.offline import (
     BACKENDS,
     DealerAssistedOt,
@@ -31,9 +32,10 @@ from olepsi.offline.lbe import LbeSimParams, lbe_batch, lbe_reconstruct
 from olepsi.params import derive_params
 from olepsi.prg import Prg, Seed
 from olepsi.tuples import (
+    AliceInventory,
+    BobInventory,
     inventory_token,
     save_inventories,
-    validate_batch,
     validate_inventories,
 )
 
@@ -53,8 +55,8 @@ def params_q6151():
 
 def test_gen_seeded_deterministic():
     p = params_small()
-    a1, b1 = gen_seeded(Seed(bytes(32)), 7, p)
-    a2, b2 = gen_seeded(Seed(bytes(32)), 7, p)
+    a1, b1 = gen_seeded(Seed(bytes(32)), 7, p.modulus, p.beta)
+    a2, b2 = gen_seeded(Seed(bytes(32)), 7, p.modulus, p.beta)
     assert (a1.s_A == a2.s_A).all() and (a1.r_A == a2.r_A).all()
     assert (b1.r_B == b2.r_B).all() and (b1.s_B == b2.s_B).all()
     assert (b1.r_B_inv == b2.r_B_inv).all()
@@ -62,9 +64,11 @@ def test_gen_seeded_deterministic():
 
 def test_gen_seeded_validates():
     p = params_small()
-    a, b = gen_seeded(Seed.random(), 9, p)
+    a, b = gen_seeded(Seed.random(), 9, p.modulus, p.beta)
     assert validate_inventories(a, b)
-    assert validate_batch(a[0], b[0])
+    first_a = AliceInventory(p.modulus, a.s_A[:1], a.r_A[:1])
+    first_b = BobInventory(p.modulus, b.r_B[:1], b.r_B_inv[:1], b.s_B[:1])
+    assert validate_inventories(first_a, first_b)
     assert len(a) == 9 and a.slot_len == p.beta
 
 
@@ -72,7 +76,7 @@ def test_gen_seeded_golden_vector():
     # frozen on first run: all-zero seed, q=6151 parameter row, one batch
     p = params_q6151()
     assert p.modulus.q == 6151 and p.beta == 26
-    a, b = gen_seeded(Seed(bytes(32)), 1, p)
+    a, b = gen_seeded(Seed(bytes(32)), 1, p.modulus, p.beta)
     assert a.s_A.tolist() == [250]
     assert a.r_A[0].tolist() == [
         3629, 4272, 6141, 5116, 3584, 2608, 5821, 1895, 2996, 5604, 1577,
@@ -94,8 +98,8 @@ def test_gen_seeded_golden_vector():
 
 def test_gen_seeded_sections_are_domain_separated():
     p = params_small()
-    a1, _ = gen_seeded(Seed(bytes(32)), 3, p, slot_len=5, domain=b"bins")
-    a2, _ = gen_seeded(Seed(bytes(32)), 3, p, slot_len=5, domain=b"stash")
+    a1, _ = gen_seeded(Seed(bytes(32)), 3, p.modulus, 5, domain=b"bins")
+    a2, _ = gen_seeded(Seed(bytes(32)), 3, p.modulus, 5, domain=b"stash")
     assert (a1.s_A != a2.s_A).any()
 
 
@@ -152,9 +156,9 @@ def test_dealer_micro_run_stub(monkeypatch):
 
     monkeypatch.setattr(dealer_mod, "expand_s_a", fake_s_a)
     monkeypatch.setattr(dealer_mod, "expand_bob_arrays", fake_bob)
-    msg = dealer_mod.dealer_generate_raw(
-        Seed(bytes(32)), Seed(bytes([1]) * 32), M11, ((1, 1), (0, 1))
-    )
+    # sections (1, 1) of bins and (0, 1) of stash over F_11
+    p = SimpleNamespace(modulus=M11, beta=1, stash_size=0, n=1)
+    msg = dealer_mod.dealer_generate(Seed(bytes(32)), Seed(bytes([1]) * 32), 1, p)
     assert int(msg.to_alice[1][0][0, 0]) == 2
 
 
@@ -240,10 +244,10 @@ def test_dealer_alice_message_roundtrip():
 
 def test_ot_delivers_chosen_message():
     ot = DealerAssistedOt(M11, seed=Seed(bytes(32)))
-    for m0, m1, c in [(3, 9, 0), (3, 9, 1), (0, 10, 1), (7, 7, 0)]:
-        ot.ot_send(M11.element(m0), M11.element(m1))
-        got = ot.ot_receive(c)
-        assert got.value == (m1 if c else m0)
+    m0, m1, c = [3, 3, 0, 7], [9, 9, 10, 7], [0, 1, 1, 0]
+    ot.ot_send_many(m0, m1)
+    got = ot.ot_receive_many(c)
+    assert got.tolist() == [b if ci else a for a, b, ci in zip(m0, m1, c)]
     assert ot.invocations == 4
 
 
@@ -252,17 +256,18 @@ def test_ot_receiver_never_materializes_unchosen():
     big = PrimeModulus((1 << 31) - 1)
     rng = np.random.default_rng(7)
     ot = DealerAssistedOt(big, seed=Seed(bytes(32)), record=True)
-    for _ in range(200):
-        m0, m1 = int(rng.integers(big.q)), int(rng.integers(big.q))
-        c = int(rng.integers(2))
-        ot.ot_send(big.element(m0), big.element(m1))
-        out = ot.ot_receive(c)
-        chosen, unchosen = (m1, m0) if c else (m0, m1)
-        assert out.value == chosen
-        rec = ot.receiver_records[-1]
+    m0 = rng.integers(big.q, size=200)
+    m1 = rng.integers(big.q, size=200)
+    c = rng.integers(2, size=200)
+    ot.ot_send_many(m0, m1)
+    out = ot.ot_receive_many(c)
+    for i, rec in enumerate(ot.receiver_records):
+        chosen, unchosen = (int(m1[i]), int(m0[i])) if c[i] else (int(m0[i]), int(m1[i]))
+        assert int(out[i]) == chosen
         assert unchosen not in (rec.delta, rec.e0, rec.e1, rec.cstar, rec.pad, rec.output)
         # the unchosen wire word is still masked by the pad the receiver lacks
-        assert (rec.e0 if c else rec.e1) != (unchosen - rec.pad) % big.q
+        assert (rec.e0 if c[i] else rec.e1) != (unchosen - rec.pad) % big.q
+    assert len(ot.receiver_records) == 200
 
 
 def test_ot_vector_path_matches_semantics():
@@ -316,33 +321,41 @@ def test_ot_vector_transcript_golden():
 def test_ot_session_discipline():
     ot = DealerAssistedOt(M11, seed=Seed(bytes(32)))
     with pytest.raises(OtError):
-        ot.ot_receive(0)
-    ot.ot_send(M11.element(1), M11.element(2))
+        ot.ot_receive_many([0])
+    ot.ot_send_many([1, 3], [2, 4])
     with pytest.raises(ValueError):
-        ot.ot_receive(2)
+        ot.ot_receive_many([2, 0])
+    with pytest.raises(ValueError):
+        ot.ot_receive_many([0, -1])
     with pytest.raises(OtError):
         ot.ot_receive_many([0])
-    with pytest.raises(ModulusMismatch):
-        m13 = PrimeModulus(13)
-        ot.ot_send(m13.element(1), m13.element(2))
+    # messages outside [0, q), such as an F_13 value at q = 11
+    for bad in ([11], [-1]):
+        with pytest.raises(ValueError):
+            ot.ot_send_many(bad, [0])
+    with pytest.raises(OtError):
+        ot.ot_send_many([1, 2], [3])
+    # rejected calls leave the pending session intact
+    assert ot.ot_receive_many([1, 0]).tolist() == [2, 3]
+    assert ot.invocations == 2
 
 
 # ---------------------------------------------------------------- Gilboa
 
 def test_gilboa_worked_example():
     ot = DealerAssistedOt(M11, seed=Seed(bytes(32)), record=True)
-    s_A, s_B = gilboa_share(ot, M11.element(5), M11.element(3), rho=[2, 7, 1, 6])
-    assert (s_A.value, s_B.value) == (5, 10)
+    s_A, s_B = gilboa_share(ot, 5, 3, rho=[2, 7, 1, 6])
+    assert (s_A, s_B) == (5, 10)
     assert [r.output for r in ot.receiver_records] == [3, 3, 10, 5]
     assert ot.invocations == 4  # exactly ceil(log2 11) transfers
-    assert (s_A.value + s_B.value) % 11 == 5 * 3 % 11
+    assert (s_A + s_B) % 11 == 5 * 3 % 11
 
 
 def test_gilboa_zero_r_a():
     ot = DealerAssistedOt(M11, seed=Seed(bytes(32)))
     for r_B in (1, 5, 10):
-        s_A, s_B = gilboa_share(ot, M11.element(0), M11.element(r_B))
-        assert (s_A.value + s_B.value) % 11 == 0
+        s_A, s_B = gilboa_share(ot, 0, r_B)
+        assert (s_A + s_B) % 11 == 0
 
 
 def test_gilboa_random_trials():
@@ -353,21 +366,24 @@ def test_gilboa_random_trials():
     for _ in range(500):
         r_A = int(rng.integers(q))
         r_B = int(rng.integers(1, q))
-        s_A, s_B = gilboa_share(ot, mod.element(r_A), mod.element(r_B))
-        assert (s_A.value + s_B.value) % q == r_A * r_B % q
+        s_A, s_B = gilboa_share(ot, r_A, r_B)
+        assert (s_A + s_B) % q == r_A * r_B % q
 
 
 def test_gilboa_input_validation():
     ot = DealerAssistedOt(M11, seed=Seed(bytes(32)))
     with pytest.raises(ValueError):
-        gilboa_share(ot, M11.element(5), M11.element(0))
+        gilboa_share(ot, 5, 0)
     with pytest.raises(ValueError):
-        gilboa_share(ot, M11.element(5), M11.element(3), ell=1)
+        gilboa_share(ot, 5, 3, ell=1)
     with pytest.raises(ValueError):
-        gilboa_share(ot, M11.element(5), M11.element(3), rho=[1, 2])
-    m13 = PrimeModulus(13)
+        gilboa_share(ot, 5, 3, rho=[1, 2])
+    # values of F_13 outside F_11, on either input
     with pytest.raises(ValueError):
-        gilboa_share(ot, M11.element(5), m13.element(3))
+        gilboa_share(ot, 5, 12)
+    with pytest.raises(ValueError):
+        gilboa_share(ot, 12, 3)
+    assert ot.invocations == 0
 
 
 def test_gilboa_batch_validates_and_counts():

@@ -15,78 +15,98 @@ from hypothesis import strategies as st
 
 from olepsi.field import PrimeModulus
 from olepsi.hashing import BinOverflow, build_cuckoo_table
-from olepsi.offline import BACKENDS, generate_psi_inventories
+from olepsi.offline import BACKENDS, gen_seeded, generate_psi_inventories
 from olepsi.online import (
     PROTOCOL_VERSION,
     UNKNOWN_TOKEN,
     OnlineError,
+    _alice_c,
     _bob_reply,
     PsiSession,
     SeedMismatch,
     TupleExhausted,
-    compare_alice_c,
-    compare_alice_check,
-    compare_bob_d,
     derive_hash_seeds,
     ot_via_psi,
+    psi_alice,
     psi_bob,
 )
 from olepsi.params import derive_params
-from olepsi.prg import Prg, Seed
+from olepsi.prg import Seed
 from olepsi.runner import make_sessions, psi_once, run_psi_pair, small_psi_engine
-from olepsi.transport import ALICE_C, Frame, UnexpectedType, memory_channel_pair, send_frame
-from olepsi.tuples import inventory_token, sample_tuple_arrays
+from olepsi.transport import (
+    _HEAD,
+    ALICE_C,
+    SETUP,
+    Frame,
+    OversizeFrame,
+    UnexpectedType,
+    memory_channel_pair,
+    send_frame,
+)
+from olepsi.tuples import BobInventory, inventory_token
 
 M11 = PrimeModulus(11)
 
 
+def _ints(*rows):
+    return np.array(rows, dtype=np.int64)
+
+
+def _reply(c, y_enc, s_B, r_B_inv, q):
+    """Bob's replies to c (rows,) for encodings y_enc (rows, L), one shared
+    tuple half (s_B, r_B_inv) in every slot."""
+    shape = np.shape(y_enc)
+    inv = BobInventory(PrimeModulus(q), np.ones(shape, np.int64),
+                       np.full(shape, r_B_inv), np.full(shape, s_B))
+    return _bob_reply(np.asarray(c), np.asarray(y_enc), inv, q)
+
+
 def test_compare_alice_c_pinned():
     # x_enc = 5, s_A = 4  ->  c = 4 - 5 = 10 (mod 11)
-    assert compare_alice_c(M11.element(5), M11.element(4)).value == 10
+    assert _alice_c(_ints(4), 5, 11).tolist() == [10]
 
 
 def test_compare_bob_d_pinned_match():
     # c = 10, y_enc = 5, s_B = 2, r_B_inv = 4  ->  d = (10+5+2)*4 = 2 (mod 11)
-    assert compare_bob_d(M11.element(10), M11.element(5), M11.element(2), M11.element(4)).value == 2
+    assert _reply(_ints(10), [[5]], 2, 4, 11).tolist() == [[2]]
 
 
 def test_compare_bob_d_pinned_mismatch():
     # same tuple, y_enc = 7  ->  d = (10+7+2)*4 = 10 (mod 11)
-    assert compare_bob_d(M11.element(10), M11.element(7), M11.element(2), M11.element(4)).value == 10
+    assert _reply(_ints(10), [[7]], 2, 4, 11).tolist() == [[10]]
 
 
 def test_compare_alice_check():
-    assert compare_alice_check(M11.element(2), M11.element(2))
-    assert not compare_alice_check(M11.element(10), M11.element(2))
+    # tuple (r_A, r_B, s_A, s_B) = (2, 3, 4, 2): d equals r_A = 2 only for
+    # the matching encoding
+    c = _alice_c(_ints(4), 5, 11)
+    d = _reply(c, [[5, 7]], 2, 4, 11)
+    assert (d == 2).tolist() == [[True, False]]
 
 
 def test_comparison_exhaustive_small_field():
-    """d = r_A iff x = y, over every (x, y) pair at q = 31."""
-    m = PrimeModulus(31)
-    prg = Prg(Seed(b"\x31" * 32), tag=b"exh")
-    for x in range(31):
-        for y in range(31):
-            r_A, _, r_B_inv, s_A, s_B = (
-                int(a[0]) for a in sample_tuple_arrays(m, 1, prg)
-            )
-            c = compare_alice_c(m.element(x), m.element(s_A))
-            d = compare_bob_d(c, m.element(y), m.element(s_B), m.element(r_B_inv))
-            assert compare_alice_check(d, m.element(r_A)) == (x == y)
+    """d = r_A iff x = y, over every (x, y) pair at q = 31, one fresh tuple
+    per pair."""
+    q = 31
+    m = PrimeModulus(q)
+    alice, bob = gen_seeded(Seed(b"\x31" * 32), q * q, m, 1, domain=b"exh")
+    x, y = np.divmod(np.arange(q * q), q)
+    c = _alice_c(alice.s_A, x, q)
+    d = _bob_reply(c, y[:, None], bob, q)
+    assert ((d == alice.r_A)[:, 0] == (x == y)).all()
 
 
 def test_comparison_supports_r_a_zero():
     """r_A = 0 is a legal tuple value and the equality test still works."""
-    m = PrimeModulus(11)
+    q = 11
     # r_A = 0 forces s_B = -s_A; pick s_A = 3, r_B = 5
-    s_A, r_B = m.element(3), m.element(5)
-    s_B = -s_A
-    r_A = (s_A + s_B) * r_B.inv()
-    assert r_A.value == 0
-    for x in range(11):
-        for y in range(11):
-            c = compare_alice_c(m.element(x), s_A)
-            d = compare_bob_d(c, m.element(y), s_B, r_B.inv())
-            assert compare_alice_check(d, r_A) == (x == y)
+    s_A, r_B = 3, 5
+    s_B = -s_A % q
+    r_A = (s_A + s_B) * pow(r_B, -1, q) % q
+    assert r_A == 0
+    c = _alice_c(np.full(q, s_A), np.arange(q), q)  # row x
+    d = _reply(c, np.tile(np.arange(q), (q, 1)), s_B, pow(r_B, -1, q), q)  # slot y
+    assert ((d == r_A) == np.eye(q, dtype=bool)).all()
 
 
 @settings(max_examples=200, deadline=None)
@@ -97,15 +117,14 @@ def test_comparison_supports_r_a_zero():
     raw=st.integers(min_value=0, max_value=2**62),
 )
 def test_comparison_equivalence_property(q, x, y, raw):
-    m = PrimeModulus(q)
     x, y = x % q, y % q
-    s_A = m.element(raw % q)
-    r_B = m.element(1 + (raw // q) % (q - 1))
-    s_B = m.element((raw // q // (q - 1)) % q)
-    r_A = (s_A + s_B) * r_B.inv()
-    c = compare_alice_c(m.element(x), s_A)
-    d = compare_bob_d(c, m.element(y), s_B, r_B.inv())
-    assert compare_alice_check(d, r_A) == (x == y)
+    s_A = raw % q
+    r_B = 1 + (raw // q) % (q - 1)
+    s_B = (raw // q // (q - 1)) % q
+    r_A = (s_A + s_B) * pow(r_B, -1, q) % q
+    c = _alice_c(_ints(s_A), x, q)
+    d = _reply(c, [[y]], s_B, pow(r_B, -1, q), q)
+    assert (int(d[0, 0]) == r_A) == (x == y)
 
 
 @pytest.mark.parametrize("q", [32749, 32771])  # either side of the int32 bound
@@ -135,10 +154,10 @@ def test_d_never_hits_r_a_on_mismatch_and_spreads():
     m = PrimeModulus(31)
     q = 31
     trials = 20000
-    prg = Prg(Seed(b"\x07" * 32), tag=b"chi")
-    r_A, _, r_B_inv, s_A, s_B = sample_tuple_arrays(m, trials, prg)
+    alice, bob = gen_seeded(Seed(b"\x07" * 32), trials, m, 1, domain=b"chi")
+    r_A = alice.r_A[:, 0].astype(np.int64)
     x, y = 4, 9  # fixed distinct encodings
-    d = ((s_A - x) + y + s_B) % q * r_B_inv % q
+    d = _bob_reply(_alice_c(alice.s_A, x, q), np.full((trials, 1), y), bob, q)[:, 0]
     assert not np.any(d == r_A)
     # chi-square over the q-1 reachable values per tuple: shift so r_A -> 0
     shifted = (d - r_A) % q
@@ -295,6 +314,18 @@ class TestSetupRejections:
         b.seeds = derive_hash_seeds(p, b"\xee" * 16)
         with pytest.raises(SeedMismatch, match="seed"):
             run_psi_pair(a, {1}, b, {2})
+
+    @pytest.mark.parametrize("role", ["alice", "bob"])
+    def test_oversize_setup_header_rejected_at_once(self, role):
+        # a header declaring a 2^30-byte SETUP, with no payload behind it:
+        # waiting for the payload would end in ChannelClosed after 30 s
+        p = derive_params(16, 3, sigma=16)
+        a, b = make_sessions(p, master_seed=Seed(bytes(32)))
+        chan_peer, chan = memory_channel_pair(timeout=30.0)
+        chan_peer.send_bytes(_HEAD.pack(1 << 30, SETUP))
+        session, run = (a, psi_alice) if role == "alice" else (b, psi_bob)
+        with pytest.raises(OversizeFrame):
+            run(session, {1}, chan)
 
     def test_bob_rejects_non_setup_frame(self):
         p = derive_params(16, 3, sigma=16)

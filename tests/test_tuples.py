@@ -2,22 +2,18 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from olepsi.field import InversionOfZero, PrimeModulus
-from olepsi.prg import Prg, Seed
+from olepsi.field import PrimeModulus
+from olepsi.modvec import mod_inv
+from olepsi.offline import gen_seeded
+from olepsi.offline._expand import derive_r_a_arrays
+from olepsi.prg import Seed
 from olepsi.tuples import (
     AliceInventory,
     BobInventory,
-    OleBatchAlice,
-    OleBatchBob,
-    OleTuple,
     TupleFileError,
-    derive_r_A,
     inventory_token,
     load_inventories,
-    random_tuple,
-    sample_tuple_arrays,
     save_inventories,
-    validate_batch,
     validate_inventories,
 )
 
@@ -25,72 +21,68 @@ Q11 = PrimeModulus(11)
 
 
 def make_batch(modulus, s_A, slots):
-    # slots: list of (r_A, r_B, r_B_inv, s_B) ints
-    alice = OleBatchAlice(
-        s_A=modulus.element(s_A),
-        r_A=tuple(modulus.element(r_A) for r_A, _, _, _ in slots),
-    )
-    bob = OleBatchBob(
-        slots=tuple(
-            (modulus.element(r_B), modulus.element(r_B_inv), modulus.element(s_B))
-            for _, r_B, r_B_inv, s_B in slots
-        )
-    )
-    return alice, bob
+    # one batch; slots: list of (r_A, r_B, r_B_inv, s_B) ints
+    r_A, r_B, r_B_inv, s_B = ([list(col)] for col in zip(*slots))
+    return AliceInventory(modulus, [s_A], r_A), BobInventory(modulus, r_B, r_B_inv, s_B)
 
 
 def test_validate_batch_examples():
     # 2 * 3 = 6 = 4 + 2
     alice, bob = make_batch(Q11, 4, [(2, 3, 4, 2)])
-    assert validate_batch(alice, bob) is True
+    assert validate_inventories(alice, bob) is True
 
     alice, bob = make_batch(Q11, 4, [(2, 0, 0, 2)])
-    assert validate_batch(alice, bob) is False
+    assert validate_inventories(alice, bob) is False
 
     # 5 * 3 = 15 = 4 != 6
     alice, bob = make_batch(Q11, 4, [(5, 3, 4, 2)])
-    assert validate_batch(alice, bob) is False
+    assert validate_inventories(alice, bob) is False
 
 
 def test_validate_batch_checks_inverse():
     alice, bob = make_batch(Q11, 4, [(2, 3, 5, 2)])  # 3*5 = 15 = 4 != 1
-    assert validate_batch(alice, bob) is False
+    assert validate_inventories(alice, bob) is False
 
 
 def test_validate_batch_length_mismatch():
     alice, _ = make_batch(Q11, 4, [(2, 3, 4, 2)])
     _, bob = make_batch(Q11, 4, [(2, 3, 4, 2), (2, 3, 4, 2)])
     with pytest.raises(ValueError):
-        validate_batch(alice, bob)
+        validate_inventories(alice, bob)
 
 
 def test_derive_r_A_examples():
-    assert derive_r_A(Q11.element(4), Q11.element(2), Q11.element(3)).value == 2
-    assert derive_r_A(Q11.element(0), Q11.element(0), Q11.element(7)).value == 0
-    assert derive_r_A(Q11.element(5), Q11.element(6), Q11.element(1)).value == 0
-    with pytest.raises(InversionOfZero):
-        derive_r_A(Q11.element(1), Q11.element(1), Q11.element(0))
+    # r_A = (s_A + s_B) / r_B per slot: (4+2)/3, (0+0)/7, (5+6)/1 mod 11
+    s_A = np.array([4, 0, 5], dtype=np.uint8)
+    s_B = np.array([[2], [0], [6]], dtype=np.uint8)
+    r_B_inv = mod_inv(np.array([[3], [7], [1]], dtype=np.uint8), 11)
+    assert derive_r_a_arrays(s_A, s_B, r_B_inv, 11).tolist() == [[2], [0], [0]]
+    with pytest.raises(ZeroDivisionError):
+        mod_inv(np.array([[0]], dtype=np.uint8), 11)
 
 
 def test_ole_tuple_from_values():
-    t = OleTuple.from_values(Q11, r_A=2, r_B=3, s_A=4, s_B=2)
-    assert t.is_valid()
-    assert t.r_B_inv.value == 4
-    bad = OleTuple.from_values(Q11, r_A=5, r_B=3, s_A=4, s_B=2)
-    assert not bad.is_valid()
+    bob = BobInventory.from_r_b_s_b(Q11, [[3]], [[2]])
+    assert bob.r_B_inv.tolist() == [[4]]
+    assert validate_inventories(AliceInventory(Q11, [4], [[2]]), bob)
+    assert not validate_inventories(AliceInventory(Q11, [4], [[5]]), bob)
 
 
 def test_random_tuples_always_valid():
-    prg = Prg(Seed(bytes(32)), tag=b"tuples")
-    m = PrimeModulus(251)
-    for _ in range(200):
-        assert random_tuple(m, prg).is_valid()
+    alice, bob = gen_seeded(Seed(bytes(32)), 200, PrimeModulus(251), 1, domain=b"tuples")
+    assert validate_inventories(alice, bob)
+
+
+def _slots(modulus, count, tag):
+    # count independent tuples (one slot per batch) as flat int64 arrays
+    alice, bob = gen_seeded(Seed(bytes(32)), count, modulus, 1, domain=tag)
+    flat = lambda a: a.astype(np.int64).reshape(count)
+    return flat(alice.r_A), flat(bob.r_B), flat(bob.r_B_inv), flat(alice.s_A), flat(bob.s_B)
 
 
 def test_sample_arrays_satisfy_equation():
-    prg = Prg(Seed(bytes(32)), tag=b"arrays")
     m = PrimeModulus(12301)
-    r_A, r_B, r_B_inv, s_A, s_B = sample_tuple_arrays(m, 50000, prg)
+    r_A, r_B, r_B_inv, s_A, s_B = _slots(m, 50000, b"arrays")
     q = m.q
     assert (r_B != 0).all()
     assert (r_B * r_B_inv % q == 1).all()
@@ -99,10 +91,9 @@ def test_sample_arrays_satisfy_equation():
 
 def test_marginal_uniformity_chi_square():
     # each of r_B (over F*), s_A, s_B (over F_q) individually uniform
-    prg = Prg(Seed(bytes(32)), tag=b"marginals")
     m = PrimeModulus(101)
     count = 100000
-    _, r_B, _, s_A, s_B = sample_tuple_arrays(m, count, prg)
+    _, r_B, _, s_A, s_B = _slots(m, count, b"marginals")
     _, p = stats.chisquare(np.bincount(r_B, minlength=101)[1:])
     assert p > 0.001
     _, p = stats.chisquare(np.bincount(s_A, minlength=101))
@@ -112,24 +103,21 @@ def test_marginal_uniformity_chi_square():
 
 
 def _random_inventories(m, count, slot_len, tag):
-    prg = Prg(Seed(bytes(32)), tag=tag)
-    q = m.q
-    total = count * slot_len
-    r_A, r_B, r_B_inv, s_B = None, None, None, None
-    s_A = prg.elements(m, count)
-    r_B = prg.nonzero_elements(m, total).reshape(count, slot_len)
-    s_B = prg.elements(m, total).reshape(count, slot_len)
-    bob = BobInventory.from_r_b_s_b(m, r_B, s_B)
-    r_A = (s_A[:, None] + s_B) % q * bob.r_B_inv % q
-    return AliceInventory(m, s_A, r_A), bob
+    return gen_seeded(Seed(bytes(32)), count, m, slot_len, domain=tag)
 
 
 def test_inventories_expose_batches():
     m = PrimeModulus(6151)
     alice, bob = _random_inventories(m, 5, 4, b"inv")
     assert len(alice) == len(bob) == 5
-    for a, b in zip(alice, bob):
-        assert validate_batch(a, b)
+    assert alice.slot_len == bob.slot_len == 4
+    assert alice.s_A.shape == (5,) and alice.r_A.shape == (5, 4)
+    assert bob.r_B.shape == bob.r_B_inv.shape == bob.s_B.shape == (5, 4)
+    # row i is batch i: each one-row slice validates on its own
+    for i in range(5):
+        a = AliceInventory(m, alice.s_A[i : i + 1], alice.r_A[i : i + 1])
+        b = BobInventory(m, bob.r_B[i : i + 1], bob.r_B_inv[i : i + 1], bob.s_B[i : i + 1])
+        assert validate_inventories(a, b)
     assert validate_inventories(alice, bob)
 
 
@@ -138,7 +126,9 @@ def test_validate_inventories_catches_corruption():
     alice, bob = _random_inventories(m, 5, 4, b"inv2")
     alice.r_A[2, 1] = (alice.r_A[2, 1] + 1) % m.q
     assert not validate_inventories(alice, bob)
-    assert not validate_batch(alice[2], bob[2])
+    a = AliceInventory(m, alice.s_A[2:3], alice.r_A[2:3])
+    b = BobInventory(m, bob.r_B[2:3], bob.r_B_inv[2:3], bob.s_B[2:3])
+    assert not validate_inventories(a, b)
 
 
 def test_file_roundtrip(tmp_path):
