@@ -35,6 +35,7 @@ from .transport import (
     DEALER_B,
     SETUP,
     Frame,
+    PeerTimeout,
     TcpListener,
     TransportError,
     recv_frame,
@@ -390,7 +391,7 @@ def main(argv=None):
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (OSError, TupleFileError) as e:
+    except (OSError, TupleFileError, PeerTimeout) as e:
         print(f"error: {e}", file=sys.stderr)
         return 4
     except (OnlineError, TransportError, HashingError, FieldError, OtError) as e:

@@ -1,7 +1,8 @@
 """Vectorized modular arithmetic on int64 arrays.
 
-All protocol moduli fit well below 2^31, so products of reduced values fit
-int64. Moduli from 2^31 up are rejected here.
+All protocol moduli fit below MAX_Q = 2^31, so products of reduced values
+fit int64. Moduli from 2^31 up are rejected here, and derive_params refuses
+parameters that would need them.
 """
 
 import math
@@ -9,6 +10,7 @@ from functools import lru_cache
 
 import numpy as np
 
+MAX_Q = 1 << 31  # exclusive bound on the moduli this module handles
 _TABLE_LIMIT = 1 << 20
 
 
@@ -30,7 +32,7 @@ def work_dtype(q):
 
 
 def _check(q):
-    if q >= 1 << 31:
+    if q >= MAX_Q:
         raise ValueError(f"vectorized path requires q < 2^31, got {q}")
 
 

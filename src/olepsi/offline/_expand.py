@@ -12,6 +12,7 @@ import numpy as np
 
 from ..modvec import dtype_for, mod_inv, work_dtype
 from ..prg import Prg
+from ..tuples import BobInventory
 
 
 def _row_chunk(slot_len):
@@ -24,20 +25,23 @@ def expand_s_a(seed, modulus, count, domain):
     return prg.elements(modulus, count, dtype=dtype_for(modulus.q))
 
 
-def expand_bob_arrays(seed, modulus, count, slot_len, domain):
-    """Bob's (r_B, r_B_inv, s_B), each (count, slot_len); r_B is nonzero."""
+def expand_bob_inventory(seed, modulus, count, slot_len, domain):
+    """Bob's (r_B, r_B_inv, s_B), each (count, slot_len), expanded straight
+    into one BobInventory block; r_B is nonzero."""
     dt = dtype_for(modulus.q)
     total = count * slot_len
-    r_B = Prg(seed, tag=b"rB|" + domain).nonzero_elements(modulus, total, dtype=dt)
-    s_B = Prg(seed, tag=b"sB|" + domain).elements(modulus, total, dtype=dt)
-    r_B = r_B.reshape(count, slot_len)
-    s_B = s_B.reshape(count, slot_len)
-    r_B_inv = np.empty_like(r_B)
+    block = np.empty((count, slot_len, 3), dtype=dt)
+    block[:, :, 0] = Prg(seed, tag=b"rB|" + domain).nonzero_elements(
+        modulus, total, dtype=dt
+    ).reshape(count, slot_len)
+    block[:, :, 2] = Prg(seed, tag=b"sB|" + domain).elements(
+        modulus, total, dtype=dt
+    ).reshape(count, slot_len)
     step = _row_chunk(slot_len)
     for lo in range(0, count, step):
         hi = lo + step
-        r_B_inv[lo:hi] = mod_inv(r_B[lo:hi], modulus.q)
-    return r_B, r_B_inv, s_B
+        block[lo:hi, :, 1] = mod_inv(block[lo:hi, :, 0], modulus.q)
+    return BobInventory.from_block(modulus, block)
 
 
 def derive_r_a_arrays(s_A, s_B, r_B_inv, q):

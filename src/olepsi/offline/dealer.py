@@ -17,8 +17,8 @@ from ..codec import pack_words, unpack_words
 from ..field import PrimeModulus
 from ..modvec import dtype_for
 from ..prg import SEED_LEN, Seed
-from ..tuples import AliceInventory, BobInventory, inventory_token
-from ._expand import derive_r_a_arrays, expand_bob_arrays, expand_s_a
+from ..tuples import AliceInventory, inventory_token
+from ._expand import derive_r_a_arrays, expand_bob_inventory, expand_s_a
 
 _SECTION_DOMAINS = (b"bins", b"stash")
 
@@ -49,9 +49,9 @@ def dealer_generate(R_A, R_B, count, params):
     bob_invs = []
     for (rows, slot_len), domain in zip(_sections(params, count), _SECTION_DOMAINS):
         s_A = expand_s_a(R_A, modulus, rows, domain)
-        r_B, r_B_inv, s_B = expand_bob_arrays(R_B, modulus, rows, slot_len, domain)
-        r_A_lists.append(derive_r_a_arrays(s_A, s_B, r_B_inv, modulus.q))
-        bob_invs.append(BobInventory(modulus, r_B, r_B_inv, s_B))
+        bob = expand_bob_inventory(R_B, modulus, rows, slot_len, domain)
+        r_A_lists.append(derive_r_a_arrays(s_A, bob.s_B, bob.r_B_inv, modulus.q))
+        bob_invs.append(bob)
     token = inventory_token(bob_invs)
     return DealerMessages(to_alice=(R_A, tuple(r_A_lists)), to_bob=R_B, token=token)
 
@@ -69,11 +69,10 @@ def expand_alice(R_A, r_A_lists, params):
 def expand_bob(R_B, params, *, bin_count=None):
     """Bob's side: everything re-expanded from the 32-byte seed."""
     modulus = params.modulus
-    invs = []
-    for (count, slot_len), domain in zip(_sections(params, bin_count), _SECTION_DOMAINS):
-        r_B, r_B_inv, s_B = expand_bob_arrays(R_B, modulus, count, slot_len, domain)
-        invs.append(BobInventory(modulus, r_B, r_B_inv, s_B))
-    return invs
+    return [
+        expand_bob_inventory(R_B, modulus, count, slot_len, domain)
+        for (count, slot_len), domain in zip(_sections(params, bin_count), _SECTION_DOMAINS)
+    ]
 
 
 _ALICE_HEAD = struct.Struct("<32s16sQB")
@@ -87,7 +86,7 @@ def encode_to_alice(msg, modulus):
     for r_A in r_A_lists:
         count, slot_len = r_A.shape
         parts.append(_SECTION_HEAD.pack(count, slot_len))
-        parts.append(pack_words(r_A, modulus.byte_len))
+        parts.append(pack_words(r_A, 8 * modulus.byte_len))
     return b"".join(parts)
 
 
@@ -102,7 +101,7 @@ def decode_to_alice(data):
         off += _SECTION_HEAD.size
         nbytes = count * slot_len * modulus.byte_len
         block = unpack_words(
-            data[off : off + nbytes], modulus.byte_len, count * slot_len, dtype_for(q)
+            data[off : off + nbytes], 8 * modulus.byte_len, count * slot_len, dtype_for(q)
         )
         off += nbytes
         r_A_lists.append(block.reshape(count, slot_len))
@@ -119,4 +118,4 @@ def encode_to_bob(msg):
 def decode_to_bob(data):
     if len(data) != SEED_LEN:
         raise ValueError(f"dealer-to-Bob message must be {SEED_LEN} bytes")
-    return Seed(data)
+    return Seed(bytes(data))

@@ -205,7 +205,7 @@ def lbe_batch(params, count, *, slot_len=None, seed=None, lbe=None):
     r_B = prg.nonzero_elements(modulus, count * L, dtype=dt).reshape(count, L)
     s_B = prg.elements(modulus, count * L, dtype=dt).reshape(count, L)
     mask = np.uint64(lbe.u_domain - 1)
-    u_vals = unpack_words(prg.read(8 * count * L), 8, count * L, np.uint64) & mask
+    u_vals = unpack_words(prg.read(8 * count * L), 64, count * L, np.uint64) & mask
     u_vals = u_vals.reshape(count, L)
     bob = BobInventory.from_r_b_s_b(modulus, r_B, s_B)
     r_A = np.empty((count, L), dtype=dt)

@@ -8,8 +8,8 @@ locally and the offline phase costs zero communication.
 
 from __future__ import annotations
 
-from ..tuples import AliceInventory, BobInventory
-from ._expand import derive_r_a_arrays, expand_bob_arrays, expand_s_a
+from ..tuples import AliceInventory
+from ._expand import derive_r_a_arrays, expand_bob_inventory, expand_s_a
 
 
 def gen_seeded(shared_seed, count, modulus, slot_len, *, domain=b"bins"):
@@ -21,8 +21,6 @@ def gen_seeded(shared_seed, count, modulus, slot_len, *, domain=b"bins"):
     if count < 0:
         raise ValueError("count must be >= 0")
     s_A = expand_s_a(shared_seed, modulus, count, domain)
-    r_B, r_B_inv, s_B = expand_bob_arrays(shared_seed, modulus, count, slot_len, domain)
-    r_A = derive_r_a_arrays(s_A, s_B, r_B_inv, modulus.q)
-    alice = AliceInventory(modulus, s_A, r_A)
-    bob = BobInventory(modulus, r_B, r_B_inv, s_B)
-    return alice, bob
+    bob = expand_bob_inventory(shared_seed, modulus, count, slot_len, domain)
+    r_A = derive_r_a_arrays(s_A, bob.s_B, bob.r_B_inv, modulus.q)
+    return AliceInventory(modulus, s_A, r_A), bob

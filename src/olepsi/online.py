@@ -10,12 +10,17 @@ nothing but field additions and one multiplication per slot.
 The set protocol runs the comparison over the hashing layout: one c-value per
 cuckoo bin (alpha + stash_size of them), beta d-values back per bin plus n per
 stash slot. Bins without a real element still send well-formed messages under
-a reserved dummy encoding, so traffic never depends on the inputs.
+a reserved dummy encoding, so traffic never depends on the inputs. Every
+message is cut into frames of at most _CHUNK elements along a frame plan
+that both sides derive from the parameters alone; Bob computes and sends
+his reply one bin range at a time, and Alice matches each range as it
+arrives.
 """
 
 import hashlib
 import os
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,14 +45,15 @@ from .transport import (
     send_elements,
     send_frame,
 )
-from .tuples import TOKEN_LEN
+from .tuples import TOKEN_LEN, BobInventory
 
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 # all-zero token means "inventory digest unknown": the check is skipped
 UNKNOWN_TOKEN = bytes(TOKEN_LEN)
 
-_CHUNK = 1 << 22  # field elements per vectorized block
+_CHUNK = 1 << 22  # field elements per frame
+_BLOCK = 1 << 16  # field elements per vectorized pass: temporaries stay in cache
 
 
 class OnlineError(Exception):
@@ -128,6 +134,50 @@ def _need(inv, count, slot_len, label):
         )
 
 
+class FrameCut(NamedTuple):
+    """One element frame: the rows and columns of a section's message it carries."""
+
+    section: str  # "bins" or "stash"
+    rows: slice
+    cols: slice
+
+    @property
+    def shape(self):
+        return (self.rows.stop - self.rows.start, self.cols.stop - self.cols.start)
+
+    @property
+    def count(self):
+        rows, cols = self.shape
+        return rows * cols
+
+
+def _cuts(section, rows, width):
+    """Frames of at most _CHUNK elements over a row-major rows x width
+    message: whole-row ranges while a row fits in one frame, else each row
+    in pieces."""
+    if width <= _CHUNK:
+        step = _CHUNK // width
+        return [
+            FrameCut(section, slice(lo, min(rows, lo + step)), slice(0, width))
+            for lo in range(0, rows, step)
+        ]
+    return [
+        FrameCut(section, slice(r, r + 1), slice(lo, min(width, lo + _CHUNK)))
+        for r in range(rows)
+        for lo in range(0, width, _CHUNK)
+    ]
+
+
+def frame_plan(params):
+    """Every element frame of one run, in send order: (Alice's c frames,
+    Bob's d frames). A pure function of the parameters, so both sides cut
+    the messages the same way without telling each other."""
+    p = params
+    up = _cuts("bins", p.alpha, 1) + _cuts("stash", p.stash_size, 1)
+    down = _cuts("bins", p.alpha, p.beta) + _cuts("stash", p.stash_size, p.n)
+    return up, down
+
+
 def _setup_payload(session):
     return (
         bytes([PROTOCOL_VERSION])
@@ -190,10 +240,11 @@ def psi_alice(session, elements, channel):
     """Run the protocol as Alice; returns the intersection as a set of ints.
 
     Sends alpha + stash_size c-values, receives alpha*beta + stash_size*n
-    d-values in fixed row-major order, and matches them against r_A. The
-    element counts are asserted against the channel's accounting on every
-    run. Placement failure beyond the stash raises CuckooFailure, since the
-    session's seeds are pinned and cannot be resampled mid-protocol.
+    d-values in fixed row-major order, frame by frame along frame_plan, and
+    matches each frame against r_A as it arrives. The element counts are
+    asserted against the channel's accounting on every run. Placement
+    failure beyond the stash raises CuckooFailure, since the session's seeds
+    are pinned and cannot be resampled mid-protocol.
     """
     if session.role != "alice":
         raise ValueError("session role is not alice")
@@ -208,39 +259,29 @@ def psi_alice(session, elements, channel):
     sent0 = channel.stats.elements_sent
     recv0 = channel.stats.elements_received
     _setup_exchange(session, channel)
-
-    c = _alice_c(bins_inv.s_A[: p.alpha], table.bins, q)
-    send_elements(channel, ALICE_C, c, p.modulus)
+    up, down = frame_plan(p)
 
     stash_items = table.stash
+    c = {"bins": _alice_c(bins_inv.s_A[: p.alpha], table.bins, q)}
     if p.stash_size:
         enc_st = np.full(p.stash_size, p.dummy_alice, dtype=np.int64)
         enc_st[: len(stash_items)] = stash_encode(stash_items, session.seeds, p)
-        c_st = _alice_c(stash_inv.s_A[: p.stash_size], enc_st, q)
-        send_elements(channel, ALICE_C, c_st, p.modulus)
-
-    d = recv_elements(channel, BOB_D, p.modulus, p.alpha * p.beta)
-    if d.size != p.alpha * p.beta:
-        raise OnlineError(f"expected {p.alpha * p.beta} d-values, got {d.size}")
-    d = d.reshape(p.alpha, p.beta)
+        c["stash"] = _alice_c(stash_inv.s_A[: p.stash_size], enc_st, q)
+    for cut in up:
+        send_elements(channel, ALICE_C, c[cut.section][cut.rows], p.modulus)
 
     out = set()
-    r_A = bins_inv.r_A[: p.alpha]
-    real = np.flatnonzero(table.origins >= 0)
-    hits = (d[real] == r_A[real]).any(axis=1)
-    for i in real[np.flatnonzero(hits)]:
-        out.add(int(table.origins[i]))
-
-    if p.stash_size:
-        d_st = recv_elements(channel, BOB_D, p.modulus, p.stash_size * p.n)
-        if d_st.size != p.stash_size * p.n:
-            raise OnlineError(
-                f"expected {p.stash_size * p.n} stash d-values, got {d_st.size}"
-            )
-        d_st = d_st.reshape(p.stash_size, p.n)
-        for t, x in enumerate(stash_items):
-            if (d_st[t] == stash_inv.r_A[t]).any():
-                out.add(int(x))
+    for cut in down:
+        d = recv_elements(channel, BOB_D, p.modulus, cut.count).reshape(cut.shape)
+        if cut.section == "bins":
+            origins = table.origins[cut.rows]
+            hits = (d == bins_inv.r_A[cut.rows]).any(axis=1) & (origins >= 0)
+            out.update(origins[hits].tolist())
+        else:
+            hits = (d == stash_inv.r_A[cut.rows, cut.cols]).any(axis=1)
+            for t in np.flatnonzero(hits) + cut.rows.start:
+                if t < len(stash_items):
+                    out.add(int(stash_items[t]))
 
     sent = channel.stats.elements_sent - sent0
     received = channel.stats.elements_received - recv0
@@ -259,8 +300,9 @@ def psi_bob(session, elements, channel):
 
     Replies to every bin's c-value with beta d-values (row-major: bin-major,
     slot-minor), then to every stash c-value with one d per slot for each of
-    n shuffled element encodings. Padding slots reply under Bob's dummy
-    encoding, which can never match.
+    n shuffled element encodings. Each frame of frame_plan is computed and
+    sent before the next, so the whole reply is never held at once. Padding
+    slots reply under Bob's dummy encoding, which can never match.
     """
     if session.role != "bob":
         raise ValueError("session role is not bob")
@@ -275,26 +317,26 @@ def psi_bob(session, elements, channel):
     sent0 = channel.stats.elements_sent
     recv0 = channel.stats.elements_received
     _setup_exchange(session, channel)
+    up, down = frame_plan(p)
 
-    c = recv_elements(channel, ALICE_C, p.modulus, p.alpha)
-    if c.size != p.alpha:
-        raise OnlineError(f"expected {p.alpha} c-values, got {c.size}")
-    if p.stash_size:
-        c_st = recv_elements(channel, ALICE_C, p.modulus, p.stash_size)
-        if c_st.size != p.stash_size:
-            raise OnlineError(
-                f"expected {p.stash_size} stash c-values, got {c_st.size}"
-            )
+    dt = dtype_for(q)
+    c = {"bins": np.empty(p.alpha, dt), "stash": np.empty(p.stash_size, dt)}
+    for cut in up:
+        c[cut.section][cut.rows] = recv_elements(channel, ALICE_C, p.modulus, cut.count)
 
-    d = _bob_reply(c, table.bins, bins_inv, q)
-    send_elements(channel, BOB_D, d.ravel(), p.modulus)
-
-    if p.stash_size:
-        enc = _stash_encodings(elements, session.seeds, p)
-        d_st = _bob_reply(
-            c_st, np.broadcast_to(enc, (p.stash_size, p.n)), stash_inv, q
-        )
-        send_elements(channel, BOB_D, d_st.ravel(), p.modulus)
+    invs = {"bins": bins_inv, "stash": stash_inv}
+    enc = None
+    for cut in down:
+        if cut.section == "bins":
+            enc_rows = table.bins[cut.rows]
+        else:
+            if enc is None:
+                enc = _stash_encodings(elements, session.seeds, p)
+            enc_rows = np.broadcast_to(enc[cut.cols], cut.shape)
+        inv = invs[cut.section]
+        inv = BobInventory.from_block(inv.modulus, inv.block[cut.rows, cut.cols])
+        d = _bob_reply(c[cut.section][cut.rows], enc_rows, inv, q)
+        send_elements(channel, BOB_D, d, p.modulus)
 
     sent = channel.stats.elements_sent - sent0
     received = channel.stats.elements_received - recv0
@@ -319,7 +361,7 @@ def _bob_reply(c, enc_rows, inv, q):
     """d[i, j] = (c[i] + enc[i, j] + s_B[i, j]) * r_B_inv[i, j], chunked."""
     rows, slot = enc_rows.shape
     out = np.empty((rows, slot), dtype=dtype_for(q))
-    step = max(1, _CHUNK // max(slot, 1))
+    step = max(1, _BLOCK // max(slot, 1))
     c = c.astype(work_dtype(q))
     for lo in range(0, rows, step):
         hi = min(rows, lo + step)

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .field import PrimeModulus, smallest_prime_at_least
+from .modvec import MAX_Q
 
 # Bin-count factors per hash-function count: alpha = ceil(factor * n).
 ALPHA_FACTORS = {
@@ -157,6 +158,11 @@ def derive_params(n, k, sigma=32, lam=40, stash_size=None):
     if sigma2 < 1:
         raise ValueError(f"sigma={sigma} too small for alpha={alpha}")
     modulus = smallest_prime_at_least((k << sigma2) + 2)
+    if modulus.q >= MAX_Q:
+        raise ValueError(
+            f"sigma={sigma} needs bin modulus q={modulus.q}; the field arithmetic "
+            f"supports q < 2^31"
+        )
 
     row = PARAM_TABLE.get((n, k))
     if row is not None:

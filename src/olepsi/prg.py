@@ -84,7 +84,7 @@ class Prg:
         while have < count:
             need = count - have
             draw = min(int(need / rate * 1.05) + 16, 1 << 22)
-            vals = unpack_words(self.read(draw * width), width, draw, word) & mask
+            vals = unpack_words(self.read(draw * width), 8 * width, draw, word) & mask
             keep = vals < q
             if reject_zero:
                 keep &= vals != 0

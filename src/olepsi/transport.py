@@ -1,13 +1,16 @@
 """Framed, bit-accounted message exchange between the parties.
 
 Wire format: 4-byte big-endian payload length, 1 type byte, payload.
-Field elements travel packed at byte granularity (little-endian,
-modulus.byte_len each); the accounting layer tracks the theoretical
-bit cost (elements times ceil(log2 q)) separately so communication
-tables stay reproducible regardless of byte rounding.
+Field elements travel bit-packed at modulus.bit_len bits each
+(little-endian bit order, the last byte zero-padded; see codec.py). An
+element frame's length is fixed by the element count the protocol expects,
+so a receiver checks the header before reading any payload. The
+accounting layer tracks the theoretical bit cost (elements times
+ceil(log2 q)) next to the bytes on the wire.
 
 Two channel backends: a queue-based in-memory pair for tests and
-single-process runs, and TCP sockets for real two-process runs.
+single-process runs, and TCP sockets for real two-process runs. Both give
+up on a peer that sends nothing for `timeout` seconds (PeerTimeout).
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .codec import pack_words, unpack_words
+from .codec import pack_words, packed_len, unpack_words
 from .modvec import dtype_for
 
 SETUP = 1
@@ -45,6 +48,10 @@ class TransportError(Exception):
 
 class ChannelClosed(TransportError):
     """Peer hung up or the stream ended mid-frame."""
+
+
+class PeerTimeout(ChannelClosed):
+    """The peer sent nothing within the channel's timeout."""
 
 
 class OversizeFrame(TransportError):
@@ -135,7 +142,7 @@ class InMemoryChannel(Channel):
             try:
                 chunk = self._in.get(timeout=self._timeout)
             except queue.Empty:
-                raise ChannelClosed("timed out waiting for peer") from None
+                raise PeerTimeout(f"no data from peer for {self._timeout} s") from None
             if chunk is None:
                 self._eof = True
                 continue
@@ -155,28 +162,36 @@ def memory_channel_pair(timeout=120.0):
 
 
 class TcpChannel(Channel):
-    def __init__(self, sock):
+    def __init__(self, sock, timeout=120.0):
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        sock.settimeout(timeout)
         self._sock = sock
+        self._timeout = timeout
         self.stats = CommStats()
 
     def send_bytes(self, data):
         try:
             self._sock.sendall(data)
+        except TimeoutError:
+            raise PeerTimeout(f"peer took no data for {self._timeout} s") from None
         except OSError as e:
             raise ChannelClosed(str(e)) from None
 
     def recv_bytes(self, n):
-        buf = bytearray()
-        while len(buf) < n:
+        buf = bytearray(n)
+        view = memoryview(buf)
+        got = 0
+        while got < n:
             try:
-                chunk = self._sock.recv(min(n - len(buf), 1 << 20))
+                k = self._sock.recv_into(view[got:])
+            except TimeoutError:
+                raise PeerTimeout(f"no data from peer for {self._timeout} s") from None
             except OSError as e:
                 raise ChannelClosed(str(e)) from None
-            if not chunk:
+            if not k:
                 raise ChannelClosed("stream ended mid-message")
-            buf += chunk
-        return bytes(buf)
+            got += k
+        return buf
 
     def close(self):
         try:
@@ -213,62 +228,70 @@ def tcp_connect(host, port, attempts=40, delay=0.25):
     raise ChannelClosed(f"could not connect to {host}:{port}: {last}")
 
 
-def send_frame(channel, frame, *, elements=0, bit_len=0):
-    """Write one frame; the element counters feed the bit accounting."""
-    if frame.msg_type not in FRAME_TYPES:
-        raise UnknownType(f"frame type {frame.msg_type}")
-    n = len(frame.payload)
-    if n > MAX_PAYLOAD:
-        raise OversizeFrame(f"{n} byte payload")
-    channel.send_bytes(_HEAD.pack(n, frame.msg_type) + frame.payload)
-    channel.stats.add_sent(_HEAD.size + n, elements, bit_len)
+def _check_head(n, msg_type, limit):
+    if msg_type not in FRAME_TYPES:
+        raise UnknownType(f"frame type {msg_type}")
+    if n > limit:
+        raise OversizeFrame(f"{n} byte payload, limit {limit}")
 
 
-def recv_frame(channel, *, elements_of=None, max_payload=MAX_PAYLOAD):
-    """Read one frame.  elements_of: modulus used to count received elements.
+def send_frame(channel, frame):
+    """Write one frame."""
+    _check_head(len(frame.payload), frame.msg_type, MAX_PAYLOAD)
+    channel.send_bytes(_HEAD.pack(len(frame.payload), frame.msg_type) + frame.payload)
+    channel.stats.add_sent(_HEAD.size + len(frame.payload))
+
+
+def recv_frame(channel, *, max_payload=MAX_PAYLOAD):
+    """Read one frame.
 
     A header declaring more than max_payload (capped at MAX_PAYLOAD) bytes
     raises OversizeFrame before any of the payload is read.
     """
-    head = channel.recv_bytes(_HEAD.size)
-    n, msg_type = _HEAD.unpack(head)
-    if msg_type not in FRAME_TYPES:
-        raise UnknownType(f"frame type {msg_type}")
-    limit = min(max_payload, MAX_PAYLOAD)
-    if n > limit:
-        raise OversizeFrame(f"{n} byte payload, limit {limit}")
+    n, msg_type = _HEAD.unpack(channel.recv_bytes(_HEAD.size))
+    _check_head(n, msg_type, min(max_payload, MAX_PAYLOAD))
     payload = channel.recv_bytes(n)
-    elements = bit_len = 0
-    if elements_of is not None and n:
-        elements = n // elements_of.byte_len
-        bit_len = elements_of.bit_len
-    channel.stats.add_received(_HEAD.size + n, elements, bit_len)
+    channel.stats.add_received(_HEAD.size + n)
     return Frame(msg_type, payload)
 
 
 def send_elements(channel, msg_type, values, modulus):
-    """Pack a vector of field elements into one frame and send it."""
+    """Bit-pack a vector of field elements into one frame and send it.
+
+    The header and the packed payload share one buffer, so the frame goes
+    out in one send_bytes call without a concatenating copy."""
     values = np.asarray(values)
-    payload = pack_words(values, modulus.byte_len)
-    send_frame(
-        channel,
-        Frame(msg_type, payload),
-        elements=values.size,
-        bit_len=modulus.bit_len,
-    )
+    bits = modulus.bit_len
+    n = packed_len(values.size, bits)
+    _check_head(n, msg_type, MAX_PAYLOAD)
+    buf = bytearray(_HEAD.size + n)
+    _HEAD.pack_into(buf, 0, n, msg_type)
+    pack_words(values, bits, out=memoryview(buf)[_HEAD.size :])
+    channel.send_bytes(buf)
+    channel.stats.add_sent(len(buf), values.size, bits)
 
 
-def recv_elements(channel, expect_type, modulus, max_count):
-    """Receive one frame of at most max_count packed elements; enforces the
-    frame type.  The count is checked against the frame header, so a peer
-    cannot make us read or allocate more than the protocol needs."""
-    frame = recv_frame(channel, elements_of=modulus, max_payload=max_count * modulus.byte_len)
-    if frame.msg_type != expect_type:
-        raise UnexpectedType(f"wanted type {expect_type}, got {frame.msg_type}")
-    if len(frame.payload) % modulus.byte_len:
-        raise TransportError("payload is not a whole number of elements")
-    count = len(frame.payload) // modulus.byte_len
-    vals = unpack_words(frame.payload, modulus.byte_len, count, dtype_for(modulus.q))
+def recv_elements(channel, expect_type, modulus, count):
+    """Receive one frame of exactly `count` packed elements of the expected
+    type. The header must declare exactly their packed length, which is
+    checked before any payload is read, so a peer cannot make us wait for
+    or allocate more than the protocol needs."""
+    bits = modulus.bit_len
+    need = packed_len(count, bits)
+    n, msg_type = _HEAD.unpack(channel.recv_bytes(_HEAD.size))
+    _check_head(n, msg_type, need)
+    if msg_type != expect_type:
+        raise UnexpectedType(f"wanted type {expect_type}, got {msg_type}")
+    if n != need:
+        raise TransportError(
+            f"{n} byte payload is not {count} whole elements of {bits} bits ({need} bytes)"
+        )
+    payload = channel.recv_bytes(n)
+    channel.stats.add_received(_HEAD.size + n, count, bits)
+    try:
+        vals = unpack_words(payload, bits, count, dtype_for(modulus.q))
+    except ValueError as e:
+        raise TransportError(str(e)) from None
     if count and int(vals.max()) >= modulus.q:
         raise TransportError("element out of field range")
     return vals

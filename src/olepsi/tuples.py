@@ -58,7 +58,11 @@ class AliceInventory:
 
 
 class BobInventory:
-    """Bob's halves of `count` batches: r_B, r_B_inv, s_B all (count, L)."""
+    """Bob's halves of `count` batches: r_B, r_B_inv, s_B all (count, L).
+
+    The three are views into one (count, L, 3) block, interleaved per slot
+    as in the tuple file, so the token and the file write read the block
+    as it is."""
 
     def __init__(self, modulus, r_B, r_B_inv, s_B):
         r_B = _as_int_array(r_B)
@@ -66,10 +70,22 @@ class BobInventory:
         s_B = _as_int_array(s_B)
         if not (r_B.shape == r_B_inv.shape == s_B.shape) or r_B.ndim != 2:
             raise ValueError("r_B, r_B_inv, s_B must share one (count, L) shape")
+        block = np.empty(r_B.shape + (3,), dtype=np.result_type(r_B, r_B_inv, s_B))
+        block[:, :, 0] = r_B
+        block[:, :, 1] = r_B_inv
+        block[:, :, 2] = s_B
         self.modulus = modulus
-        self.r_B = r_B
-        self.r_B_inv = r_B_inv
-        self.s_B = s_B
+        self.block = block
+
+    @classmethod
+    def from_block(cls, modulus, block):
+        """Wrap a (count, L, 3) block of (r_B, r_B_inv, s_B) slots without copying."""
+        if block.ndim != 3 or block.shape[2] != 3:
+            raise ValueError("block must be (count, L, 3)")
+        inv = cls.__new__(cls)
+        inv.modulus = modulus
+        inv.block = block
+        return inv
 
     @classmethod
     def from_r_b_s_b(cls, modulus, r_B, s_B):
@@ -78,11 +94,23 @@ class BobInventory:
         return cls(modulus, r_B, inv, s_B)
 
     @property
+    def r_B(self):
+        return self.block[:, :, 0]
+
+    @property
+    def r_B_inv(self):
+        return self.block[:, :, 1]
+
+    @property
+    def s_B(self):
+        return self.block[:, :, 2]
+
+    @property
     def slot_len(self):
-        return self.r_B.shape[1]
+        return self.block.shape[1]
 
     def __len__(self):
-        return self.r_B.shape[0]
+        return self.block.shape[0]
 
 
 def validate_inventories(alice, bob):
@@ -108,12 +136,11 @@ def validate_inventories(alice, bob):
 
 def _alice_payload(inv):
     block = np.concatenate([inv.s_A[:, None], inv.r_A], axis=1)
-    return pack_words(block, inv.modulus.byte_len)
+    return pack_words(block, 8 * inv.modulus.byte_len)
 
 
 def _bob_payload(inv):
-    block = np.stack([inv.r_B, inv.r_B_inv, inv.s_B], axis=2)
-    return pack_words(block, inv.modulus.byte_len)
+    return pack_words(inv.block, 8 * inv.modulus.byte_len)
 
 
 def _section_header(modulus, count, slot_len, token, side=SIDE_BOB):
@@ -177,7 +204,7 @@ def load_inventories(path, side):
                 data = f.read(need)
                 if len(data) < need:
                     raise TupleFileError("truncated alice section payload")
-                block = unpack_words(data, width, count * (1 + slot_len), kind)
+                block = unpack_words(data, 8 * width, count * (1 + slot_len), kind)
                 block = block.reshape(count, 1 + slot_len)
                 out.append(AliceInventory(modulus, block[:, 0], block[:, 1:]))
             else:
@@ -185,13 +212,8 @@ def load_inventories(path, side):
                 data = f.read(need)
                 if len(data) < need:
                     raise TupleFileError("truncated bob section payload")
-                block = unpack_words(data, width, count * slot_len * 3, kind)
-                block = block.reshape(count, slot_len, 3)
-                out.append(
-                    BobInventory(
-                        modulus, block[:, :, 0], block[:, :, 1], block[:, :, 2]
-                    )
-                )
+                block = unpack_words(data, 8 * width, count * slot_len * 3, kind)
+                out.append(BobInventory.from_block(modulus, block.reshape(count, slot_len, 3)))
     if token is None:
         raise TupleFileError("empty tuple file")
     return out, token

@@ -191,6 +191,25 @@ class TestRun:
         assert rcs["a"] == 3
         assert "token" in capsys.readouterr().err
 
+    def test_silent_peer_is_io_error(self, tmp_path, tuple_files, monkeypatch, capsys):
+        # the peer accepts and never sends; a short channel timeout stands
+        # in for the default one
+        import olepsi.cli as cli
+        from olepsi.transport import TcpChannel
+
+        monkeypatch.setattr(cli, "tcp_connect", lambda host, port: TcpChannel(
+            socket.create_connection((host, port)), timeout=0.5))
+        srv = socket.create_server(("127.0.0.1", 0))
+        s = write_set(tmp_path / "s.txt", [1])
+        try:
+            rc = invoke(["run", "--role", "bob", "--set", s,
+                         "--tuples", tuple_files[1],
+                         "--connect", f"127.0.0.1:{srv.getsockname()[1]}"] + BASE)
+        finally:
+            srv.close()
+        assert rc == 4
+        assert "no data from peer" in capsys.readouterr().err
+
     def test_missing_tuples_is_io_error(self, tmp_path, capsys):
         s = write_set(tmp_path / "s.txt", [1])
         rc = invoke(["run", "--role", "alice", "--set", s,

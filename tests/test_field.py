@@ -152,10 +152,16 @@ def test_is_prime_against_oracle():
 
 def test_bytes_examples():
     q = PrimeModulus(6151)
-    assert bytes(pack_words(np.array([516, 0]), q.byte_len)) == bytes([0x04, 0x02, 0, 0])
-    assert unpack_words(bytes([0x04, 0x02]), 2, 1, np.uint16).tolist() == [516]
-    # received words are checked against q and against the word width
-    for payload, match in ((bytes([0xFF, 0xFF]), "range"), (bytes([0x01]), "whole")):
+    assert bytes(pack_words(np.array([516, 0]), 8 * q.byte_len)) == bytes([0x04, 0x02, 0, 0])
+    assert unpack_words(bytes([0x04, 0x02]), 16, 1, np.uint16).tolist() == [516]
+    # 13-bit words: 516 then 1 is 516 + (1 << 13), zero-padded to 4 bytes
+    assert bytes(pack_words(np.array([516, 1]), q.bit_len)) == bytes([0x04, 0x22, 0, 0])
+    # received words are checked against q, the pad bits and the word width
+    for payload, match in (
+        (bytes([0xFF, 0x1F]), "range"),
+        (bytes([0x04, 0x22]), "pad"),
+        (bytes([0x01]), "whole"),
+    ):
         chan_a, chan_b = memory_channel_pair(timeout=2.0)
         send_frame(chan_a, Frame(ALICE_C, payload))
         with pytest.raises(TransportError, match=match):
@@ -232,7 +238,7 @@ def test_inverse_property(case):
 def test_bytes_roundtrip(case):
     q, a, _ = case
     m = PrimeModulus(q)
-    encoded = bytes(pack_words(np.array([a]), m.byte_len))
+    encoded = bytes(pack_words(np.array([a]), 8 * m.byte_len))
     assert len(encoded) == m.byte_len
     assert encoded == a.to_bytes(m.byte_len, "little")
-    assert unpack_words(encoded, m.byte_len, 1, dtype_for(q)).tolist() == [a]
+    assert unpack_words(encoded, 8 * m.byte_len, 1, dtype_for(q)).tolist() == [a]

@@ -169,8 +169,10 @@ def test_bin_table_slot_order_is_fresh_per_build():
 
 
 def test_bin_table_rejects_sigma_too_wide_to_shuffle():
-    # bin and encoding bits would leave no room for the random sort key
-    p = derive_params(1 << 10, 2, sigma=60)
+    # bin and encoding bits would leave no room for the random sort key:
+    # 18 bin bits and 30 encoding bits leave 15 of 63, with q still < 2^31
+    p = derive_params(1 << 16, 2, sigma=46)
+    assert p.modulus.q < 1 << 31
     with pytest.raises(ValueError):
         build_bin_table([1, 2], p, fixed_seeds(2))
 

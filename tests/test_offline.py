@@ -148,14 +148,15 @@ def test_dealer_micro_run_stub(monkeypatch):
 
     def fake_bob(seed, modulus, count, slot_len, domain):
         shape = (count, slot_len)
-        return (
+        return BobInventory(
+            modulus,
             np.full(shape, 3, dtype=np.int64),
             np.full(shape, 4, dtype=np.int64),
             np.full(shape, 2, dtype=np.int64),
         )
 
     monkeypatch.setattr(dealer_mod, "expand_s_a", fake_s_a)
-    monkeypatch.setattr(dealer_mod, "expand_bob_arrays", fake_bob)
+    monkeypatch.setattr(dealer_mod, "expand_bob_inventory", fake_bob)
     # sections (1, 1) of bins and (0, 1) of stash over F_11
     p = SimpleNamespace(modulus=M11, beta=1, stash_size=0, n=1)
     msg = dealer_mod.dealer_generate(Seed(bytes(32)), Seed(bytes([1]) * 32), 1, p)

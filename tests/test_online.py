@@ -6,6 +6,8 @@ against brute-force set intersection, which is the natural frozen oracle.
 """
 
 import dataclasses
+import importlib.util
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -13,6 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from olepsi import online
+from olepsi.codec import packed_len
 from olepsi.field import PrimeModulus
 from olepsi.hashing import BinOverflow, build_cuckoo_table
 from olepsi.offline import BACKENDS, gen_seeded, generate_psi_inventories
@@ -25,17 +29,20 @@ from olepsi.online import (
     PsiSession,
     SeedMismatch,
     TupleExhausted,
+    _setup_payload,
     derive_hash_seeds,
+    frame_plan,
     ot_via_psi,
     psi_alice,
     psi_bob,
 )
-from olepsi.params import derive_params
+from olepsi.params import PARAM_TABLE, derive_params
 from olepsi.prg import Seed
 from olepsi.runner import make_sessions, psi_once, run_psi_pair, small_psi_engine
 from olepsi.transport import (
     _HEAD,
     ALICE_C,
+    MAX_PAYLOAD,
     SETUP,
     Frame,
     OversizeFrame,
@@ -46,6 +53,7 @@ from olepsi.transport import (
 from olepsi.tuples import BobInventory, inventory_token
 
 M11 = PrimeModulus(11)
+_TRACING = Path(__file__).resolve().parents[1] / "benchmark" / "tracing.py"
 
 
 def _ints(*rows):
@@ -384,7 +392,7 @@ def test_wire_token_matches_inventory_token():
     p = derive_params(16, 3, sigma=16)
     _, bob_secs = generate_psi_inventories("seed", p, Seed(b"\x09" * 32))
     assert len(inventory_token(bob_secs)) == 16
-    assert PROTOCOL_VERSION == 1
+    assert PROTOCOL_VERSION == 2
 
 
 class TestOtViaPsi:
@@ -432,3 +440,84 @@ def test_random_instances_small_sweep():
         a, b = make_sessions(p, master_seed=Seed(bytes([trial] * 32)))
         result, _, _ = run_psi_pair(a, x, b, y)
         assert result == x & y
+
+
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location("benchmark_tracing", _TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.Tracer
+
+
+@pytest.mark.parametrize("n, k", sorted(PARAM_TABLE))
+def test_frame_plan_bounded_at_every_table_row(n, k):
+    # computed from the parameters alone: nothing of size n is allocated
+    p = derive_params(n, k)
+    up, down = frame_plan(p)
+    for cut in up + down:
+        assert 0 < cut.count <= online._CHUNK
+        assert packed_len(cut.count, p.modulus.bit_len) < MAX_PAYLOAD
+    assert sum(cut.count for cut in up) == p.alpha + p.stash_size
+    assert sum(cut.count for cut in down) == p.alpha * p.beta + p.stash_size * p.n
+    # each section's frames tile its rows x columns in row-major order
+    for cuts, widths in ((up, {"bins": 1, "stash": 1}), (down, {"bins": p.beta, "stash": p.n})):
+        pos = {"bins": 0, "stash": 0}
+        for cut in cuts:
+            width = widths[cut.section]
+            assert cut.rows.start * width + cut.cols.start == pos[cut.section]
+            pos[cut.section] += cut.count
+        assert pos == {"bins": p.alpha * widths["bins"], "stash": p.stash_size * widths["stash"]}
+
+
+@pytest.mark.parametrize("chunk", [None, 1000])
+def test_traced_psi_bytes_and_frames_match_stats_and_plan(monkeypatch, chunk):
+    # chunk 1000 cuts Bob's reply into many bin ranges and every n = 1024
+    # stash row into two pieces
+    if chunk is not None:
+        monkeypatch.setattr(online, "_CHUNK", chunk)
+    p = derive_params(1 << 10, 2)
+    assert p.stash_size > 0
+    rng = np.random.default_rng(10)
+    pool = rng.choice(1 << 32, size=2 * p.n - 300, replace=False).tolist()
+    x, y = set(pool[: p.n]), set(pool[p.n - 300 :])
+    a, b = make_sessions(p, master_seed=Seed(b"\x0b" * 32))
+    tracer = _load_tracer()(run_id=0, process="test")
+    tracer.install()
+    try:
+        result, sa, sb = run_psi_pair(a, x, b, y)
+    finally:
+        tracer.uninstall()
+    assert result == x & y
+    values = tracer.layer_values()
+    traced = sum(values[f"transport.bytes.{kind}"] for kind in ("setup", "alice_c", "bob_d"))
+    assert traced == sa.bytes_sent + sb.bytes_sent == sa.bytes_sent + sa.bytes_received
+    up, down = frame_plan(p)
+    assert values["transport.frames"] == len(up) + len(down) + 2  # and two SETUP frames
+    if chunk is not None:
+        assert len(down) > 4
+
+
+def test_stash_match_found_across_cut_rows(monkeypatch):
+    # the stash path of test_psi_stash_path_end_to_end with every n = 64
+    # stash row cut into four frames
+    monkeypatch.setattr(online, "_CHUNK", 16)
+    p = derive_params(64, 2, sigma=16, stash_size=4)
+    master = Seed((25).to_bytes(32, "little"))
+    rng = np.random.default_rng(25)
+    x = set(map(int, rng.choice(1 << 16, size=64, replace=False)))
+    a, b = make_sessions(p, master_seed=master)
+    stash_item = int(build_cuckoo_table(x, p, seeds=a.seeds).stash[0])
+    y = set(sorted(x)[:10]) | {stash_item, 65535, 40000}
+    result, sa, _ = run_psi_pair(a, x, b, y)
+    assert result == x & y
+    assert stash_item in result
+    assert sa.elements_received == p.alpha * p.beta + p.stash_size * p.n
+
+
+def test_protocol_version_1_peer_rejected_at_setup():
+    p = derive_params(16, 3, sigma=16)
+    a, b = make_sessions(p, master_seed=Seed(bytes(32)))
+    chan_peer, chan = memory_channel_pair(timeout=5.0)
+    send_frame(chan_peer, Frame(SETUP, bytes([1]) + _setup_payload(a)[1:]))
+    with pytest.raises(SeedMismatch, match="version 1"):
+        psi_bob(b, {1}, chan)

@@ -69,6 +69,13 @@ def test_unsupported_k_rejected():
         derive_params(1 << 10, 1)
 
 
+def test_modulus_limit_enforced_at_derivation():
+    # sigma = 40 at n = 256, k = 3 would need q = 12884901893
+    with pytest.raises(ValueError, match="2\\^31"):
+        derive_params(256, 3, sigma=40)
+    assert derive_params(256, 3, sigma=36).modulus.q < 1 << 31
+
+
 def test_derive_beta_single_ball():
     assert derive_beta(1, 1, 1, 0) == 1
 
@@ -153,6 +160,12 @@ def test_params_digest_distinguishes():
     k=st.sampled_from([2, 3, 4]),
 )
 def test_derived_invariants_hold(n, k):
+    alpha = -((-ALPHA_FACTORS[k].numerator * n) // ALPHA_FACTORS[k].denominator)
+    if k << (32 - (alpha.bit_length() - 1)) >= 1 << 31:
+        # at tiny n, sigma = 32 leaves so many suffix bits that q >= 2^31
+        with pytest.raises(ValueError, match="2\\^31"):
+            derive_params(n, k)
+        return
     p = derive_params(n, k)
     assert p.alpha >= n
     assert p.sigma1 + p.sigma2 == p.sigma

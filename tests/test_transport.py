@@ -1,5 +1,6 @@
 """Framing, channels, and communication accounting."""
 
+import socket
 import struct
 import threading
 from fractions import Fraction
@@ -7,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from olepsi.codec import packed_len
 from olepsi.field import PrimeModulus
 from olepsi.transport import (
     ALICE_C,
@@ -16,6 +18,8 @@ from olepsi.transport import (
     CommStats,
     Frame,
     OversizeFrame,
+    PeerTimeout,
+    TcpChannel,
     TcpListener,
     TransportError,
     UnexpectedType,
@@ -30,6 +34,12 @@ from olepsi.transport import (
 )
 
 Q6151 = PrimeModulus(6151)
+
+
+def _packed(vals, bits):
+    """The bit-packed payload, built from one Python int."""
+    word = sum(v << (i * bits) for i, v in enumerate(vals))
+    return word.to_bytes(packed_len(len(vals), bits), "little")
 
 
 def test_empty_payload_roundtrip():
@@ -94,11 +104,20 @@ def test_oversize_frame_rejected():
         send_frame(a, Frame(SETUP, Huge()))
 
 
-def test_element_frame_over_expected_count_fails_at_header():
-    # the peer sends only an ALICE_C header declaring one element too many:
-    # the error comes from the header, before any wait for the payload
+def test_element_frame_short_of_expected_count_fails_at_header():
     a, b = memory_channel_pair(timeout=5.0)
-    a.send_bytes(struct.pack(">IB", 4 * Q6151.byte_len, ALICE_C))
+    a.send_bytes(struct.pack(">IB", packed_len(2, Q6151.bit_len), ALICE_C))
+    with pytest.raises(TransportError, match="whole"):
+        recv_elements(b, ALICE_C, Q6151, 3)
+    assert b.stats.bytes_received == 0
+
+
+def test_element_frame_over_expected_count_fails_at_header():
+    # the peer sends only an ALICE_C header declaring one element too many
+    # (four 13-bit elements, 7 bytes, where three take 5): the error comes
+    # from the header, before any wait for the payload
+    a, b = memory_channel_pair(timeout=5.0)
+    a.send_bytes(struct.pack(">IB", packed_len(4, Q6151.bit_len), ALICE_C))
     with pytest.raises(OversizeFrame):
         recv_elements(b, ALICE_C, Q6151, 3)
     assert b.stats.bytes_received == 0
@@ -121,10 +140,9 @@ def test_element_range_checked_on_recv():
 @pytest.mark.parametrize("q", [6151, 786449])
 def test_element_at_or_above_q_raises_transport_error(q):
     m = PrimeModulus(q)
-    for bad in (q, (1 << (8 * m.byte_len)) - 1):
+    for bad in (q, (1 << m.bit_len) - 1):
         a, b = memory_channel_pair()
-        payload = b"".join(v.to_bytes(m.byte_len, "little") for v in (1, bad, 0))
-        send_frame(a, Frame(ALICE_C, payload))
+        send_frame(a, Frame(ALICE_C, _packed([1, bad, 0], m.bit_len)))
         with pytest.raises(TransportError):
             recv_elements(b, ALICE_C, m, 3)
 
@@ -133,14 +151,14 @@ def test_element_at_or_above_q_raises_transport_error(q):
     "q", [251, 65521, 16777213, 4294967291, 1099511627689, (1 << 62) - 57]
 )
 def test_element_codec_roundtrip_at_field_ends(q):
-    # widths 1-5 and 8: 0 and q-1 travel as little-endian byte_len-byte words
+    # 8 to 62 bits: 0 and q-1 travel as little-endian bit_len-bit words
     m = PrimeModulus(q)
     vals = [0, q - 1, 1]
     a, b = memory_channel_pair()
     send_elements(a, BOB_D, np.array(vals), m)
     send_elements(a, BOB_D, np.array(vals), m)
     frame = recv_frame(b)
-    assert frame.payload == b"".join(v.to_bytes(m.byte_len, "little") for v in vals)
+    assert frame.payload == _packed(vals, m.bit_len)
     got = recv_elements(b, BOB_D, m, 3)
     assert [int(v) for v in got] == vals
 
@@ -153,7 +171,7 @@ def test_element_vector_roundtrip_and_dtype():
     got = recv_elements(b, BOB_D, Q6151, 1000)
     assert got.dtype == np.uint16
     assert (got == vals).all()
-    assert a.stats.bytes_sent == 5 + 2000
+    assert a.stats.bytes_sent == 5 + 13000 // 8
     assert a.stats.theoretical_bits_sent == 13000
 
 
@@ -208,7 +226,7 @@ def test_tcp_peer_hangup_raises():
 
 
 def test_byte_overhead_within_bound_for_default_sets():
-    # byte rounding + framing stays under 20% for the default field sizes
+    # bit packing leaves only the header and the last byte's pad: under 1%
     for n, k in ((1 << 10, 3), (1 << 20, 3)):
         from olepsi.params import derive_params
 
@@ -217,4 +235,28 @@ def test_byte_overhead_within_bound_for_default_sets():
         batch = np.arange(977) % p.modulus.q
         send_elements(a, ALICE_C, batch, p.modulus)
         wire_bits = 8 * a.stats.bytes_sent
-        assert wire_bits <= 1.2 * a.stats.theoretical_bits_sent
+        assert wire_bits <= 1.01 * a.stats.theoretical_bits_sent
+
+
+def test_tcp_silent_peer_times_out():
+    # the peer accepts and then never sends: the read gives up after the
+    # channel's timeout instead of hanging
+    listener = TcpListener("127.0.0.1", 0)
+    done = threading.Event()
+
+    def server():
+        ch = listener.accept()
+        done.wait(30)
+        ch.close()
+
+    t = threading.Thread(target=server)
+    t.start()
+    ch = TcpChannel(socket.create_connection(("127.0.0.1", listener.port)), timeout=0.5)
+    try:
+        with pytest.raises(PeerTimeout):
+            recv_frame(ch)
+    finally:
+        done.set()
+        t.join()
+        listener.close()
+        ch.close()
