@@ -5,6 +5,9 @@ Bin index = (h_j(x2) + x1) mod alpha, which absorbs the prefix injectively
 because 2^sigma1 <= alpha, so tables only store the suffix together with the
 hash index that placed it: enc = j * 2^sigma2 + x2. Empty slots hold one of
 two reserved dummy encodings (one per party) that can never match anything.
+
+Items Alice stashes have no bin, so stash comparisons use stash_encode: a
+keyed 64-bit mixer of the whole element, reduced into the same range.
 """
 
 import hashlib
@@ -95,9 +98,9 @@ def keyed_hash(seed, x, range_size):
 
 def _hash_words(prefix, values):
     """uint64 array: the first 8 digest bytes (little-endian) of
-    sha256(prefix + v.to_bytes(8, "little")) for each v, as _hash_raw and
-    keyed_hash compute them one at a time. The prefix is hashed once and
-    copied per value."""
+    sha256(prefix + v.to_bytes(8, "little")) for each v, as _hash_raw
+    computes them one at a time. The prefix is hashed once and copied per
+    value."""
     buf = np.asarray(values, dtype="<u8").tobytes()
     copy = hashlib.sha256(prefix).copy
     digests = []
@@ -113,11 +116,20 @@ def _hash_words(prefix, values):
 def stash_encode(xs, seeds, params):
     """Field encodings of full elements for stash comparisons, one per element.
 
-    Entry t equals keyed_hash(seeds.keyed_seed, xs[t], dummy_alice), reduced
-    into [0, k * 2^sigma2) so it can never equal a dummy encoding.
+    z = x XOR (the first 8 keyed-seed bytes, little-endian), then the murmur3
+    fmix64 finalizer on uint64 with wraparound, reduced mod dummy_alice: so
+    every encoding lies in [0, k * 2^sigma2) and can never equal a dummy.
+    One numpy pass over the whole array.
     """
-    words = _hash_words(seeds.keyed_seed, xs)
-    return (words % params.dummy_alice).astype(np.int64)
+    z = np.array(xs, dtype=np.uint64)
+    z ^= np.frombuffer(seeds.keyed_seed[:8], dtype="<u8")[0]
+    z ^= z >> 33
+    z *= 0xFF51AFD7ED558CCD
+    z ^= z >> 33
+    z *= 0xC4CEB9FE1A85EC53
+    z ^= z >> 33
+    z %= params.dummy_alice
+    return z.astype(np.int64)
 
 
 def invert_placement(i, enc, seeds, params):
@@ -262,7 +274,8 @@ def _try_build_cuckoo(arr, params, seeds, budget):
 class BinTable:
     """Bob's table: every element under each of its k hashes, padded to beta."""
 
-    bins: np.ndarray  # shape (alpha, beta), dummy_bob padding
+    bins: np.ndarray      # shape (alpha, beta), dummy_bob padding
+    elements: np.ndarray  # the input set as a sorted int64 array
     seeds: HashSeeds
     params: object
 
@@ -280,7 +293,7 @@ def build_bin_table(elements, params, seeds):
 
     table = np.full((alpha, beta), params.dummy_bob, dtype=dtype_for(params.dummy_bob + 1))
     if arr.size == 0:
-        return BinTable(bins=table, seeds=seeds, params=params)
+        return BinTable(bins=table, elements=arr, seeds=seeds, params=params)
 
     all_bins = _candidate_bins(arr, seeds, params).ravel()
     all_encs = np.concatenate([(j << sigma2) + (arr & mask2) for j in range(k)])
@@ -306,4 +319,4 @@ def build_bin_table(elements, params, seeds):
     starts[1:] = np.cumsum(counts)[:-1]
     slots = np.arange(keys.size, dtype=np.int64) - starts[sorted_bins]
     table[sorted_bins, slots] = keys & ((1 << enc_bits) - 1)
-    return BinTable(bins=table, seeds=seeds, params=params)
+    return BinTable(bins=table, elements=arr, seeds=seeds, params=params)

@@ -44,10 +44,12 @@ def expand_bob_inventory(seed, modulus, count, slot_len, domain):
     return BobInventory.from_block(modulus, block)
 
 
-def derive_r_a_arrays(s_A, s_B, r_B_inv, q):
-    """r_A = (s_A + s_B) / r_B per slot, chunked to bound temporaries."""
+def derive_r_a_arrays(s_A, s_B, r_B_inv, q, out=None):
+    """r_A = (s_A + s_B) / r_B per slot, chunked to bound temporaries;
+    written into `out` (count, slot_len) when given."""
     count, slot_len = s_B.shape
-    out = np.empty((count, slot_len), dtype=dtype_for(q))
+    if out is None:
+        out = np.empty((count, slot_len), dtype=dtype_for(q))
     wide = work_dtype(q)
     step = _row_chunk(slot_len)
     for lo in range(0, count, step):

@@ -8,6 +8,9 @@ locally and the offline phase costs zero communication.
 
 from __future__ import annotations
 
+import numpy as np
+
+from ..modvec import dtype_for
 from ..tuples import AliceInventory
 from ._expand import derive_r_a_arrays, expand_bob_inventory, expand_s_a
 
@@ -20,7 +23,9 @@ def gen_seeded(shared_seed, count, modulus, slot_len, *, domain=b"bins"):
     """
     if count < 0:
         raise ValueError("count must be >= 0")
-    s_A = expand_s_a(shared_seed, modulus, count, domain)
     bob = expand_bob_inventory(shared_seed, modulus, count, slot_len, domain)
-    r_A = derive_r_a_arrays(s_A, bob.s_B, bob.r_B_inv, modulus.q)
-    return AliceInventory(modulus, s_A, r_A), bob
+    # s_A and r_A expanded straight into Alice's one (count, 1 + L) block
+    block = np.empty((count, 1 + slot_len), dtype=dtype_for(modulus.q))
+    block[:, 0] = expand_s_a(shared_seed, modulus, count, domain)
+    derive_r_a_arrays(block[:, 0], bob.s_B, bob.r_B_inv, modulus.q, out=block[:, 1:])
+    return AliceInventory.from_block(modulus, block), bob

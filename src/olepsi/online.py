@@ -5,16 +5,20 @@ answers d = (c + enc(y) + s_B) * r_B_inv. Because r_A * r_B = s_A + s_B,
 the reply collapses to d = r_A exactly when the encodings agree, and lands
 uniformly on the rest of the field when they do not. Matching d against the
 precomputed r_A values therefore decides equality with zero error, using
-nothing but field additions and one multiplication per slot.
+nothing but field additions and one multiplication per slot, reduced once.
 
 The set protocol runs the comparison over the hashing layout: one c-value per
 cuckoo bin (alpha + stash_size of them), beta d-values back per bin plus n per
 stash slot. Bins without a real element still send well-formed messages under
-a reserved dummy encoding, so traffic never depends on the inputs. Every
-message is cut into frames of at most _CHUNK elements along a frame plan
-that both sides derive from the parameters alone; Bob computes and sends
-his reply one bin range at a time, and Alice matches each range as it
-arrives.
+a reserved dummy encoding, so traffic never depends on the inputs. Stash
+slots compare whole elements under hashing.stash_encode, a keyed mixer that
+Bob evaluates over his whole set in one numpy pass. Every message is cut
+into frames of at most _CHUNK elements along a frame plan that both sides
+derive from the parameters alone; Bob computes and sends his reply one bin
+range at a time, and Alice matches each range as it arrives.
+
+PROTOCOL_VERSION 3 is the first with that stash encoding; version 2 used a
+keyed SHA-256, so a version-2 peer is refused at SETUP.
 """
 
 import hashlib
@@ -27,12 +31,11 @@ import numpy as np
 from .hashing import (
     HASH_SEED_LEN,
     HashSeeds,
-    as_element_array,
     build_bin_table,
     build_cuckoo_table,
     stash_encode,
 )
-from .modvec import dtype_for, work_dtype
+from .modvec import dtype_for
 from .prg import Prg, Seed
 from .transport import (
     ALICE_C,
@@ -47,7 +50,7 @@ from .transport import (
 )
 from .tuples import TOKEN_LEN, BobInventory
 
-PROTOCOL_VERSION = 2
+PROTOCOL_VERSION = 3
 
 # all-zero token means "inventory digest unknown": the check is skipped
 UNKNOWN_TOKEN = bytes(TOKEN_LEN)
@@ -331,7 +334,7 @@ def psi_bob(session, elements, channel):
             enc_rows = table.bins[cut.rows]
         else:
             if enc is None:
-                enc = _stash_encodings(elements, session.seeds, p)
+                enc = _stash_encodings(table.elements, session.seeds, p)
             enc_rows = np.broadcast_to(enc[cut.cols], cut.shape)
         inv = invs[cut.section]
         inv = BobInventory.from_block(inv.modulus, inv.block[cut.rows, cut.cols])
@@ -357,30 +360,40 @@ def _alice_c(s_A, enc, q):
     return (s_A.astype(np.int64) - enc) % q
 
 
+def _reply_dtype(q):
+    """Unsigned dtype that holds (c + enc + s_B) * r_B_inv unreduced: every
+    term is below q, so the product is below 3 (q - 1)^2. uint32 up to
+    q = 37838, uint64 (below 3 * 2^62) for every q < MAX_Q."""
+    return np.uint32 if 3 * (q - 1) ** 2 < 1 << 32 else np.uint64
+
+
 def _bob_reply(c, enc_rows, inv, q):
-    """d[i, j] = (c[i] + enc[i, j] + s_B[i, j]) * r_B_inv[i, j], chunked."""
+    """d[i, j] = (c[i] + enc[i, j] + s_B[i, j]) * r_B_inv[i, j] mod q, in
+    _BLOCK-element passes with one reduction per slot."""
     rows, slot = enc_rows.shape
     out = np.empty((rows, slot), dtype=dtype_for(q))
     step = max(1, _BLOCK // max(slot, 1))
-    c = c.astype(work_dtype(q))
+    wide = {"dtype": _reply_dtype(q), "casting": "unsafe"}
     for lo in range(0, rows, step):
         hi = min(rows, lo + step)
-        t = (c[lo:hi, None] + enc_rows[lo:hi] + inv.s_B[lo:hi]) % q
-        t *= inv.r_B_inv[lo:hi]
-        t %= q
+        t = np.add(c[lo:hi, None], enc_rows[lo:hi], **wide)
+        np.add(t, inv.s_B[lo:hi], out=t, **wide)
+        np.multiply(t, inv.r_B_inv[lo:hi], out=t, **wide)
+        np.remainder(t, q, out=t, **wide)
         out[lo:hi] = t
     return out
 
 
-def _stash_encodings(elements, seeds, params, rng=None):
-    """Keyed encodings of Bob's whole set, shuffled and padded to n slots.
+def _stash_encodings(arr, seeds, params, rng=None):
+    """Keyed encodings of Bob's whole set (the bin table's sorted int64
+    array), shuffled and padded to n slots, in the bin table's dtype.
 
-    The shuffle hides insertion order from positional matches; padding uses
-    Bob's dummy encoding, which no keyed encoding can equal.
+    The shuffle hides the sorted order, which would tell Alice a match's rank
+    in Bob's set; padding uses Bob's dummy encoding, which no keyed encoding
+    can equal.
     """
-    vals = stash_encode(as_element_array(elements), seeds, params)
-    enc = np.full(params.n, params.dummy_bob, dtype=np.int64)
-    enc[: vals.size] = vals
+    enc = np.full(params.n, params.dummy_bob, dtype=dtype_for(params.dummy_bob + 1))
+    enc[: arr.size] = stash_encode(arr, seeds, params)
     if rng is None:
         rng = np.random.default_rng(list(os.urandom(16)))
     rng.shuffle(enc)

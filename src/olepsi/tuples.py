@@ -38,23 +38,46 @@ def _as_int_array(a):
 
 
 class AliceInventory:
-    """Alice's halves of `count` batches: s_A (count,), r_A (count, L)."""
+    """Alice's halves of `count` batches: s_A (count,), r_A (count, L).
+
+    Both are views into one (count, 1 + L) block, s_A in column 0 as in the
+    tuple file, so the file write reads the block as it is."""
 
     def __init__(self, modulus, s_A, r_A):
         s_A = _as_int_array(s_A)
         r_A = _as_int_array(r_A)
         if r_A.ndim != 2 or s_A.shape != (r_A.shape[0],):
             raise ValueError("s_A must be (count,), r_A must be (count, L)")
+        block = np.empty((r_A.shape[0], 1 + r_A.shape[1]), dtype=np.result_type(s_A, r_A))
+        block[:, 0] = s_A
+        block[:, 1:] = r_A
         self.modulus = modulus
-        self.s_A = s_A
-        self.r_A = r_A
+        self.block = block
+
+    @classmethod
+    def from_block(cls, modulus, block):
+        """Wrap a (count, 1 + L) block of (s_A, r_A...) rows without copying."""
+        if block.ndim != 2 or block.shape[1] < 1:
+            raise ValueError("block must be (count, 1 + L)")
+        inv = cls.__new__(cls)
+        inv.modulus = modulus
+        inv.block = block
+        return inv
+
+    @property
+    def s_A(self):
+        return self.block[:, 0]
+
+    @property
+    def r_A(self):
+        return self.block[:, 1:]
 
     @property
     def slot_len(self):
-        return self.r_A.shape[1]
+        return self.block.shape[1] - 1
 
     def __len__(self):
-        return self.s_A.shape[0]
+        return self.block.shape[0]
 
 
 class BobInventory:
@@ -135,8 +158,7 @@ def validate_inventories(alice, bob):
 
 
 def _alice_payload(inv):
-    block = np.concatenate([inv.s_A[:, None], inv.r_A], axis=1)
-    return pack_words(block, 8 * inv.modulus.byte_len)
+    return pack_words(inv.block, 8 * inv.modulus.byte_len)
 
 
 def _bob_payload(inv):
@@ -205,8 +227,7 @@ def load_inventories(path, side):
                 if len(data) < need:
                     raise TupleFileError("truncated alice section payload")
                 block = unpack_words(data, 8 * width, count * (1 + slot_len), kind)
-                block = block.reshape(count, 1 + slot_len)
-                out.append(AliceInventory(modulus, block[:, 0], block[:, 1:]))
+                out.append(AliceInventory.from_block(modulus, block.reshape(count, 1 + slot_len)))
             else:
                 need = count * slot_len * 3 * width
                 data = f.read(need)

@@ -13,10 +13,13 @@ import threading
 import pytest
 
 from olepsi.cli import main, read_set_file
+from olepsi.hashing import bin_index, build_cuckoo_table, split_element
+from olepsi.online import derive_hash_seeds
 from olepsi.params import derive_params
 from olepsi.tuples import SIDE_ALICE, SIDE_BOB, load_inventories
 
 BASE = ["--n", "64", "--k", "3", "--sigma", "16"]
+BASE_STASH = ["--n", "64", "--k", "2", "--sigma", "16", "--stash", "4"]
 SEED_A = "11" * 32
 SEED_B = "22" * 32
 
@@ -141,7 +144,7 @@ class TestSetFiles:
 
 class TestRun:
     def run_pair(self, tmp_path, tuple_files, x, y, extra_a=(), extra_b=(),
-                 tuples_b=None):
+                 tuples_b=None, base=BASE):
         a_file = write_set(tmp_path / "x.txt", x)
         b_file = write_set(tmp_path / "y.txt", y)
         out = tmp_path / "out.txt"
@@ -152,13 +155,13 @@ class TestRun:
             rcs["a"] = invoke(["run", "--role", "alice", "--set", a_file,
                                "--tuples", tuple_files[0],
                                "--listen", f"127.0.0.1:{port}",
-                               "--out", str(out)] + BASE + list(extra_a))
+                               "--out", str(out)] + base + list(extra_a))
 
         t = threading.Thread(target=alice, daemon=True)
         t.start()
         rcs["b"] = invoke(["run", "--role", "bob", "--set", b_file,
                            "--tuples", tuples_b or tuple_files[1],
-                           "--connect", f"127.0.0.1:{port}"] + BASE + list(extra_b))
+                           "--connect", f"127.0.0.1:{port}"] + base + list(extra_b))
         t.join(timeout=60)
         assert not t.is_alive()
         return rcs, out
@@ -171,6 +174,32 @@ class TestRun:
         got = [int(s) for s in out.read_text().split()]
         assert got == sorted(set(x) & set(y))
         assert got == sorted(got)
+
+    def test_tcp_intersection_with_stash(self, tmp_path):
+        # k=2 with a stash: three of Alice's elements share both candidate
+        # bins, so one of them must go to the stash and is compared through
+        # stash encodings sent over the socket
+        files = str(tmp_path / "a.tup"), str(tmp_path / "b.tup")
+        assert invoke(["offline", "--mode", "seed", "--seed", SEED_A,
+                       "--out-alice", files[0], "--out-bob", files[1]] + BASE_STASH) == 0
+        p = derive_params(64, 2, sigma=16, stash_size=4)
+        seeds = derive_hash_seeds(p, load_inventories(files[1], SIDE_BOB)[1])
+        by_bins = {}
+        for v in range(1 << 16):
+            x1, x2 = split_element(v, p)
+            key = tuple(sorted(bin_index(j, x1, x2, seeds, p) for j in range(2)))
+            by_bins.setdefault(key, []).append(v)
+            if len(by_bins[key]) == 3:
+                break
+        x = by_bins[key] + [v for v in range(1000, 1020) if v not in by_bins[key]]
+        stash = build_cuckoo_table(x, p, seeds=seeds).stash
+        assert stash and stash[0] in by_bins[key]  # the path this test exists for
+        y = [stash[0], 1005, 1006] + list(range(50000, 50030))
+        rcs, out = self.run_pair(tmp_path, files, x, y, base=BASE_STASH)
+        assert rcs == {"a": 0, "b": 0}
+        got = [int(s) for s in out.read_text().split()]
+        assert got == sorted(set(x) & set(y))
+        assert stash[0] in got
 
     def test_stats_flag(self, tmp_path, tuple_files, capsys):
         rcs, _ = self.run_pair(tmp_path, tuple_files, [1, 2], [2, 3],

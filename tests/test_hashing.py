@@ -14,7 +14,6 @@ from olepsi.hashing import (
     build_bin_table,
     build_cuckoo_table,
     invert_placement,
-    keyed_hash,
     split_element,
     stash_encode,
 )
@@ -325,16 +324,45 @@ def test_distinct_elements_distinct_pairs_sigma32():
             seen[key] = int(x)
 
 
+_U64 = (1 << 64) - 1
+
+
+def _stash_encode_ref(x, keyed_seed, range_size):
+    """The stash mixer on one Python int: x XOR the first 8 keyed-seed bytes
+    (little-endian), murmur3's fmix64 mod 2^64, reduced into range_size."""
+    z = x ^ int.from_bytes(keyed_seed[:8], "little")
+    z ^= z >> 33
+    z = z * 0xFF51AFD7ED558CCD & _U64
+    z ^= z >> 33
+    z = z * 0xC4CEB9FE1A85EC53 & _U64
+    z ^= z >> 33
+    return z % range_size
+
+
 def test_stash_encode_range():
     p = derive_params(1 << 8, 2)
     seeds = fixed_seeds(2)
     vals = stash_encode(np.arange(500), seeds, p)
     assert vals.dtype == np.int64 and vals.shape == (500,)
     assert ((0 <= vals) & (vals < p.dummy_alice)).all()
-    assert vals[7] == keyed_hash(seeds.keyed_seed, 7, p.dummy_alice)
-    # one batched call is bit-identical to the scalar keyed hash per element
-    assert vals.tolist() == [keyed_hash(seeds.keyed_seed, x, p.dummy_alice) for x in range(500)]
+    # one batched call is bit-identical to the scalar mixer per element
+    assert vals.tolist() == [
+        _stash_encode_ref(x, seeds.keyed_seed, p.dummy_alice) for x in range(500)
+    ]
     assert stash_encode(np.empty(0, dtype=np.int64), seeds, p).size == 0
+
+
+def test_stash_encode_spreads_consecutive_inputs():
+    """2^16 consecutive elements over the 1024 stash encodings of n=64, k=2,
+    sigma=16: each count is Binomial(2^16, 1/1024), mean 64 and standard
+    deviation 8, and must lie within 6 deviations, in [16, 112], so every
+    encoding is hit."""
+    p = derive_params(64, 2, sigma=16)
+    assert p.dummy_alice == 1024
+    vals = stash_encode(np.arange(1 << 16), fixed_seeds(2), p)
+    counts = np.bincount(vals, minlength=p.dummy_alice)
+    assert counts.size == p.dummy_alice
+    assert counts.min() >= 16 and counts.max() <= 112
 
 
 @settings(max_examples=50, deadline=None)

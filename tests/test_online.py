@@ -19,6 +19,7 @@ from olepsi import online
 from olepsi.codec import packed_len
 from olepsi.field import PrimeModulus
 from olepsi.hashing import BinOverflow, build_cuckoo_table
+from olepsi.modvec import dtype_for
 from olepsi.offline import BACKENDS, gen_seeded, generate_psi_inventories
 from olepsi.online import (
     PROTOCOL_VERSION,
@@ -135,10 +136,10 @@ def test_comparison_equivalence_property(q, x, y, raw):
     assert (int(d[0, 0]) == r_A) == (x == y)
 
 
-@pytest.mark.parametrize("q", [32749, 32771])  # either side of the int32 bound
+@pytest.mark.parametrize("q", [32749, 32771])  # either side of 2^15
 def test_bob_reply_matches_scalar_formula_at_extremes(q):
     """The vectorized reply equals (c + enc + s_B) * r_B_inv mod q per slot,
-    with every input at q - 1 in some rows, on the int32 and int64 paths."""
+    with every input at q - 1 in some rows, for q either side of 2^15."""
     rng = np.random.default_rng(q)
     rows, slot = 40, 7
     c = rng.integers(0, q, rows)
@@ -155,6 +156,39 @@ def test_bob_reply_matches_scalar_formula_at_extremes(q):
         for i in range(rows)
     ]
     assert d.tolist() == expect
+
+
+def _two_reductions(c, enc, s_B, r_B_inv, q):
+    """The reply as computed before one reduction per slot sufficed: reduce
+    the sum, then the product, in int64."""
+    t = (c[:, None].astype(np.int64) + enc + s_B) % q
+    return t * r_B_inv % q
+
+
+@pytest.mark.parametrize("q", [
+    8209,          # psi-512k-k2-tcp
+    37831,         # largest prime with 3 (q - 1)^2 below 2^32: uint32
+    37847,         # smallest prime above it: uint64
+    (1 << 31) - 1,  # largest prime below MAX_Q
+])
+def test_bob_reply_one_reduction_matches_two(q):
+    """One reduction per slot gives bit-identical replies to reducing the sum
+    first, with every input at its largest value in some rows and Bob's
+    dummy encoding (q - 1 at most) among the encodings."""
+    assert online._reply_dtype(q) == (np.uint32 if q < 37838 else np.uint64)
+    rng = np.random.default_rng(q)
+    rows, slot = 300, 5
+    dt = dtype_for(q)
+    c = rng.integers(0, q, rows).astype(dt)
+    enc = rng.integers(0, q, (rows, slot)).astype(dt)
+    s_B = rng.integers(0, q, (rows, slot)).astype(dt)
+    r_B_inv = rng.integers(1, q, (rows, slot)).astype(dt)
+    for a in (c, enc, s_B, r_B_inv):
+        a[:7] = q - 1
+    inv = SimpleNamespace(s_B=s_B, r_B_inv=r_B_inv)
+    d = _bob_reply(c, enc, inv, q)
+    assert d.dtype == dt
+    assert (d == _two_reductions(c, enc, s_B, r_B_inv, q)).all()
 
 
 def test_d_never_hits_r_a_on_mismatch_and_spreads():
@@ -392,7 +426,7 @@ def test_wire_token_matches_inventory_token():
     p = derive_params(16, 3, sigma=16)
     _, bob_secs = generate_psi_inventories("seed", p, Seed(b"\x09" * 32))
     assert len(inventory_token(bob_secs)) == 16
-    assert PROTOCOL_VERSION == 2
+    assert PROTOCOL_VERSION == 3
 
 
 class TestOtViaPsi:
@@ -520,4 +554,15 @@ def test_protocol_version_1_peer_rejected_at_setup():
     chan_peer, chan = memory_channel_pair(timeout=5.0)
     send_frame(chan_peer, Frame(SETUP, bytes([1]) + _setup_payload(a)[1:]))
     with pytest.raises(SeedMismatch, match="version 1"):
+        psi_bob(b, {1}, chan)
+
+
+def test_protocol_version_2_peer_rejected_at_setup():
+    # version 2 encoded stash items with a keyed SHA-256: its stash
+    # encodings differ from ours, so it must be refused before any traffic
+    p = derive_params(16, 3, sigma=16)
+    a, b = make_sessions(p, master_seed=Seed(bytes(32)))
+    chan_peer, chan = memory_channel_pair(timeout=5.0)
+    send_frame(chan_peer, Frame(SETUP, bytes([2]) + _setup_payload(a)[1:]))
+    with pytest.raises(SeedMismatch, match="version 2"):
         psi_bob(b, {1}, chan)
