@@ -24,6 +24,7 @@ from .offline.dealer import (
     encode_to_bob,
     expand_alice,
     expand_bob,
+    to_alice_len,
 )
 from .offline.ot import DealerAssistedOt, OtError
 from .online import OnlineError, PsiSession, ot_via_psi, psi_alice, psi_bob
@@ -156,7 +157,9 @@ def _offline_fetch(args, p):
     chan = tcp_connect(host, port)
     try:
         send_frame(chan, Frame(SETUP, args.role.encode() + p.digest()))
-        frame = recv_frame(chan)
+        # the reply's length is fixed by the parameters and --count
+        bound = to_alice_len(p, args.count) if args.role == "alice" else SEED_LEN
+        frame = recv_frame(chan, max_payload=bound)
         if args.role == "alice":
             if frame.msg_type != DEALER_A:
                 raise TransportError(f"wanted DEALER_A, got type {frame.msg_type}")
@@ -196,7 +199,8 @@ def cmd_dealer(args):
         while served != {"alice", "bob"}:
             chan = listener.accept()
             try:
-                frame = recv_frame(chan)
+                # a request is a role name and the 16-byte parameter digest
+                frame = recv_frame(chan, max_payload=len(b"alice") + 16)
                 role = frame.payload[:-16].decode("ascii", "replace")
                 digest = frame.payload[-16:]
                 if frame.msg_type != SETUP or role not in ("alice", "bob"):

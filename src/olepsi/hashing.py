@@ -49,7 +49,8 @@ class HashSeeds:
             raise ValueError("keyed seed of wrong length")
 
     @classmethod
-    def generate(cls, k, randbytes=os.urandom):
+    def generate(cls, k, randbytes):
+        """k + 1 seeds read in order from randbytes(n) -> n bytes."""
         return cls(
             bin_seeds=tuple(randbytes(HASH_SEED_LEN) for _ in range(k)),
             keyed_seed=randbytes(HASH_SEED_LEN),
@@ -194,44 +195,19 @@ class CuckooTable:
         return int((self.origins >= 0).sum())
 
 
-def build_cuckoo_table(elements, params, seed_source=None, seeds=None):
-    """Cuckoo-hash the elements; resample seeds on failure when allowed.
-
-    seed_source is a zero-argument callable returning fresh HashSeeds. When
-    only fixed seeds are given, a placement failure beyond the stash raises
-    CuckooFailure immediately.
-    """
-    arr = _check_input_set(elements, params)
-    if seeds is None and seed_source is None:
-        seed_source = lambda: HashSeeds.generate(params.k)
-    budget = 16 * max(1, math.ceil(math.log2(max(params.n, 2))))
-    attempts = 8 if seed_source is not None else 1
-
-    last_error = None
-    for _ in range(attempts):
-        if seeds is None:
-            seeds = seed_source()
-        table = _try_build_cuckoo(arr, params, seeds, budget)
-        if table is not None:
-            return table
-        last_error = CuckooFailure(
-            f"placement failed for {arr.size} elements, stash {params.stash_size}"
-        )
-        seeds = None
-        if seed_source is None:
-            break
-    raise last_error
-
-
-def _try_build_cuckoo(arr, params, seeds, budget):
-    """Round-based parallel insertion (Alcantara et al., TOG 2009).
+def build_cuckoo_table(elements, params, seeds):
+    """Cuckoo-hash the elements under the given seeds, in one attempt, by
+    round-based parallel insertion (Alcantara et al., TOG 2009).
 
     Each round every pending item claims its bin under its current hash
     index; the lowest item index wins each claimed bin and displaces the
     occupant. Losers and displaced occupants move on to their next hash
-    index. Items still pending after `budget` rounds go to the stash, or
-    the attempt fails (None) when more than stash_size remain.
+    index. Items still pending after 16 log2(n) rounds go to the stash; when
+    more than stash_size remain, CuckooFailure is raised. The protocol pins
+    the seeds to its setup data, so there is nothing to resample.
     """
+    arr = _check_input_set(elements, params)
+    budget = 16 * max(1, math.ceil(math.log2(max(params.n, 2))))
     size, k = arr.size, params.k
     cand = _candidate_bins(arr, seeds, params)
     owner = np.full(params.alpha, -1, dtype=np.int64)  # item index per bin
@@ -251,7 +227,7 @@ def _try_build_cuckoo(arr, params, seeds, budget):
         pending = np.concatenate((pending[~won], evicted[evicted >= 0]))
         hash_index[pending] = (hash_index[pending] + 1) % k
     if pending.size > params.stash_size:
-        return None
+        raise CuckooFailure(f"placement failed for {size} elements, stash {params.stash_size}")
 
     placed = np.flatnonzero(owner >= 0)
     items = owner[placed]
@@ -291,14 +267,9 @@ def build_bin_table(elements, params, seeds):
     sigma2 = params.sigma2
     mask2 = (1 << sigma2) - 1
 
-    table = np.full((alpha, beta), params.dummy_bob, dtype=dtype_for(params.dummy_bob + 1))
-    if arr.size == 0:
-        return BinTable(bins=table, elements=arr, seeds=seeds, params=params)
-
-    all_bins = _candidate_bins(arr, seeds, params).ravel()
-    all_encs = np.concatenate([(j << sigma2) + (arr & mask2) for j in range(k)])
-
-    counts = np.bincount(all_bins, minlength=alpha)
+    # entry [t, j]: arr[t]'s bin under hash j; becomes its sort key in place
+    keys = _candidate_bins(arr, seeds, params).T
+    counts = np.bincount(keys.ravel(), minlength=alpha)
     if counts.max() > beta:
         raise BinOverflow(
             f"bin load {int(counts.max())} exceeds beta={beta}; "
@@ -309,14 +280,21 @@ def build_bin_table(elements, params, seeds):
     rand_bits = min(32, 63 - (alpha - 1).bit_length() - enc_bits)
     if rand_bits < 16:
         raise ValueError(f"sigma={params.sigma} leaves too few key bits to shuffle bin slots")
-    rand = np.frombuffer(os.urandom(4 * all_bins.size), dtype="<u4") >> (32 - rand_bits)
-    keys = all_bins << (rand_bits + enc_bits)
-    keys |= rand.astype(np.int64) << enc_bits
-    keys |= all_encs
+    keys <<= rand_bits
+    rand = np.frombuffer(os.urandom(4 * keys.size), dtype="<u4") >> (32 - rand_bits)
+    keys |= rand.reshape(keys.shape)
+    del rand
+    keys <<= enc_bits
+    keys |= (arr & mask2)[:, None]  # enc = j * 2^sigma2 + x2
+    keys |= np.arange(k, dtype=np.int64) << sigma2
+    keys = keys.ravel()
     keys.sort()
-    sorted_bins = keys >> (rand_bits + enc_bits)
+    # entry i of the sorted keys goes to slot i - starts[bin] of its bin
     starts = np.zeros(alpha, dtype=np.int64)
     starts[1:] = np.cumsum(counts)[:-1]
-    slots = np.arange(keys.size, dtype=np.int64) - starts[sorted_bins]
-    table[sorted_bins, slots] = keys & ((1 << enc_bits) - 1)
+    pos = (np.arange(alpha, dtype=np.int64) * beta - starts)[keys >> (rand_bits + enc_bits)]
+    pos += np.arange(keys.size, dtype=np.int64)
+    keys &= (1 << enc_bits) - 1
+    table = np.full((alpha, beta), params.dummy_bob, dtype=dtype_for(params.dummy_bob + 1))
+    table.reshape(-1)[pos] = keys
     return BinTable(bins=table, elements=arr, seeds=seeds, params=params)

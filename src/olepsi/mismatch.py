@@ -63,7 +63,7 @@ def set_compare_single(e, candidates, alice, bob):
         raise ValueError("batch too short for the candidate set")
     q = alice.modulus.q
     c = _alice_c(alice.s_A[:1], e, q)
-    first = BobInventory(bob.modulus, bob.r_B[:1, :k], bob.r_B_inv[:1, :k], bob.s_B[:1, :k])
+    first = BobInventory(bob.modulus, bob.block[:1, :k])
     d = _bob_reply(c, np.asarray(candidates, dtype=np.int64).reshape(1, k), first, q)
     return bool((d[0] == alice.r_A[0, :k]).any())
 

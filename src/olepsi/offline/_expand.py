@@ -41,7 +41,7 @@ def expand_bob_inventory(seed, modulus, count, slot_len, domain):
     for lo in range(0, count, step):
         hi = lo + step
         block[lo:hi, :, 1] = mod_inv(block[lo:hi, :, 0], modulus.q)
-    return BobInventory.from_block(modulus, block)
+    return BobInventory(modulus, block)
 
 
 def derive_r_a_arrays(s_A, s_B, r_B_inv, q, out=None):

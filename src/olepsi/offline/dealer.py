@@ -13,6 +13,8 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..codec import pack_words, unpack_words
 from ..field import PrimeModulus
 from ..modvec import dtype_for
@@ -61,8 +63,10 @@ def expand_alice(R_A, r_A_lists, params):
     modulus = params.modulus
     invs = []
     for r_A, domain in zip(r_A_lists, _SECTION_DOMAINS):
-        s_A = expand_s_a(R_A, modulus, r_A.shape[0], domain)
-        invs.append(AliceInventory(modulus, s_A, r_A))
+        block = np.empty((r_A.shape[0], 1 + r_A.shape[1]), dtype=dtype_for(modulus.q))
+        block[:, 0] = expand_s_a(R_A, modulus, r_A.shape[0], domain)
+        block[:, 1:] = r_A
+        invs.append(AliceInventory(modulus, block))
     return invs
 
 
@@ -88,6 +92,17 @@ def encode_to_alice(msg, modulus):
         parts.append(_SECTION_HEAD.pack(count, slot_len))
         parts.append(pack_words(r_A, 8 * modulus.byte_len))
     return b"".join(parts)
+
+
+def to_alice_len(params, count):
+    """Bytes of the dealer-to-Alice message for `count` bin batches (alpha
+    when None): a receiver's exact frame bound."""
+    words = sum(rows * slot_len for rows, slot_len in _sections(params, count))
+    return (
+        _ALICE_HEAD.size
+        + len(_SECTION_DOMAINS) * _SECTION_HEAD.size
+        + words * params.modulus.byte_len
+    )
 
 
 def decode_to_alice(data):

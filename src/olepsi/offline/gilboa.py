@@ -63,8 +63,10 @@ def gilboa_batch(ot, params, count, *, slot_len=None, seed=None, rho_sink=None):
     ell = modulus.bit_len
     prg = Prg(seed if seed is not None else Seed.random(), tag=b"gilboa")
     dt = dtype_for(q)
-    s_A = prg.elements(modulus, count, dtype=dt)
-    r_A = prg.elements(modulus, count * L, dtype=dt).reshape(count, L)
+    block = np.empty((count, 1 + L), dtype=dt)  # Alice's (s_A, r_A...) rows
+    s_A, r_A = block[:, 0], block[:, 1:]
+    s_A[:] = prg.elements(modulus, count, dtype=dt)
+    r_A[:] = prg.elements(modulus, count * L, dtype=dt).reshape(count, L)
     r_B = prg.nonzero_elements(modulus, count * L, dtype=dt).reshape(count, L)
     s_B = np.empty((count, L), dtype=dt)
     pow2 = np.array([pow(2, i, q) for i in range(ell)], dtype=np.int64)
@@ -88,6 +90,4 @@ def gilboa_batch(ot, params, count, *, slot_len=None, seed=None, rho_sink=None):
         ot.ot_send_many(m0.ravel(), m1.ravel())
         o = ot.ot_receive_many(bits.ravel()).reshape(c, L, ell)
         s_B[lo:hi] = o.sum(axis=2) % q
-    alice = AliceInventory(modulus, s_A, r_A)
-    bob = BobInventory.from_r_b_s_b(modulus, r_B, s_B)
-    return alice, bob
+    return AliceInventory(modulus, block), BobInventory.from_r_b_s_b(modulus, r_B, s_B)

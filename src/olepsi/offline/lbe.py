@@ -201,18 +201,19 @@ def lbe_batch(params, count, *, slot_len=None, seed=None, lbe=None):
         raise ValueError("batch sampling supports lambda <= 64")
     prg = Prg(seed if seed is not None else Seed.random(), tag=b"lbe")
     dt = dtype_for(q)
-    s_A = prg.elements(modulus, count, dtype=dt)
+    block = np.empty((count, 1 + L), dtype=dt)  # Alice's (s_A, r_A...) rows
+    s_A, r_A = block[:, 0], block[:, 1:]
+    s_A[:] = prg.elements(modulus, count, dtype=dt)
     r_B = prg.nonzero_elements(modulus, count * L, dtype=dt).reshape(count, L)
     s_B = prg.elements(modulus, count * L, dtype=dt).reshape(count, L)
     mask = np.uint64(lbe.u_domain - 1)
     u_vals = unpack_words(prg.read(8 * count * L), 64, count * L, np.uint64) & mask
     u_vals = u_vals.reshape(count, L)
     bob = BobInventory.from_r_b_s_b(modulus, r_B, s_B)
-    r_A = np.empty((count, L), dtype=dt)
     step = max(1, _CHUNK_SLOTS // max(L, 1))
     for lo in range(0, count, step):
         hi = lo + step
         s = s_A[lo:hi, None].astype(object)
         u = u_vals[lo:hi].astype(object)
         r_A[lo:hi] = _crt_replay(lbe, s, s_B[lo:hi], bob.r_B_inv[lo:hi], u) % q
-    return AliceInventory(modulus, s_A, r_A), bob
+    return AliceInventory(modulus, block), bob

@@ -28,4 +28,4 @@ def gen_seeded(shared_seed, count, modulus, slot_len, *, domain=b"bins"):
     block = np.empty((count, 1 + slot_len), dtype=dtype_for(modulus.q))
     block[:, 0] = expand_s_a(shared_seed, modulus, count, domain)
     derive_r_a_arrays(block[:, 0], bob.s_B, bob.r_B_inv, modulus.q, out=block[:, 1:])
-    return AliceInventory.from_block(modulus, block), bob
+    return AliceInventory(modulus, block), bob

@@ -75,8 +75,7 @@ def derive_hash_seeds(params, token=UNKNOWN_TOKEN):
     """Shared hash seeds derived from public setup data.
 
     Binding the seeds to (parameter digest, inventory token) lets both
-    parties compute identical seeds without an agreement round. Callers who
-    want independently sampled seeds pass an explicit HashSeeds instead.
+    parties compute identical seeds without an agreement round.
     """
     material = hashlib.sha256(b"hash-seeds|" + params.digest() + token).digest()
     prg = Prg(Seed(material), tag=b"hash-seeds")
@@ -89,6 +88,8 @@ class PsiSession:
 
     inventories holds the bin batches first and, when stash_size > 0, the
     stash batches second (the layout produced by the offline generators).
+    The hash seeds are always derive_hash_seeds(params, token), so both
+    parties hold the same ones and a table build never resamples them.
     Batches are single-use: a session refuses to run twice.
     """
 
@@ -96,7 +97,6 @@ class PsiSession:
     params: object
     inventories: tuple
     token: bytes = UNKNOWN_TOKEN
-    seeds: HashSeeds = None
 
     def __post_init__(self):
         if self.role not in ("alice", "bob"):
@@ -109,8 +109,7 @@ class PsiSession:
                 raise ValueError(
                     f"inventory modulus {inv.modulus.q} does not match params ({q})"
                 )
-        if self.seeds is None:
-            self.seeds = derive_hash_seeds(self.params, self.token)
+        self.seeds = derive_hash_seeds(self.params, self.token)
         self._used = False
 
     def _sections(self):
@@ -337,7 +336,7 @@ def psi_bob(session, elements, channel):
                 enc = _stash_encodings(table.elements, session.seeds, p)
             enc_rows = np.broadcast_to(enc[cut.cols], cut.shape)
         inv = invs[cut.section]
-        inv = BobInventory.from_block(inv.modulus, inv.block[cut.rows, cut.cols])
+        inv = BobInventory(inv.modulus, inv.block[cut.rows, cut.cols])
         d = _bob_reply(c[cut.section][cut.rows], enc_rows, inv, q)
         send_elements(channel, BOB_D, d, p.modulus)
 

@@ -19,16 +19,12 @@ from .transport import ChannelClosed, bits_per_element_measured, memory_channel_
 from .tuples import inventory_token
 
 
-def make_sessions(params, backend="seed", master_seed=None, seeds=None):
+def make_sessions(params, backend="seed", master_seed=None):
     """Fresh matched sessions for one run: offline phase plus setup state."""
     alice_secs, bob_secs = generate_psi_inventories(backend, params, master_seed)
     token = inventory_token(bob_secs)
-    alice = PsiSession(
-        role="alice", params=params, inventories=alice_secs, token=token, seeds=seeds
-    )
-    bob = PsiSession(
-        role="bob", params=params, inventories=bob_secs, token=token, seeds=seeds
-    )
+    alice = PsiSession(role="alice", params=params, inventories=alice_secs, token=token)
+    bob = PsiSession(role="bob", params=params, inventories=bob_secs, token=token)
     return alice, bob
 
 

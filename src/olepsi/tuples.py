@@ -3,11 +3,13 @@
 One tuple slot (r_A, r_B, s_A, s_B) with r_A * r_B = s_A + s_B backs one
 equality comparison. A communication-optimized batch shares a single s_A
 across its slots of independent (r_A, r_B, s_B); an inventory holds `count`
-batches as arrays, one row per batch. Bob's half stores r_B's inverse
-alongside so the online phase never inverts anything.
+batches, one row per batch, in one numpy block laid out as its tuple file
+section, and it is built only from such a block. Bob's half stores r_B's
+inverse alongside so the online phase never inverts anything.
 """
 
 import hashlib
+import math
 import struct
 
 import numpy as np
@@ -29,40 +31,16 @@ class TupleFileError(Exception):
     pass
 
 
-def _as_int_array(a):
-    # keep compact storage dtypes (uint16 at PSI scale); widen anything else
-    a = np.asarray(a)
-    if a.dtype.kind not in "iu":
-        a = a.astype(np.int64)
-    return a
-
-
 class AliceInventory:
-    """Alice's halves of `count` batches: s_A (count,), r_A (count, L).
+    """Alice's halves of `count` batches as one (count, 1 + L) block: s_A
+    (count,) in column 0 and r_A (count, L) in the rest, as in the tuple
+    file. Both are views of the block, so the file write reads it as it is."""
 
-    Both are views into one (count, 1 + L) block, s_A in column 0 as in the
-    tuple file, so the file write reads the block as it is."""
-
-    def __init__(self, modulus, s_A, r_A):
-        s_A = _as_int_array(s_A)
-        r_A = _as_int_array(r_A)
-        if r_A.ndim != 2 or s_A.shape != (r_A.shape[0],):
-            raise ValueError("s_A must be (count,), r_A must be (count, L)")
-        block = np.empty((r_A.shape[0], 1 + r_A.shape[1]), dtype=np.result_type(s_A, r_A))
-        block[:, 0] = s_A
-        block[:, 1:] = r_A
-        self.modulus = modulus
-        self.block = block
-
-    @classmethod
-    def from_block(cls, modulus, block):
-        """Wrap a (count, 1 + L) block of (s_A, r_A...) rows without copying."""
+    def __init__(self, modulus, block):
         if block.ndim != 2 or block.shape[1] < 1:
             raise ValueError("block must be (count, 1 + L)")
-        inv = cls.__new__(cls)
-        inv.modulus = modulus
-        inv.block = block
-        return inv
+        self.modulus = modulus
+        self.block = block
 
     @property
     def s_A(self):
@@ -81,40 +59,26 @@ class AliceInventory:
 
 
 class BobInventory:
-    """Bob's halves of `count` batches: r_B, r_B_inv, s_B all (count, L).
+    """Bob's halves of `count` batches as one (count, L, 3) block of
+    (r_B, r_B_inv, s_B) slots, interleaved as in the tuple file. All three
+    are (count, L) views of the block, so the token and the file write read
+    it as it is."""
 
-    The three are views into one (count, L, 3) block, interleaved per slot
-    as in the tuple file, so the token and the file write read the block
-    as it is."""
-
-    def __init__(self, modulus, r_B, r_B_inv, s_B):
-        r_B = _as_int_array(r_B)
-        r_B_inv = _as_int_array(r_B_inv)
-        s_B = _as_int_array(s_B)
-        if not (r_B.shape == r_B_inv.shape == s_B.shape) or r_B.ndim != 2:
-            raise ValueError("r_B, r_B_inv, s_B must share one (count, L) shape")
-        block = np.empty(r_B.shape + (3,), dtype=np.result_type(r_B, r_B_inv, s_B))
-        block[:, :, 0] = r_B
-        block[:, :, 1] = r_B_inv
-        block[:, :, 2] = s_B
+    def __init__(self, modulus, block):
+        if block.ndim != 3 or block.shape[2] != 3:
+            raise ValueError("block must be (count, L, 3)")
         self.modulus = modulus
         self.block = block
 
     @classmethod
-    def from_block(cls, modulus, block):
-        """Wrap a (count, L, 3) block of (r_B, r_B_inv, s_B) slots without copying."""
-        if block.ndim != 3 or block.shape[2] != 3:
-            raise ValueError("block must be (count, L, 3)")
-        inv = cls.__new__(cls)
-        inv.modulus = modulus
-        inv.block = block
-        return inv
-
-    @classmethod
     def from_r_b_s_b(cls, modulus, r_B, s_B):
-        r_B = _as_int_array(r_B)
-        inv = mod_inv(r_B, modulus.q).astype(r_B.dtype, copy=False)
-        return cls(modulus, r_B, inv, s_B)
+        """Bob's half from r_B and s_B, each (count, L): inverts r_B."""
+        r_B = np.asarray(r_B)
+        block = np.empty(r_B.shape + (3,), dtype=r_B.dtype)
+        block[:, :, 0] = r_B
+        block[:, :, 1] = mod_inv(r_B, modulus.q)
+        block[:, :, 2] = s_B
+        return cls(modulus, block)
 
     @property
     def r_B(self):
@@ -157,11 +121,7 @@ def validate_inventories(alice, bob):
     return True
 
 
-def _alice_payload(inv):
-    return pack_words(inv.block, 8 * inv.modulus.byte_len)
-
-
-def _bob_payload(inv):
+def _payload(inv):
     return pack_words(inv.block, 8 * inv.modulus.byte_len)
 
 
@@ -174,7 +134,7 @@ def inventory_token(bob_inventories):
     h = hashlib.sha256()
     for inv in bob_inventories:
         h.update(_section_header(inv.modulus, len(inv), inv.slot_len, bytes(TOKEN_LEN)))
-        h.update(_bob_payload(inv))
+        h.update(_payload(inv))
     return h.digest()[:TOKEN_LEN]
 
 
@@ -185,16 +145,22 @@ def save_inventories(path, inventories, side, token):
     with open(path, "wb") as f:
         for inv in inventories:
             f.write(_section_header(inv.modulus, len(inv), inv.slot_len, token, side))
-            if side == SIDE_ALICE:
-                f.write(_alice_payload(inv))
-            else:
-                f.write(_bob_payload(inv))
+            f.write(_payload(inv))
+
+
+# per side: the inventory class and the shape of its block for (count, L)
+_SECTIONS = {
+    SIDE_ALICE: (AliceInventory, lambda count, L: (count, 1 + L)),
+    SIDE_BOB: (BobInventory, lambda count, L: (count, L, 3)),
+}
 
 
 def load_inventories(path, side):
-    """Read all sections; returns (inventories, token)."""
-    if side not in (SIDE_ALICE, SIDE_BOB):
+    """Read all sections; returns (inventories, token). Each block is a view
+    of the bytes read whenever the field width is 1, 2, 4 or 8 bytes."""
+    if side not in _SECTIONS:
         raise ValueError(f"side must be alice or bob, got {side}")
+    cls, block_shape = _SECTIONS[side]
     out = []
     token = None
     with open(path, "rb") as f:
@@ -220,21 +186,13 @@ def load_inventories(path, side):
             elif token != tok:
                 raise TupleFileError("sections carry different inventory tokens")
             width = modulus.byte_len
-            kind = dtype_for(q)
-            if side == SIDE_ALICE:
-                need = count * (1 + slot_len) * width
-                data = f.read(need)
-                if len(data) < need:
-                    raise TupleFileError("truncated alice section payload")
-                block = unpack_words(data, 8 * width, count * (1 + slot_len), kind)
-                out.append(AliceInventory.from_block(modulus, block.reshape(count, 1 + slot_len)))
-            else:
-                need = count * slot_len * 3 * width
-                data = f.read(need)
-                if len(data) < need:
-                    raise TupleFileError("truncated bob section payload")
-                block = unpack_words(data, 8 * width, count * slot_len * 3, kind)
-                out.append(BobInventory.from_block(modulus, block.reshape(count, slot_len, 3)))
+            shape = block_shape(count, slot_len)
+            words = math.prod(shape)
+            data = f.read(words * width)
+            if len(data) < words * width:
+                raise TupleFileError(f"truncated {side} section payload")
+            block = unpack_words(data, 8 * width, words, dtype_for(q))
+            out.append(cls(modulus, block.reshape(shape)))
     if token is None:
         raise TupleFileError("empty tuple file")
     return out, token

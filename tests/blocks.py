@@ -1,0 +1,23 @@
+"""Tuple inventories built from per-field arrays, for tests that write
+tuples by hand: each helper lays the arrays out as the one block the
+inventory classes take."""
+
+import numpy as np
+
+from olepsi.tuples import AliceInventory, BobInventory
+
+
+def alice_inventory(modulus, s_A, r_A):
+    """Alice's half from s_A (count,) and r_A (count, L), copied into one
+    (count, 1 + L) block."""
+    s_A, r_A = np.asarray(s_A), np.asarray(r_A)
+    block = np.empty((r_A.shape[0], 1 + r_A.shape[1]), dtype=np.result_type(s_A, r_A))
+    block[:, 0] = s_A
+    block[:, 1:] = r_A
+    return AliceInventory(modulus, block)
+
+
+def bob_inventory(modulus, r_B, r_B_inv, s_B):
+    """Bob's half from three (count, L) arrays, stacked into one (count, L, 3)
+    block."""
+    return BobInventory(modulus, np.stack([r_B, r_B_inv, s_B], axis=-1))

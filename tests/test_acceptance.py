@@ -28,7 +28,9 @@ from olepsi.runner import (
     small_psi_engine,
 )
 from olepsi.transport import bits_per_element_measured
-from olepsi.tuples import AliceInventory, BobInventory, validate_inventories
+from olepsi.tuples import validate_inventories
+
+from blocks import alice_inventory, bob_inventory
 
 
 def seed(i):
@@ -180,9 +182,9 @@ def test_criterion_6_gilboa_products_and_batch_costs():
     # every slot's rho list closes to the batch's shared s_A
     assert (rho.sum(axis=2) % p.modulus.q == alice.s_A[:, None]).all()
     for i in range(count):
-        a = AliceInventory(p.modulus, alice.s_A[i : i + 1], alice.r_A[i : i + 1])
-        b = BobInventory(p.modulus, bob.r_B[i : i + 1], bob.r_B_inv[i : i + 1],
-                         bob.s_B[i : i + 1])
+        a = alice_inventory(p.modulus, alice.s_A[i : i + 1], alice.r_A[i : i + 1])
+        b = bob_inventory(p.modulus, bob.r_B[i : i + 1], bob.r_B_inv[i : i + 1],
+                          bob.s_B[i : i + 1])
         assert validate_inventories(a, b)
 
 

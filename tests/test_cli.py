@@ -14,8 +14,19 @@ import pytest
 
 from olepsi.cli import main, read_set_file
 from olepsi.hashing import bin_index, build_cuckoo_table, split_element
+from olepsi.offline.dealer import to_alice_len
 from olepsi.online import derive_hash_seeds
 from olepsi.params import derive_params
+from olepsi.prg import SEED_LEN
+from olepsi.transport import (
+    _HEAD,
+    DEALER_A,
+    DEALER_B,
+    SETUP,
+    TcpListener,
+    recv_frame,
+    tcp_connect,
+)
 from olepsi.tuples import SIDE_ALICE, SIDE_BOB, load_inventories
 
 BASE = ["--n", "64", "--k", "3", "--sigma", "16"]
@@ -111,6 +122,60 @@ class TestOffline:
         rc = invoke(["offline", "--connect", "127.0.0.1:1"] + BASE)
         assert rc == 2
         assert "--role" in capsys.readouterr().err
+
+
+class TestDealerFrameBounds:
+    """Each side of the dealer service bounds the frame it reads by the size
+    the protocol fixes, so an oversize header fails (exit 3) while the peer
+    still holds the connection open and has sent no payload."""
+
+    def test_oversize_request_fails_at_header(self, capsys):
+        port = free_port()
+        rc = []
+        dealer = threading.Thread(target=lambda: rc.append(invoke(
+            ["dealer", "--listen", f"127.0.0.1:{port}", "--seed", SEED_B] + BASE)))
+        dealer.start()
+        chan = tcp_connect("127.0.0.1", port)
+        try:
+            chan.send_bytes(_HEAD.pack(len(b"alice") + 16 + 1, SETUP))
+            dealer.join(timeout=10)
+            assert not dealer.is_alive()
+        finally:
+            chan.close()
+            dealer.join(timeout=30)
+        assert rc == [3]
+        assert "22 byte payload, limit 21" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("role", ["alice", "bob"])
+    def test_oversize_dealer_reply_fails_at_header(self, tmp_path, capsys, role):
+        p = derive_params(64, 3, sigma=16)
+        limits = {"alice": (DEALER_A, to_alice_len(p, None)), "bob": (DEALER_B, SEED_LEN)}
+        msg_type, limit = limits[role]
+        srv = TcpListener("127.0.0.1", 0)
+        done = threading.Event()
+
+        def fake_dealer():
+            chan = srv.accept()
+            try:
+                recv_frame(chan)
+                chan.send_bytes(_HEAD.pack(limit + 1, msg_type))
+                done.wait(10)
+            finally:
+                chan.close()
+
+        server = threading.Thread(target=fake_dealer)
+        server.start()
+        out = tmp_path / f"{role}.tup"
+        try:
+            rc = invoke(["offline", "--connect", f"127.0.0.1:{srv.port}", "--role", role,
+                         f"--out-{role}", str(out)] + BASE)
+        finally:
+            done.set()
+            server.join(timeout=30)
+            srv.close()
+        assert rc == 3
+        assert f"{limit + 1} byte payload, limit {limit}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestSetFiles:

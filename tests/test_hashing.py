@@ -26,11 +26,6 @@ def fixed_seeds(k, label=b"seeds"):
     return HashSeeds.generate(k, randbytes=prg.read)
 
 
-def seed_source(k, label=b"src"):
-    prg = Prg(Seed(bytes(32)), tag=label)
-    return lambda: HashSeeds.generate(k, randbytes=prg.read)
-
-
 def test_split_element_examples():
     p = derive_params(4, 2, sigma=8)
     assert (p.sigma1, p.sigma2) == (3, 5)
@@ -126,7 +121,7 @@ def test_cuckoo_random_set_membership():
     p = derive_params(1 << 10, 3)
     rng = np.random.default_rng(7)
     xs = rng.choice(1 << 32, size=1 << 10, replace=False)
-    t = build_cuckoo_table(xs, p, seed_source=seed_source(3))
+    t = build_cuckoo_table(xs, p, seeds=fixed_seeds(3, b"src"))
     placed = set(int(v) for v in t.origins[t.origins >= 0])
     assert placed | set(t.stash) == set(int(v) for v in xs)
     assert len(placed) + len(t.stash) == xs.size
@@ -181,7 +176,7 @@ def test_cuckoo_placement_invariants_2_14(k):
     p = derive_params(1 << 14, k)
     rng = np.random.default_rng(31 + k)
     xs = rng.choice(1 << 32, size=1 << 14, replace=False)
-    t = build_cuckoo_table(xs, p, seed_source=seed_source(k))
+    t = build_cuckoo_table(xs, p, seeds=fixed_seeds(k, b"src"))
     real = np.flatnonzero(t.origins >= 0)
     placed = t.origins[real]
     assert len(t.stash) <= p.stash_size
@@ -200,7 +195,7 @@ def test_cuckoo_with_stash_k2():
     p = derive_params(1 << 10, 2)
     rng = np.random.default_rng(11)
     xs = rng.choice(1 << 32, size=1 << 10, replace=False)
-    t = build_cuckoo_table(xs, p, seed_source=seed_source(2))
+    t = build_cuckoo_table(xs, p, seeds=fixed_seeds(2, b"src"))
     assert len(t.stash) <= p.stash_size
     placed = set(int(v) for v in t.origins[t.origins >= 0])
     assert placed | set(t.stash) == set(int(v) for v in xs)

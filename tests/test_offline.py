@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from olepsi.field import FieldError, InversionOfZero, PrimeModulus
+from olepsi.modvec import dtype_for
 from olepsi.offline import (
     BACKENDS,
     DealerAssistedOt,
@@ -32,12 +33,13 @@ from olepsi.offline.lbe import LbeSimParams, lbe_batch, lbe_reconstruct
 from olepsi.params import derive_params
 from olepsi.prg import Prg, Seed
 from olepsi.tuples import (
-    AliceInventory,
-    BobInventory,
     inventory_token,
+    load_inventories,
     save_inventories,
     validate_inventories,
 )
+
+from blocks import alice_inventory, bob_inventory
 
 M11 = PrimeModulus(11)
 
@@ -66,8 +68,8 @@ def test_gen_seeded_validates():
     p = params_small()
     a, b = gen_seeded(Seed.random(), 9, p.modulus, p.beta)
     assert validate_inventories(a, b)
-    first_a = AliceInventory(p.modulus, a.s_A[:1], a.r_A[:1])
-    first_b = BobInventory(p.modulus, b.r_B[:1], b.r_B_inv[:1], b.s_B[:1])
+    first_a = alice_inventory(p.modulus, a.s_A[:1], a.r_A[:1])
+    first_b = bob_inventory(p.modulus, b.r_B[:1], b.r_B_inv[:1], b.s_B[:1])
     assert validate_inventories(first_a, first_b)
     assert len(a) == 9 and a.slot_len == p.beta
 
@@ -101,6 +103,38 @@ def test_gen_seeded_sections_are_domain_separated():
     a1, _ = gen_seeded(Seed(bytes(32)), 3, p.modulus, 5, domain=b"bins")
     a2, _ = gen_seeded(Seed(bytes(32)), 3, p.modulus, 5, domain=b"stash")
     assert (a1.s_A != a2.s_A).any()
+
+
+# ---------------------------------------------------------------- one block per side
+
+def _buffer_owner(a):
+    while isinstance(a, np.ndarray):
+        a = a.base
+    return a
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_each_backend_holds_each_side_in_one_block(tmp_path, backend):
+    p = params_small()
+    assert p.modulus.byte_len == 2  # a whole native width: files load as views
+    dt = dtype_for(p.modulus.q)
+    alice, bob = generate_psi_inventories(backend, p, Seed(bytes([5]) * 32))
+    for a, b in zip(alice, bob):
+        assert a.block.dtype == dt and a.block.flags.c_contiguous
+        assert a.block.shape == (len(a), 1 + a.slot_len)
+        assert np.shares_memory(a.s_A, a.block) and np.shares_memory(a.r_A, a.block)
+        assert b.block.dtype == dt
+        assert b.block.shape == (len(b), b.slot_len, 3)
+    token = inventory_token(bob)
+    for side, sections in (("alice", alice), ("bob", bob)):
+        save_inventories(tmp_path / side, sections, side, token)
+        back, tok = load_inventories(tmp_path / side, side)
+        assert tok == token
+        for orig, loaded in zip(sections, back, strict=True):
+            # a view of the bytes read from the file, not a copy of them
+            assert isinstance(_buffer_owner(loaded.block), bytes)
+            assert loaded.block.dtype == dt
+            assert np.array_equal(loaded.block, orig.block)
 
 
 # ---------------------------------------------------------------- dealer
@@ -148,7 +182,7 @@ def test_dealer_micro_run_stub(monkeypatch):
 
     def fake_bob(seed, modulus, count, slot_len, domain):
         shape = (count, slot_len)
-        return BobInventory(
+        return bob_inventory(
             modulus,
             np.full(shape, 3, dtype=np.int64),
             np.full(shape, 4, dtype=np.int64),
@@ -239,6 +273,14 @@ def test_dealer_alice_message_roundtrip():
         decode_to_alice(data + b"\x00")
     with pytest.raises(ValueError):
         decode_to_bob(b"\x00" * 31)
+
+
+def test_dealer_alice_message_length_is_fixed_by_params():
+    # the client bounds the DEALER_A frame by this length before reading it
+    p = params_small()
+    for count in (None, 1, 7):
+        msg = dealer_generate(Seed(bytes([1]) * 32), Seed(bytes([2]) * 32), count or p.alpha, p)
+        assert len(encode_to_alice(msg, p.modulus)) == dealer_mod.to_alice_len(p, count)
 
 
 # ---------------------------------------------------------------- OT provider

@@ -51,7 +51,9 @@ from olepsi.transport import (
     memory_channel_pair,
     send_frame,
 )
-from olepsi.tuples import BobInventory, inventory_token
+from olepsi.tuples import inventory_token
+
+from blocks import bob_inventory
 
 M11 = PrimeModulus(11)
 _TRACING = Path(__file__).resolve().parents[1] / "benchmark" / "tracing.py"
@@ -65,8 +67,8 @@ def _reply(c, y_enc, s_B, r_B_inv, q):
     """Bob's replies to c (rows,) for encodings y_enc (rows, L), one shared
     tuple half (s_B, r_B_inv) in every slot."""
     shape = np.shape(y_enc)
-    inv = BobInventory(PrimeModulus(q), np.ones(shape, np.int64),
-                       np.full(shape, r_B_inv), np.full(shape, s_B))
+    inv = bob_inventory(PrimeModulus(q), np.ones(shape, np.int64),
+                        np.full(shape, r_B_inv), np.full(shape, s_B))
     return _bob_reply(np.asarray(c), np.asarray(y_enc), inv, q)
 
 

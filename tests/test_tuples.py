@@ -8,7 +8,6 @@ from olepsi.offline import gen_seeded
 from olepsi.offline._expand import derive_r_a_arrays
 from olepsi.prg import Seed
 from olepsi.tuples import (
-    AliceInventory,
     BobInventory,
     TupleFileError,
     inventory_token,
@@ -17,13 +16,15 @@ from olepsi.tuples import (
     validate_inventories,
 )
 
+from blocks import alice_inventory, bob_inventory
+
 Q11 = PrimeModulus(11)
 
 
 def make_batch(modulus, s_A, slots):
     # one batch; slots: list of (r_A, r_B, r_B_inv, s_B) ints
     r_A, r_B, r_B_inv, s_B = ([list(col)] for col in zip(*slots))
-    return AliceInventory(modulus, [s_A], r_A), BobInventory(modulus, r_B, r_B_inv, s_B)
+    return alice_inventory(modulus, [s_A], r_A), bob_inventory(modulus, r_B, r_B_inv, s_B)
 
 
 def test_validate_batch_examples():
@@ -64,8 +65,8 @@ def test_derive_r_A_examples():
 def test_ole_tuple_from_values():
     bob = BobInventory.from_r_b_s_b(Q11, [[3]], [[2]])
     assert bob.r_B_inv.tolist() == [[4]]
-    assert validate_inventories(AliceInventory(Q11, [4], [[2]]), bob)
-    assert not validate_inventories(AliceInventory(Q11, [4], [[5]]), bob)
+    assert validate_inventories(alice_inventory(Q11, [4], [[2]]), bob)
+    assert not validate_inventories(alice_inventory(Q11, [4], [[5]]), bob)
 
 
 def test_random_tuples_always_valid():
@@ -115,8 +116,8 @@ def test_inventories_expose_batches():
     assert bob.r_B.shape == bob.r_B_inv.shape == bob.s_B.shape == (5, 4)
     # row i is batch i: each one-row slice validates on its own
     for i in range(5):
-        a = AliceInventory(m, alice.s_A[i : i + 1], alice.r_A[i : i + 1])
-        b = BobInventory(m, bob.r_B[i : i + 1], bob.r_B_inv[i : i + 1], bob.s_B[i : i + 1])
+        a = alice_inventory(m, alice.s_A[i : i + 1], alice.r_A[i : i + 1])
+        b = bob_inventory(m, bob.r_B[i : i + 1], bob.r_B_inv[i : i + 1], bob.s_B[i : i + 1])
         assert validate_inventories(a, b)
     assert validate_inventories(alice, bob)
 
@@ -126,8 +127,8 @@ def test_validate_inventories_catches_corruption():
     alice, bob = _random_inventories(m, 5, 4, b"inv2")
     alice.r_A[2, 1] = (alice.r_A[2, 1] + 1) % m.q
     assert not validate_inventories(alice, bob)
-    a = AliceInventory(m, alice.s_A[2:3], alice.r_A[2:3])
-    b = BobInventory(m, bob.r_B[2:3], bob.r_B_inv[2:3], bob.s_B[2:3])
+    a = alice_inventory(m, alice.s_A[2:3], alice.r_A[2:3])
+    b = bob_inventory(m, bob.r_B[2:3], bob.r_B_inv[2:3], bob.s_B[2:3])
     assert not validate_inventories(a, b)
 
 
