@@ -53,6 +53,11 @@ from .tuples import (
 )
 
 
+# refused dealer requests (bad header, digest or role, dead peer) before the
+# dealer service gives up with exit 3
+DEALER_MAX_REFUSED = 16
+
+
 class UsageError(Exception):
     pass
 
@@ -133,9 +138,7 @@ def cmd_offline(args):
     if not (args.out_alice and args.out_bob):
         raise UsageError("local generation needs --out-alice and --out-bob")
     master = _seed_from(args)
-    alice_secs, bob_secs = generate_psi_inventories(
-        args.mode, p, master, bin_count=args.count
-    )
+    alice_secs, bob_secs = generate_psi_inventories(args.mode, p, master)
     token = inventory_token(bob_secs)
     save_inventories(args.out_alice, alice_secs, SIDE_ALICE, token)
     save_inventories(args.out_bob, bob_secs, SIDE_BOB, token)
@@ -157,24 +160,20 @@ def _offline_fetch(args, p):
     chan = tcp_connect(host, port)
     try:
         send_frame(chan, Frame(SETUP, args.role.encode() + p.digest()))
-        # the reply's length is fixed by the parameters and --count
-        bound = to_alice_len(p, args.count) if args.role == "alice" else SEED_LEN
+        # the reply's length is fixed by the parameters
+        bound = to_alice_len(p) if args.role == "alice" else SEED_LEN
         frame = recv_frame(chan, max_payload=bound)
         if args.role == "alice":
             if frame.msg_type != DEALER_A:
                 raise TransportError(f"wanted DEALER_A, got type {frame.msg_type}")
-            seed, r_A_lists, token, modulus = decode_to_alice(frame.payload)
-            if modulus.q != p.modulus.q:
-                raise OnlineError(
-                    f"dealer served field q={modulus.q}, parameters need {p.modulus.q}"
-                )
+            seed, r_A_lists, token = decode_to_alice(frame.payload, p)
             invs = expand_alice(seed, r_A_lists, p)
             save_inventories(out, invs, SIDE_ALICE, token)
         else:
             if frame.msg_type != DEALER_B:
                 raise TransportError(f"wanted DEALER_B, got type {frame.msg_type}")
             seed = decode_to_bob(frame.payload)
-            invs = expand_bob(seed, p, bin_count=args.count)
+            invs = expand_bob(seed, p)
             token = inventory_token(invs)
             save_inventories(out, invs, SIDE_BOB, token)
     finally:
@@ -189,41 +188,50 @@ def cmd_dealer(args):
     master = _seed_from(args)
     if master is None:
         master = Seed.random()
-    count = args.count if args.count is not None else p.alpha
-    msgs = dealer_generate(subseed(master, b"RA"), subseed(master, b"RB"), count, p)
+    msgs = dealer_generate(subseed(master, b"RA"), subseed(master, b"RB"), p)
 
     listener = TcpListener(*_hostport(args.listen))
     print(f"dealer listening on port {listener.port}", file=sys.stderr, flush=True)
     served = set()
+    refused = 0
     try:
         while served != {"alice", "bob"}:
             chan = listener.accept()
             try:
-                # a request is a role name and the 16-byte parameter digest
-                frame = recv_frame(chan, max_payload=len(b"alice") + 16)
-                role = frame.payload[:-16].decode("ascii", "replace")
-                digest = frame.payload[-16:]
-                if frame.msg_type != SETUP or role not in ("alice", "bob"):
-                    raise TransportError(f"bad dealer request (role {role!r})")
-                if digest != p.digest():
-                    raise OnlineError(
-                        "client parameter digest does not match the dealer's"
-                    )
-                if role in served:
-                    raise OnlineError(f"second {role} connection refused")
-                if role == "alice":
-                    payload = encode_to_alice(msgs, p.modulus)
-                    send_frame(chan, Frame(DEALER_A, payload))
-                else:
-                    send_frame(chan, Frame(DEALER_B, encode_to_bob(msgs)))
-                served.add(role)
-                print(f"served {role}", file=sys.stderr, flush=True)
+                role = _serve_dealer_request(chan, p, msgs, served)
+            except (TransportError, OnlineError, OSError) as e:
+                # one bad client loses its connection, not the service
+                refused += 1
+                print(f"refused connection: {e}", file=sys.stderr, flush=True)
+                if refused >= DEALER_MAX_REFUSED:
+                    raise OnlineError(f"gave up after {refused} refused connections") from e
+                continue
             finally:
                 chan.close()
+            served.add(role)
+            print(f"served {role}", file=sys.stderr, flush=True)
     finally:
         listener.close()
     print(f"token: {msgs.token.hex()}")
     return 0
+
+
+def _serve_dealer_request(chan, p, msgs, served):
+    """Answer one dealer request; returns the role served."""
+    # a request is a role name and the 16-byte parameter digest
+    frame = recv_frame(chan, max_payload=len(b"alice") + 16)
+    role = frame.payload[:-16].decode("ascii", "replace")
+    if frame.msg_type != SETUP or role not in ("alice", "bob"):
+        raise TransportError(f"bad dealer request (role {role!r})")
+    if frame.payload[-16:] != p.digest():
+        raise OnlineError("client parameter digest does not match the dealer's")
+    if role in served:
+        raise OnlineError(f"second {role} connection refused")
+    if role == "alice":
+        send_frame(chan, Frame(DEALER_A, encode_to_alice(msgs, p.modulus)))
+    else:
+        send_frame(chan, Frame(DEALER_B, encode_to_bob(msgs)))
+    return role
 
 
 def cmd_run(args):
@@ -337,8 +345,6 @@ def _parser():
     _add_param_flags(sp)
     sp.add_argument("--mode", default="seed",
                     choices=("seed", "dealer", "ot", "lbe-sim"))
-    sp.add_argument("--count", type=int, default=None,
-                    help="bin batches to generate (default alpha)")
     sp.add_argument("--out-alice", metavar="FILE")
     sp.add_argument("--out-bob", metavar="FILE")
     sp.add_argument("--seed", metavar="HEX", help="64 hex chars; deterministic run")
@@ -351,7 +357,6 @@ def _parser():
     sp = sub.add_parser("dealer", help="serve tuples to both parties over TCP")
     _add_param_flags(sp)
     sp.add_argument("--listen", metavar="HOST:PORT", required=True)
-    sp.add_argument("--count", type=int, default=None)
     sp.add_argument("--seed", metavar="HEX")
     sp.set_defaults(func=cmd_dealer)
 

@@ -7,12 +7,14 @@ Four interchangeable backends produce the same inventory shape:
     ot       Gilboa product sharing over precomputed oblivious transfer
     lbe-sim  plaintext walk through the leveled-encryption pipeline
 
-A PSI run needs two sections per side: `bins` (alpha batches of beta
-slots) and `stash` (stash_size batches of n slots).
+A PSI run needs one inventory per side for each entry of
+`params.sections(params)`, in that order: `bins` (alpha batches of beta
+slots), then `stash` (stash_size batches of n slots).
 """
 
 from __future__ import annotations
 
+from ..params import sections
 from ..prg import SEED_LEN, Prg, Seed
 from .dealer import (
     DealerMessages,
@@ -37,57 +39,35 @@ def subseed(master, label):
     return Seed(Prg(master, tag=b"sub|" + label).read(SEED_LEN))
 
 
-def generate_psi_inventories(backend, params, master_seed=None, bin_count=None):
-    """Run one backend end to end; returns (alice_sections, bob_sections).
-
-    Each side gets [bins, stash] inventories sized for `params`
-    (bin_count overrides the number of bin batches, default alpha).
-    """
+def generate_psi_inventories(backend, params, master_seed=None):
+    """Run one backend end to end; returns (alice_sections, bob_sections),
+    one inventory per side for each of sections(params)."""
     if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}, expected one of {BACKENDS}")
     master = Seed.random() if master_seed is None else master_seed
-    nbins = params.alpha if bin_count is None else bin_count
-    sections = ((nbins, params.beta, b"bins"), (params.stash_size, params.n, b"stash"))
+
+    if backend == "dealer":
+        msg = dealer_generate(subseed(master, b"RA"), subseed(master, b"RB"), params)
+        seed_a, r_A_lists = msg.to_alice
+        return expand_alice(seed_a, r_A_lists, params), expand_bob(msg.to_bob, params)
 
     if backend == "seed":
         shared = subseed(master, b"shared")
-        halves = [
-            gen_seeded(shared, count, params.modulus, slot_len, domain=domain)
-            for count, slot_len, domain in sections
-        ]
-        return [a for a, _ in halves], [b for _, b in halves]
 
-    if backend == "dealer":
-        R_A = subseed(master, b"RA")
-        R_B = subseed(master, b"RB")
-        msg = dealer_generate(R_A, R_B, nbins, params)
-        seed_a, r_A_lists = msg.to_alice
-        alice = expand_alice(seed_a, r_A_lists, params)
-        bob = expand_bob(msg.to_bob, params, bin_count=nbins)
-        return alice, bob
+        def batch(rows, cols, domain):
+            return gen_seeded(shared, rows, params.modulus, cols, domain=domain)
 
-    if backend == "ot":
+    elif backend == "ot":
         provider = DealerAssistedOt(params.modulus, seed=subseed(master, b"ot-deal"))
-        halves = [
-            gilboa_batch(
-                provider,
-                params,
-                count,
-                slot_len=slot_len,
-                seed=subseed(master, b"gil|" + domain),
-            )
-            for count, slot_len, domain in sections
-        ]
-        return [a for a, _ in halves], [b for _, b in halves]
 
-    # lbe-sim
-    halves = [
-        lbe_batch(
-            params,
-            count,
-            slot_len=slot_len,
-            seed=subseed(master, b"lbe|" + domain),
-        )
-        for count, slot_len, domain in sections
-    ]
+        def batch(rows, cols, domain):
+            seed = subseed(master, b"gil|" + domain)
+            return gilboa_batch(provider, params, rows, slot_len=cols, seed=seed)
+
+    else:  # lbe-sim
+
+        def batch(rows, cols, domain):
+            return lbe_batch(params, rows, slot_len=cols, seed=subseed(master, b"lbe|" + domain))
+
+    halves = [batch(rows, cols, name.encode()) for name, rows, cols in sections(params)]
     return [a for a, _ in halves], [b for _, b in halves]

@@ -16,13 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..codec import pack_words, unpack_words
-from ..field import PrimeModulus
 from ..modvec import dtype_for
+from ..params import sections
 from ..prg import SEED_LEN, Seed
+from ..transport import TransportError
 from ..tuples import AliceInventory, inventory_token
 from ._expand import derive_r_a_arrays, expand_bob_inventory, expand_s_a
-
-_SECTION_DOMAINS = (b"bins", b"stash")
 
 
 @dataclass(frozen=True)
@@ -38,20 +37,15 @@ class DealerMessages:
     token: bytes
 
 
-def _sections(params, bin_count=None):
-    bins = (params.alpha if bin_count is None else bin_count, params.beta)
-    stash = (params.stash_size, params.n)
-    return (bins, stash)
-
-
-def dealer_generate(R_A, R_B, count, params):
-    """PSI-shaped dealer run: `count` bin batches plus the stash section."""
+def dealer_generate(R_A, R_B, params):
+    """PSI-shaped dealer run: one r_A array per section of the run."""
     modulus = params.modulus
     r_A_lists = []
     bob_invs = []
-    for (rows, slot_len), domain in zip(_sections(params, count), _SECTION_DOMAINS):
+    for name, rows, cols in sections(params):
+        domain = name.encode()
         s_A = expand_s_a(R_A, modulus, rows, domain)
-        bob = expand_bob_inventory(R_B, modulus, rows, slot_len, domain)
+        bob = expand_bob_inventory(R_B, modulus, rows, cols, domain)
         r_A_lists.append(derive_r_a_arrays(s_A, bob.s_B, bob.r_B_inv, modulus.q))
         bob_invs.append(bob)
     token = inventory_token(bob_invs)
@@ -62,20 +56,19 @@ def expand_alice(R_A, r_A_lists, params):
     """Alice's side of the dealer protocol: seed plus received r_A arrays."""
     modulus = params.modulus
     invs = []
-    for r_A, domain in zip(r_A_lists, _SECTION_DOMAINS):
-        block = np.empty((r_A.shape[0], 1 + r_A.shape[1]), dtype=dtype_for(modulus.q))
-        block[:, 0] = expand_s_a(R_A, modulus, r_A.shape[0], domain)
+    for r_A, (name, rows, cols) in zip(r_A_lists, sections(params), strict=True):
+        block = np.empty((rows, 1 + cols), dtype=dtype_for(modulus.q))
+        block[:, 0] = expand_s_a(R_A, modulus, rows, name.encode())
         block[:, 1:] = r_A
         invs.append(AliceInventory(modulus, block))
     return invs
 
 
-def expand_bob(R_B, params, *, bin_count=None):
+def expand_bob(R_B, params):
     """Bob's side: everything re-expanded from the 32-byte seed."""
-    modulus = params.modulus
     return [
-        expand_bob_inventory(R_B, modulus, count, slot_len, domain)
-        for (count, slot_len), domain in zip(_sections(params, bin_count), _SECTION_DOMAINS)
+        expand_bob_inventory(R_B, params.modulus, rows, cols, name.encode())
+        for name, rows, cols in sections(params)
     ]
 
 
@@ -94,35 +87,48 @@ def encode_to_alice(msg, modulus):
     return b"".join(parts)
 
 
-def to_alice_len(params, count):
-    """Bytes of the dealer-to-Alice message for `count` bin batches (alpha
-    when None): a receiver's exact frame bound."""
-    words = sum(rows * slot_len for rows, slot_len in _sections(params, count))
+def to_alice_len(params):
+    """Bytes of the dealer-to-Alice message: a receiver's exact frame bound."""
+    layout = sections(params)
+    words = sum(rows * cols for _, rows, cols in layout)
     return (
         _ALICE_HEAD.size
-        + len(_SECTION_DOMAINS) * _SECTION_HEAD.size
+        + len(layout) * _SECTION_HEAD.size
         + words * params.modulus.byte_len
     )
 
 
-def decode_to_alice(data):
-    """Inverse of encode_to_alice; returns (R_A, r_A arrays, token, modulus)."""
+def decode_to_alice(data, params):
+    """Inverse of encode_to_alice for one run's parameters; returns
+    (R_A, r_A arrays, token). A message of another length, field or section
+    layout raises TransportError."""
+    need = to_alice_len(params)
+    if len(data) != need:
+        raise TransportError(f"dealer message is {len(data)} bytes, parameters need {need}")
     seed_bytes, token, q, nsec = _ALICE_HEAD.unpack_from(data, 0)
-    modulus = PrimeModulus(q)
+    modulus = params.modulus
+    if q != modulus.q:
+        raise TransportError(f"dealer served field q={q}, parameters need {modulus.q}")
+    layout = sections(params)
+    if nsec != len(layout):
+        raise TransportError(f"dealer sent {nsec} sections, parameters need {len(layout)}")
     off = _ALICE_HEAD.size
     r_A_lists = []
-    for _ in range(nsec):
-        count, slot_len = _SECTION_HEAD.unpack_from(data, off)
+    for name, rows, cols in layout:
+        shape = _SECTION_HEAD.unpack_from(data, off)
+        if shape != (rows, cols):
+            raise TransportError(
+                f"dealer {name} section is {shape[0]} x {shape[1]}, "
+                f"parameters need {rows} x {cols}"
+            )
         off += _SECTION_HEAD.size
-        nbytes = count * slot_len * modulus.byte_len
-        block = unpack_words(
-            data[off : off + nbytes], 8 * modulus.byte_len, count * slot_len, dtype_for(q)
+        nbytes = rows * cols * modulus.byte_len
+        words = unpack_words(
+            data[off : off + nbytes], 8 * modulus.byte_len, rows * cols, dtype_for(q)
         )
         off += nbytes
-        r_A_lists.append(block.reshape(count, slot_len))
-    if off != len(data):
-        raise ValueError("trailing bytes in dealer message")
-    return Seed(seed_bytes), tuple(r_A_lists), token, modulus
+        r_A_lists.append(words.reshape(rows, cols))
+    return Seed(seed_bytes), tuple(r_A_lists), token
 
 
 def encode_to_bob(msg):
@@ -132,5 +138,5 @@ def encode_to_bob(msg):
 
 def decode_to_bob(data):
     if len(data) != SEED_LEN:
-        raise ValueError(f"dealer-to-Bob message must be {SEED_LEN} bytes")
+        raise TransportError(f"dealer-to-Bob message must be {SEED_LEN} bytes")
     return Seed(bytes(data))

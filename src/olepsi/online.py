@@ -36,6 +36,7 @@ from .hashing import (
     stash_encode,
 )
 from .modvec import dtype_for
+from .params import sections
 from .prg import Prg, Seed
 from .transport import (
     ALICE_C,
@@ -86,10 +87,10 @@ def derive_hash_seeds(params, token=UNKNOWN_TOKEN):
 class PsiSession:
     """One party's agreed state for a single protocol run.
 
-    inventories holds the bin batches first and, when stash_size > 0, the
-    stash batches second (the layout produced by the offline generators).
-    The hash seeds are always derive_hash_seeds(params, token), so both
-    parties hold the same ones and a table build never resamples them.
+    inventories holds one inventory per entry of sections(params), in that
+    order (the layout produced by the offline generators). The hash seeds
+    are always derive_hash_seeds(params, token), so both parties hold the
+    same ones and a table build never resamples them.
     Batches are single-use: a session refuses to run twice.
     """
 
@@ -105,35 +106,39 @@ class PsiSession:
             raise ValueError(f"token must be {TOKEN_LEN} bytes")
         q = self.params.modulus.q
         for inv in self.inventories:
-            if inv is not None and inv.modulus.q != q:
+            if inv.modulus.q != q:
                 raise ValueError(
                     f"inventory modulus {inv.modulus.q} does not match params ({q})"
                 )
         self.seeds = derive_hash_seeds(self.params, self.token)
         self._used = False
 
-    def _sections(self):
-        invs = [inv for inv in self.inventories if inv is not None]
-        bins = invs[0] if invs else None
-        stash = invs[1] if len(invs) > 1 else None
-        return bins, stash
-
-    def _claim(self):
+    def _start(self, role):
+        """Claim the session for one run; returns its inventories by section
+        name, each exactly (rows, cols) of sections(params)."""
+        if self.role != role:
+            raise ValueError(f"session role is not {role}")
         if self._used:
             raise TupleExhausted("session already ran; tuple batches are single-use")
         self._used = True
-
-
-def _need(inv, count, slot_len, label):
-    if count == 0:
-        return
-    have = 0 if inv is None else len(inv)
-    if have < count:
-        raise TupleExhausted(f"{label}: need {count} batches, have {have}")
-    if inv.slot_len != slot_len:
-        raise TupleExhausted(
-            f"{label}: need slot length {slot_len}, have {inv.slot_len}"
-        )
+        layout = sections(self.params)
+        names = [name for name, _, _ in layout]
+        if len(self.inventories) != len(names):
+            raise TupleExhausted(
+                f"{len(self.inventories)} tuple sections, the run needs "
+                f"{len(names)} ({', '.join(names)})"
+            )
+        invs = dict(zip(names, self.inventories))
+        for name, rows, cols in layout:
+            label = name.removesuffix("s") + " batches"  # bin / stash batches
+            inv = invs[name]
+            if len(inv) != rows:
+                raise TupleExhausted(f"{label}: need {rows} batches, have {len(inv)}")
+            if inv.slot_len != cols:
+                raise TupleExhausted(
+                    f"{label}: need slot length {cols}, have {inv.slot_len}"
+                )
+        return invs
 
 
 class FrameCut(NamedTuple):
@@ -174,10 +179,21 @@ def frame_plan(params):
     """Every element frame of one run, in send order: (Alice's c frames,
     Bob's d frames). A pure function of the parameters, so both sides cut
     the messages the same way without telling each other."""
-    p = params
-    up = _cuts("bins", p.alpha, 1) + _cuts("stash", p.stash_size, 1)
-    down = _cuts("bins", p.alpha, p.beta) + _cuts("stash", p.stash_size, p.n)
+    layout = sections(params)
+    up = [cut for name, rows, _ in layout for cut in _cuts(name, rows, 1)]
+    down = [cut for name, rows, cols in layout for cut in _cuts(name, rows, cols)]
     return up, down
+
+
+def _check_totals(channel, before, sent, received):
+    """Assert that since `before` (elements sent, received) the channel moved
+    exactly the elements of the frame_plan cuts this side sends and receives."""
+    stats = channel.stats
+    got = (stats.elements_sent - before[0], stats.elements_received - before[1])
+    for verb, n, cuts in zip(("sent", "received"), got, (sent, received)):
+        need = sum(cut.count for cut in cuts)
+        if n != need:
+            raise OnlineError(f"{verb} {n} elements, protocol requires {need}")
 
 
 def _setup_payload(session):
@@ -248,27 +264,21 @@ def psi_alice(session, elements, channel):
     failure beyond the stash raises CuckooFailure, since the session's seeds
     are pinned and cannot be resampled mid-protocol.
     """
-    if session.role != "alice":
-        raise ValueError("session role is not alice")
-    session._claim()
+    invs = session._start("alice")
     p = session.params
     q = p.modulus.q
-    bins_inv, stash_inv = session._sections()
-    _need(bins_inv, p.alpha, p.beta, "bin batches")
-    _need(stash_inv, p.stash_size, p.n, "stash batches")
 
     table = build_cuckoo_table(elements, p, seeds=session.seeds)
-    sent0 = channel.stats.elements_sent
-    recv0 = channel.stats.elements_received
+    before = (channel.stats.elements_sent, channel.stats.elements_received)
     _setup_exchange(session, channel)
     up, down = frame_plan(p)
 
     stash_items = table.stash
-    c = {"bins": _alice_c(bins_inv.s_A[: p.alpha], table.bins, q)}
+    c = {"bins": _alice_c(invs["bins"].s_A, table.bins, q)}
     if p.stash_size:
         enc_st = np.full(p.stash_size, p.dummy_alice, dtype=np.int64)
         enc_st[: len(stash_items)] = stash_encode(stash_items, session.seeds, p)
-        c["stash"] = _alice_c(stash_inv.s_A[: p.stash_size], enc_st, q)
+        c["stash"] = _alice_c(invs["stash"].s_A, enc_st, q)
     for cut in up:
         send_elements(channel, ALICE_C, c[cut.section][cut.rows], p.modulus)
 
@@ -277,23 +287,15 @@ def psi_alice(session, elements, channel):
         d = recv_elements(channel, BOB_D, p.modulus, cut.count).reshape(cut.shape)
         if cut.section == "bins":
             origins = table.origins[cut.rows]
-            hits = (d == bins_inv.r_A[cut.rows]).any(axis=1) & (origins >= 0)
+            hits = (d == invs["bins"].r_A[cut.rows]).any(axis=1) & (origins >= 0)
             out.update(origins[hits].tolist())
         else:
-            hits = (d == stash_inv.r_A[cut.rows, cut.cols]).any(axis=1)
+            hits = (d == invs["stash"].r_A[cut.rows, cut.cols]).any(axis=1)
             for t in np.flatnonzero(hits) + cut.rows.start:
                 if t < len(stash_items):
                     out.add(int(stash_items[t]))
 
-    sent = channel.stats.elements_sent - sent0
-    received = channel.stats.elements_received - recv0
-    if sent != p.alpha + p.stash_size:
-        raise OnlineError(f"sent {sent} elements, protocol requires {p.alpha + p.stash_size}")
-    if received != p.alpha * p.beta + p.stash_size * p.n:
-        raise OnlineError(
-            f"received {received} elements, protocol requires "
-            f"{p.alpha * p.beta + p.stash_size * p.n}"
-        )
+    _check_totals(channel, before, up, down)
     return out
 
 
@@ -306,27 +308,19 @@ def psi_bob(session, elements, channel):
     sent before the next, so the whole reply is never held at once. Padding
     slots reply under Bob's dummy encoding, which can never match.
     """
-    if session.role != "bob":
-        raise ValueError("session role is not bob")
-    session._claim()
+    invs = session._start("bob")
     p = session.params
     q = p.modulus.q
-    bins_inv, stash_inv = session._sections()
-    _need(bins_inv, p.alpha, p.beta, "bin batches")
-    _need(stash_inv, p.stash_size, p.n, "stash batches")
 
     table = build_bin_table(elements, p, session.seeds)
-    sent0 = channel.stats.elements_sent
-    recv0 = channel.stats.elements_received
+    before = (channel.stats.elements_sent, channel.stats.elements_received)
     _setup_exchange(session, channel)
     up, down = frame_plan(p)
 
-    dt = dtype_for(q)
-    c = {"bins": np.empty(p.alpha, dt), "stash": np.empty(p.stash_size, dt)}
+    c = {name: np.empty(len(inv), dtype_for(q)) for name, inv in invs.items()}
     for cut in up:
         c[cut.section][cut.rows] = recv_elements(channel, ALICE_C, p.modulus, cut.count)
 
-    invs = {"bins": bins_inv, "stash": stash_inv}
     enc = None
     for cut in down:
         if cut.section == "bins":
@@ -340,17 +334,7 @@ def psi_bob(session, elements, channel):
         d = _bob_reply(c[cut.section][cut.rows], enc_rows, inv, q)
         send_elements(channel, BOB_D, d, p.modulus)
 
-    sent = channel.stats.elements_sent - sent0
-    received = channel.stats.elements_received - recv0
-    if received != p.alpha + p.stash_size:
-        raise OnlineError(
-            f"received {received} elements, protocol requires {p.alpha + p.stash_size}"
-        )
-    if sent != p.alpha * p.beta + p.stash_size * p.n:
-        raise OnlineError(
-            f"sent {sent} elements, protocol requires "
-            f"{p.alpha * p.beta + p.stash_size * p.n}"
-        )
+    _check_totals(channel, before, down, up)
     return None
 
 

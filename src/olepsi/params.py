@@ -193,16 +193,22 @@ def derive_params(n, k, sigma=32, lam=40, stash_size=None):
     )
 
 
+def sections(params):
+    """The run's tuple sections as (name, rows, cols), in inventory,
+    tuple-file, dealer-message and wire order.
+
+    Alice sends one c per row and Bob returns one d per slot: alpha bins of
+    beta slots, then stash_size stash rows of n slots (one per element of
+    Bob's set). Every slot uses one tuple.
+    """
+    return (("bins", params.alpha, params.beta), ("stash", params.stash_size, params.n))
+
+
 def online_bits_per_element(params):
     """Exact online communication cost per element, as a rational, in bits.
 
-    alpha*(beta+1) field elements cross the wire for the bins (one c per bin
-    from one side, beta d-values back), plus (n+1) per stash slot; every
-    element is log q bits before byte packing.
+    rows * (cols + 1) field elements cross the wire per section (one c per
+    row from one side, cols d-values back); every element is log q bits.
     """
-    elements = Fraction(
-        params.alpha * (params.beta + 1)
-        + params.stash_size * (params.n + 1),
-        params.n,
-    )
-    return elements * params.modulus.bit_len
+    elements = sum(rows * (cols + 1) for _, rows, cols in sections(params))
+    return Fraction(elements, params.n) * params.modulus.bit_len

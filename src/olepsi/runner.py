@@ -159,7 +159,7 @@ def bench_run(params, backend="seed", master_seed=None, rng=None):
     q = params.modulus.q
     probe_c = rng.integers(0, q, size=params.alpha, dtype=np.int64)
     bins_inv = bob.inventories[0]
-    r_A = alice.inventories[0].r_A[: params.alpha]
+    r_A = alice.inventories[0].r_A
     t0 = time.perf_counter()
     probe_d = _bob_reply(probe_c, bin_table.bins, bins_inv, q)
     (probe_d == r_A).any(axis=1).sum()

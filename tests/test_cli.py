@@ -4,6 +4,7 @@ Most tests call main() in process; one subprocess test exercises the
 console entry point and the dealer service over real loopback TCP.
 """
 
+import dataclasses
 import re
 import socket
 import subprocess
@@ -14,17 +15,20 @@ import pytest
 
 from olepsi.cli import main, read_set_file
 from olepsi.hashing import bin_index, build_cuckoo_table, split_element
-from olepsi.offline.dealer import to_alice_len
+from olepsi.offline.dealer import dealer_generate, encode_to_alice, to_alice_len
 from olepsi.online import derive_hash_seeds
 from olepsi.params import derive_params
-from olepsi.prg import SEED_LEN
+from olepsi.prg import SEED_LEN, Seed
 from olepsi.transport import (
     _HEAD,
     DEALER_A,
     DEALER_B,
     SETUP,
+    ChannelClosed,
+    Frame,
     TcpListener,
     recv_frame,
+    send_frame,
     tcp_connect,
 )
 from olepsi.tuples import SIDE_ALICE, SIDE_BOB, load_inventories
@@ -126,31 +130,70 @@ class TestOffline:
 
 class TestDealerFrameBounds:
     """Each side of the dealer service bounds the frame it reads by the size
-    the protocol fixes, so an oversize header fails (exit 3) while the peer
-    still holds the connection open and has sent no payload."""
+    the protocol fixes, so an oversize header is refused while the peer
+    still holds the connection open and has sent no payload. The dealer
+    drops a bad client and keeps serving; a client given a bad reply exits 3."""
 
-    def test_oversize_request_fails_at_header(self, capsys):
+    def start_dealer(self, rc):
         port = free_port()
-        rc = []
+        # a daemon, so a dealer still waiting for a client cannot hang the tests
         dealer = threading.Thread(target=lambda: rc.append(invoke(
-            ["dealer", "--listen", f"127.0.0.1:{port}", "--seed", SEED_B] + BASE)))
+            ["dealer", "--listen", f"127.0.0.1:{port}", "--seed", SEED_B] + BASE)),
+            daemon=True)
         dealer.start()
-        chan = tcp_connect("127.0.0.1", port)
+        return dealer, port
+
+    def fetch(self, tmp_path, port, role):
+        return invoke(["offline", "--connect", f"127.0.0.1:{port}", "--role", role,
+                       f"--out-{role}", str(tmp_path / f"{role}.tup")] + BASE)
+
+    def test_oversize_request_fails_at_header(self, tmp_path, capsys):
+        rc = []
+        dealer, port = self.start_dealer(rc)
         try:
-            chan.send_bytes(_HEAD.pack(len(b"alice") + 16 + 1, SETUP))
-            dealer.join(timeout=10)
-            assert not dealer.is_alive()
+            chan = tcp_connect("127.0.0.1", port)
+            try:
+                chan.send_bytes(_HEAD.pack(len(b"alice") + 16 + 1, SETUP))
+                # the dealer closes the connection without reading a payload
+                with pytest.raises(ChannelClosed):
+                    chan.recv_bytes(1)
+            finally:
+                chan.close()
+            assert dealer.is_alive()
+            assert "22 byte payload, limit 21" in capsys.readouterr().err
+            # both real parties are still served, and the service ends cleanly
+            assert self.fetch(tmp_path, port, "alice") == 0
+            assert self.fetch(tmp_path, port, "bob") == 0
         finally:
-            chan.close()
+            dealer.join(timeout=30)
+        assert rc == [0]
+        secs_a, tok_a = load_inventories(tmp_path / "alice.tup", SIDE_ALICE)
+        secs_b, tok_b = load_inventories(tmp_path / "bob.tup", SIDE_BOB)
+        assert tok_a == tok_b
+        assert "served alice" in capsys.readouterr().err
+
+    def test_dealer_gives_up_after_refused_connections(self, monkeypatch, capsys):
+        import olepsi.cli as cli
+
+        monkeypatch.setattr(cli, "DEALER_MAX_REFUSED", 2)
+        rc = []
+        dealer, port = self.start_dealer(rc)
+        try:
+            for _ in range(2):
+                chan = tcp_connect("127.0.0.1", port)
+                send_frame(chan, Frame(SETUP, b"carol" + bytes(16)))
+                with pytest.raises(ChannelClosed):
+                    chan.recv_bytes(1)
+                chan.close()
+        finally:
             dealer.join(timeout=30)
         assert rc == [3]
-        assert "22 byte payload, limit 21" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.count("bad dealer request") == 2
+        assert "gave up after 2 refused connections" in err
 
-    @pytest.mark.parametrize("role", ["alice", "bob"])
-    def test_oversize_dealer_reply_fails_at_header(self, tmp_path, capsys, role):
-        p = derive_params(64, 3, sigma=16)
-        limits = {"alice": (DEALER_A, to_alice_len(p, None)), "bob": (DEALER_B, SEED_LEN)}
-        msg_type, limit = limits[role]
+    def fetch_from_fake(self, tmp_path, reply, role):
+        """Fetch `role` from a fake dealer that answers with the bytes `reply`."""
         srv = TcpListener("127.0.0.1", 0)
         done = threading.Event()
 
@@ -158,24 +201,64 @@ class TestDealerFrameBounds:
             chan = srv.accept()
             try:
                 recv_frame(chan)
-                chan.send_bytes(_HEAD.pack(limit + 1, msg_type))
+                chan.send_bytes(reply)
                 done.wait(10)
             finally:
                 chan.close()
 
         server = threading.Thread(target=fake_dealer)
         server.start()
-        out = tmp_path / f"{role}.tup"
         try:
-            rc = invoke(["offline", "--connect", f"127.0.0.1:{srv.port}", "--role", role,
-                         f"--out-{role}", str(out)] + BASE)
+            return self.fetch(tmp_path, srv.port, role)
         finally:
             done.set()
             server.join(timeout=30)
             srv.close()
+
+    @pytest.mark.parametrize("role", ["alice", "bob"])
+    def test_oversize_dealer_reply_fails_at_header(self, tmp_path, capsys, role):
+        p = derive_params(64, 3, sigma=16)
+        limits = {"alice": (DEALER_A, to_alice_len(p)), "bob": (DEALER_B, SEED_LEN)}
+        msg_type, limit = limits[role]
+        rc = self.fetch_from_fake(tmp_path, _HEAD.pack(limit + 1, msg_type), role)
         assert rc == 3
         assert f"{limit + 1} byte payload, limit {limit}" in capsys.readouterr().err
-        assert not out.exists()
+        assert not (tmp_path / f"{role}.tup").exists()
+
+    def alice_payload(self, p, mangle=lambda r_A: r_A):
+        """A DEALER_A payload for p with `mangle` applied to each r_A array."""
+        msg = dealer_generate(Seed(bytes([1]) * 32), Seed(bytes([2]) * 32), p)
+        R_A, r_A_lists = msg.to_alice
+        msg = dataclasses.replace(msg, to_alice=(R_A, tuple(map(mangle, r_A_lists))))
+        return encode_to_alice(msg, p.modulus)
+
+    @pytest.mark.parametrize("role", ["alice", "bob"])
+    def test_truncated_dealer_reply_is_protocol_error(self, tmp_path, capsys, role):
+        p = derive_params(64, 3, sigma=16)
+        if role == "alice":
+            short = _HEAD.pack(60, DEALER_A) + self.alice_payload(p)[:60]
+            want = f"dealer message is 60 bytes, parameters need {to_alice_len(p)}"
+        else:
+            short = _HEAD.pack(20, DEALER_B) + bytes(20)
+            want = f"dealer-to-Bob message must be {SEED_LEN} bytes"
+        rc = self.fetch_from_fake(tmp_path, short, role)
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert want in err
+        assert "Traceback" not in err
+        assert not (tmp_path / f"{role}.tup").exists()
+
+    def test_misshaped_dealer_reply_is_protocol_error(self, tmp_path, capsys):
+        # as many words as the parameters need, with each section transposed
+        p = derive_params(64, 3, sigma=16)
+        payload = self.alice_payload(p, lambda r_A: r_A.T.copy())
+        assert len(payload) == to_alice_len(p)
+        rc = self.fetch_from_fake(tmp_path, _HEAD.pack(len(payload), DEALER_A) + payload, "alice")
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert f"bins section is {p.beta} x {p.alpha}, parameters need {p.alpha} x {p.beta}" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "alice.tup").exists()
 
 
 class TestSetFiles:

@@ -1,6 +1,7 @@
 """Offline backends: seeded, dealer, OT/Gilboa, LBE simulation."""
 
 import hashlib
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -32,6 +33,7 @@ from olepsi.offline import lbe as lbe_mod
 from olepsi.offline.lbe import LbeSimParams, lbe_batch, lbe_reconstruct
 from olepsi.params import derive_params
 from olepsi.prg import Prg, Seed
+from olepsi.transport import TransportError
 from olepsi.tuples import (
     inventory_token,
     load_inventories,
@@ -140,38 +142,38 @@ def test_each_backend_holds_each_side_in_one_block(tmp_path, backend):
 # ---------------------------------------------------------------- dealer
 
 def test_dealer_reconstruction_validates():
-    p = params_small()
-    msg = dealer_generate(Seed(bytes([1]) * 32), Seed(bytes([2]) * 32), 5, p)
+    p = replace(params_small(), alpha=5)
+    msg = dealer_generate(Seed(bytes([1]) * 32), Seed(bytes([2]) * 32), p)
     alice = expand_alice(msg.to_alice[0], msg.to_alice[1], p)
-    bob = expand_bob(msg.to_bob, p, bin_count=5)
+    bob = expand_bob(msg.to_bob, p)
     assert len(alice) == len(bob) == 2
     assert all(validate_inventories(x, y) for x, y in zip(alice, bob))
-    # bins section shaped (count, beta), stash section (stash_size, n)
+    # bins section shaped (alpha, beta), stash section (stash_size, n)
     assert (len(alice[0]), alice[0].slot_len) == (5, p.beta)
     assert (len(alice[1]), alice[1].slot_len) == (p.stash_size, p.n)
 
 
 def test_dealer_to_bob_is_seed_sized():
-    p = params_small()
     for count in (1, 40):
-        msg = dealer_generate(Seed.random(), Seed.random(), count, p)
+        p = replace(params_small(), alpha=count)
+        msg = dealer_generate(Seed.random(), Seed.random(), p)
         assert len(encode_to_bob(msg)) == 32
 
 
 def test_dealer_token_identifies_bob_half():
-    p = params_small()
-    msg = dealer_generate(Seed(bytes([1]) * 32), Seed(bytes([2]) * 32), 4, p)
-    bob = expand_bob(msg.to_bob, p, bin_count=4)
+    p = replace(params_small(), alpha=4)
+    msg = dealer_generate(Seed(bytes([1]) * 32), Seed(bytes([2]) * 32), p)
+    bob = expand_bob(msg.to_bob, p)
     assert msg.token == inventory_token(bob)
-    other = expand_bob(Seed(bytes([9]) * 32), p, bin_count=4)
+    other = expand_bob(Seed(bytes([9]) * 32), p)
     assert msg.token != inventory_token(other)
 
 
 def test_dealer_mismatched_seed_fails_validation():
-    p = params_small()
-    msg = dealer_generate(Seed(bytes([1]) * 32), Seed(bytes([2]) * 32), 6, p)
+    p = replace(params_small(), alpha=6)
+    msg = dealer_generate(Seed(bytes([1]) * 32), Seed(bytes([2]) * 32), p)
     alice = expand_alice(msg.to_alice[0], msg.to_alice[1], p)
-    wrong = expand_bob(Seed(bytes([3]) * 32), p, bin_count=6)
+    wrong = expand_bob(Seed(bytes([3]) * 32), p)
     assert not validate_inventories(alice[0], wrong[0])
 
 
@@ -192,15 +194,15 @@ def test_dealer_micro_run_stub(monkeypatch):
     monkeypatch.setattr(dealer_mod, "expand_s_a", fake_s_a)
     monkeypatch.setattr(dealer_mod, "expand_bob_inventory", fake_bob)
     # sections (1, 1) of bins and (0, 1) of stash over F_11
-    p = SimpleNamespace(modulus=M11, beta=1, stash_size=0, n=1)
-    msg = dealer_mod.dealer_generate(Seed(bytes(32)), Seed(bytes([1]) * 32), 1, p)
+    p = SimpleNamespace(modulus=M11, alpha=1, beta=1, stash_size=0, n=1)
+    msg = dealer_mod.dealer_generate(Seed(bytes(32)), Seed(bytes([1]) * 32), p)
     assert int(msg.to_alice[1][0][0, 0]) == 2
 
 
 def test_dealer_alice_expansion_golden_prefix():
     # frozen on first run: seed 0x01..01, small parameter set
-    p = params_small()
-    msg = dealer_generate(Seed(bytes([1]) * 32), Seed(bytes([2]) * 32), 5, p)
+    p = replace(params_small(), alpha=5)
+    msg = dealer_generate(Seed(bytes([1]) * 32), Seed(bytes([2]) * 32), p)
     alice = expand_alice(msg.to_alice[0], msg.to_alice[1], p)
     assert alice[0].s_A[:4].tolist() == [157, 43, 24, 43]
 
@@ -231,7 +233,7 @@ def test_seed_inventory_and_dealer_bytes_golden(
     save_inventories(tmp_path / "b", bob, "bob", tok)
     assert hashlib.sha256((tmp_path / "a").read_bytes()).hexdigest() == alice_sha
     assert hashlib.sha256((tmp_path / "b").read_bytes()).hexdigest() == bob_sha
-    msg = dealer_generate(Seed(bytes(32)), Seed(bytes([1]) * 32), 5, p)
+    msg = dealer_generate(Seed(bytes(32)), Seed(bytes([1]) * 32), replace(p, alpha=5))
     data = encode_to_alice(msg, p.modulus)
     assert hashlib.sha256(data).hexdigest() == dealer_sha
 
@@ -261,26 +263,29 @@ def test_ot_and_lbe_inventory_golden(tmp_path, backend, k, sigma, q, token, alic
 
 
 def test_dealer_alice_message_roundtrip():
-    p = params_small()
-    msg = dealer_generate(Seed(bytes([1]) * 32), Seed(bytes([2]) * 32), 3, p)
+    p = replace(params_small(), alpha=3)
+    msg = dealer_generate(Seed(bytes([1]) * 32), Seed(bytes([2]) * 32), p)
     data = encode_to_alice(msg, p.modulus)
-    seed, lists, token, modulus = decode_to_alice(data)
+    seed, lists, token = decode_to_alice(data, p)
     assert seed == msg.to_alice[0]
     assert token == msg.token
-    assert modulus.q == p.modulus.q
-    assert all((x == y).all() for x, y in zip(lists, msg.to_alice[1]))
-    with pytest.raises(ValueError):
-        decode_to_alice(data + b"\x00")
-    with pytest.raises(ValueError):
+    assert all((x == y).all() for x, y in zip(lists, msg.to_alice[1], strict=True))
+    for bad in (data + b"\x00", data[:60], data[:-1]):
+        with pytest.raises(TransportError, match="bytes, parameters need"):
+            decode_to_alice(bad, p)
+    # as many words, in the layout of parameters with alpha and beta swapped
+    with pytest.raises(TransportError, match="bins section is 3 x 15, parameters need 15 x 3"):
+        decode_to_alice(data, replace(p, alpha=p.beta, beta=p.alpha))
+    with pytest.raises(TransportError):
         decode_to_bob(b"\x00" * 31)
 
 
 def test_dealer_alice_message_length_is_fixed_by_params():
     # the client bounds the DEALER_A frame by this length before reading it
-    p = params_small()
     for count in (None, 1, 7):
-        msg = dealer_generate(Seed(bytes([1]) * 32), Seed(bytes([2]) * 32), count or p.alpha, p)
-        assert len(encode_to_alice(msg, p.modulus)) == dealer_mod.to_alice_len(p, count)
+        p = params_small() if count is None else replace(params_small(), alpha=count)
+        msg = dealer_generate(Seed(bytes([1]) * 32), Seed(bytes([2]) * 32), p)
+        assert len(encode_to_alice(msg, p.modulus)) == dealer_mod.to_alice_len(p)
 
 
 # ---------------------------------------------------------------- OT provider
@@ -597,19 +602,17 @@ def test_lbe_reconstruct_matches_residue_loop_at_extremes():
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_generate_psi_inventories(backend):
-    p = params_small()
-    alice, bob = generate_psi_inventories(
-        backend, p, master_seed=Seed(bytes([7]) * 32), bin_count=8
-    )
+    p = replace(params_small(), alpha=8)
+    alice, bob = generate_psi_inventories(backend, p, master_seed=Seed(bytes([7]) * 32))
     assert all(validate_inventories(x, y) for x, y in zip(alice, bob))
     assert [(len(x), x.slot_len) for x in alice] == [(8, p.beta), (p.stash_size, p.n)]
 
 
 def test_generate_psi_inventories_deterministic_backends():
-    p = params_small()
+    p = replace(params_small(), alpha=4)
     for backend in BACKENDS:
-        a1, b1 = generate_psi_inventories(backend, p, Seed(bytes([9]) * 32), bin_count=4)
-        a2, b2 = generate_psi_inventories(backend, p, Seed(bytes([9]) * 32), bin_count=4)
+        a1, b1 = generate_psi_inventories(backend, p, Seed(bytes([9]) * 32))
+        a2, b2 = generate_psi_inventories(backend, p, Seed(bytes([9]) * 32))
         for x, y in zip(a1, a2):
             assert (x.s_A == y.s_A).all() and (x.r_A == y.r_A).all()
         for x, y in zip(b1, b2):

@@ -7,6 +7,7 @@ against brute-force set intersection, which is the natural frozen oracle.
 
 import dataclasses
 import importlib.util
+from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -37,7 +38,7 @@ from olepsi.online import (
     psi_alice,
     psi_bob,
 )
-from olepsi.params import PARAM_TABLE, derive_params
+from olepsi.params import PARAM_TABLE, derive_params, online_bits_per_element
 from olepsi.prg import Seed
 from olepsi.runner import make_sessions, psi_once, run_psi_pair, small_psi_engine
 from olepsi.transport import (
@@ -388,15 +389,17 @@ class TestTupleExhaustion:
         with pytest.raises(TupleExhausted, match="stash"):
             run_psi_pair(a, {1}, b, {2})
 
-    def test_too_few_bin_batches(self):
+    @pytest.mark.parametrize("extra", [-1, 1], ids=["alpha-1", "alpha+1"])
+    def test_too_few_bin_batches(self, extra):
+        # extra bin batches are refused before SETUP as well as missing ones
         p = derive_params(16, 3, sigma=16)
         a, b = make_sessions(p, master_seed=Seed(bytes(32)))
-        small, _ = generate_psi_inventories(
-            "seed", p, Seed(bytes(32)), bin_count=p.alpha - 1
-        )
-        a.inventories = small
+        other = dataclasses.replace(p, alpha=p.alpha + extra)
+        a.inventories, _ = generate_psi_inventories("seed", other, Seed(bytes(32)))
+        chan_a, chan_b = memory_channel_pair(timeout=5.0)
         with pytest.raises(TupleExhausted, match="bin batches"):
-            run_psi_pair(a, {1}, b, {2})
+            psi_alice(a, {1}, chan_a)
+        assert chan_a.stats.bytes_sent == 0
 
     def test_wrong_slot_length(self):
         p = derive_params(16, 3, sigma=16)
@@ -493,8 +496,14 @@ def test_frame_plan_bounded_at_every_table_row(n, k):
     for cut in up + down:
         assert 0 < cut.count <= online._CHUNK
         assert packed_len(cut.count, p.modulus.bit_len) < MAX_PAYLOAD
+    # the closed forms, written out: one c per bin and per stash row, beta
+    # d-values per bin and n per stash row
     assert sum(cut.count for cut in up) == p.alpha + p.stash_size
     assert sum(cut.count for cut in down) == p.alpha * p.beta + p.stash_size * p.n
+    log_q = p.modulus.bit_len
+    assert online_bits_per_element(p) == Fraction(
+        (p.alpha * (p.beta + 1) + p.stash_size * (p.n + 1)) * log_q, p.n
+    )
     # each section's frames tile its rows x columns in row-major order
     for cuts, widths in ((up, {"bins": 1, "stash": 1}), (down, {"bins": p.beta, "stash": p.n})):
         pos = {"bins": 0, "stash": 0}
