@@ -53,9 +53,6 @@ from .tuples import TOKEN_LEN, BobInventory
 
 PROTOCOL_VERSION = 3
 
-# all-zero token means "inventory digest unknown": the check is skipped
-UNKNOWN_TOKEN = bytes(TOKEN_LEN)
-
 _CHUNK = 1 << 22  # field elements per frame
 _BLOCK = 1 << 16  # field elements per vectorized pass: temporaries stay in cache
 
@@ -72,7 +69,7 @@ class SeedMismatch(OnlineError):
     """Setup exchange shows the parties disagree on parameters, seeds or tuples."""
 
 
-def derive_hash_seeds(params, token=UNKNOWN_TOKEN):
+def derive_hash_seeds(params, token):
     """Shared hash seeds derived from public setup data.
 
     Binding the seeds to (parameter digest, inventory token) lets both
@@ -97,7 +94,7 @@ class PsiSession:
     role: str
     params: object
     inventories: tuple
-    token: bytes = UNKNOWN_TOKEN
+    token: bytes
 
     def __post_init__(self):
         if self.role not in ("alice", "bob"):
@@ -220,11 +217,7 @@ def _verify_setup(session, payload):
     off += len(digest)
     peer_token = payload[off : off + TOKEN_LEN]
     off += TOKEN_LEN
-    if (
-        session.token != UNKNOWN_TOKEN
-        and peer_token != UNKNOWN_TOKEN
-        and peer_token != session.token
-    ):
+    if peer_token != session.token:
         raise SeedMismatch(
             "tuple inventory tokens differ; the halves are not from one offline run"
         )

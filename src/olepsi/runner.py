@@ -1,7 +1,8 @@
-"""Single-process orchestration: both roles over an in-memory channel pair.
+"""Single-process orchestration: both roles over a socketpair in one process.
 
 Glue used by the CLI, the bench harness and the tests. Real two-process runs
-use the same psi_alice/psi_bob entry points over TcpChannel instead.
+use the same psi_alice/psi_bob entry points over TCP; both go through the
+one channel implementation in transport.py.
 """
 
 import threading
@@ -15,7 +16,12 @@ from .hashing import build_bin_table, build_cuckoo_table
 from .offline import generate_psi_inventories
 from .online import PsiSession, _bob_reply, psi_alice, psi_bob
 from .params import derive_params, online_bits_per_element
-from .transport import ChannelClosed, bits_per_element_measured, memory_channel_pair
+from .transport import (
+    PEER_TIMEOUT,
+    ChannelClosed,
+    bits_per_element_measured,
+    memory_channel_pair,
+)
 from .tuples import inventory_token
 
 
@@ -28,13 +34,14 @@ def make_sessions(params, backend="seed", master_seed=None):
     return alice, bob
 
 
-def run_psi_pair(alice_session, alice_set, bob_session, bob_set, timeout=120.0):
+def run_psi_pair(alice_session, alice_set, bob_session, bob_set):
     """Run both roles to completion; returns (intersection, alice stats, bob stats).
 
     Bob runs on a worker thread. When either side fails, the other usually
-    sees a secondary ChannelClosed; the root cause is re-raised here.
+    sees a secondary ChannelClosed; the root cause is re-raised here. Both
+    channel ends are closed on every path.
     """
-    chan_a, chan_b = memory_channel_pair(timeout)
+    chan_a, chan_b = memory_channel_pair()
     failure = []
 
     def bob_side():
@@ -54,7 +61,8 @@ def run_psi_pair(alice_session, alice_set, bob_session, bob_set, timeout=120.0):
         alice_exc = exc
     finally:
         chan_a.close()
-        worker.join(timeout)
+        worker.join(PEER_TIMEOUT)
+        chan_b.close()
 
     errors = [e for e in (failure[0] if failure else None, alice_exc) if e is not None]
     if errors:

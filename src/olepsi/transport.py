@@ -8,14 +8,15 @@ so a receiver checks the header before reading any payload. The
 accounting layer tracks the theoretical bit cost (elements times
 ceil(log2 q)) next to the bytes on the wire.
 
-Two channel backends: a queue-based in-memory pair for tests and
-single-process runs, and TCP sockets for real two-process runs. Both give
-up on a peer that sends nothing for `timeout` seconds (PeerTimeout).
+One channel implementation over a connected stream socket: TCP for real
+two-process runs, and one end of a socketpair for tests and single-process
+runs (memory_channel_pair). Reads, EOF, backpressure and the deadline are
+the same code either way: a peer that neither sends nor takes data for
+`timeout` seconds raises PeerTimeout.
 """
 
 from __future__ import annotations
 
-import queue
 import socket
 import struct
 import time
@@ -106,64 +107,17 @@ class CommStats:
         )
 
 
-class Channel:
-    """Byte stream with stats; subclasses provide the actual transport."""
-
-    stats: CommStats
-
-    def send_bytes(self, data):
-        raise NotImplementedError
-
-    def recv_bytes(self, n):
-        raise NotImplementedError
-
-    def close(self):
-        raise NotImplementedError
+PEER_TIMEOUT = 120.0  # seconds a read may wait for data, or one send to be taken
+_CONNECT_ATTEMPTS = 40
+_CONNECT_DELAY = 0.25  # seconds between connection attempts
 
 
-class InMemoryChannel(Channel):
-    """One endpoint of a paired queue transport; safe for two threads."""
+class TcpChannel:
+    """Byte stream with stats over one end of a connected stream socket."""
 
-    def __init__(self, out_q, in_q, timeout=120.0):
-        self._out = out_q
-        self._in = in_q
-        self._buf = bytearray()
-        self._eof = False
-        self._timeout = timeout
-        self.stats = CommStats()
-
-    def send_bytes(self, data):
-        self._out.put(bytes(data))
-
-    def recv_bytes(self, n):
-        while len(self._buf) < n:
-            if self._eof:
-                raise ChannelClosed("stream ended mid-message")
-            try:
-                chunk = self._in.get(timeout=self._timeout)
-            except queue.Empty:
-                raise PeerTimeout(f"no data from peer for {self._timeout} s") from None
-            if chunk is None:
-                self._eof = True
-                continue
-            self._buf += chunk
-        out = bytes(self._buf[:n])
-        del self._buf[:n]
-        return out
-
-    def close(self):
-        self._out.put(None)
-
-
-def memory_channel_pair(timeout=120.0):
-    """Two connected endpoints: whatever one sends, the other receives."""
-    q1, q2 = queue.Queue(), queue.Queue()
-    return InMemoryChannel(q1, q2, timeout), InMemoryChannel(q2, q1, timeout)
-
-
-class TcpChannel(Channel):
-    def __init__(self, sock, timeout=120.0):
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    def __init__(self, sock, timeout=PEER_TIMEOUT):
+        if sock.family in (socket.AF_INET, socket.AF_INET6):
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         sock.settimeout(timeout)
         self._sock = sock
         self._timeout = timeout
@@ -173,7 +127,7 @@ class TcpChannel(Channel):
         try:
             self._sock.sendall(data)
         except TimeoutError:
-            raise PeerTimeout(f"peer took no data for {self._timeout} s") from None
+            raise PeerTimeout(f"peer did not take the data within {self._timeout} s") from None
         except OSError as e:
             raise ChannelClosed(str(e)) from None
 
@@ -201,6 +155,19 @@ class TcpChannel(Channel):
         self._sock.close()
 
 
+class InMemoryChannel(TcpChannel):
+    """One end of an in-process socketpair (memory_channel_pair).
+
+    A class of its own only so that code patching channel methods by class
+    name, such as benchmark/tracing.py, can tell in-process runs apart."""
+
+
+def memory_channel_pair(timeout=PEER_TIMEOUT):
+    """Two connected endpoints: whatever one sends, the other receives."""
+    a, b = socket.socketpair()
+    return InMemoryChannel(a, timeout), InMemoryChannel(b, timeout)
+
+
 class TcpListener:
     """Bound listening socket; port 0 picks an ephemeral port."""
 
@@ -216,15 +183,15 @@ class TcpListener:
         self._srv.close()
 
 
-def tcp_connect(host, port, attempts=40, delay=0.25):
+def tcp_connect(host, port):
     """Connect with retries so either party may start first."""
     last = None
-    for _ in range(attempts):
+    for _ in range(_CONNECT_ATTEMPTS):
         try:
             return TcpChannel(socket.create_connection((host, port)))
         except OSError as e:
             last = e
-            time.sleep(delay)
+            time.sleep(_CONNECT_DELAY)
     raise ChannelClosed(f"could not connect to {host}:{port}: {last}")
 
 

@@ -108,7 +108,7 @@ def test_modulus_mismatch_rejected():
     assert p.modulus != other
     alice, _ = gen_seeded(Seed(bytes(32)), 1, other, 1)
     with pytest.raises(ValueError, match="modulus"):
-        PsiSession("alice", p, (alice,))
+        PsiSession("alice", p, (alice,), bytes(16))
     # and a value of F_13 that is no value of F_11 is refused by the OT
     with pytest.raises(ValueError):
         DealerAssistedOt(Q11).ot_send_many([1], [12])

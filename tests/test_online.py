@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from olepsi import online
+from olepsi import online, runner
 from olepsi.codec import packed_len
 from olepsi.field import PrimeModulus
 from olepsi.hashing import BinOverflow, build_cuckoo_table
@@ -24,7 +24,6 @@ from olepsi.modvec import dtype_for
 from olepsi.offline import BACKENDS, gen_seeded, generate_psi_inventories
 from olepsi.online import (
     PROTOCOL_VERSION,
-    UNKNOWN_TOKEN,
     OnlineError,
     _alice_c,
     _bob_reply,
@@ -228,7 +227,7 @@ class TestPsiSession:
     def test_role_validation(self):
         p = derive_params(4, 3, sigma=8)
         with pytest.raises(ValueError):
-            PsiSession(role="carol", params=p, inventories=())
+            PsiSession(role="carol", params=p, inventories=(), token=bytes(16))
 
     def test_token_length(self):
         p = derive_params(4, 3, sigma=8)
@@ -240,7 +239,7 @@ class TestPsiSession:
         other = derive_params(4, 3, sigma=10)
         secs, _ = generate_psi_inventories("seed", other, Seed(bytes(32)))
         with pytest.raises(ValueError):
-            PsiSession(role="alice", params=p, inventories=secs)
+            PsiSession(role="alice", params=p, inventories=secs, token=bytes(16))
 
     def test_sessions_are_single_use(self):
         p = derive_params(4, 3, sigma=8)
@@ -338,13 +337,6 @@ class TestSetupRejections:
         with pytest.raises(SeedMismatch, match="token"):
             run_psi_pair(a, {1}, b, {2})
 
-    def test_unknown_token_skips_check(self):
-        p = derive_params(16, 3, sigma=16)
-        a, b = make_sessions(p, master_seed=Seed(bytes(32)))
-        a.token = UNKNOWN_TOKEN  # declared unknown: must not trip the comparison
-        result, _, _ = run_psi_pair(a, {3, 4}, b, {4, 5})
-        assert result == {4}
-
     def test_params_digest_mismatch(self):
         p1 = derive_params(16, 3, sigma=16)
         p2 = derive_params(16, 3, sigma=16, stash_size=1)
@@ -425,6 +417,27 @@ def test_role_enforcement():
     a, b = make_sessions(p, master_seed=Seed(bytes(32)))
     with pytest.raises(ValueError):
         run_psi_pair(b, {1}, a, {2})
+
+
+@pytest.mark.parametrize("fail", [False, True], ids=["ok", "tuple-exhausted"])
+def test_run_psi_pair_closes_both_channel_ends(monkeypatch, fail):
+    p = derive_params(4, 3, sigma=8)
+    a, b = make_sessions(p, master_seed=Seed(bytes(32)))
+    pairs = []
+
+    def capture(*args):
+        pairs.append(memory_channel_pair(*args))
+        return pairs[-1]
+
+    monkeypatch.setattr(runner, "memory_channel_pair", capture)
+    if fail:
+        a.inventories = ()
+        with pytest.raises(TupleExhausted):
+            run_psi_pair(a, {1, 2}, b, {2, 3})
+    else:
+        assert run_psi_pair(a, {1, 2}, b, {2, 3})[0] == {2}
+    (chan_a, chan_b), = pairs
+    assert chan_a._sock.fileno() == -1 and chan_b._sock.fileno() == -1
 
 
 def test_wire_token_matches_inventory_token():

@@ -10,6 +10,7 @@ from pathlib import Path
 import olepsi.offline._expand as expand
 import olepsi.online as online
 import olepsi.runner as runner
+import olepsi.transport as transport
 import olepsi.tuples as tuples
 from olepsi.offline.ot import DealerAssistedOt
 from olepsi.prg import Prg
@@ -29,6 +30,7 @@ def test_tracer_installs_and_uninstalls():
         (online, "psi_alice"), (runner, "psi_bob"), (online, "stash_encode"),
         (tuples, "mod_inv"), (expand, "mod_inv"), (Prg, "read"),
         (DealerAssistedOt, "ot_receive_many"),
+        (transport.InMemoryChannel, "send_bytes"), (transport.TcpChannel, "recv_bytes"),
     ]
     before = [getattr(owner, name) for owner, name in originals]
     tracer = _load_tracer()(run_id=0, process="test")
@@ -36,7 +38,10 @@ def test_tracer_installs_and_uninstalls():
     try:
         assert tracer._patched
         for (owner, name), fn in zip(originals, before):
-            assert getattr(owner, name) is not fn, name
+            traced = getattr(owner, name)
+            assert traced is not fn, name
+            # wrapped exactly once: a second layer would count bytes twice
+            assert not hasattr(traced.__wrapped__, "__wrapped__"), name
     finally:
         tracer.uninstall()
     assert [getattr(owner, name) for owner, name in originals] == before

@@ -84,6 +84,18 @@ def test_truncated_stream_raises_channel_closed():
         recv_frame(b)
 
 
+def test_peer_that_never_reads_times_out_instead_of_buffering():
+    # an 8 MiB frame is larger than the socket buffers: with the peer not
+    # reading, the send gives up after the timeout rather than queue it all
+    a, b = memory_channel_pair(timeout=1.0)
+    try:
+        with pytest.raises(PeerTimeout):
+            send_frame(a, Frame(ALICE_C, bytes(8 << 20)))
+    finally:
+        a.close()
+        b.close()
+
+
 def test_unknown_type_rejected_both_ways():
     a, b = memory_channel_pair()
     with pytest.raises(UnknownType):
