@@ -31,6 +31,16 @@ def work_dtype(q):
     return np.int32 if q < (1 << 15) else np.int64
 
 
+def reduce_in_place(x, m):
+    """x %= m for a non-negative integer array x and an int m, written as
+    x - (x // m) * m: numpy divides by a scalar with a multiply and shifts
+    (libdivide), which takes a fraction of its remainder's time."""
+    quot = x // m
+    quot *= m
+    x -= quot
+    return x
+
+
 def _check(q):
     if q >= MAX_Q:
         raise ValueError(f"vectorized path requires q < 2^31, got {q}")

@@ -44,7 +44,7 @@ def dealer_generate(R_A, R_B, params):
     bob_invs = []
     for name, rows, cols in sections(params):
         domain = name.encode()
-        s_A = expand_s_a(R_A, modulus, rows, domain)
+        s_A = expand_s_a(R_A, modulus, rows, cols, domain)
         bob = expand_bob_inventory(R_B, modulus, rows, cols, domain)
         r_A_lists.append(derive_r_a_arrays(s_A, bob.s_B, bob.r_B_inv, modulus.q))
         bob_invs.append(bob)
@@ -58,7 +58,7 @@ def expand_alice(R_A, r_A_lists, params):
     invs = []
     for r_A, (name, rows, cols) in zip(r_A_lists, sections(params), strict=True):
         block = np.empty((rows, 1 + cols), dtype=dtype_for(modulus.q))
-        block[:, 0] = expand_s_a(R_A, modulus, rows, name.encode())
+        block[:, 0] = expand_s_a(R_A, modulus, rows, cols, name.encode())
         block[:, 1:] = r_A
         invs.append(AliceInventory(modulus, block))
     return invs

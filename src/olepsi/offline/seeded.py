@@ -26,6 +26,6 @@ def gen_seeded(shared_seed, count, modulus, slot_len, *, domain=b"bins"):
     bob = expand_bob_inventory(shared_seed, modulus, count, slot_len, domain)
     # s_A and r_A expanded straight into Alice's one (count, 1 + L) block
     block = np.empty((count, 1 + slot_len), dtype=dtype_for(modulus.q))
-    block[:, 0] = expand_s_a(shared_seed, modulus, count, domain)
+    block[:, 0] = expand_s_a(shared_seed, modulus, count, slot_len, domain)
     derive_r_a_arrays(block[:, 0], bob.s_B, bob.r_B_inv, modulus.q, out=block[:, 1:])
     return AliceInventory(modulus, block), bob

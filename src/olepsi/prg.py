@@ -2,9 +2,20 @@
 
 Stream definition (pinned by golden-vector tests): block i of a stream is
 SHAKE-256(seed || LE16(len(tag)) || tag || LE64(i)) squeezed to 64 KiB; the
-stream is the block concatenation. Field elements come from fixed-width little-endian words of
-ceil(bit_len/8) bytes, masked to bit_len bits, rejection-sampled below q
-(and above 0 for the nonzero variant).
+stream is the block concatenation.
+
+Sampler definition: a sample over F_q reads the stream as little-endian
+words of w = 8 * ceil(bit_len/8) bits. With m = q (`elements`) or m = q - 1
+(`nonzero_elements`), a word at or above floor(2^w / m) * m is rejected and
+an accepted word x gives x mod m (`elements`) or x mod m + 1
+(`nonzero_elements`): exactly uniform, since each residue has the same
+number of accepted words. A sample consumes the stream up to and including
+its last accepted word and no further, so the elements of any sequence of
+calls on one Prg are the accepted words in stream order.
+
+Callers that expand large arrays (offline._expand) cut each array into
+chunks of whole rows and give every chunk a stream of its own, tagged
+role|section|chunk, so any chunk expands without the ones before it.
 """
 
 import hashlib
@@ -13,7 +24,7 @@ import os
 import numpy as np
 
 from .codec import unpack_words
-from .modvec import dtype_for
+from .modvec import reduce_in_place
 
 SEED_LEN = 32
 _BLOCK = 65536
@@ -74,24 +85,33 @@ class Prg:
         return b"".join(chunks)
 
     def _sample(self, modulus, count, reject_zero, dtype):
-        q = modulus.q
         width = modulus.byte_len
-        mask = (1 << modulus.bit_len) - 1
-        rate = q / float(mask + 1)
-        word = dtype_for(q)
+        bits = 8 * width
+        m = modulus.q - 1 if reject_zero else modulus.q
+        limit = (1 << bits) // m * m  # words at or above it are rejected
+        word = np.dtype(f"<u{1 << (width - 1).bit_length()}")
+        rate = limit / (1 << bits)
         out = np.empty(count, dtype=dtype)
         have = 0
         while have < count:
             need = count - have
-            draw = min(int(need / rate * 1.05) + 16, 1 << 22)
-            vals = unpack_words(self.read(draw * width), 8 * width, draw, word) & mask
-            keep = vals < q
-            if reject_zero:
-                keep &= vals != 0
+            # a few standard deviations over the expected draw
+            draw = min(int(need / rate + 4 * need**0.5) + 16, 1 << 22)
+            raw = self.read(draw * width)
+            vals = unpack_words(raw, bits, draw, word)
+            keep = vals <= limit - 1
+            surplus = int(np.count_nonzero(keep)) - need
+            if surplus >= 0:
+                # stop at the need-th accepted word; the rest goes back
+                used = _end_of_nth_from_last(keep, surplus + 1)
+                self._buf = raw[used * width :] + self._buf
+                vals, keep = vals[:used], keep[:used]
             vals = np.compress(keep, vals)
-            take = min(vals.size, need)
-            out[have : have + take] = vals[:take]
-            have += take
+            reduce_in_place(vals, m)
+            if reject_zero:
+                vals += 1
+            out[have : have + vals.size] = vals
+            have += vals.size
         return out
 
     def elements(self, modulus, count, dtype=np.int64):
@@ -101,3 +121,16 @@ class Prg:
     def nonzero_elements(self, modulus, count, dtype=np.int64):
         """count uniform elements of F_q \\ {0}."""
         return self._sample(modulus, count, reject_zero=True, dtype=dtype)
+
+
+def _end_of_nth_from_last(flags, n):
+    """1 + the index of the n-th True counted from the end of flags, which
+    holds at least n. Searches a window at the end, doubled as needed, so a
+    draw with a small surplus scans little of it."""
+    window = 2 * n + 64
+    while True:
+        start = max(0, flags.size - window)
+        hits = np.flatnonzero(flags[start:])
+        if hits.size >= n:
+            return start + int(hits[-n]) + 1
+        window *= 2

@@ -107,7 +107,7 @@ class CommStats:
         )
 
 
-PEER_TIMEOUT = 120.0  # seconds a read may wait for data, or one send to be taken
+PEER_TIMEOUT = 120.0  # seconds a read or a send may wait for the peer to make progress
 _CONNECT_ATTEMPTS = 40
 _CONNECT_DELAY = 0.25  # seconds between connection attempts
 
@@ -124,12 +124,17 @@ class TcpChannel:
         self.stats = CommStats()
 
     def send_bytes(self, data):
-        try:
-            self._sock.sendall(data)
-        except TimeoutError:
-            raise PeerTimeout(f"peer did not take the data within {self._timeout} s") from None
-        except OSError as e:
-            raise ChannelClosed(str(e)) from None
+        # one send per wait, so the timeout bounds each wait for progress as
+        # in recv_bytes; sendall would bound the whole transfer by it
+        view = memoryview(data).cast("B")
+        while view:
+            try:
+                k = self._sock.send(view)
+            except TimeoutError:
+                raise PeerTimeout(f"peer took no data for {self._timeout} s") from None
+            except OSError as e:
+                raise ChannelClosed(str(e)) from None
+            view = view[k:]
 
     def recv_bytes(self, n):
         buf = bytearray(n)

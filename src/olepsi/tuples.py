@@ -1,11 +1,20 @@
-"""OLE tuple inventories, their validation, token and file format.
+"""OLE tuple inventories, their token and file format.
 
 One tuple slot (r_A, r_B, s_A, s_B) with r_A * r_B = s_A + s_B backs one
 equality comparison. A communication-optimized batch shares a single s_A
 across its slots of independent (r_A, r_B, s_B); an inventory holds `count`
 batches, one row per batch, in one numpy block laid out as its tuple file
-section, and it is built only from such a block. Bob's half stores r_B's
-inverse alongside so the online phase never inverts anything.
+section, and it is built only from such a block.
+
+Bob keeps only what the online phase reads: per slot (r_B^-1, s_B), never
+r_B itself, since r_A = (s_A + s_B) * r_B^-1 needs no r_B either.
+
+Tuple file format 2 is a sequence of sections (bins, then stash), each a
+header <4s B Q I I 16s> = (magic OLEA or OLEB, version 2, q, count, L,
+token) followed by the inventory's block as little-endian words of
+ceil(bit_len/8) bytes in C order: Alice's rows are (s_A, r_A[0..L)), Bob's
+are L interleaved (r_B^-1, s_B) pairs. A file of any other version, such as
+format 1 with Bob's (r_B, r_B^-1, s_B) triples, is refused.
 """
 
 import hashlib
@@ -18,7 +27,7 @@ from .codec import pack_words, unpack_words
 from .field import PrimeModulus
 from .modvec import dtype_for, mod_inv
 
-FILE_VERSION = 1
+FILE_VERSION = 2
 TOKEN_LEN = 16
 _HEADER = struct.Struct(f"<4sBQII{TOKEN_LEN}s")
 
@@ -59,14 +68,14 @@ class AliceInventory:
 
 
 class BobInventory:
-    """Bob's halves of `count` batches as one (count, L, 3) block of
-    (r_B, r_B_inv, s_B) slots, interleaved as in the tuple file. All three
-    are (count, L) views of the block, so the token and the file write read
-    it as it is."""
+    """Bob's halves of `count` batches as one (count, L, 2) block of
+    (r_B_inv, s_B) slots, interleaved as in the tuple file. Both are
+    (count, L) views of the block, so the token and the file write read it
+    as it is."""
 
     def __init__(self, modulus, block):
-        if block.ndim != 3 or block.shape[2] != 3:
-            raise ValueError("block must be (count, L, 3)")
+        if block.ndim != 3 or block.shape[2] != 2:
+            raise ValueError("block must be (count, L, 2)")
         self.modulus = modulus
         self.block = block
 
@@ -74,23 +83,18 @@ class BobInventory:
     def from_r_b_s_b(cls, modulus, r_B, s_B):
         """Bob's half from r_B and s_B, each (count, L): inverts r_B."""
         r_B = np.asarray(r_B)
-        block = np.empty(r_B.shape + (3,), dtype=r_B.dtype)
-        block[:, :, 0] = r_B
-        block[:, :, 1] = mod_inv(r_B, modulus.q)
-        block[:, :, 2] = s_B
+        block = np.empty(r_B.shape + (2,), dtype=r_B.dtype)
+        block[:, :, 0] = mod_inv(r_B, modulus.q)
+        block[:, :, 1] = s_B
         return cls(modulus, block)
 
     @property
-    def r_B(self):
+    def r_B_inv(self):
         return self.block[:, :, 0]
 
     @property
-    def r_B_inv(self):
-        return self.block[:, :, 1]
-
-    @property
     def s_B(self):
-        return self.block[:, :, 2]
+        return self.block[:, :, 1]
 
     @property
     def slot_len(self):
@@ -98,27 +102,6 @@ class BobInventory:
 
     def __len__(self):
         return self.block.shape[0]
-
-
-def validate_inventories(alice, bob):
-    """True iff every slot satisfies r_A * r_B = s_A + s_B with r_B nonzero
-    and r_B * r_B_inv = 1."""
-    if len(alice) != len(bob) or alice.slot_len != bob.slot_len:
-        raise ValueError("inventory shape mismatch")
-    q = alice.modulus.q
-    step = max(1, (1 << 22) // max(alice.slot_len, 1))
-    for lo in range(0, len(alice), step):
-        hi = lo + step
-        r_B = bob.r_B[lo:hi].astype(np.int64)
-        if (r_B % q == 0).any():
-            return False
-        if (r_B * bob.r_B_inv[lo:hi] % q != 1).any():
-            return False
-        lhs = alice.r_A[lo:hi].astype(np.int64) * r_B % q
-        rhs = (alice.s_A[lo:hi, None].astype(np.int64) + bob.s_B[lo:hi]) % q
-        if not (lhs == rhs).all():
-            return False
-    return True
 
 
 def _payload(inv):
@@ -151,7 +134,7 @@ def save_inventories(path, inventories, side, token):
 # per side: the inventory class and the shape of its block for (count, L)
 _SECTIONS = {
     SIDE_ALICE: (AliceInventory, lambda count, L: (count, 1 + L)),
-    SIDE_BOB: (BobInventory, lambda count, L: (count, L, 3)),
+    SIDE_BOB: (BobInventory, lambda count, L: (count, L, 2)),
 }
 
 
@@ -179,7 +162,9 @@ def load_inventories(path, side):
                     )
                 raise TupleFileError(f"bad magic {magic!r}")
             if version != FILE_VERSION:
-                raise TupleFileError(f"unsupported version {version}")
+                raise TupleFileError(
+                    f"tuple file format {version} is not supported (need {FILE_VERSION})"
+                )
             modulus = PrimeModulus(q)
             if token is None:
                 token = tok

@@ -17,7 +17,7 @@ def alice_inventory(modulus, s_A, r_A):
     return AliceInventory(modulus, block)
 
 
-def bob_inventory(modulus, r_B, r_B_inv, s_B):
-    """Bob's half from three (count, L) arrays, stacked into one (count, L, 3)
+def bob_inventory(modulus, r_B_inv, s_B):
+    """Bob's half from two (count, L) arrays, stacked into one (count, L, 2)
     block."""
-    return BobInventory(modulus, np.stack([r_B, r_B_inv, s_B], axis=-1))
+    return BobInventory(modulus, np.stack([r_B_inv, s_B], axis=-1))

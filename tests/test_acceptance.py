@@ -18,6 +18,7 @@ from olepsi.offline import BACKENDS, gen_seeded, generate_psi_inventories
 from olepsi.offline.gilboa import gilboa_batch, gilboa_share
 from olepsi.offline.lbe import lbe_params_for, lbe_reconstruct, lbe_sim_tuple
 from olepsi.offline.ot import DealerAssistedOt
+from olepsi.modvec import mod_inv
 from olepsi.params import derive_params, online_bits_per_element
 from olepsi.prg import SEED_LEN, Prg, Seed
 from olepsi.runner import (
@@ -28,9 +29,9 @@ from olepsi.runner import (
     small_psi_engine,
 )
 from olepsi.transport import bits_per_element_measured
-from olepsi.tuples import validate_inventories
 
 from blocks import alice_inventory, bob_inventory
+from oracles import validate_inventories
 
 
 def seed(i):
@@ -39,10 +40,13 @@ def seed(i):
 
 def tuple_arrays(modulus, count, master, tag):
     """count independent tuples as flat int64 arrays (r_A, r_B, r_B_inv, s_A,
-    s_B): gen_seeded batches of one slot each, so no two share an s_A."""
+    s_B): gen_seeded batches of one slot each, so no two share an s_A. Bob
+    keeps no r_B, so it is the inverse of his r_B_inv."""
     alice, bob = gen_seeded(master, count, modulus, 1, domain=tag)
     flat = lambda a: a.astype(np.int64).reshape(count)
-    return flat(alice.r_A), flat(bob.r_B), flat(bob.r_B_inv), flat(alice.s_A), flat(bob.s_B)
+    r_B_inv = flat(bob.r_B_inv)
+    r_B = mod_inv(r_B_inv, modulus.q)
+    return flat(alice.r_A), r_B, r_B_inv, flat(alice.s_A), flat(bob.s_B)
 
 
 def test_criterion_1_exhaustive_comparison_correctness_q251():
@@ -183,8 +187,7 @@ def test_criterion_6_gilboa_products_and_batch_costs():
     assert (rho.sum(axis=2) % p.modulus.q == alice.s_A[:, None]).all()
     for i in range(count):
         a = alice_inventory(p.modulus, alice.s_A[i : i + 1], alice.r_A[i : i + 1])
-        b = bob_inventory(p.modulus, bob.r_B[i : i + 1], bob.r_B_inv[i : i + 1],
-                          bob.s_B[i : i + 1])
+        b = bob_inventory(p.modulus, bob.r_B_inv[i : i + 1], bob.s_B[i : i + 1])
         assert validate_inventories(a, b)
 
 

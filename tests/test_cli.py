@@ -33,6 +33,8 @@ from olepsi.transport import (
 )
 from olepsi.tuples import SIDE_ALICE, SIDE_BOB, load_inventories
 
+from oracles import write_format_1_bob_file
+
 BASE = ["--n", "64", "--k", "3", "--sigma", "16"]
 BASE_STASH = ["--n", "64", "--k", "2", "--sigma", "16", "--stash", "4"]
 SEED_A = "11" * 32
@@ -401,6 +403,24 @@ class TestRun:
                      "--listen", "127.0.0.1:0"] + BASE)
         assert rc == 4
         assert "side" in capsys.readouterr().err
+
+    def test_format_1_tuple_file_exits_4_before_setup(self, tmp_path, tuple_files, capsys):
+        secs, token = load_inventories(tuple_files[1], SIDE_BOB)
+        old = tmp_path / "b1.tup"
+        write_format_1_bob_file(old, secs, token)
+        srv = socket.create_server(("127.0.0.1", 0))
+        s = write_set(tmp_path / "s.txt", [1])
+        try:
+            rc = invoke(["run", "--role", "bob", "--set", s, "--tuples", str(old),
+                         "--connect", f"127.0.0.1:{srv.getsockname()[1]}"] + BASE)
+            # refused before connecting, so no SETUP frame can have been sent
+            srv.settimeout(0.2)
+            with pytest.raises(TimeoutError):
+                srv.accept()
+        finally:
+            srv.close()
+        assert rc == 4
+        assert "format 1 is not supported" in capsys.readouterr().err
 
     def test_needs_exactly_one_endpoint(self, tmp_path, tuple_files, capsys):
         s = write_set(tmp_path / "s.txt", [1])

@@ -23,7 +23,8 @@ from olepsi.mismatch import (
 from olepsi.offline import gen_seeded
 from olepsi.offline.ot import DealerAssistedOt
 from olepsi.prg import SEED_LEN, Prg, Seed
-from olepsi.tuples import validate_inventories
+
+from oracles import validate_inventories
 
 M11 = PrimeModulus(11)
 M17 = PrimeModulus(17)

@@ -1,12 +1,15 @@
 """Offline backends: seeded, dealer, OT/Gilboa, LBE simulation."""
 
 import hashlib
+import struct
 from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from olepsi import modvec
+from olepsi import tuples as tuples_mod
 from olepsi.field import FieldError, InversionOfZero, PrimeModulus
 from olepsi.modvec import dtype_for
 from olepsi.offline import (
@@ -28,20 +31,25 @@ from olepsi.offline import (
     lbe_sim_tuple,
     subseed,
 )
+from olepsi.offline import _expand as expand_mod
 from olepsi.offline import dealer as dealer_mod
 from olepsi.offline import lbe as lbe_mod
 from olepsi.offline.lbe import LbeSimParams, lbe_batch, lbe_reconstruct
 from olepsi.params import derive_params
 from olepsi.prg import Prg, Seed
 from olepsi.transport import TransportError
-from olepsi.tuples import (
-    inventory_token,
-    load_inventories,
-    save_inventories,
-    validate_inventories,
-)
+from olepsi.tuples import inventory_token, load_inventories, save_inventories
 
 from blocks import alice_inventory, bob_inventory
+from oracles import (
+    alice_words,
+    bob_words,
+    reference_elements,
+    reference_section,
+    reference_section_bytes,
+    reference_token,
+    validate_inventories,
+)
 
 M11 = PrimeModulus(11)
 
@@ -62,8 +70,7 @@ def test_gen_seeded_deterministic():
     a1, b1 = gen_seeded(Seed(bytes(32)), 7, p.modulus, p.beta)
     a2, b2 = gen_seeded(Seed(bytes(32)), 7, p.modulus, p.beta)
     assert (a1.s_A == a2.s_A).all() and (a1.r_A == a2.r_A).all()
-    assert (b1.r_B == b2.r_B).all() and (b1.s_B == b2.s_B).all()
-    assert (b1.r_B_inv == b2.r_B_inv).all()
+    assert (b1.r_B_inv == b2.r_B_inv).all() and (b1.s_B == b2.s_B).all()
 
 
 def test_gen_seeded_validates():
@@ -71,33 +78,66 @@ def test_gen_seeded_validates():
     a, b = gen_seeded(Seed.random(), 9, p.modulus, p.beta)
     assert validate_inventories(a, b)
     first_a = alice_inventory(p.modulus, a.s_A[:1], a.r_A[:1])
-    first_b = bob_inventory(p.modulus, b.r_B[:1], b.r_B_inv[:1], b.s_B[:1])
+    first_b = bob_inventory(p.modulus, b.r_B_inv[:1], b.s_B[:1])
     assert validate_inventories(first_a, first_b)
     assert len(a) == 9 and a.slot_len == p.beta
 
 
 def test_gen_seeded_golden_vector():
-    # frozen on first run: all-zero seed, q=6151 parameter row, one batch
+    # frozen: all-zero seed, q=6151 parameter row, one batch; every value
+    # is also re-derived by the scalar reference
     p = params_q6151()
     assert p.modulus.q == 6151 and p.beta == 26
     a, b = gen_seeded(Seed(bytes(32)), 1, p.modulus, p.beta)
-    assert a.s_A.tolist() == [250]
+    assert a.s_A.tolist() == [4007]
     assert a.r_A[0].tolist() == [
-        3629, 4272, 6141, 5116, 3584, 2608, 5821, 1895, 2996, 5604, 1577,
-        3962, 613, 2559, 335, 1523, 5971, 3964, 3074, 4955, 5178, 2176,
-        915, 1836, 5518, 5420,
+        901, 1112, 1132, 5398, 2005, 2349, 1936, 5664, 3132, 4825, 3579,
+        4595, 4905, 690, 4409, 2231, 3877, 1302, 3599, 1008, 3827, 3759,
+        5386, 1221, 171, 4967,
     ]
-    assert b.r_B[0].tolist() == [
-        2838, 806, 2349, 29, 1534, 6099, 5611, 2457, 2592, 2734, 6008,
-        3003, 1747, 5891, 5325, 4951, 5493, 393, 361, 2856, 2048, 5009,
-        5864, 4862, 5889, 924,
+    assert b.r_B_inv[0].tolist() == [
+        1052, 3907, 5426, 5105, 2772, 3409, 3400, 718, 1286, 452, 282,
+        3300, 2113, 1066, 4825, 2358, 656, 3129, 1318, 3065, 611, 4109,
+        2763, 1385, 514, 3999,
     ]
     assert b.s_B[0].tolist() == [
-        2078, 4573, 864, 490, 4763, 5607, 5722, 5609, 2820, 5096, 1826,
-        1602, 387, 4869, 5986, 5148, 1321, 1399, 2284, 3930, 6121, 5913,
-        1638, 1281, 5670, 916,
+        5425, 1376, 505, 4985, 2715, 279, 2984, 1141, 4978, 5271, 2353,
+        5603, 4807, 529, 3472, 5450, 3472, 3548, 966, 2048, 3761, 2103,
+        621, 1985, 3712, 2922,
     ]
+    ref = reference_section(Seed(bytes(32)), Seed(bytes(32)), 6151, 1, p.beta, b"bins")
+    assert ref == (a.s_A.tolist(), a.r_A.tolist(), b.r_B_inv.tolist(), b.s_B.tolist())
     assert validate_inventories(a, b)
+
+
+def test_gen_seeded_chunks_expand_independently(monkeypatch):
+    # chunks of 2 rows: 5 rows take three chunks, each from its own streams,
+    # and a section that ends inside chunk 1 agrees with the longer one there
+    monkeypatch.setattr(expand_mod, "_row_chunk", lambda slot_len: 2)
+    m = PrimeModulus(263)
+    seed = Seed(bytes([4]) * 32)
+    a, b = gen_seeded(seed, 5, m, 3)
+    ref = reference_section(seed, seed, m.q, 5, 3, b"bins", chunk_rows=2)
+    assert ref == (a.s_A.tolist(), a.r_A.tolist(), b.r_B_inv.tolist(), b.s_B.tolist())
+    a3, b3 = gen_seeded(seed, 3, m, 3)
+    assert np.array_equal(a3.block, a.block[:3]) and np.array_equal(b3.block, b.block[:3])
+    # chunk 1 (rows 2 and 3) read alone from its own stream
+    prg = Prg(seed, tag=b"rBinv|bins|1")
+    assert b.r_B_inv[2:4].ravel().tolist() == reference_elements(prg, m.q, 6, nonzero=True)
+
+
+@pytest.mark.parametrize("backend", ["seed", "dealer"])
+def test_seed_and_dealer_backends_invert_nothing(monkeypatch, backend):
+    # r_B_inv is drawn as a nonzero element, so no inversion is left to do
+    def no_inversion(*args):
+        raise AssertionError("mod_inv called")
+
+    for module in (modvec, tuples_mod, expand_mod):
+        monkeypatch.setattr(module, "mod_inv", no_inversion)
+    monkeypatch.setattr(modvec, "inverse_table", no_inversion)
+    p = replace(params_small(), alpha=6)
+    alice, bob = generate_psi_inventories(backend, p, Seed(bytes([8]) * 32))
+    assert all(validate_inventories(a, b) for a, b in zip(alice, bob, strict=True))
 
 
 def test_gen_seeded_sections_are_domain_separated():
@@ -126,7 +166,7 @@ def test_each_backend_holds_each_side_in_one_block(tmp_path, backend):
         assert a.block.shape == (len(a), 1 + a.slot_len)
         assert np.shares_memory(a.s_A, a.block) and np.shares_memory(a.r_A, a.block)
         assert b.block.dtype == dt
-        assert b.block.shape == (len(b), b.slot_len, 3)
+        assert b.block.shape == (len(b), b.slot_len, 2)
     token = inventory_token(bob)
     for side, sections in (("alice", alice), ("bob", bob)):
         save_inventories(tmp_path / side, sections, side, token)
@@ -179,16 +219,14 @@ def test_dealer_mismatched_seed_fails_validation():
 
 def test_dealer_micro_run_stub(monkeypatch):
     # fixed shares s_A=4, s_B=2, r_B=3 over q=11 must yield r_A=2
-    def fake_s_a(seed, modulus, count, domain):
+    def fake_s_a(seed, modulus, count, slot_len, domain):
         return np.full(count, 4, dtype=np.int64)
 
     def fake_bob(seed, modulus, count, slot_len, domain):
         shape = (count, slot_len)
+        # r_B = 3, so r_B_inv = 4
         return bob_inventory(
-            modulus,
-            np.full(shape, 3, dtype=np.int64),
-            np.full(shape, 4, dtype=np.int64),
-            np.full(shape, 2, dtype=np.int64),
+            modulus, np.full(shape, 4, dtype=np.int64), np.full(shape, 2, dtype=np.int64)
         )
 
     monkeypatch.setattr(dealer_mod, "expand_s_a", fake_s_a)
@@ -200,66 +238,135 @@ def test_dealer_micro_run_stub(monkeypatch):
 
 
 def test_dealer_alice_expansion_golden_prefix():
-    # frozen on first run: seed 0x01..01, small parameter set
+    # frozen: seed 0x01..01, small parameter set
     p = replace(params_small(), alpha=5)
     msg = dealer_generate(Seed(bytes([1]) * 32), Seed(bytes([2]) * 32), p)
     alice = expand_alice(msg.to_alice[0], msg.to_alice[1], p)
-    assert alice[0].s_A[:4].tolist() == [157, 43, 24, 43]
+    assert alice[0].s_A[:4].tolist() == [115, 148, 119, 49]
+    prg = Prg(Seed(bytes([1]) * 32), tag=b"sA|bins|0")
+    assert reference_elements(prg, p.modulus.q, 4) == [115, 148, 119, 49]
+
+
+def _reference_seed_files(p, master, dealer_a, dealer_b):
+    """(token, Alice's file, Bob's file, dealer-to-Alice message) of the seed
+    and dealer backends, from the scalar reference and the documented
+    formats alone."""
+    q = p.modulus.q
+    shared = subseed(master, b"shared")
+    layout = [("bins", p.alpha, p.beta), ("stash", p.stash_size, p.n)]
+    secs = [reference_section(shared, shared, q, rows, cols, name.encode())
+            for name, rows, cols in layout]
+    token = reference_token(
+        q, [(rows, cols, bob_words(s[2], s[3])) for (_, rows, cols), s in zip(layout, secs)]
+    )
+    alice = b"".join(
+        reference_section_bytes(b"OLEA", q, rows, cols, token, alice_words(s[0], s[1]))
+        for (_, rows, cols), s in zip(layout, secs)
+    )
+    bob = b"".join(
+        reference_section_bytes(b"OLEB", q, rows, cols, token, bob_words(s[2], s[3]))
+        for (_, rows, cols), s in zip(layout, secs)
+    )
+    # the dealer message: R_A, the token of Bob's half, q, the section count,
+    # then per section (count, L) and the r_A words
+    layout[0] = ("bins", 5, p.beta)
+    secs = [reference_section(dealer_a, dealer_b, q, rows, cols, name.encode())
+            for name, rows, cols in layout]
+    dealer_token = reference_token(
+        q, [(rows, cols, bob_words(s[2], s[3])) for (_, rows, cols), s in zip(layout, secs)]
+    )
+    width = p.modulus.byte_len
+    dealer = struct.pack("<32s16sQB", dealer_a.value, dealer_token, q, len(layout))
+    for (_, rows, cols), s in zip(layout, secs):
+        dealer += struct.pack("<II", rows, cols)
+        dealer += b"".join(w.to_bytes(width, "little") for row in s[1] for w in row)
+    return token, alice, bob, dealer
 
 
 @pytest.mark.parametrize(
     "k, sigma, q, token, alice_sha, bob_sha, dealer_sha",
     [
-        (2, 20, 4099, "1aabf85980d597a88715ce26726637e9",
-         "9a212147ddc1be1aa4feef6bff4fcc2ed9ab93ab56819c34c7725c8ee8b38e82",
-         "9bff1a90185b370e97734938d45759dcc296da16faececff468de9502a30f8a3",
-         "74f1e7e79832833e2ae4913a248ebbc4e560808bb30cc6bc215c1b1f75a86bf1"),
-        (3, 25, 393241, "0c09b4e59f5879db925fe14b02edd757",
-         "b7d822bd0ed151367a24579d8d44590bc7b43793354abeb5d4d08912262622f7",
-         "aa0fea890125bd3eab8b59b065790d7c9bfeef40cd761c310e5bb14a59e7ef78",
-         "caf4944ce16eac3c8af7a6a3ede8b807cb7eef267b8cbbb02a9edb680836b0dd"),
+        (2, 20, 4099, "8a31cdf726ea6e23a7ffd4580a677c95",
+         "df1500f1c760a4f09654068179a49d16f8a875358a946a5befaab4b60c21b94e",
+         "78b5ea2bc6fc8b8771df7ce2daab4f87e77634d5959c5a98470591589543c117",
+         "ffe1e1dfa60358eab6fbfcec2746802f02f2bbe04543495770371da5fc125996"),
+        (3, 25, 393241, "e0338402e3c4da1d50b7088c6733f3f0",
+         "8e87b985dad45d2448aed16d5ea32b1230c9218ac088afe3cf60ca3ec33e60ff",
+         "c213c0d6596e540ba86faefb0be56d8f49d819a845c8fad7ca2065d16fb896ce",
+         "c0fc57ee7715ea5174d93f611bc7854f9aa31640cb7534ae12ecf62fc9d85758"),
     ],
+    ids=["k2-q4099", "k3-q393241"],  # not the pinned values: a re-pin keeps the name
 )
 def test_seed_inventory_and_dealer_bytes_golden(
     tmp_path, k, sigma, q, token, alice_sha, bob_sha, dealer_sha
 ):
-    # frozen: token, tuple files and dealer message at a 2-byte and a 3-byte q
+    # frozen: token, tuple files and dealer message at a 2-byte and a 3-byte
+    # q, each equal to the scalar reference's
     p = derive_params(1 << 8, k, sigma=sigma)
     assert p.modulus.q == q
-    alice, bob = generate_psi_inventories("seed", p, Seed(bytes(range(32))))
+    master, dealer_a, dealer_b = Seed(bytes(range(32))), Seed(bytes(32)), Seed(bytes([1]) * 32)
+    alice, bob = generate_psi_inventories("seed", p, master)
     tok = inventory_token(bob)
     assert tok.hex() == token
     save_inventories(tmp_path / "a", alice, "alice", tok)
     save_inventories(tmp_path / "b", bob, "bob", tok)
     assert hashlib.sha256((tmp_path / "a").read_bytes()).hexdigest() == alice_sha
     assert hashlib.sha256((tmp_path / "b").read_bytes()).hexdigest() == bob_sha
-    msg = dealer_generate(Seed(bytes(32)), Seed(bytes([1]) * 32), replace(p, alpha=5))
+    msg = dealer_generate(dealer_a, dealer_b, replace(p, alpha=5))
     data = encode_to_alice(msg, p.modulus)
     assert hashlib.sha256(data).hexdigest() == dealer_sha
+    ref = _reference_seed_files(p, master, dealer_a, dealer_b)
+    assert ref == (tok, (tmp_path / "a").read_bytes(), (tmp_path / "b").read_bytes(), data)
 
 
 @pytest.mark.parametrize(
     "backend, k, sigma, q, token, alice_sha",
     [
-        ("ot", 2, 20, 4099, "e6e2d608b1a420375ac2b160565f0085",
-         "f9c2a578640f4514af1b81ef6bb41e7b73e21ccda2b88dd5da6edabbffcd6b04"),
-        ("ot", 3, 25, 393241, "1b5c98c04d6755d421ff59ae6748c664",
-         "4b43e0bac535b0b990ab9a48d46b509bc32b709bd1836f7b240f5d94bdf0801e"),
-        ("lbe-sim", 2, 20, 4099, "8ac54e6e7ba28c4c6f9440acc2dc67f0",
-         "cf7840463d29edf2e14db104dac96a3e3442bd0edcb4ea6c062cd83211b76610"),
-        ("lbe-sim", 3, 25, 393241, "ecdd7615e66da485e015cf460e79314d",
-         "f8c6ac9843b2b5c06026a248bca5a0a279f17876e3967cfa5dd949a6820519a4"),
+        ("ot", 2, 20, 4099, "5eb796969eb07c4dd21e22c03e88c2d8",
+         "7063eaf67bc2ef534d8f7bf9508c3b3e5e23ca4fe7a76aba812d6ab43d1e3155"),
+        ("ot", 3, 25, 393241, "ccc2d262b2cbcc569f86d5b7c94bd8e1",
+         "df40eafedc9595e4235095f79cb2d6632015bd99ecba1340c914fa6ce54838f9"),
+        ("lbe-sim", 2, 20, 4099, "f176cdfbf0be6e705a18b7601a2a2567",
+         "3ad330121ac8bdafdf50c7f5297cb396dc5105654c5dfbfb4d4caa26f2542ba2"),
+        ("lbe-sim", 3, 25, 393241, "45e05b4d230d5a551176125f01ab8740",
+         "948f8440d727bc1fbab66d3ae5d46ebdc8737d91e91168e3e3c86b5ad976e2c3"),
     ],
+    ids=["ot-k2-q4099", "ot-k3-q393241", "lbe-sim-k2-q4099", "lbe-sim-k3-q393241"],
 )
 def test_ot_and_lbe_inventory_golden(tmp_path, backend, k, sigma, q, token, alice_sha):
     # frozen: Bob's token and Alice's tuple file, with (k=2) and without a stash
     p = derive_params(1 << 8, k, sigma=sigma)
     assert p.modulus.q == q and (p.stash_size > 0) == (k == 2)
-    alice, bob = generate_psi_inventories(backend, p, Seed(bytes(range(32))))
+    master = Seed(bytes(range(32)))
+    alice, bob = generate_psi_inventories(backend, p, master)
     tok = inventory_token(bob)
     assert tok.hex() == token
     save_inventories(tmp_path / "a", alice, "alice", tok)
     assert hashlib.sha256((tmp_path / "a").read_bytes()).hexdigest() == alice_sha
+    # the same values from the scalar reference: each backend's PRG draws in
+    # stream order, the rest fixed by the OLE relation, the bytes by the format
+    sections = (("bins", p.alpha, p.beta), ("stash", p.stash_size, p.n))
+    for (name, rows, cols), a, b in zip(sections, alice, bob, strict=True):
+        label, tag = (b"gil|", b"gilboa") if backend == "ot" else (b"lbe|", b"lbe")
+        prg = Prg(subseed(master, label + name.encode()), tag=tag)
+        assert a.s_A.tolist() == reference_elements(prg, q, rows)
+        if backend == "ot":
+            assert a.r_A.ravel().tolist() == reference_elements(prg, q, rows * cols)
+        r_B = reference_elements(prg, q, rows * cols, nonzero=True)
+        assert b.r_B_inv.ravel().tolist() == [pow(r, -1, q) for r in r_B]
+        if backend == "lbe-sim":
+            assert b.s_B.ravel().tolist() == reference_elements(prg, q, rows * cols)
+        assert validate_inventories(a, b)
+    ref_token = reference_token(
+        q, [(len(b), b.slot_len, bob_words(b.r_B_inv.tolist(), b.s_B.tolist())) for b in bob]
+    )
+    assert ref_token == tok
+    ref_alice = b"".join(
+        reference_section_bytes(b"OLEA", q, len(a), a.slot_len, tok,
+                                alice_words(a.s_A.tolist(), a.r_A.tolist()))
+        for a in alice
+    )
+    assert ref_alice == (tmp_path / "a").read_bytes()
 
 
 def test_dealer_alice_message_roundtrip():
@@ -355,15 +462,27 @@ def test_ot_vector_transcript_golden():
     ot.ot_send_many(m0, m1)
     out = ot.ot_receive_many(c)
     assert out.tolist() == [0, 0, 786000, 123456, 0, 0]
-    assert [(r.delta, r.e0, r.e1, r.cstar, r.pad) for r in ot.receiver_records] == [
-        (1, 189799, 224306, 1, 596650),
-        (1, 205117, 617274, 0, 169175),
-        (0, 384953, 430644, 1, 355356),
-        (0, 494594, 746065, 0, 415311),
-        (0, 323668, 692605, 1, 93844),
-        (1, 8244, 328827, 1, 778205),
+    records = [(r.delta, r.e0, r.e1, r.cstar, r.pad) for r in ot.receiver_records]
+    assert records == [
+        (1, 224511, 428182, 1, 561938),
+        (1, 405089, 190139, 0, 596310),
+        (0, 355152, 729059, 1, 56941),
+        (0, 770803, 693295, 0, 139102),
+        (0, 109282, 484067, 1, 302382),
+        (1, 692809, 61611, 1, 93640),
     ]
     assert [r.output for r in ot.receiver_records] == out.tolist()
+    # the same transcript from the scalar reference of both streams
+    pads = reference_elements(Prg(Seed(bytes([3]) * 32), tag=b"ot/pads"), q, 12)
+    bits = Prg(Seed(bytes([3]) * 32), tag=b"ot/bits").read(6)
+    want = []
+    for i in range(6):
+        p0, p1, cstar = pads[2 * i], pads[2 * i + 1], bits[i] & 1
+        delta = c[i] ^ cstar
+        e0 = (m0[i] - (p1 if delta else p0)) % q
+        e1 = (m1[i] - (p0 if delta else p1)) % q
+        want.append((delta, e0, e1, cstar, p1 if cstar else p0))
+    assert records == want
 
 
 def test_ot_session_discipline():
@@ -559,7 +678,8 @@ def _assert_batch_matches_scalar(p, count, lbe):
     for i in range(count):
         s_A = int(alice.s_A[i])
         for j in range(p.beta):
-            args = (s_A, int(bob.s_B[i, j]), int(bob.r_B[i, j]), int(u[i, j]))
+            r_B = pow(int(bob.r_B_inv[i, j]), -1, p.modulus.q)
+            args = (s_A, int(bob.s_B[i, j]), r_B, int(u[i, j]))
             want = lbe_sim_tuple(lbe, *args)
             assert _residue_loop_reconstruct(lbe, *args) % p.modulus.q == want
             assert int(alice.r_A[i, j]) == want
@@ -616,7 +736,7 @@ def test_generate_psi_inventories_deterministic_backends():
         for x, y in zip(a1, a2):
             assert (x.s_A == y.s_A).all() and (x.r_A == y.r_A).all()
         for x, y in zip(b1, b2):
-            assert (x.r_B == y.r_B).all() and (x.s_B == y.s_B).all()
+            assert (x.r_B_inv == y.r_B_inv).all() and (x.s_B == y.s_B).all()
 
 
 def test_generate_psi_inventories_rejects_unknown():

@@ -3,6 +3,7 @@
 import socket
 import struct
 import threading
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -94,6 +95,31 @@ def test_peer_that_never_reads_times_out_instead_of_buffering():
     finally:
         a.close()
         b.close()
+
+
+def test_slow_but_steady_reader_completes_a_large_frame():
+    # the reader takes 256 KiB every 0.1 s, so the 8 MiB frame takes over
+    # 3 s in all, far past the timeout; every wait for progress stays under it
+    a, b = memory_channel_pair(timeout=0.5)
+    got = []
+
+    def reader():
+        buf = bytearray()
+        while len(buf) < 5 + (8 << 20):
+            time.sleep(0.1)
+            buf += b.recv_bytes(min(256 << 10, 5 + (8 << 20) - len(buf)))
+        got.append(bytes(buf))
+
+    t = threading.Thread(target=reader)
+    t.start()
+    try:
+        payload = bytes(range(256)) * (1 << 15)
+        send_frame(a, Frame(ALICE_C, payload))
+    finally:
+        t.join()
+        a.close()
+        b.close()
+    assert got == [struct.pack(">IB", len(payload), ALICE_C) + payload]
 
 
 def test_unknown_type_rejected_both_ways():

@@ -13,41 +13,42 @@ from olepsi.tuples import (
     inventory_token,
     load_inventories,
     save_inventories,
-    validate_inventories,
 )
 
 from blocks import alice_inventory, bob_inventory
+from oracles import validate_inventories, write_format_1_bob_file
 
 Q11 = PrimeModulus(11)
 
 
 def make_batch(modulus, s_A, slots):
-    # one batch; slots: list of (r_A, r_B, r_B_inv, s_B) ints
-    r_A, r_B, r_B_inv, s_B = ([list(col)] for col in zip(*slots))
-    return alice_inventory(modulus, [s_A], r_A), bob_inventory(modulus, r_B, r_B_inv, s_B)
+    # one batch; slots: list of (r_A, r_B_inv, s_B) ints
+    r_A, r_B_inv, s_B = ([list(col)] for col in zip(*slots))
+    return alice_inventory(modulus, [s_A], r_A), bob_inventory(modulus, r_B_inv, s_B)
 
 
 def test_validate_batch_examples():
-    # 2 * 3 = 6 = 4 + 2
-    alice, bob = make_batch(Q11, 4, [(2, 3, 4, 2)])
+    # r_B = 3, r_B_inv = 4: 2 * 3 = 6 = 4 + 2
+    alice, bob = make_batch(Q11, 4, [(2, 4, 2)])
     assert validate_inventories(alice, bob) is True
 
-    alice, bob = make_batch(Q11, 4, [(2, 0, 0, 2)])
+    alice, bob = make_batch(Q11, 4, [(2, 0, 2)])
     assert validate_inventories(alice, bob) is False
 
     # 5 * 3 = 15 = 4 != 6
-    alice, bob = make_batch(Q11, 4, [(5, 3, 4, 2)])
+    alice, bob = make_batch(Q11, 4, [(5, 4, 2)])
     assert validate_inventories(alice, bob) is False
 
 
 def test_validate_batch_checks_inverse():
-    alice, bob = make_batch(Q11, 4, [(2, 3, 5, 2)])  # 3*5 = 15 = 4 != 1
+    # r_B_inv = 5 is the inverse of 9, and 2 * 9 = 18 = 7 != 4 + 2
+    alice, bob = make_batch(Q11, 4, [(2, 5, 2)])
     assert validate_inventories(alice, bob) is False
 
 
 def test_validate_batch_length_mismatch():
-    alice, _ = make_batch(Q11, 4, [(2, 3, 4, 2)])
-    _, bob = make_batch(Q11, 4, [(2, 3, 4, 2), (2, 3, 4, 2)])
+    alice, _ = make_batch(Q11, 4, [(2, 4, 2)])
+    _, bob = make_batch(Q11, 4, [(2, 4, 2), (2, 4, 2)])
     with pytest.raises(ValueError):
         validate_inventories(alice, bob)
 
@@ -75,28 +76,33 @@ def test_random_tuples_always_valid():
 
 
 def _slots(modulus, count, tag):
-    # count independent tuples (one slot per batch) as flat int64 arrays
+    # count independent tuples (one slot per batch) as flat int64 arrays;
+    # Bob keeps no r_B, so it is the inverse of his r_B_inv
     alice, bob = gen_seeded(Seed(bytes(32)), count, modulus, 1, domain=tag)
     flat = lambda a: a.astype(np.int64).reshape(count)
-    return flat(alice.r_A), flat(bob.r_B), flat(bob.r_B_inv), flat(alice.s_A), flat(bob.s_B)
+    r_B_inv = flat(bob.r_B_inv)
+    r_B = mod_inv(r_B_inv, modulus.q)
+    return flat(alice.r_A), r_B, r_B_inv, flat(alice.s_A), flat(bob.s_B)
 
 
 def test_sample_arrays_satisfy_equation():
     m = PrimeModulus(12301)
     r_A, r_B, r_B_inv, s_A, s_B = _slots(m, 50000, b"arrays")
     q = m.q
-    assert (r_B != 0).all()
+    assert (r_B_inv != 0).all()
     assert (r_B * r_B_inv % q == 1).all()
     assert (r_A * r_B % q == (s_A + s_B) % q).all()
 
 
 def test_marginal_uniformity_chi_square():
-    # each of r_B (over F*), s_A, s_B (over F_q) individually uniform
+    # each of r_B and r_B_inv (over F*), s_A, s_B (over F_q) individually
+    # uniform: r_B_inv is drawn, and inversion permutes F*
     m = PrimeModulus(101)
     count = 100000
-    _, r_B, _, s_A, s_B = _slots(m, count, b"marginals")
-    _, p = stats.chisquare(np.bincount(r_B, minlength=101)[1:])
-    assert p > 0.001
+    _, r_B, r_B_inv, s_A, s_B = _slots(m, count, b"marginals")
+    for r in (r_B, r_B_inv):
+        _, p = stats.chisquare(np.bincount(r, minlength=101)[1:])
+        assert p > 0.001
     _, p = stats.chisquare(np.bincount(s_A, minlength=101))
     assert p > 0.001
     _, p = stats.chisquare(np.bincount(s_B, minlength=101))
@@ -113,11 +119,12 @@ def test_inventories_expose_batches():
     assert len(alice) == len(bob) == 5
     assert alice.slot_len == bob.slot_len == 4
     assert alice.s_A.shape == (5,) and alice.r_A.shape == (5, 4)
-    assert bob.r_B.shape == bob.r_B_inv.shape == bob.s_B.shape == (5, 4)
+    assert bob.r_B_inv.shape == bob.s_B.shape == (5, 4)
+    assert bob.block.shape == (5, 4, 2)
     # row i is batch i: each one-row slice validates on its own
     for i in range(5):
         a = alice_inventory(m, alice.s_A[i : i + 1], alice.r_A[i : i + 1])
-        b = bob_inventory(m, bob.r_B[i : i + 1], bob.r_B_inv[i : i + 1], bob.s_B[i : i + 1])
+        b = bob_inventory(m, bob.r_B_inv[i : i + 1], bob.s_B[i : i + 1])
         assert validate_inventories(a, b)
     assert validate_inventories(alice, bob)
 
@@ -128,7 +135,7 @@ def test_validate_inventories_catches_corruption():
     alice.r_A[2, 1] = (alice.r_A[2, 1] + 1) % m.q
     assert not validate_inventories(alice, bob)
     a = alice_inventory(m, alice.s_A[2:3], alice.r_A[2:3])
-    b = bob_inventory(m, bob.r_B[2:3], bob.r_B_inv[2:3], bob.s_B[2:3])
+    b = bob_inventory(m, bob.r_B_inv[2:3], bob.s_B[2:3])
     assert not validate_inventories(a, b)
 
 
@@ -151,8 +158,8 @@ def test_file_roundtrip(tmp_path):
     assert np.array_equal(alice_back[0].s_A, alice.s_A)
     assert np.array_equal(alice_back[0].r_A, alice.r_A)
     assert np.array_equal(alice_back[1].r_A, alice2.r_A)
-    assert np.array_equal(bob_back[0].r_B, bob.r_B)
     assert np.array_equal(bob_back[0].r_B_inv, bob.r_B_inv)
+    assert np.array_equal(bob_back[0].s_B, bob.s_B)
     assert np.array_equal(bob_back[1].s_B, bob2.s_B)
     assert validate_inventories(alice_back[0], bob_back[0])
     assert validate_inventories(alice_back[1], bob_back[1])
@@ -166,13 +173,23 @@ def test_file_header_layout(tmp_path):
     save_inventories(path, [alice], "alice", token)
     raw = path.read_bytes()
     assert raw[:4] == b"OLEA"
-    assert raw[4] == 1
+    assert raw[4] == 2
     assert int.from_bytes(raw[5:13], "little") == 6151
     assert int.from_bytes(raw[13:17], "little") == 2
     assert int.from_bytes(raw[17:21], "little") == 3
     assert raw[21:37] == token
     # payload: 2 batches x (1 + 3) elements x 2 bytes
     assert len(raw) == 37 + 2 * 4 * 2
+    # Bob's payload: 2 batches x 3 slots x (r_B_inv, s_B) x 2 bytes, two
+    # thirds of format 1's (r_B, r_B_inv, s_B) slots
+    bpath = tmp_path / "b.oleb"
+    save_inventories(bpath, [bob], "bob", token)
+    raw = bpath.read_bytes()
+    assert raw[:5] == b"OLEB\x02"
+    assert len(raw) - 37 == 2 * 3 * 2 * 2 == 2 * (2 * 3 * 3 * 2) // 3
+    words = np.frombuffer(raw[37:], "<u2").reshape(2, 3, 2)
+    assert np.array_equal(words[:, :, 0], bob.r_B_inv)
+    assert np.array_equal(words[:, :, 1], bob.s_B)
 
 
 def test_file_errors(tmp_path):
@@ -216,3 +233,19 @@ def test_token_tracks_bob_content():
     _, bob2 = _random_inventories(m, 3, 4, b"tok2")
     assert inventory_token([bob1]) != inventory_token([bob2])
     assert inventory_token([bob1]) == inventory_token([bob1])
+
+
+def test_format_1_file_refused(tmp_path):
+    m = PrimeModulus(6151)
+    alice, bob = _random_inventories(m, 2, 3, b"v1")
+    token = inventory_token([bob])
+    write_format_1_bob_file(tmp_path / "b1.oleb", [bob], token)
+    with pytest.raises(TupleFileError, match="format 1 is not supported"):
+        load_inventories(tmp_path / "b1.oleb", "bob")
+    # Alice's layout did not change, but her format-1 header is refused too
+    save_inventories(tmp_path / "a.oleb", [alice], "alice", token)
+    raw = bytearray((tmp_path / "a.oleb").read_bytes())
+    raw[4] = 1
+    (tmp_path / "a1.oleb").write_bytes(bytes(raw))
+    with pytest.raises(TupleFileError, match="format 1"):
+        load_inventories(tmp_path / "a1.oleb", "alice")
