@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from ..params import sections
 from ..prg import SEED_LEN, Prg, Seed
+from ._expand import ExpansionError, expand_sections
 from .dealer import (
     DealerMessages,
     dealer_generate,
@@ -53,11 +54,9 @@ def generate_psi_inventories(backend, params, master_seed=None):
 
     if backend == "seed":
         shared = subseed(master, b"shared")
+        return expand_sections(params.modulus, sections(params), seed_a=shared, seed_b=shared)
 
-        def batch(rows, cols, domain):
-            return gen_seeded(shared, rows, params.modulus, cols, domain=domain)
-
-    elif backend == "ot":
+    if backend == "ot":
         provider = DealerAssistedOt(params.modulus, seed=subseed(master, b"ot-deal"))
 
         def batch(rows, cols, domain):

@@ -1,23 +1,39 @@
 """Shared seed-to-array expansion for the seeded and dealer backends.
 
-Every array is cut into chunks of _row_chunk(L) whole rows, and each chunk
-is expanded from its own PRG stream, tagged role|section|chunk (chunk in
+Every section is cut into chunks of _row_chunk(L) whole rows, and each chunk
+is expanded from its own PRG streams, tagged role|section|chunk (chunk in
 decimal): the bins and stash sections of one run never share a stream,
 Alice-side and Bob-side material come from disjoint streams even when
 expanded from the same seed, and any chunk expands without the ones before
 it. Bob's r_B^-1 is drawn directly as a nonzero element: inversion is a
 bijection of F_q^*, so this is the distribution of an inverted uniform r_B,
 and nothing here inverts.
+
+Since chunks are independent, the chunks of all sections of one call are
+dealt out in turn to up to one process per CPU: the caller and forked
+children, all writing into blocks carved from one anonymous shared mapping.
+The output does not depend on how many processes ran.
 """
 
 from __future__ import annotations
+
+import math
+import mmap
+import os
+import signal
+import threading
+from dataclasses import dataclass
 
 import numpy as np
 
 # mod_inv is not called here: the benchmark's tracer wraps it under this name
 from ..modvec import dtype_for, mod_inv, reduce_in_place, work_dtype  # noqa: F401
 from ..prg import Prg
-from ..tuples import BobInventory
+from ..tuples import AliceInventory, BobInventory
+
+
+class ExpansionError(Exception):
+    """A forked expansion worker did not finish its chunks."""
 
 
 def _row_chunk(slot_len):
@@ -34,40 +50,142 @@ def _stream(seed, role, domain, chunk):
     return Prg(seed, tag=b"%s|%s|%d" % (role, domain, chunk))
 
 
-def expand_s_a(seed, modulus, count, slot_len, domain):
-    """The per-batch shared s_A values of a (count, slot_len) section."""
+@dataclass(frozen=True)
+class _Section:
+    """One section to expand: Alice's (rows, 1 + L) block when seed_a is
+    given, Bob's (rows, L, 2) block when seed_b is given, else None."""
+
+    modulus: object
+    domain: bytes
+    rows: int
+    slot_len: int
+    seed_a: object
+    seed_b: object
+    alice: np.ndarray | None
+    bob: np.ndarray | None
+
+
+def derive_r_a_arrays(s_A, s_B, r_B_inv, q):
+    """r_A = (s_A + s_B) * r_B_inv per slot of (rows, L) arrays, in the work
+    dtype, with one reduction: (s_A + s_B) < 2q times r_B_inv < q stays
+    below 2q^2, which the work dtype holds."""
+    t = s_A[:, None].astype(work_dtype(q)) + s_B
+    t *= r_B_inv
+    return reduce_in_place(t, q)
+
+
+def _expand_chunk(sec, c, lo, hi):
+    """Chunk c (rows lo..hi) of one section: Bob's r_B^-1 and s_B, Alice's
+    s_A, and her r_A when both halves are expanded here."""
+    dt = dtype_for(sec.modulus.q)
+    shape = (hi - lo, sec.slot_len)
+    if sec.bob is not None:
+        r_B_inv = _stream(sec.seed_b, b"rBinv", sec.domain, c).nonzero_elements(
+            sec.modulus, math.prod(shape), dtype=dt
+        ).reshape(shape)
+        s_B = _stream(sec.seed_b, b"sB", sec.domain, c).elements(
+            sec.modulus, math.prod(shape), dtype=dt
+        ).reshape(shape)
+        sec.bob[lo:hi, :, 0] = r_B_inv
+        sec.bob[lo:hi, :, 1] = s_B
+    if sec.alice is not None:
+        s_A = _stream(sec.seed_a, b"sA", sec.domain, c).elements(sec.modulus, hi - lo, dtype=dt)
+        sec.alice[lo:hi, 0] = s_A
+        if sec.bob is not None:
+            sec.alice[lo:hi, 1:] = derive_r_a_arrays(s_A, s_B, r_B_inv, sec.modulus.q)
+
+
+def _shared_blocks(shapes, dtype):
+    """One ndarray per shape, all carved from one anonymous MAP_SHARED
+    mapping, so that writes from forked workers reach the caller."""
+    sizes = [math.prod(s) * np.dtype(dtype).itemsize for s in shapes]
+    buf = mmap.mmap(-1, max(1, sum(sizes)))
+    blocks, off = [], 0
+    for shape, size in zip(shapes, sizes):
+        flat = np.frombuffer(buf, dtype=dtype, count=math.prod(shape), offset=off)
+        blocks.append(flat.reshape(shape))
+        off += size
+    return blocks
+
+
+def _worker_count(jobs):
+    """Processes to expand `jobs` chunks with: one per CPU this process may
+    run on, but only the caller while another thread is alive, since a
+    forked child holds just the forking thread and any lock another thread
+    held at the fork stays held in it. Where the platform cannot tell which
+    CPUs are usable (no sched_getaffinity, as on macOS and Windows), also
+    only the caller."""
+    if threading.active_count() > 1 or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return max(1, min(jobs, len(os.sched_getaffinity(0))))
+
+
+def _run_chunks(work):
+    """Run _expand_chunk on every (section, c, lo, hi) of `work`: with P
+    workers, worker w takes items w, w + P, ...; worker 0 is this process and
+    the others are forked children. Returns once every child has been
+    reaped; a child that fails raises ExpansionError, and a failure here
+    kills the children before it propagates."""
+    procs = _worker_count(len(work))
+    children = []
+    try:
+        for w in range(1, procs):
+            pid = os.fork()
+            if pid == 0:
+                _child(work[w::procs])
+            children.append(pid)
+        for item in work[::procs]:
+            _expand_chunk(*item)
+    except BaseException:
+        for pid in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in children]
+    failed = [code for code in codes if code != 0]
+    if failed:
+        raise ExpansionError(f"{len(failed)} of {procs - 1} expansion workers failed: {failed}")
+
+
+def _child(items):
+    """A forked worker: expand `items`, then leave by os._exit, so that none of
+    the parent's atexit handlers, finalizers or stdio buffers run here."""
+    status = 1
+    try:
+        for item in items:
+            _expand_chunk(*item)
+        status = 0
+    except BaseException:
+        import traceback  # only a failing worker needs it
+
+        os.write(2, traceback.format_exc().encode(errors="replace"))
+    finally:
+        os._exit(status)
+
+
+def expand_sections(modulus, layout, seed_a=None, seed_b=None):
+    """Expand each (name, rows, L) section of `layout` (as params.sections
+    gives it): Alice's s_A from seed_a, Bob's (r_B^-1, s_B) from seed_b, and
+    r_A when both seeds are given. Returns (Alice's inventories, Bob's), a
+    list per side whose seed was given, else None; without seed_b, Alice's
+    r_A columns are left for the caller to fill."""
     dt = dtype_for(modulus.q)
-    out = np.empty(count, dtype=dt)
-    for c, lo, hi in _chunks(count, slot_len):
-        out[lo:hi] = _stream(seed, b"sA", domain, c).elements(modulus, hi - lo, dtype=dt)
-    return out
-
-
-def expand_bob_inventory(seed, modulus, count, slot_len, domain):
-    """Bob's (r_B_inv, s_B), each (count, slot_len), expanded straight into
-    one BobInventory block; r_B_inv is nonzero."""
-    dt = dtype_for(modulus.q)
-    block = np.empty((count, slot_len, 2), dtype=dt)
-    for c, lo, hi in _chunks(count, slot_len):
-        shape, words = (hi - lo, slot_len), (hi - lo) * slot_len
-        r_B_inv = _stream(seed, b"rBinv", domain, c).nonzero_elements(modulus, words, dtype=dt)
-        block[lo:hi, :, 0] = r_B_inv.reshape(shape)
-        s_B = _stream(seed, b"sB", domain, c).elements(modulus, words, dtype=dt)
-        block[lo:hi, :, 1] = s_B.reshape(shape)
-    return BobInventory(modulus, block)
-
-
-def derive_r_a_arrays(s_A, s_B, r_B_inv, q, out=None):
-    """r_A = (s_A + s_B) * r_B_inv per slot, chunked to bound temporaries;
-    written into `out` (count, slot_len) when given. One reduction per slot:
-    (s_A + s_B) < 2q times r_B_inv < q stays below 2q^2, which the work
-    dtype holds."""
-    count, slot_len = s_B.shape
-    if out is None:
-        out = np.empty((count, slot_len), dtype=dtype_for(q))
-    wide = work_dtype(q)
-    for _, lo, hi in _chunks(count, slot_len):
-        t = s_A[lo:hi, None].astype(wide) + s_B[lo:hi]
-        t *= r_B_inv[lo:hi]
-        out[lo:hi] = reduce_in_place(t, q)
-    return out
+    shapes = []
+    for _, rows, cols in layout:
+        if seed_a is not None:
+            shapes.append((rows, 1 + cols))
+        if seed_b is not None:
+            shapes.append((rows, cols, 2))
+    blocks = iter(_shared_blocks(shapes, dt))
+    secs = [
+        _Section(
+            modulus, name.encode(), rows, cols, seed_a, seed_b,
+            next(blocks) if seed_a is not None else None,
+            next(blocks) if seed_b is not None else None,
+        )
+        for name, rows, cols in layout
+    ]
+    _run_chunks([(sec, *chunk) for sec in secs for chunk in _chunks(sec.rows, sec.slot_len)])
+    alice = [AliceInventory(modulus, s.alice) for s in secs] if seed_a is not None else None
+    bob = [BobInventory(modulus, s.bob) for s in secs] if seed_b is not None else None
+    return alice, bob

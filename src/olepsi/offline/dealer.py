@@ -20,8 +20,8 @@ from ..modvec import dtype_for
 from ..params import sections
 from ..prg import SEED_LEN, Seed
 from ..transport import TransportError
-from ..tuples import AliceInventory, inventory_token
-from ._expand import derive_r_a_arrays, expand_bob_inventory, expand_s_a
+from ..tuples import inventory_token
+from ._expand import expand_sections
 
 
 @dataclass(frozen=True)
@@ -39,37 +39,23 @@ class DealerMessages:
 
 def dealer_generate(R_A, R_B, params):
     """PSI-shaped dealer run: one r_A array per section of the run."""
-    modulus = params.modulus
-    r_A_lists = []
-    bob_invs = []
-    for name, rows, cols in sections(params):
-        domain = name.encode()
-        s_A = expand_s_a(R_A, modulus, rows, cols, domain)
-        bob = expand_bob_inventory(R_B, modulus, rows, cols, domain)
-        r_A_lists.append(derive_r_a_arrays(s_A, bob.s_B, bob.r_B_inv, modulus.q))
-        bob_invs.append(bob)
-    token = inventory_token(bob_invs)
-    return DealerMessages(to_alice=(R_A, tuple(r_A_lists)), to_bob=R_B, token=token)
+    alice, bob = expand_sections(params.modulus, sections(params), seed_a=R_A, seed_b=R_B)
+    # copies, so that the expanded blocks are freed once the token is taken
+    r_A_lists = tuple(np.ascontiguousarray(a.r_A) for a in alice)
+    return DealerMessages(to_alice=(R_A, r_A_lists), to_bob=R_B, token=inventory_token(bob))
 
 
 def expand_alice(R_A, r_A_lists, params):
     """Alice's side of the dealer protocol: seed plus received r_A arrays."""
-    modulus = params.modulus
-    invs = []
-    for r_A, (name, rows, cols) in zip(r_A_lists, sections(params), strict=True):
-        block = np.empty((rows, 1 + cols), dtype=dtype_for(modulus.q))
-        block[:, 0] = expand_s_a(R_A, modulus, rows, cols, name.encode())
-        block[:, 1:] = r_A
-        invs.append(AliceInventory(modulus, block))
+    invs, _ = expand_sections(params.modulus, sections(params), seed_a=R_A)
+    for inv, r_A in zip(invs, r_A_lists, strict=True):
+        inv.block[:, 1:] = r_A
     return invs
 
 
 def expand_bob(R_B, params):
     """Bob's side: everything re-expanded from the 32-byte seed."""
-    return [
-        expand_bob_inventory(R_B, params.modulus, rows, cols, name.encode())
-        for name, rows, cols in sections(params)
-    ]
+    return expand_sections(params.modulus, sections(params), seed_b=R_B)[1]
 
 
 _ALICE_HEAD = struct.Struct("<32s16sQB")

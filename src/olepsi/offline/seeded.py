@@ -8,11 +8,7 @@ locally and the offline phase costs zero communication.
 
 from __future__ import annotations
 
-import numpy as np
-
-from ..modvec import dtype_for
-from ..tuples import AliceInventory
-from ._expand import derive_r_a_arrays, expand_bob_inventory, expand_s_a
+from ._expand import expand_sections
 
 
 def gen_seeded(shared_seed, count, modulus, slot_len, *, domain=b"bins"):
@@ -23,9 +19,6 @@ def gen_seeded(shared_seed, count, modulus, slot_len, *, domain=b"bins"):
     """
     if count < 0:
         raise ValueError("count must be >= 0")
-    bob = expand_bob_inventory(shared_seed, modulus, count, slot_len, domain)
-    # s_A and r_A expanded straight into Alice's one (count, 1 + L) block
-    block = np.empty((count, 1 + slot_len), dtype=dtype_for(modulus.q))
-    block[:, 0] = expand_s_a(shared_seed, modulus, count, slot_len, domain)
-    derive_r_a_arrays(block[:, 0], bob.s_B, bob.r_B_inv, modulus.q, out=block[:, 1:])
-    return AliceInventory(modulus, block), bob
+    layout = [(domain.decode(), count, slot_len)]
+    (alice,), (bob,) = expand_sections(modulus, layout, seed_a=shared_seed, seed_b=shared_seed)
+    return alice, bob

@@ -15,7 +15,8 @@ calls on one Prg are the accepted words in stream order.
 
 Callers that expand large arrays (offline._expand) cut each array into
 chunks of whole rows and give every chunk a stream of its own, tagged
-role|section|chunk, so any chunk expands without the ones before it.
+role|section|chunk, so any chunk expands without the ones before it, in
+any process.
 """
 
 import hashlib
@@ -36,9 +37,9 @@ class Seed:
     __slots__ = ("value",)
 
     def __init__(self, value):
-        if not isinstance(value, bytes) or len(value) != SEED_LEN:
+        if not isinstance(value, (bytes, bytearray)) or len(value) != SEED_LEN:
             raise ValueError(f"seed must be exactly {SEED_LEN} bytes")
-        self.value = value
+        self.value = bytes(value)
 
     @classmethod
     def random(cls):
@@ -67,22 +68,24 @@ class Prg:
         # length-prefixed tag so distinct tags can never alias via the counter
         self._prefix = seed + len(tag).to_bytes(2, "little") + tag
         self._counter = 0
-        self._buf = b""
+        self._buf = memoryview(b"")  # the unread rest of the last block
 
     def read(self, n):
-        chunks = []
-        while n > 0:
+        """The next n bytes of the stream, as one bytearray that each SHAKE
+        block is copied into once."""
+        out = bytearray(n)
+        view = memoryview(out)
+        pos = 0
+        while pos < n:
             if not self._buf:
-                block = hashlib.shake_256(
-                    self._prefix + self._counter.to_bytes(8, "little")
-                ).digest(_BLOCK)
+                block = hashlib.shake_256(self._prefix + self._counter.to_bytes(8, "little"))
+                self._buf = memoryview(block.digest(_BLOCK))
                 self._counter += 1
-                self._buf = block
-            take = self._buf[:n]
-            self._buf = self._buf[len(take):]
-            chunks.append(take)
-            n -= len(take)
-        return b"".join(chunks)
+            take = min(n - pos, len(self._buf))
+            view[pos : pos + take] = self._buf[:take]
+            self._buf = self._buf[take:]
+            pos += take
+        return out
 
     def _sample(self, modulus, count, reject_zero, dtype):
         width = modulus.byte_len
@@ -102,9 +105,10 @@ class Prg:
             keep = vals <= limit - 1
             surplus = int(np.count_nonzero(keep)) - need
             if surplus >= 0:
-                # stop at the need-th accepted word; the rest goes back
+                # stop at the need-th accepted word; the rest goes back (a
+                # copy of the surplus words and of the block's unread rest)
                 used = _end_of_nth_from_last(keep, surplus + 1)
-                self._buf = raw[used * width :] + self._buf
+                self._buf = memoryview(raw[used * width :] + self._buf)
                 vals, keep = vals[:used], keep[:used]
             vals = np.compress(keep, vals)
             reduce_in_place(vals, m)

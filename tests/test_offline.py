@@ -1,8 +1,14 @@
 """Offline backends: seeded, dealer, OT/Gilboa, LBE simulation."""
 
 import hashlib
+import os
 import struct
+import subprocess
+import sys
+import threading
+import time
 from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -15,6 +21,7 @@ from olepsi.modvec import dtype_for
 from olepsi.offline import (
     BACKENDS,
     DealerAssistedOt,
+    ExpansionError,
     OtError,
     dealer_generate,
     decode_to_alice,
@@ -126,6 +133,148 @@ def test_gen_seeded_chunks_expand_independently(monkeypatch):
     assert b.r_B_inv[2:4].ravel().tolist() == reference_elements(prg, m.q, 6, nonzero=True)
 
 
+def _expand_on(monkeypatch, cpus):
+    """Chunks of 2 rows and `cpus` usable CPUs, as the expansion sees them;
+    returns the list of pids os.fork gave the parent."""
+    monkeypatch.setattr(expand_mod, "_row_chunk", lambda slot_len: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    forks, real_fork = [], os.fork
+
+    def counting_fork():
+        pid = real_fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return forks
+
+
+def _no_children_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_expansion_is_identical_on_any_number_of_processes(monkeypatch, cpus):
+    # 9 bin rows and 3 stash rows in chunks of 2: 7 chunks dealt out to
+    # `cpus` processes give the scalar reference's blocks and token
+    forks = _expand_on(monkeypatch, cpus)
+    p = replace(params_small(), alpha=9)
+    q, layout = p.modulus.q, [("bins", 9, p.beta), ("stash", p.stash_size, p.n)]
+    seed, R_A, R_B = Seed(bytes([4]) * 32), Seed(bytes([6]) * 32), Seed(bytes([7]) * 32)
+
+    a, b = gen_seeded(seed, 9, p.modulus, p.beta)
+    ref = reference_section(seed, seed, q, 9, p.beta, b"bins", chunk_rows=2)
+    assert ref == (a.s_A.tolist(), a.r_A.tolist(), b.r_B_inv.tolist(), b.s_B.tolist())
+
+    msg = dealer_generate(R_A, R_B, p)
+    alice, bob = expand_alice(msg.to_alice[0], msg.to_alice[1], p), expand_bob(R_B, p)
+    refs = [reference_section(R_A, R_B, q, rows, cols, name.encode(), chunk_rows=2)
+            for name, rows, cols in layout]
+    for x, y, r in zip(alice, bob, refs, strict=True):
+        assert r == (x.s_A.tolist(), x.r_A.tolist(), y.r_B_inv.tolist(), y.s_B.tolist())
+    words = [(rows, cols, bob_words(r[2], r[3])) for (_, rows, cols), r in zip(layout, refs)]
+    assert msg.token == inventory_token(bob) == reference_token(q, words)
+    # one fork per extra process for each of the four expansions
+    assert len(forks) == 4 * (cpus - 1)
+    _no_children_left()
+
+
+def _failing_chunk(fail_on, then=None):
+    """_expand_chunk that raises on chunks of parity `fail_on` and runs
+    `then` on the others."""
+    real = expand_mod._expand_chunk
+
+    def chunk(sec, c, lo, hi):
+        if c % 2 == fail_on:
+            raise RuntimeError(f"chunk {c} failed")
+        if then is not None:
+            then()
+        real(sec, c, lo, hi)
+
+    return chunk
+
+
+def test_failed_worker_fails_the_expansion(monkeypatch):
+    # odd chunks run in the forked child: the parent raises once it has
+    # reaped it, and returns no half-filled block
+    forks = _expand_on(monkeypatch, 2)
+    monkeypatch.setattr(expand_mod, "_expand_chunk", _failing_chunk(1))
+    with pytest.raises(ExpansionError) as err:
+        gen_seeded(Seed(bytes(32)), 8, PrimeModulus(263), 3)
+    assert len(forks) == 1
+    _no_children_left()
+    # defined under olepsi.offline, so a run record counts it as an offline failure
+    assert type(err.value).__module__.split(".")[:2] == ["olepsi", "offline"]
+
+
+def test_failed_parent_kills_and_reaps_worker(monkeypatch, tmp_path):
+    # even chunks run here and fail at once; the child, parked before its
+    # first chunk, is killed, or it would wake and leave a marker
+    marker = tmp_path / "child-ran"
+
+    def park():
+        time.sleep(3)
+        marker.write_text("ran")
+
+    forks = _expand_on(monkeypatch, 2)
+    monkeypatch.setattr(expand_mod, "_expand_chunk", _failing_chunk(0, then=park))
+    with pytest.raises(RuntimeError, match="chunk 0 failed"):
+        gen_seeded(Seed(bytes(32)), 8, PrimeModulus(263), 3)
+    assert len(forks) == 1
+    _no_children_left()
+    assert not marker.exists()
+
+
+def test_workers_leave_without_running_exit_handlers(tmp_path):
+    # a forked worker ends by os._exit: the parent's unflushed stdout and its
+    # atexit handler come out once, from the parent alone
+    script = tmp_path / "fork.py"
+    script.write_text(
+        "import atexit, os\n"
+        "from olepsi.field import PrimeModulus\n"
+        "from olepsi.offline import _expand, gen_seeded\n"
+        "from olepsi.prg import Seed\n"
+        "_expand._row_chunk = lambda slot_len: 2\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "real_fork, forks = os.fork, []\n"
+        "os.fork = lambda: forks.append(1) or real_fork()\n"
+        "atexit.register(lambda: print('atexit'))\n"
+        "print('before')\n"
+        "gen_seeded(Seed(bytes(32)), 8, PrimeModulus(263), 3)\n"
+        "print('forks', len(forks))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    out = subprocess.run([sys.executable, str(script)], env=env, capture_output=True,
+                         text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "before\nforks 1\natexit\n"
+
+
+def test_live_thread_keeps_expansion_in_one_process(monkeypatch):
+    # a second live thread, as in an in-process pair: fork is never called
+    monkeypatch.setattr(expand_mod, "_row_chunk", lambda slot_len: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+
+    def no_fork():
+        raise AssertionError("fork with a second thread alive")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    release = threading.Event()
+    other = threading.Thread(target=release.wait, args=(30,))
+    other.start()
+    try:
+        m, seed = PrimeModulus(263), Seed(bytes([4]) * 32)
+        a, b = gen_seeded(seed, 8, m, 3)
+    finally:
+        release.set()
+        other.join(30)
+    assert not other.is_alive()
+    ref = reference_section(seed, seed, m.q, 8, 3, b"bins", chunk_rows=2)
+    assert ref == (a.s_A.tolist(), a.r_A.tolist(), b.r_B_inv.tolist(), b.s_B.tolist())
+
+
 @pytest.mark.parametrize("backend", ["seed", "dealer"])
 def test_seed_and_dealer_backends_invert_nothing(monkeypatch, backend):
     # r_B_inv is drawn as a nonzero element, so no inversion is left to do
@@ -219,18 +368,18 @@ def test_dealer_mismatched_seed_fails_validation():
 
 def test_dealer_micro_run_stub(monkeypatch):
     # fixed shares s_A=4, s_B=2, r_B=3 over q=11 must yield r_A=2
-    def fake_s_a(seed, modulus, count, slot_len, domain):
-        return np.full(count, 4, dtype=np.int64)
+    class FixedStream:
+        def __init__(self, value):
+            self.value = value
 
-    def fake_bob(seed, modulus, count, slot_len, domain):
-        shape = (count, slot_len)
-        # r_B = 3, so r_B_inv = 4
-        return bob_inventory(
-            modulus, np.full(shape, 4, dtype=np.int64), np.full(shape, 2, dtype=np.int64)
-        )
+        def elements(self, modulus, count, dtype):
+            return np.full(count, self.value, dtype=dtype)
 
-    monkeypatch.setattr(dealer_mod, "expand_s_a", fake_s_a)
-    monkeypatch.setattr(dealer_mod, "expand_bob_inventory", fake_bob)
+        nonzero_elements = elements
+
+    # r_B = 3, so r_B_inv = 4
+    values = {b"sA": 4, b"sB": 2, b"rBinv": 4}
+    monkeypatch.setattr(expand_mod, "_stream", lambda seed, role, domain, c: FixedStream(values[role]))
     # sections (1, 1) of bins and (0, 1) of stash over F_11
     p = SimpleNamespace(modulus=M11, alpha=1, beta=1, stash_size=0, n=1)
     msg = dealer_mod.dealer_generate(Seed(bytes(32)), Seed(bytes([1]) * 32), p)
