@@ -69,28 +69,6 @@ class HashSeeds:
         return cls(bin_seeds=tuple(parts[:k]), keyed_seed=parts[k])
 
 
-def split_element(x, params):
-    """(sigma1-bit prefix, sigma2-bit suffix) of x."""
-    return x >> params.sigma2, x & ((1 << params.sigma2) - 1)
-
-
-def _hash_raw(seed, j, value):
-    digest = hashlib.sha256(
-        seed + bytes([j]) + value.to_bytes(8, "little")
-    ).digest()
-    return int.from_bytes(digest[:8], "little")
-
-
-def bin_hash(j, x2, seeds, params):
-    """h_j(x2): seeded hash of the suffix, reduced into [0, alpha)."""
-    return _hash_raw(seeds.bin_seeds[j], j, x2) % params.alpha
-
-
-def bin_index(j, x1, x2, seeds, params):
-    """Bin for prefix x1, suffix x2 under hash function j."""
-    return (bin_hash(j, x2, seeds, params) + x1) % params.alpha
-
-
 def keyed_hash(seed, x, range_size):
     """The shared keyed hash H, reduced into [0, range_size)."""
     digest = hashlib.sha256(seed + x.to_bytes(8, "little")).digest()
@@ -99,9 +77,8 @@ def keyed_hash(seed, x, range_size):
 
 def _hash_words(prefix, values):
     """uint64 array: the first 8 digest bytes (little-endian) of
-    sha256(prefix + v.to_bytes(8, "little")) for each v, as _hash_raw
-    computes them one at a time. The prefix is hashed once and copied per
-    value."""
+    sha256(prefix + v.to_bytes(8, "little")) for each v. The prefix is
+    hashed once and copied per value."""
     buf = np.asarray(values, dtype="<u8").tobytes()
     copy = hashlib.sha256(prefix).copy
     digests = []
@@ -133,22 +110,13 @@ def stash_encode(xs, seeds, params):
     return z.astype(np.int64)
 
 
-def invert_placement(i, enc, seeds, params):
-    """Recover the original element from (bin, encoding), or None."""
-    j = enc >> params.sigma2
-    x2 = enc & ((1 << params.sigma2) - 1)
-    if j >= params.k:
-        return None
-    x1 = (i - bin_hash(j, x2, seeds, params)) % params.alpha
-    if x1 >= (1 << params.sigma1):
-        return None
-    return (x1 << params.sigma2) + x2
-
-
 def _candidate_bins(arr, seeds, params):
-    """(k, len(arr)) array: entry [j, t] is the bin of arr[t] under hash j.
+    """(k, len(arr)) array: entry [j, t] is the bin of arr[t] under hash j,
+    (h_j(x2) + x1) mod alpha with h_j(x2) = the first 8 bytes of
+    sha256(bin_seeds[j] + bytes([j]) + x2 as 8 little-endian bytes), read
+    little-endian, mod alpha.
 
-    bin_hash is evaluated once per distinct suffix, into a (u, k) table.
+    h_j is evaluated once per distinct suffix, into a (u, k) table.
     """
     x2 = arr & ((1 << params.sigma2) - 1)
     uniq, inv = np.unique(x2, return_inverse=True)
@@ -257,11 +225,13 @@ class BinTable:
 
 
 def build_bin_table(elements, params, seeds):
-    """Bob's table, each bin's entries in a fresh random slot order, so a
-    match's slot does not reveal Bob's other entries in that bin. Entries
-    whose random sort keys tie keep encoding order: in a bin of load L that
-    has probability below L^2 / 2^(rand_bits + 1), and rand_bits >= 27 on
-    every PARAM_TABLE row."""
+    """Bob's table, each bin's row rotated by a fresh uniform offset.
+
+    A bin's entries, in encoding order, fill one cyclic run of slots that
+    starts at its offset, and the dummies fill the rest. So a match's slot is
+    uniform on [0, beta), whatever the bin's load and the match's rank, and
+    reveals nothing about Bob's other entries in that bin.
+    """
     arr = _check_input_set(elements, params)
     alpha, beta, k = params.alpha, params.beta, params.k
     sigma2 = params.sigma2
@@ -275,25 +245,25 @@ def build_bin_table(elements, params, seeds):
             f"bin load {int(counts.max())} exceeds beta={beta}; "
             "parameter guarantee violated"
         )
-    # one sort of (bin, random, encoding) keys packed in an int64
+    # one sort of (bin, encoding) keys packed in an int64; they are unique,
+    # since (bin, j, x2) determines the element. They fit: derive_params
+    # refuses q >= 2^31, so enc takes at most 31 bits, and the bin takes at
+    # most 28 on every PARAM_TABLE row
     enc_bits = (params.dummy_alice - 1).bit_length()
-    rand_bits = min(32, 63 - (alpha - 1).bit_length() - enc_bits)
-    if rand_bits < 16:
-        raise ValueError(f"sigma={params.sigma} leaves too few key bits to shuffle bin slots")
-    keys <<= rand_bits
-    rand = np.frombuffer(os.urandom(4 * keys.size), dtype="<u4") >> (32 - rand_bits)
-    keys |= rand.reshape(keys.shape)
-    del rand
     keys <<= enc_bits
     keys |= (arr & mask2)[:, None]  # enc = j * 2^sigma2 + x2
     keys |= np.arange(k, dtype=np.int64) << sigma2
     keys = keys.ravel()
     keys.sort()
-    # entry i of the sorted keys goes to slot i - starts[bin] of its bin
-    starts = np.zeros(alpha, dtype=np.int64)
-    starts[1:] = np.cumsum(counts)[:-1]
-    pos = (np.arange(alpha, dtype=np.int64) * beta - starts)[keys >> (rand_bits + enc_bits)]
+    # entry i of the sorted keys goes to slot (i - starts[bin] + off[bin])
+    # mod beta of its bin, where off[bin] is uniform on [0, beta) and
+    # starts[bin] is the bin's first sorted entry; shift = off - starts
+    shift = np.random.default_rng(list(os.urandom(16))).integers(0, beta, alpha)
+    shift[1:] -= np.cumsum(counts)[:-1]
+    pos = shift[keys >> enc_bits]
     pos += np.arange(keys.size, dtype=np.int64)
+    pos %= beta
+    pos += (keys >> enc_bits) * beta
     keys &= (1 << enc_bits) - 1
     table = np.full((alpha, beta), params.dummy_bob, dtype=dtype_for(params.dummy_bob + 1))
     table.reshape(-1)[pos] = keys

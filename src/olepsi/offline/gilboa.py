@@ -49,13 +49,12 @@ def gilboa_share(ot, r_A, r_B, ell=None, rho=None):
     return sum(rho) % q, sum(o.tolist()) % q
 
 
-def gilboa_batch(ot, params, count, *, slot_len=None, seed=None, rho_sink=None):
+def gilboa_batch(ot, params, count, *, slot_len=None, seed=None):
     """Generate `count` batches over OT: slot_len * ell invocations each.
 
     Per batch: one shared s_A, independent (r_A, r_B) per slot, and per
     slot a rho list constrained to sum to s_A, so every slot's Gilboa run
-    lands on the same Alice share.  rho_sink, if given, receives the
-    (chunk, slot, ell) rho arrays for inspection.
+    lands on the same Alice share.
     """
     modulus = params.modulus
     q = modulus.q
@@ -82,8 +81,6 @@ def gilboa_batch(ot, params, count, *, slot_len=None, seed=None, rho_sink=None):
             ).reshape(c, L, ell - 1)
         partial = rho[:, :, : ell - 1].sum(axis=2) % q
         rho[:, :, ell - 1] = (s_A[lo:hi, None].astype(np.int64) - partial) % q
-        if rho_sink is not None:
-            rho_sink.append(rho.copy())
         m0 = (-rho) % q
         m1 = (r_A[lo:hi, :, None].astype(np.int64) * pow2 - rho) % q
         bits = (r_B[lo:hi, :, None].astype(np.int64) >> positions) & 1

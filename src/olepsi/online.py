@@ -360,7 +360,7 @@ def _bob_reply(c, enc_rows, inv, q):
     return out
 
 
-def _stash_encodings(arr, seeds, params, rng=None):
+def _stash_encodings(arr, seeds, params):
     """Keyed encodings of Bob's whole set (the bin table's sorted int64
     array), shuffled and padded to n slots, in the bin table's dtype.
 
@@ -370,9 +370,7 @@ def _stash_encodings(arr, seeds, params, rng=None):
     """
     enc = np.full(params.n, params.dummy_bob, dtype=dtype_for(params.dummy_bob + 1))
     enc[: arr.size] = stash_encode(arr, seeds, params)
-    if rng is None:
-        rng = np.random.default_rng(list(os.urandom(16)))
-    rng.shuffle(enc)
+    np.random.default_rng(list(os.urandom(16))).shuffle(enc)
     return enc
 
 

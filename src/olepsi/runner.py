@@ -12,9 +12,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .hashing import build_bin_table, build_cuckoo_table
 from .offline import generate_psi_inventories
-from .online import PsiSession, _bob_reply, psi_alice, psi_bob
+from .online import PsiSession, psi_alice, psi_bob
 from .params import derive_params, online_bits_per_element
 from .transport import (
     PEER_TIMEOUT,
@@ -88,20 +87,16 @@ def psi_once(alice_set, bob_set, params=None, backend="seed", master_seed=None,
 class BenchReport:
     """One benchmark run's numbers.
 
-    Hash and compare timings are standalone probes over the run's own
-    tables and tuple arrays (the pure-computation cost, no transport);
-    wall_seconds times the real protocol run end to end. The bits/element
-    figures come from the transcript accounting and from the closed-form
-    cost; they agree exactly whenever the message counts are right.
+    offline_seconds times the offline phase and wall_seconds the real
+    protocol run end to end. The bits/element figures come from the
+    transcript accounting and from the closed-form cost; they agree exactly
+    whenever the message counts are right.
     """
 
     n: int
     k: int
     backend: str
     offline_seconds: float
-    alice_hash_seconds: float
-    bob_hash_seconds: float
-    compare_seconds: float
     wall_seconds: float
     alice_stats: object
     bits_measured: Fraction
@@ -116,9 +111,6 @@ class BenchReport:
             f"  k: {self.k}",
             f"  backend: {self.backend}",
             f"  offline-seconds: {self.offline_seconds:.3f}",
-            f"  alice-hash-seconds: {self.alice_hash_seconds:.3f}",
-            f"  bob-hash-seconds: {self.bob_hash_seconds:.3f}",
-            f"  compare-seconds: {self.compare_seconds:.3f}",
             f"  wall-seconds: {self.wall_seconds:.3f}",
             f"  alice-sent-bytes: {self.alice_stats.bytes_sent}",
             f"  alice-received-bytes: {self.alice_stats.bytes_received}",
@@ -148,7 +140,7 @@ def bench_sets(params, rng):
 
 
 def bench_run(params, backend="seed", master_seed=None, rng=None):
-    """Time one full run plus standalone hash/compare probes; see BenchReport."""
+    """Time one full run, offline and online; see BenchReport."""
     if rng is None:
         rng = np.random.default_rng(0xB17)
     x, y = bench_sets(params, rng)
@@ -156,23 +148,6 @@ def bench_run(params, backend="seed", master_seed=None, rng=None):
     t0 = time.perf_counter()
     alice, bob = make_sessions(params, backend=backend, master_seed=master_seed)
     offline_s = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    cuckoo = build_cuckoo_table(x, params, seeds=alice.seeds)
-    alice_hash_s = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    bin_table = build_bin_table(y, params, bob.seeds)
-    bob_hash_s = time.perf_counter() - t0
-
-    q = params.modulus.q
-    probe_c = rng.integers(0, q, size=params.alpha, dtype=np.int64)
-    bins_inv = bob.inventories[0]
-    r_A = alice.inventories[0].r_A
-    t0 = time.perf_counter()
-    probe_d = _bob_reply(probe_c, bin_table.bins, bins_inv, q)
-    (probe_d == r_A).any(axis=1).sum()
-    compare_s = time.perf_counter() - t0
-    del probe_d
 
     t0 = time.perf_counter()
     result, stats_a, _ = run_psi_pair(alice, x, bob, y)
@@ -183,9 +158,6 @@ def bench_run(params, backend="seed", master_seed=None, rng=None):
         k=params.k,
         backend=backend,
         offline_seconds=offline_s,
-        alice_hash_seconds=alice_hash_s,
-        bob_hash_seconds=bob_hash_s,
-        compare_seconds=compare_s,
         wall_seconds=wall_s,
         alice_stats=stats_a,
         bits_measured=bits_per_element_measured(stats_a, params.n),

@@ -6,6 +6,10 @@ the documented formats rather than from the vectorised code they check.
 - reference_section_bytes / reference_token: tuple file format 2
 - write_format_1_bob_file: Bob's half in the retired tuple file format 1
 - validate_inventories: the OLE relation over a pair of inventories
+- split_element, bin_hash, bin_index, invert_placement: permutation-based
+  hashing of one element at a time
+- RecordingOt: an OT that keeps what the sender offers, so a test can read
+  Gilboa's rho lists back
 """
 
 import hashlib
@@ -13,6 +17,7 @@ import struct
 
 import numpy as np
 
+from olepsi.offline.ot import DealerAssistedOt
 from olepsi.prg import Prg
 
 ROW_CHUNK_WORDS = 1 << 21  # words per chunk of whole rows in the seed expansion
@@ -117,3 +122,56 @@ def validate_inventories(alice, bob):
         return False
     rhs = (alice.s_A[:, None].astype(np.int64) + bob.s_B) % q * r_B_inv % q
     return bool((alice.r_A.astype(np.int64) % q == rhs).all())
+
+
+def split_element(x, params):
+    """(sigma1-bit prefix, sigma2-bit suffix) of x."""
+    return x >> params.sigma2, x & ((1 << params.sigma2) - 1)
+
+
+def _hash_raw(seed, j, value):
+    """The first 8 bytes, little-endian, of sha256(seed + bytes([j]) + value
+    as 8 little-endian bytes)."""
+    digest = hashlib.sha256(seed + bytes([j]) + value.to_bytes(8, "little")).digest()
+    return int.from_bytes(digest[:8], "little")
+
+
+def bin_hash(j, x2, seeds, params):
+    """h_j(x2): seeded hash of the suffix, reduced into [0, alpha)."""
+    return _hash_raw(seeds.bin_seeds[j], j, x2) % params.alpha
+
+
+def bin_index(j, x1, x2, seeds, params):
+    """Bin for prefix x1, suffix x2 under hash function j."""
+    return (bin_hash(j, x2, seeds, params) + x1) % params.alpha
+
+
+def invert_placement(i, enc, seeds, params):
+    """The element that encoding enc = j * 2^sigma2 + x2 in bin i stands
+    for, or None when no element does."""
+    j = enc >> params.sigma2
+    x2 = enc & ((1 << params.sigma2) - 1)
+    if j >= params.k:
+        return None
+    x1 = (i - bin_hash(j, x2, seeds, params)) % params.alpha
+    if x1 >= (1 << params.sigma1):
+        return None
+    return (x1 << params.sigma2) + x2
+
+
+class RecordingOt(DealerAssistedOt):
+    """A DealerAssistedOt that keeps the m0 vector of every ot_send_many."""
+
+    def __init__(self, modulus, seed=None):
+        super().__init__(modulus, seed=seed)
+        self.sent_m0 = []
+
+    def ot_send_many(self, m0, m1):
+        super().ot_send_many(m0, m1)
+        self.sent_m0.append(np.array(m0, dtype=np.int64))
+
+    def rho(self, rows, slot_len):
+        """The rho lists of one gilboa_batch of `rows` batches as a
+        (rows, slot_len, ell) array: Alice offers m0 = -rho mod q."""
+        m0 = np.concatenate(self.sent_m0)
+        return (-m0 % self.modulus.q).reshape(rows, slot_len, -1)

@@ -31,7 +31,7 @@ from olepsi.runner import (
 from olepsi.transport import bits_per_element_measured
 
 from blocks import alice_inventory, bob_inventory
-from oracles import validate_inventories
+from oracles import RecordingOt, validate_inventories
 
 
 def seed(i):
@@ -176,12 +176,11 @@ def test_criterion_6_gilboa_products_and_batch_costs():
         assert (s_A + s_B) % m.q == r_A * r_B % m.q
 
     p = derive_params(64, 3, sigma=16)
-    ot2 = DealerAssistedOt(p.modulus, seed=seed(61))
+    ot2 = RecordingOt(p.modulus, seed=seed(61))
     count = 50
-    rho_sink = []
-    alice, bob = gilboa_batch(ot2, p, count, seed=seed(62), rho_sink=rho_sink)
+    alice, bob = gilboa_batch(ot2, p, count, seed=seed(62))
     assert ot2.invocations == count * p.beta * p.modulus.bit_len
-    rho = np.concatenate(rho_sink, axis=0)
+    rho = ot2.rho(count, p.beta)
     assert rho.shape == (count, p.beta, p.modulus.bit_len)
     # every slot's rho list closes to the batch's shared s_A
     assert (rho.sum(axis=2) % p.modulus.q == alice.s_A[:, None]).all()

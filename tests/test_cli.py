@@ -14,7 +14,7 @@ import threading
 import pytest
 
 from olepsi.cli import main, read_set_file
-from olepsi.hashing import bin_index, build_cuckoo_table, split_element
+from olepsi.hashing import build_cuckoo_table
 from olepsi.offline.dealer import dealer_generate, encode_to_alice, to_alice_len
 from olepsi.online import derive_hash_seeds
 from olepsi.params import derive_params
@@ -33,7 +33,7 @@ from olepsi.transport import (
 )
 from olepsi.tuples import SIDE_ALICE, SIDE_BOB, load_inventories
 
-from oracles import write_format_1_bob_file
+from oracles import bin_index, split_element, write_format_1_bob_file
 
 BASE = ["--n", "64", "--k", "3", "--sigma", "16"]
 BASE_STASH = ["--n", "64", "--k", "2", "--sigma", "16", "--stash", "4"]
@@ -447,8 +447,7 @@ class TestBench:
         assert "bench-report:" in out
         assert "measured-equals-formula: True" in out
         assert "correct: True" in out
-        for key in ("offline-seconds", "alice-hash-seconds", "bob-hash-seconds",
-                    "compare-seconds", "wall-seconds", "bits-per-element-measured"):
+        for key in ("offline-seconds", "wall-seconds", "bits-per-element-measured"):
             assert key in out, key
 
     def test_other_backend(self, capsys):
@@ -481,21 +480,23 @@ class TestLoopbackSmoke:
 
     def test_dealer_then_run(self, tmp_path):
         da, db = str(tmp_path / "da.tup"), str(tmp_path / "db.tup")
-        dealer = subprocess.Popen(
+        # leaving the with block closes the dealer's pipes
+        with subprocess.Popen(
             self.CLI + ["dealer", "--listen", "127.0.0.1:0", "--seed", SEED_B] + BASE,
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
-        try:
-            port = re.search(r"port (\d+)", dealer.stderr.readline()).group(1)
-            for role, out_flag, path in (("alice", "--out-alice", da),
-                                         ("bob", "--out-bob", db)):
-                fetch = subprocess.run(
-                    self.CLI + ["offline", "--connect", f"127.0.0.1:{port}",
-                                "--role", role, out_flag, path] + BASE,
-                    capture_output=True, text=True, timeout=60)
-                assert fetch.returncode == 0, fetch.stderr
-            assert dealer.wait(timeout=30) == 0
-        finally:
-            dealer.kill()
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        ) as dealer:
+            try:
+                port = re.search(r"port (\d+)", dealer.stderr.readline()).group(1)
+                for role, out_flag, path in (("alice", "--out-alice", da),
+                                             ("bob", "--out-bob", db)):
+                    fetch = subprocess.run(
+                        self.CLI + ["offline", "--connect", f"127.0.0.1:{port}",
+                                    "--role", role, out_flag, path] + BASE,
+                        capture_output=True, text=True, timeout=60)
+                    assert fetch.returncode == 0, fetch.stderr
+                assert dealer.wait(timeout=30) == 0
+            finally:
+                dealer.kill()
 
         x = write_set(tmp_path / "x.txt", range(200, 264))
         y = write_set(tmp_path / "y.txt", range(232, 296))

@@ -22,7 +22,6 @@ from olepsi.transport import (
     ALICE_C,
     Frame,
     TransportError,
-    memory_channel_pair,
     recv_elements,
     send_frame,
 )
@@ -150,7 +149,7 @@ def test_is_prime_against_oracle():
         assert is_prime(n) == _is_prime_oracle(n), n
 
 
-def test_bytes_examples():
+def test_bytes_examples(channel_pair):
     q = PrimeModulus(6151)
     assert bytes(pack_words(np.array([516, 0]), 8 * q.byte_len)) == bytes([0x04, 0x02, 0, 0])
     assert unpack_words(bytes([0x04, 0x02]), 16, 1, np.uint16).tolist() == [516]
@@ -162,7 +161,7 @@ def test_bytes_examples():
         (bytes([0x04, 0x22]), "pad"),
         (bytes([0x01]), "whole"),
     ):
-        chan_a, chan_b = memory_channel_pair(timeout=2.0)
+        chan_a, chan_b = channel_pair(timeout=2.0)
         send_frame(chan_a, Frame(ALICE_C, payload))
         with pytest.raises(TransportError, match=match):
             recv_elements(chan_b, ALICE_C, q, 1)

@@ -1,24 +1,24 @@
 import dataclasses
 import hashlib
+import os
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.stats import chisquare
 
 from olepsi.hashing import (
     BinOverflow,
     CuckooFailure,
     HashSeeds,
-    bin_hash,
-    bin_index,
     build_bin_table,
     build_cuckoo_table,
-    invert_placement,
-    split_element,
     stash_encode,
 )
 from olepsi.params import derive_params
 from olepsi.prg import Prg, Seed
+
+from oracles import bin_hash, bin_index, invert_placement, split_element
 
 
 def fixed_seeds(k, label=b"seeds"):
@@ -157,18 +157,56 @@ def test_bin_table_slot_order_is_fresh_per_build():
     t1 = build_bin_table(ys, p, seeds).bins
     t2 = build_bin_table(ys, p, seeds).bins
     assert np.array_equal(np.sort(t1, axis=1), np.sort(t2, axis=1))
-    # every bin holds its real entries first, so only their order may differ
-    assert np.array_equal(t1 == p.dummy_bob, t2 == p.dummy_bob)
+    # every bin's real entries fill one cyclic run of `load` slots: a row
+    # with 0 < load < beta has exactly one dummy-to-real step, cyclically
+    for t in (t1, t2):
+        real = t != p.dummy_bob
+        load = real.sum(axis=1)
+        run_starts = (real & ~np.roll(real, 1, axis=1)).sum(axis=1)
+        assert np.array_equal(run_starts, ((load > 0) & (load < p.beta)).astype(int))
     assert not np.array_equal(t1, t2)
 
 
-def test_bin_table_rejects_sigma_too_wide_to_shuffle():
-    # bin and encoding bits would leave no room for the random sort key:
-    # 18 bin bits and 30 encoding bits leave 15 of 63, with q still < 2^31
+def test_bin_table_builds_sigma_46():
+    # 18 bin bits and 30 encoding bits, with q still < 2^31: the widest
+    # (bin, encoding) sort key still fits an int64
     p = derive_params(1 << 16, 2, sigma=46)
     assert p.modulus.q < 1 << 31
-    with pytest.raises(ValueError):
-        build_bin_table([1, 2], p, fixed_seeds(2))
+    seeds = fixed_seeds(2)
+    ys = np.random.default_rng(37).choice(1 << 46, size=512, replace=False)
+    t = build_bin_table(ys, p, seeds)
+    assert int((t.bins != p.dummy_bob).sum()) == 2 * ys.size
+    for y in ys.tolist():
+        y1, y2 = split_element(y, p)
+        for j in range(2):
+            assert _enc(j, y2, p) in t.bins[bin_index(j, y1, y2, seeds, p)]
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_bin_table_match_slots_uniform(k, monkeypatch):
+    """The slot of each match, which a semi-honest Alice sees, is uniform on
+    [0, beta) and independent of the bin's load: at n = 2^16 with half the
+    sets shared, the slots fit uniform (chi-square) and some match sits at a
+    slot at or above its bin's load, past every real entry of an unrotated
+    row."""
+    # a fixed os.urandom stream pins the rotations
+    monkeypatch.setattr(os, "urandom", Prg(Seed(bytes(32)), tag=b"rotation").read)
+    n = 1 << 16
+    p = derive_params(n, k)
+    seeds = fixed_seeds(k)
+    pool = np.random.default_rng(41 + k).choice(1 << 32, size=n + n // 2, replace=False)
+    xs, ys = pool[:n], pool[n // 2 :]
+    cuckoo = build_cuckoo_table(xs, p, seeds)
+    rows = build_bin_table(ys, p, seeds).bins
+    shared = np.flatnonzero(np.isin(cuckoo.origins, ys))
+    hits = rows[shared] == cuckoo.bins[shared, None]
+    assert (hits.sum(axis=1) == 1).all()
+    slots = hits.argmax(axis=1)
+    assert slots.size >= n // 2 - p.stash_size
+    counts = np.bincount(slots, minlength=p.beta)
+    assert chisquare(counts).pvalue > 0.001
+    load = (rows[shared] != p.dummy_bob).sum(axis=1)
+    assert (slots >= load).any()
 
 
 @pytest.mark.parametrize("k", [2, 3])

@@ -49,6 +49,7 @@ from olepsi.tuples import inventory_token, load_inventories, save_inventories
 
 from blocks import alice_inventory, bob_inventory
 from oracles import (
+    RecordingOt,
     alice_words,
     bob_words,
     reference_elements,
@@ -712,10 +713,9 @@ def test_gilboa_batch_validates_and_counts():
 
 def test_gilboa_batch_rho_sums_to_shared_s_a():
     p = params_small()
-    ot = DealerAssistedOt(p.modulus, seed=Seed(bytes(32)))
-    sink = []
-    alice, _ = gilboa_batch(ot, p, 5, seed=Seed(bytes(32)), rho_sink=sink)
-    rho = np.concatenate(sink, axis=0)
+    ot = RecordingOt(p.modulus, seed=Seed(bytes(32)))
+    alice, _ = gilboa_batch(ot, p, 5, seed=Seed(bytes(32)))
+    rho = ot.rho(5, p.beta)
     assert rho.shape == (5, p.beta, p.modulus.bit_len)
     sums = rho.sum(axis=2) % p.modulus.q
     assert (sums == alice.s_A.astype(np.int64)[:, None]).all()

@@ -353,21 +353,21 @@ class TestSetupRejections:
             run_psi_pair(a, {1}, b, {2})
 
     @pytest.mark.parametrize("role", ["alice", "bob"])
-    def test_oversize_setup_header_rejected_at_once(self, role):
+    def test_oversize_setup_header_rejected_at_once(self, role, channel_pair):
         # a header declaring a 2^30-byte SETUP, with no payload behind it:
         # waiting for the payload would end in ChannelClosed after 30 s
         p = derive_params(16, 3, sigma=16)
         a, b = make_sessions(p, master_seed=Seed(bytes(32)))
-        chan_peer, chan = memory_channel_pair(timeout=30.0)
+        chan_peer, chan = channel_pair(timeout=30.0)
         chan_peer.send_bytes(_HEAD.pack(1 << 30, SETUP))
         session, run = (a, psi_alice) if role == "alice" else (b, psi_bob)
         with pytest.raises(OversizeFrame):
             run(session, {1}, chan)
 
-    def test_bob_rejects_non_setup_frame(self):
+    def test_bob_rejects_non_setup_frame(self, channel_pair):
         p = derive_params(16, 3, sigma=16)
         _, b = make_sessions(p, master_seed=Seed(bytes(32)))
-        chan_a, chan_b = memory_channel_pair(timeout=2.0)
+        chan_a, chan_b = channel_pair(timeout=2.0)
         send_frame(chan_a, Frame(ALICE_C, b"\x00\x00"))
         with pytest.raises(UnexpectedType):
             psi_bob(b, {1}, chan_b)
@@ -382,13 +382,13 @@ class TestTupleExhaustion:
             run_psi_pair(a, {1}, b, {2})
 
     @pytest.mark.parametrize("extra", [-1, 1], ids=["alpha-1", "alpha+1"])
-    def test_too_few_bin_batches(self, extra):
+    def test_too_few_bin_batches(self, extra, channel_pair):
         # extra bin batches are refused before SETUP as well as missing ones
         p = derive_params(16, 3, sigma=16)
         a, b = make_sessions(p, master_seed=Seed(bytes(32)))
         other = dataclasses.replace(p, alpha=p.alpha + extra)
         a.inventories, _ = generate_psi_inventories("seed", other, Seed(bytes(32)))
-        chan_a, chan_b = memory_channel_pair(timeout=5.0)
+        chan_a, chan_b = channel_pair(timeout=5.0)
         with pytest.raises(TupleExhausted, match="bin batches"):
             psi_alice(a, {1}, chan_a)
         assert chan_a.stats.bytes_sent == 0
@@ -572,21 +572,21 @@ def test_stash_match_found_across_cut_rows(monkeypatch):
     assert sa.elements_received == p.alpha * p.beta + p.stash_size * p.n
 
 
-def test_protocol_version_1_peer_rejected_at_setup():
+def test_protocol_version_1_peer_rejected_at_setup(channel_pair):
     p = derive_params(16, 3, sigma=16)
     a, b = make_sessions(p, master_seed=Seed(bytes(32)))
-    chan_peer, chan = memory_channel_pair(timeout=5.0)
+    chan_peer, chan = channel_pair(timeout=5.0)
     send_frame(chan_peer, Frame(SETUP, bytes([1]) + _setup_payload(a)[1:]))
     with pytest.raises(SeedMismatch, match="version 1"):
         psi_bob(b, {1}, chan)
 
 
-def test_protocol_version_2_peer_rejected_at_setup():
+def test_protocol_version_2_peer_rejected_at_setup(channel_pair):
     # version 2 encoded stash items with a keyed SHA-256: its stash
     # encodings differ from ours, so it must be refused before any traffic
     p = derive_params(16, 3, sigma=16)
     a, b = make_sessions(p, master_seed=Seed(bytes(32)))
-    chan_peer, chan = memory_channel_pair(timeout=5.0)
+    chan_peer, chan = channel_pair(timeout=5.0)
     send_frame(chan_peer, Frame(SETUP, bytes([2]) + _setup_payload(a)[1:]))
     with pytest.raises(SeedMismatch, match="version 2"):
         psi_bob(b, {1}, chan)

@@ -43,16 +43,16 @@ def _packed(vals, bits):
     return word.to_bytes(packed_len(len(vals), bits), "little")
 
 
-def test_empty_payload_roundtrip():
-    a, b = memory_channel_pair()
+def test_empty_payload_roundtrip(channel_pair):
+    a, b = channel_pair()
     send_frame(a, Frame(SETUP, b""))
     got = recv_frame(b)
     assert got == Frame(SETUP, b"")
 
 
-def test_framing_arithmetic_one_element():
+def test_framing_arithmetic_one_element(channel_pair):
     # one q=6151 element is 2 payload bytes: 4 len + 1 type + 2 = 7 wire bytes
-    a, b = memory_channel_pair()
+    a, b = channel_pair()
     send_elements(a, ALICE_C, np.array([516]), Q6151)
     assert a.stats.bytes_sent == 7
     assert a.stats.elements_sent == 1
@@ -64,8 +64,8 @@ def test_framing_arithmetic_one_element():
     assert b.stats.theoretical_bits_received == 13
 
 
-def test_frame_sequence_self_delimiting():
-    a, b = memory_channel_pair()
+def test_frame_sequence_self_delimiting(channel_pair):
+    a, b = channel_pair()
     frames = [
         Frame(SETUP, b"hello"),
         Frame(ALICE_C, bytes(range(10))),
@@ -77,24 +77,20 @@ def test_frame_sequence_self_delimiting():
     assert [recv_frame(b) for f in frames] == frames
 
 
-def test_truncated_stream_raises_channel_closed():
-    a, b = memory_channel_pair(timeout=2.0)
+def test_truncated_stream_raises_channel_closed(channel_pair):
+    a, b = channel_pair(timeout=2.0)
     a.send_bytes(b"\x00\x00\x00\x05\x02ab")  # promises 5 payload bytes, sends 2
     a.close()
     with pytest.raises(ChannelClosed):
         recv_frame(b)
 
 
-def test_peer_that_never_reads_times_out_instead_of_buffering():
+def test_peer_that_never_reads_times_out_instead_of_buffering(channel_pair):
     # an 8 MiB frame is larger than the socket buffers: with the peer not
     # reading, the send gives up after the timeout rather than queue it all
-    a, b = memory_channel_pair(timeout=1.0)
-    try:
-        with pytest.raises(PeerTimeout):
-            send_frame(a, Frame(ALICE_C, bytes(8 << 20)))
-    finally:
-        a.close()
-        b.close()
+    a, _ = channel_pair(timeout=1.0)
+    with pytest.raises(PeerTimeout):
+        send_frame(a, Frame(ALICE_C, bytes(8 << 20)))
 
 
 def test_slow_but_steady_reader_completes_a_large_frame():
@@ -122,8 +118,8 @@ def test_slow_but_steady_reader_completes_a_large_frame():
     assert got == [struct.pack(">IB", len(payload), ALICE_C) + payload]
 
 
-def test_unknown_type_rejected_both_ways():
-    a, b = memory_channel_pair()
+def test_unknown_type_rejected_both_ways(channel_pair):
+    a, b = channel_pair()
     with pytest.raises(UnknownType):
         send_frame(a, Frame(99, b""))
     a.send_bytes(b"\x00\x00\x00\x00\x63")
@@ -131,8 +127,8 @@ def test_unknown_type_rejected_both_ways():
         recv_frame(b)
 
 
-def test_oversize_frame_rejected():
-    a, _ = memory_channel_pair()
+def test_oversize_frame_rejected(channel_pair):
+    a, _ = channel_pair()
 
     class Huge(bytes):
         def __len__(self):
@@ -142,44 +138,44 @@ def test_oversize_frame_rejected():
         send_frame(a, Frame(SETUP, Huge()))
 
 
-def test_element_frame_short_of_expected_count_fails_at_header():
-    a, b = memory_channel_pair(timeout=5.0)
+def test_element_frame_short_of_expected_count_fails_at_header(channel_pair):
+    a, b = channel_pair(timeout=5.0)
     a.send_bytes(struct.pack(">IB", packed_len(2, Q6151.bit_len), ALICE_C))
     with pytest.raises(TransportError, match="whole"):
         recv_elements(b, ALICE_C, Q6151, 3)
     assert b.stats.bytes_received == 0
 
 
-def test_element_frame_over_expected_count_fails_at_header():
+def test_element_frame_over_expected_count_fails_at_header(channel_pair):
     # the peer sends only an ALICE_C header declaring one element too many
     # (four 13-bit elements, 7 bytes, where three take 5): the error comes
     # from the header, before any wait for the payload
-    a, b = memory_channel_pair(timeout=5.0)
+    a, b = channel_pair(timeout=5.0)
     a.send_bytes(struct.pack(">IB", packed_len(4, Q6151.bit_len), ALICE_C))
     with pytest.raises(OversizeFrame):
         recv_elements(b, ALICE_C, Q6151, 3)
     assert b.stats.bytes_received == 0
 
 
-def test_unexpected_type_on_element_recv():
-    a, b = memory_channel_pair()
+def test_unexpected_type_on_element_recv(channel_pair):
+    a, b = channel_pair()
     send_elements(a, BOB_D, np.array([1, 2]), Q6151)
     with pytest.raises(UnexpectedType):
         recv_elements(b, ALICE_C, Q6151, 2)
 
 
-def test_element_range_checked_on_recv():
-    a, b = memory_channel_pair()
+def test_element_range_checked_on_recv(channel_pair):
+    a, b = channel_pair()
     send_frame(a, Frame(ALICE_C, (6151).to_bytes(2, "little")))
     with pytest.raises(Exception):
         recv_elements(b, ALICE_C, Q6151, 1)
 
 
 @pytest.mark.parametrize("q", [6151, 786449])
-def test_element_at_or_above_q_raises_transport_error(q):
+def test_element_at_or_above_q_raises_transport_error(q, channel_pair):
     m = PrimeModulus(q)
     for bad in (q, (1 << m.bit_len) - 1):
-        a, b = memory_channel_pair()
+        a, b = channel_pair()
         send_frame(a, Frame(ALICE_C, _packed([1, bad, 0], m.bit_len)))
         with pytest.raises(TransportError):
             recv_elements(b, ALICE_C, m, 3)
@@ -188,11 +184,11 @@ def test_element_at_or_above_q_raises_transport_error(q):
 @pytest.mark.parametrize(
     "q", [251, 65521, 16777213, 4294967291, 1099511627689, (1 << 62) - 57]
 )
-def test_element_codec_roundtrip_at_field_ends(q):
+def test_element_codec_roundtrip_at_field_ends(q, channel_pair):
     # 8 to 62 bits: 0 and q-1 travel as little-endian bit_len-bit words
     m = PrimeModulus(q)
     vals = [0, q - 1, 1]
-    a, b = memory_channel_pair()
+    a, b = channel_pair()
     send_elements(a, BOB_D, np.array(vals), m)
     send_elements(a, BOB_D, np.array(vals), m)
     frame = recv_frame(b)
@@ -201,8 +197,8 @@ def test_element_codec_roundtrip_at_field_ends(q):
     assert [int(v) for v in got] == vals
 
 
-def test_element_vector_roundtrip_and_dtype():
-    a, b = memory_channel_pair()
+def test_element_vector_roundtrip_and_dtype(channel_pair):
+    a, b = channel_pair()
     rng = np.random.default_rng(1)
     vals = rng.integers(6151, size=1000)
     send_elements(a, BOB_D, vals, Q6151)
@@ -263,13 +259,13 @@ def test_tcp_peer_hangup_raises():
     ch.close()
 
 
-def test_byte_overhead_within_bound_for_default_sets():
+def test_byte_overhead_within_bound_for_default_sets(channel_pair):
     # bit packing leaves only the header and the last byte's pad: under 1%
     for n, k in ((1 << 10, 3), (1 << 20, 3)):
         from olepsi.params import derive_params
 
         p = derive_params(n, k)
-        a, b = memory_channel_pair()
+        a, b = channel_pair()
         batch = np.arange(977) % p.modulus.q
         send_elements(a, ALICE_C, batch, p.modulus)
         wire_bits = 8 * a.stats.bytes_sent
