@@ -6,11 +6,14 @@ because 2^sigma1 <= alpha, so tables only store the suffix together with the
 hash index that placed it: enc = j * 2^sigma2 + x2. Empty slots hold one of
 two reserved dummy encodings (one per party) that can never match anything.
 
+h_j is a keyed 64-bit mixer, fmix64(fmix64(x2 XOR a_j) XOR b_j), mapped onto
+[0, alpha) by multiply-shift. Its seeds are public, so it needs to behave
+like a random function for the load and stash bounds, not to be one-way.
+
 Items Alice stashes have no bin, so stash comparisons use stash_encode: a
 keyed 64-bit mixer of the whole element, reduced into the same range.
 """
 
-import hashlib
 import math
 import os
 from dataclasses import dataclass
@@ -69,61 +72,61 @@ class HashSeeds:
         return cls(bin_seeds=tuple(parts[:k]), keyed_seed=parts[k])
 
 
-def keyed_hash(seed, x, range_size):
-    """The shared keyed hash H, reduced into [0, range_size)."""
-    digest = hashlib.sha256(seed + x.to_bytes(8, "little")).digest()
-    return int.from_bytes(digest[:8], "little") % range_size
+_BLOCK = 1 << 16  # elements per pass of the bin hash: temporaries stay in cache
 
 
-def _hash_words(prefix, values):
-    """uint64 array: the first 8 digest bytes (little-endian) of
-    sha256(prefix + v.to_bytes(8, "little")) for each v. The prefix is
-    hashed once and copied per value."""
-    buf = np.asarray(values, dtype="<u8").tobytes()
-    copy = hashlib.sha256(prefix).copy
-    digests = []
-    append = digests.append
-    for off in range(0, len(buf), 8):
-        h = copy()
-        h.update(buf[off : off + 8])
-        append(h.digest())
-    # every 4th word: the first 8 of each digest's 32 bytes
-    return np.frombuffer(b"".join(digests), dtype="<u8")[::4]
-
-
-def stash_encode(xs, seeds, params):
-    """Field encodings of full elements for stash comparisons, one per element.
-
-    z = x XOR (the first 8 keyed-seed bytes, little-endian), then the murmur3
-    fmix64 finalizer on uint64 with wraparound, reduced mod dummy_alice: so
-    every encoding lies in [0, k * 2^sigma2) and can never equal a dummy.
-    One numpy pass over the whole array.
-    """
-    z = np.array(xs, dtype=np.uint64)
-    z ^= np.frombuffer(seeds.keyed_seed[:8], dtype="<u8")[0]
+def _fmix64(z):
+    """murmur3's 64-bit finalizer, in place on a uint64 array, wrapping mod
+    2^64; returns z."""
     z ^= z >> 33
     z *= 0xFF51AFD7ED558CCD
     z ^= z >> 33
     z *= 0xC4CEB9FE1A85EC53
     z ^= z >> 33
+    return z
+
+
+def stash_encode(xs, seeds, params):
+    """Field encodings of full elements for stash comparisons, one per element.
+
+    z = x XOR (the first 8 keyed-seed bytes, little-endian), then fmix64,
+    reduced mod dummy_alice: so every encoding lies in [0, k * 2^sigma2) and
+    can never equal a dummy. One numpy pass over the whole array.
+    """
+    z = np.array(xs, dtype=np.uint64)
+    z ^= np.frombuffer(seeds.keyed_seed[:8], dtype="<u8")[0]
+    _fmix64(z)
     z %= params.dummy_alice
     return z.astype(np.int64)
 
 
 def _candidate_bins(arr, seeds, params):
-    """(k, len(arr)) array: entry [j, t] is the bin of arr[t] under hash j,
-    (h_j(x2) + x1) mod alpha with h_j(x2) = the first 8 bytes of
-    sha256(bin_seeds[j] + bytes([j]) + x2 as 8 little-endian bytes), read
-    little-endian, mod alpha.
+    """(k, len(arr)) int64 array: entry [j, t] is the bin of arr[t] under hash
+    j, (h_j(x2) + x1) mod alpha.
 
-    h_j is evaluated once per distinct suffix, into a (u, k) table.
+    h_j(x2) = fmix64(fmix64(x2 XOR a_j) XOR b_j), where a_j and b_j are the two
+    little-endian u64 halves of bin_seeds[j], mapped onto [0, alpha) by
+    multiply-shift of its top 32 bits (alpha < 2^32). Evaluated _BLOCK
+    elements at a time, straight into the output.
     """
-    x2 = arr & ((1 << params.sigma2) - 1)
-    uniq, inv = np.unique(x2, return_inverse=True)
-    hvals = np.empty((uniq.size, params.k), dtype=np.int64)
-    for j, seed in enumerate(seeds.bin_seeds):
-        hvals[:, j] = _hash_words(seed + bytes([j]), uniq) % params.alpha
-    return (hvals[inv].T + (arr >> params.sigma2)) % params.alpha
+    alpha, sigma2 = params.alpha, params.sigma2
+    halves = [np.frombuffer(s, dtype="<u8") for s in seeds.bin_seeds]
+    cand = np.empty((params.k, arr.size), dtype=np.int64)
+    for lo in range(0, arr.size, _BLOCK):
+        block = arr[lo : lo + _BLOCK]
+        x1 = (block >> sigma2).astype(np.uint64)
+        x2 = (block & ((1 << sigma2) - 1)).astype(np.uint64)
+        for j, (a, b) in enumerate(halves):
+            z = _fmix64(x2 ^ a)
+            z ^= b
+            _fmix64(z)
+            z >>= 32
+            z *= alpha
+            z >>= 32
+            z += x1
+            z %= alpha
+            cand[j, lo : lo + _BLOCK] = z
+    return cand
 
 
 def as_element_array(elements):
@@ -237,8 +240,8 @@ def build_bin_table(elements, params, seeds):
     sigma2 = params.sigma2
     mask2 = (1 << sigma2) - 1
 
-    # entry [t, j]: arr[t]'s bin under hash j; becomes its sort key in place
-    keys = _candidate_bins(arr, seeds, params).T
+    # entry [j, t]: arr[t]'s bin under hash j; becomes its sort key in place
+    keys = _candidate_bins(arr, seeds, params)
     counts = np.bincount(keys.ravel(), minlength=alpha)
     if counts.max() > beta:
         raise BinOverflow(
@@ -251,8 +254,8 @@ def build_bin_table(elements, params, seeds):
     # most 28 on every PARAM_TABLE row
     enc_bits = (params.dummy_alice - 1).bit_length()
     keys <<= enc_bits
-    keys |= (arr & mask2)[:, None]  # enc = j * 2^sigma2 + x2
-    keys |= np.arange(k, dtype=np.int64) << sigma2
+    keys |= arr & mask2  # enc = j * 2^sigma2 + x2
+    keys |= (np.arange(k, dtype=np.int64) << sigma2)[:, None]
     keys = keys.ravel()
     keys.sort()
     # entry i of the sorted keys goes to slot (i - starts[bin] + off[bin])

@@ -14,15 +14,21 @@ evaluating his half of the tuple relation, so the answer is true only when
 the keys agree and the strings differ (or an ell/q hash coincidence hits).
 """
 
+import hashlib
 import secrets
 from dataclasses import dataclass
 
 import numpy as np
 
-from .hashing import keyed_hash
 from .modvec import mod_inv
 from .online import _alice_c, _bob_reply
 from .tuples import BobInventory
+
+
+def keyed_hash(seed, x, range_size):
+    """The shared keyed hash H, reduced into [0, range_size)."""
+    digest = hashlib.sha256(seed + x.to_bytes(8, "little")).digest()
+    return int.from_bytes(digest[:8], "little") % range_size
 
 
 def _random_shares(total, ell, modulus, prg):

@@ -17,8 +17,10 @@ into frames of at most _CHUNK elements along a frame plan that both sides
 derive from the parameters alone; Bob computes and sends his reply one bin
 range at a time, and Alice matches each range as it arrives.
 
-PROTOCOL_VERSION 3 is the first with that stash encoding; version 2 used a
-keyed SHA-256, so a version-2 peer is refused at SETUP.
+PROTOCOL_VERSION 4 is the first whose bin hashes are a keyed fmix64 mixer;
+version 3 used a keyed SHA-256 there, so its elements land in other bins,
+and version 2 also encoded the stash with one. Older peers are refused at
+SETUP.
 """
 
 import hashlib
@@ -51,7 +53,7 @@ from .transport import (
 )
 from .tuples import TOKEN_LEN, BobInventory
 
-PROTOCOL_VERSION = 3
+PROTOCOL_VERSION = 4
 
 _CHUNK = 1 << 22  # field elements per frame
 _BLOCK = 1 << 16  # field elements per vectorized pass: temporaries stay in cache

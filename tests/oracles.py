@@ -6,8 +6,8 @@ the documented formats rather than from the vectorised code they check.
 - reference_section_bytes / reference_token: tuple file format 2
 - write_format_1_bob_file: Bob's half in the retired tuple file format 1
 - validate_inventories: the OLE relation over a pair of inventories
-- split_element, bin_hash, bin_index, invert_placement: permutation-based
-  hashing of one element at a time
+- split_element, fmix64, bin_hash, bin_index, invert_placement:
+  permutation-based hashing of one element at a time
 - RecordingOt: an OT that keeps what the sender offers, so a test can read
   Gilboa's rho lists back
 """
@@ -129,16 +129,27 @@ def split_element(x, params):
     return x >> params.sigma2, x & ((1 << params.sigma2) - 1)
 
 
-def _hash_raw(seed, j, value):
-    """The first 8 bytes, little-endian, of sha256(seed + bytes([j]) + value
-    as 8 little-endian bytes)."""
-    digest = hashlib.sha256(seed + bytes([j]) + value.to_bytes(8, "little")).digest()
-    return int.from_bytes(digest[:8], "little")
+_U64 = (1 << 64) - 1
+
+
+def fmix64(z):
+    """murmur3's 64-bit finalizer on one Python int, mod 2^64."""
+    z ^= z >> 33
+    z = z * 0xFF51AFD7ED558CCD & _U64
+    z ^= z >> 33
+    z = z * 0xC4CEB9FE1A85EC53 & _U64
+    z ^= z >> 33
+    return z
 
 
 def bin_hash(j, x2, seeds, params):
-    """h_j(x2): seeded hash of the suffix, reduced into [0, alpha)."""
-    return _hash_raw(seeds.bin_seeds[j], j, x2) % params.alpha
+    """h_j(x2) = fmix64(fmix64(x2 ^ a) ^ b), a and b the little-endian halves
+    of bin_seeds[j]; its top 32 bits times alpha, shifted down by 32, lies
+    in [0, alpha)."""
+    seed = seeds.bin_seeds[j]
+    a = int.from_bytes(seed[:8], "little")
+    b = int.from_bytes(seed[8:], "little")
+    return (fmix64(fmix64(x2 ^ a) ^ b) >> 32) * params.alpha >> 32
 
 
 def bin_index(j, x1, x2, seeds, params):

@@ -1,16 +1,17 @@
 import dataclasses
-import hashlib
 import os
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.stats import chisquare
+from scipy.stats import binom, chisquare
 
+from olepsi import hashing
 from olepsi.hashing import (
     BinOverflow,
     CuckooFailure,
     HashSeeds,
+    _candidate_bins,
     build_bin_table,
     build_cuckoo_table,
     stash_encode,
@@ -18,7 +19,7 @@ from olepsi.hashing import (
 from olepsi.params import derive_params
 from olepsi.prg import Prg, Seed
 
-from oracles import bin_hash, bin_index, invert_placement, split_element
+from oracles import bin_hash, bin_index, fmix64, invert_placement, split_element
 
 
 def fixed_seeds(k, label=b"seeds"):
@@ -76,15 +77,40 @@ def test_bin_index_injective_in_prefix():
 
 
 def test_bin_index_concrete_value():
-    # reference evaluation of the seeded hash, independent of the module
+    # h_1(7) worked out by hand from the definition, independent of the module
     p = derive_params(12, 3)
+    assert p.alpha == 16
     seeds = fixed_seeds(3)
     j, x1, x2 = 1, 3, 7
-    digest = hashlib.sha256(
-        seeds.bin_seeds[j] + bytes([j]) + x2.to_bytes(8, "little")
-    ).digest()
-    expected = (int.from_bytes(digest[:8], "little") % p.alpha + x1) % p.alpha
-    assert bin_index(j, x1, x2, seeds, p) == expected
+    assert seeds.bin_seeds[j].hex() == "d65eeaf1ee4614cd376253538dbc07f2"
+    a, b = 0xCD1446EEF1EA5ED6, 0xF207BC8D53536237  # the little-endian halves
+
+    def fmix64(z):
+        z ^= z >> 33
+        z = z * 0xFF51AFD7ED558CCD % 2**64
+        z ^= z >> 33
+        z = z * 0xC4CEB9FE1A85EC53 % 2**64
+        return z ^ z >> 33
+
+    h = fmix64(fmix64(x2 ^ a) ^ b)
+    assert h == 0x9542EFCAC1426712
+    assert (h >> 32) * p.alpha >> 32 == 9  # multiply-shift of the top 32 bits
+    expected = (9 + x1) % p.alpha
+    assert bin_index(j, x1, x2, seeds, p) == expected == 12
+    arr = np.array([(x1 << p.sigma2) + x2], dtype=np.int64)
+    assert _candidate_bins(arr, seeds, p)[j, 0] == expected
+
+
+def test_candidate_bins_match_oracle_across_blocks(monkeypatch):
+    # 64-element blocks, so 1000 elements end in a partial block
+    monkeypatch.setattr(hashing, "_BLOCK", 64)
+    p = derive_params(1 << 10, 3)
+    seeds = fixed_seeds(3)
+    xs = np.sort(np.random.default_rng(47).choice(1 << 32, size=1000, replace=False))
+    cand = _candidate_bins(xs, seeds, p)
+    for t, x in enumerate(xs.tolist()):
+        x1, x2 = split_element(x, p)
+        assert cand[:, t].tolist() == [bin_index(j, x1, x2, seeds, p) for j in range(3)]
 
 
 def test_hash_seeds_roundtrip():
@@ -357,19 +383,70 @@ def test_distinct_elements_distinct_pairs_sigma32():
             seen[key] = int(x)
 
 
-_U64 = (1 << 64) - 1
-
-
 def _stash_encode_ref(x, keyed_seed, range_size):
     """The stash mixer on one Python int: x XOR the first 8 keyed-seed bytes
-    (little-endian), murmur3's fmix64 mod 2^64, reduced into range_size."""
-    z = x ^ int.from_bytes(keyed_seed[:8], "little")
-    z ^= z >> 33
-    z = z * 0xFF51AFD7ED558CCD & _U64
-    z ^= z >> 33
-    z = z * 0xC4CEB9FE1A85EC53 & _U64
-    z ^= z >> 33
-    return z % range_size
+    (little-endian), fmix64, reduced into range_size."""
+    return fmix64(x ^ int.from_bytes(keyed_seed[:8], "little")) % range_size
+
+
+def _occupancy_pvalue(bins, alpha):
+    """p-value of a chi-square of how many of alpha bins hold 0, 1, 2, 3, 4
+    and at least 5 of the given entries, against the Binomial(entries,
+    1/alpha) load of a random function."""
+    loads = np.bincount(np.bincount(bins, minlength=alpha), minlength=6)
+    observed = np.append(loads[:5], loads[5:].sum())
+    pmf = binom.pmf(np.arange(5), bins.size, 1 / alpha)
+    return chisquare(observed, alpha * np.append(pmf, 1 - pmf.sum())).pvalue
+
+
+def _quality_inputs(p, rng):
+    """Three 2^16-element sets: random, an arithmetic progression, and 16
+    elements sharing each of 2^12 suffixes, under random distinct prefixes."""
+    n = 1 << 16
+    suffixes = rng.choice(1 << p.sigma2, size=n >> 4, replace=False)
+    prefixes = np.stack([rng.choice(1 << p.sigma1, size=16, replace=False)
+                         for _ in suffixes])
+    return {
+        "random": rng.choice(1 << 32, size=n, replace=False),
+        "progression": 7 + 40503 * np.arange(n),
+        "shared suffix": ((prefixes << p.sigma2) | suffixes[:, None]).ravel(),
+    }
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_bin_occupancy_per_hash_fits_random_function(k):
+    """At n = 2^16, each hash's bin loads fit those of a random function
+    (chi-square, p > 0.001), on random, progression and shared-suffix sets."""
+    p = derive_params(1 << 16, k)
+    seeds = fixed_seeds(k)
+    for name, xs in _quality_inputs(p, np.random.default_rng(43 + k)).items():
+        cand = _candidate_bins(np.sort(xs).astype(np.int64), seeds, p)
+        for j in range(k):
+            assert _occupancy_pvalue(cand[j], p.alpha) > 0.001, (name, j)
+
+
+def _halves(seed, first=None, second=None):
+    return (first or seed[:8]) + (second or seed[8:])
+
+
+@pytest.mark.parametrize("shared", [None, "first", "second"])
+def test_joint_hash_pair_grid_is_uniform(shared):
+    """(h_0(x2), h_1(x2)) over all 2^16 suffixes of n = 2^16, k = 3, counted
+    on a 64 x 64 grid, fits uniform (chi-square, p > 0.001): also when the two
+    seeds share their first or their second 8 bytes, so every seed byte
+    counts and h_1 is no simple function of h_0."""
+    p = derive_params(1 << 16, 3)
+    assert p.sigma2 == 16
+    s0, s1, s2 = fixed_seeds(3).bin_seeds
+    if shared == "first":
+        s1 = _halves(s1, first=s0[:8])
+    elif shared == "second":
+        s1 = _halves(s1, second=s0[8:])
+    seeds = HashSeeds(bin_seeds=(s0, s1, s2), keyed_seed=bytes(16))
+    h = _candidate_bins(np.arange(1 << p.sigma2, dtype=np.int64), seeds, p)
+    cells = (h[0] * 64 // p.alpha) * 64 + h[1] * 64 // p.alpha
+    counts = np.bincount(cells, minlength=64 * 64)
+    assert chisquare(counts).pvalue > 0.001
 
 
 def test_stash_encode_range():

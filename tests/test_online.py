@@ -296,10 +296,10 @@ def test_psi_matches_brute_force_per_backend(backend):
 
 def test_psi_stash_path_end_to_end():
     """A k=2 configuration whose cuckoo build leaves an element on the stash."""
-    # seed 104 is the first from 25 up whose session seeds stash an element
+    # seed 112 is the first from 25 up whose session seeds stash an element
     p = derive_params(64, 2, sigma=16, stash_size=4)
-    master = Seed((104).to_bytes(32, "little"))
-    rng = np.random.default_rng(104)
+    master = Seed((112).to_bytes(32, "little"))
+    rng = np.random.default_rng(112)
     x = set(map(int, rng.choice(1 << 16, size=64, replace=False)))
     a, b = make_sessions(p, master_seed=master)
     table = build_cuckoo_table(x, p, seeds=a.seeds)
@@ -316,8 +316,8 @@ def test_psi_stash_path_end_to_end():
 
 def test_psi_stash_nonmember_does_not_match():
     p = derive_params(64, 2, sigma=16, stash_size=4)
-    master = Seed((104).to_bytes(32, "little"))
-    rng = np.random.default_rng(104)
+    master = Seed((112).to_bytes(32, "little"))
+    rng = np.random.default_rng(112)
     x = set(map(int, rng.choice(1 << 16, size=64, replace=False)))
     a, b = make_sessions(p, master_seed=master)
     table = build_cuckoo_table(x, p, seeds=a.seeds)
@@ -444,7 +444,7 @@ def test_wire_token_matches_inventory_token():
     p = derive_params(16, 3, sigma=16)
     _, bob_secs = generate_psi_inventories("seed", p, Seed(b"\x09" * 32))
     assert len(inventory_token(bob_secs)) == 16
-    assert PROTOCOL_VERSION == 3
+    assert PROTOCOL_VERSION == 4
 
 
 class TestOtViaPsi:
@@ -560,8 +560,8 @@ def test_stash_match_found_across_cut_rows(monkeypatch):
     # stash row cut into four frames
     monkeypatch.setattr(online, "_CHUNK", 16)
     p = derive_params(64, 2, sigma=16, stash_size=4)
-    master = Seed((104).to_bytes(32, "little"))
-    rng = np.random.default_rng(104)
+    master = Seed((112).to_bytes(32, "little"))
+    rng = np.random.default_rng(112)
     x = set(map(int, rng.choice(1 << 16, size=64, replace=False)))
     a, b = make_sessions(p, master_seed=master)
     stash_item = int(build_cuckoo_table(x, p, seeds=a.seeds).stash[0])
@@ -589,4 +589,15 @@ def test_protocol_version_2_peer_rejected_at_setup(channel_pair):
     chan_peer, chan = channel_pair(timeout=5.0)
     send_frame(chan_peer, Frame(SETUP, bytes([2]) + _setup_payload(a)[1:]))
     with pytest.raises(SeedMismatch, match="version 2"):
+        psi_bob(b, {1}, chan)
+
+
+def test_protocol_version_3_peer_rejected_at_setup(channel_pair):
+    # version 3 hashed suffixes into bins with a keyed SHA-256: its elements
+    # land in other bins, so it would miss matches and must be refused
+    p = derive_params(16, 3, sigma=16)
+    a, b = make_sessions(p, master_seed=Seed(bytes(32)))
+    chan_peer, chan = channel_pair(timeout=5.0)
+    send_frame(chan_peer, Frame(SETUP, bytes([3]) + _setup_payload(a)[1:]))
+    with pytest.raises(SeedMismatch, match="version 3"):
         psi_bob(b, {1}, chan)
