@@ -15,10 +15,6 @@ class FieldError(Exception):
     pass
 
 
-class InversionOfZero(FieldError):
-    pass
-
-
 def is_prime(n):
     """Deterministic Miller-Rabin for n < 2^64."""
     if n < 2:

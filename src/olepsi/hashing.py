@@ -62,15 +62,6 @@ class HashSeeds:
     def to_bytes(self):
         return b"".join(self.bin_seeds) + self.keyed_seed
 
-    @classmethod
-    def from_bytes(cls, data, k):
-        if len(data) != (k + 1) * HASH_SEED_LEN:
-            raise ValueError("seed block of wrong length")
-        parts = [
-            data[i * HASH_SEED_LEN : (i + 1) * HASH_SEED_LEN] for i in range(k + 1)
-        ]
-        return cls(bin_seeds=tuple(parts[:k]), keyed_seed=parts[k])
-
 
 _BLOCK = 1 << 16  # elements per pass of the bin hash: temporaries stay in cache
 
@@ -161,9 +152,6 @@ class CuckooTable:
     stash: list           # original elements that failed to place
     seeds: HashSeeds
     params: object
-
-    def occupied(self):
-        return int((self.origins >= 0).sum())
 
 
 def build_cuckoo_table(elements, params, seeds):

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .modvec import mod_inv
 from .online import _alice_c, _bob_reply
 from .tuples import BobInventory
 
@@ -103,26 +102,17 @@ def mismatch_plain(x, y, ell, ot, batch, *, prg=None, shares=None):
 class MismatchTriples:
     """ell correlated slots sharing one r_A: r_A * r_B[i] = s_A[i] + s_B[i].
 
-    r_A is an int; s_A, r_B, r_B_inv and s_B are int64 arrays of length ell.
+    r_A is an int; s_A, r_B and s_B are int64 arrays of length ell.
     """
 
     modulus: object
     r_A: int
     s_A: np.ndarray
     r_B: np.ndarray
-    r_B_inv: np.ndarray
     s_B: np.ndarray
 
     def __len__(self):
         return len(self.s_A)
-
-    def validate(self):
-        q = self.modulus.q
-        if (self.r_B % q == 0).any():
-            return False
-        if (self.r_B * self.r_B_inv % q != 1).any():
-            return False
-        return bool((self.r_A * self.r_B % q == (self.s_A + self.s_B) % q).all())
 
     @classmethod
     def generate(cls, modulus, ell, prg):
@@ -130,8 +120,7 @@ class MismatchTriples:
         r_A = int(prg.elements(modulus, 1)[0])
         r_B = prg.nonzero_elements(modulus, ell)
         s_B = prg.elements(modulus, ell)
-        return cls(modulus=modulus, r_A=r_A, s_A=(r_A * r_B - s_B) % q, r_B=r_B,
-                   r_B_inv=mod_inv(r_B, q), s_B=s_B)
+        return cls(modulus=modulus, r_A=r_A, s_A=(r_A * r_B - s_B) % q, r_B=r_B, s_B=s_B)
 
 
 def mismatch_keyed(key_a, x, key_b, y, triples, ot, *, h=None, h_seed=None,

@@ -27,8 +27,8 @@ from .dealer import (
     expand_alice,
     expand_bob,
 )
-from .gilboa import gilboa_batch, gilboa_share
-from .lbe import LbeSimParams, lbe_batch, lbe_params_for, lbe_sim_tuple
+from .gilboa import gilboa_batch
+from .lbe import LbeSimParams, lbe_batch, lbe_params_for
 from .ot import DealerAssistedOt, OtError
 from .seeded import gen_seeded
 
@@ -61,12 +61,13 @@ def generate_psi_inventories(backend, params, master_seed=None):
 
         def batch(rows, cols, domain):
             seed = subseed(master, b"gil|" + domain)
-            return gilboa_batch(provider, params, rows, slot_len=cols, seed=seed)
+            return gilboa_batch(provider, params.modulus, rows, cols, seed)
 
     else:  # lbe-sim
 
         def batch(rows, cols, domain):
-            return lbe_batch(params, rows, slot_len=cols, seed=subseed(master, b"lbe|" + domain))
+            seed = subseed(master, b"lbe|" + domain)
+            return lbe_batch(params.modulus, params.lam, rows, cols, seed)
 
     halves = [batch(rows, cols, name.encode()) for name, rows, cols in sections(params)]
     return [a for a, _ in halves], [b for _, b in halves]

@@ -1,4 +1,4 @@
-"""Product sharing from bitwise oblivious transfer.
+"""Product sharing from bitwise oblivious transfer (Gilboa, CRYPTO 1999).
 
 One multiplication r_A * r_B is shared through ell = ceil(log2 q) OTs:
 for bit position i (1-based) Alice offers (-rho_i, r_A*2^(i-1) - rho_i)
@@ -8,59 +8,31 @@ and Bob selects with bit i-1 of r_B, receiving o_i.  Then
 
 so s_A = sum rho_i and s_B = sum o_i satisfy s_A + s_B = r_A * r_B.
 
-The batch form shares one s_A across all slots of a batch by constraining
-each slot's rho list to sum to it.
+gilboa_batch runs this on every slot of a batch at once, and shares one
+s_A across the batch by constraining each slot's rho list to sum to it.
 """
 
 from __future__ import annotations
 
-import secrets
-
 import numpy as np
 
 from ..modvec import dtype_for
-from ..prg import Prg, Seed
+from ..prg import Prg
 from ..tuples import AliceInventory, BobInventory
 
 
-def gilboa_share(ot, r_A, r_B, ell=None, rho=None):
-    """Share r_A * r_B over the OT's field; returns the ints (s_A, s_B).
-
-    r_A lies in [0, q) and r_B in [1, q). rho may be injected for
-    reproducibility; by default each rho_i is drawn fresh.  Costs exactly
-    ell OT invocations, sent as one vector.
-    """
-    q = ot.modulus.q
-    if not 0 <= r_A < q:
-        raise ValueError(f"r_A must lie in [0, {q})")
-    if not 0 < r_B < q:
-        raise ValueError(f"r_B must lie in [1, {q})")
-    ell = ot.modulus.bit_len if ell is None else ell
-    if r_B >> ell:
-        raise ValueError("ell too small to decompose r_B")
-    if rho is None:
-        rho = [secrets.randbelow(q) for _ in range(ell)]
-    if len(rho) != ell:
-        raise ValueError("rho must have exactly ell entries")
-    m0 = [-p % q for p in rho]
-    m1 = [(r_A * pow(2, i, q) - p) % q for i, p in enumerate(rho)]
-    ot.ot_send_many(m0, m1)
-    o = ot.ot_receive_many([(r_B >> i) & 1 for i in range(ell)])
-    return sum(rho) % q, sum(o.tolist()) % q
-
-
-def gilboa_batch(ot, params, count, *, slot_len=None, seed=None):
-    """Generate `count` batches over OT: slot_len * ell invocations each.
+def gilboa_batch(ot, modulus, count, slot_len, seed):
+    """Generate `count` batches of slot_len slots over F_q by OT:
+    slot_len * ell invocations each.
 
     Per batch: one shared s_A, independent (r_A, r_B) per slot, and per
     slot a rho list constrained to sum to s_A, so every slot's Gilboa run
     lands on the same Alice share.
     """
-    modulus = params.modulus
     q = modulus.q
-    L = params.beta if slot_len is None else slot_len
+    L = slot_len
     ell = modulus.bit_len
-    prg = Prg(seed if seed is not None else Seed.random(), tag=b"gilboa")
+    prg = Prg(seed, tag=b"gilboa")
     dt = dtype_for(q)
     block = np.empty((count, 1 + L), dtype=dt)  # Alice's (s_A, r_A...) rows
     s_A, r_A = block[:, 0], block[:, 1:]

@@ -72,17 +72,6 @@ def run_psi_pair(alice_session, alice_set, bob_session, bob_set):
     return result, chan_a.stats, chan_b.stats
 
 
-def psi_once(alice_set, bob_set, params=None, backend="seed", master_seed=None,
-             n=None, k=3, sigma=32):
-    """One-call PSI: derive params, run the offline phase, run the protocol."""
-    if params is None:
-        size = n if n is not None else max(4, len(alice_set), len(bob_set))
-        params = derive_params(size, k, sigma=sigma)
-    alice, bob = make_sessions(params, backend=backend, master_seed=master_seed)
-    result, _, _ = run_psi_pair(alice, alice_set, bob, bob_set)
-    return result
-
-
 @dataclass
 class BenchReport:
     """One benchmark run's numbers.

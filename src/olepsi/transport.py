@@ -33,10 +33,8 @@ ALICE_C = 2
 BOB_D = 3
 DEALER_A = 4
 DEALER_B = 5
-MISMATCH_OT = 6
-MISMATCH_F = 7
 
-FRAME_TYPES = frozenset((SETUP, ALICE_C, BOB_D, DEALER_A, DEALER_B, MISMATCH_OT, MISMATCH_F))
+FRAME_TYPES = frozenset((SETUP, ALICE_C, BOB_D, DEALER_A, DEALER_B))
 
 MAX_PAYLOAD = 1 << 31
 

@@ -19,6 +19,7 @@ format 1 with Bob's (r_B, r_B^-1, s_B) triples, is refused.
 
 import hashlib
 import math
+import os
 import struct
 
 import numpy as np
@@ -173,9 +174,10 @@ def load_inventories(path, side):
             width = modulus.byte_len
             shape = block_shape(count, slot_len)
             words = math.prod(shape)
-            data = f.read(words * width)
-            if len(data) < words * width:
+            # checked before reading: f.read allocates the declared size first
+            if words * width > os.fstat(f.fileno()).st_size - f.tell():
                 raise TupleFileError(f"truncated {side} section payload")
+            data = f.read(words * width)
             block = unpack_words(data, 8 * width, words, dtype_for(q))
             out.append(cls(modulus, block.reshape(shape)))
     if token is None:

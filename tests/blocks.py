@@ -1,9 +1,10 @@
-"""Tuple inventories built from per-field arrays, for tests that write
-tuples by hand: each helper lays the arrays out as the one block the
-inventory classes take."""
+"""Building blocks for tests: tuple inventories built from per-field arrays,
+for tests that write tuples by hand (each helper lays the arrays out as the
+one block the inventory classes take), and one PSI run in one call."""
 
 import numpy as np
 
+from olepsi.runner import make_sessions, run_psi_pair
 from olepsi.tuples import AliceInventory, BobInventory
 
 
@@ -21,3 +22,10 @@ def bob_inventory(modulus, r_B_inv, s_B):
     """Bob's half from two (count, L) arrays, stacked into one (count, L, 2)
     block."""
     return BobInventory(modulus, np.stack([r_B_inv, s_B], axis=-1))
+
+
+def psi_once(alice_set, bob_set, params, backend="seed", master_seed=None):
+    """The intersection from one offline phase and one in-process run."""
+    alice, bob = make_sessions(params, backend=backend, master_seed=master_seed)
+    result, _, _ = run_psi_pair(alice, alice_set, bob, bob_set)
+    return result

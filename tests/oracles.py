@@ -10,6 +10,10 @@ the documented formats rather than from the vectorised code they check.
   permutation-based hashing of one element at a time
 - RecordingOt: an OT that keeps what the sender offers, so a test can read
   Gilboa's rho lists back
+- gilboa_share: one Gilboa product sharing with its rho list given
+- residue_loop_reconstruct: the LBE simulation's CRT, one residue at a time
+- consecutive_prime_ladder: the LBE modulus ladder by a scan over primes
+- validate_triples: the relation of a mismatch protocol's triples
 """
 
 import hashlib
@@ -17,6 +21,7 @@ import struct
 
 import numpy as np
 
+from olepsi.field import is_prime
 from olepsi.offline.ot import DealerAssistedOt
 from olepsi.prg import Prg
 
@@ -186,3 +191,57 @@ class RecordingOt(DealerAssistedOt):
         (rows, slot_len, ell) array: Alice offers m0 = -rho mod q."""
         m0 = np.concatenate(self.sent_m0)
         return (-m0 % self.modulus.q).reshape(rows, slot_len, -1)
+
+
+def gilboa_share(ot, r_A, r_B, rho):
+    """Share r_A * r_B over the OT's field in ell = len(rho) transfers: at bit
+    i Alice offers (-rho_i, r_A * 2^i - rho_i) and Bob selects with bit i of
+    r_B. Returns the ints (s_A, s_B) = (sum rho_i, sum of Bob's outputs)."""
+    q = ot.modulus.q
+    ot.ot_send_many([-p % q for p in rho],
+                    [(r_A * pow(2, i, q) - p) % q for i, p in enumerate(rho)])
+    o = ot.ot_receive_many([(r_B >> i) & 1 for i in range(len(rho))])
+    return sum(rho) % q, sum(o.tolist()) % q
+
+
+def residue_loop_reconstruct(lbe, s_A, s_B, r_B, u):
+    """The LBE simulation's v before reduction mod Q: each residue d_i of
+    (s_A + s_B) * r_B^-1 + u*Q mod q_i, recombined by CRT with a basis
+    computed here."""
+    Q = lbe.modulus.q
+    inv = pow(r_B, -1, Q)
+    Qp = lbe.Q_prime
+    v = 0
+    for qi in lbe.q_i:
+        Ni = Qp // qi
+        d_i = (((s_A % qi) + (s_B % qi)) * (inv % qi) + (u * Q) % qi) % qi
+        v += d_i * Ni * pow(Ni, -1, qi)
+    return v % Qp
+
+
+def consecutive_prime_ladder(Q, lam, start=2):
+    """The first two consecutive primes, scanning up from `start`, whose
+    product exceeds max(Q^2 2^lam, 2 Q^2 + Q 2^lam). From a start above 2 the
+    first pair must fall short of the bound, which shows no earlier pair
+    clears it: products of consecutive pairs grow along the scan."""
+    bound = max(Q * Q << lam, 2 * Q * Q + (Q << lam))
+
+    def next_prime(n):
+        while not is_prime(n):
+            n += 1
+        return n
+
+    a = next_prime(start)
+    b = next_prime(a + 1)
+    assert start == 2 or a * b <= bound, "scan started past the ladder"
+    while a * b <= bound:
+        a, b = b, next_prime(b + 1)
+    return a, b
+
+
+def validate_triples(triples):
+    """True iff every r_B is nonzero and r_A * r_B = s_A + s_B per slot."""
+    q = triples.modulus.q
+    if (triples.r_B % q == 0).any():
+        return False
+    return bool((triples.r_A * triples.r_B % q == (triples.s_A + triples.s_B) % q).all())

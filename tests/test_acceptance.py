@@ -15,22 +15,16 @@ from scipy.stats import chisquare
 from olepsi.field import PrimeModulus
 from olepsi.mismatch import MismatchTriples, mismatch_keyed, mismatch_plain
 from olepsi.offline import BACKENDS, gen_seeded, generate_psi_inventories
-from olepsi.offline.gilboa import gilboa_batch, gilboa_share
-from olepsi.offline.lbe import lbe_params_for, lbe_reconstruct, lbe_sim_tuple
+from olepsi.offline.gilboa import gilboa_batch
+from olepsi.offline.lbe import lbe_params_for, lbe_reconstruct
 from olepsi.offline.ot import DealerAssistedOt
 from olepsi.modvec import mod_inv
 from olepsi.params import derive_params, online_bits_per_element
 from olepsi.prg import SEED_LEN, Prg, Seed
-from olepsi.runner import (
-    bench_sets,
-    make_sessions,
-    psi_once,
-    run_psi_pair,
-    small_psi_engine,
-)
+from olepsi.runner import bench_sets, make_sessions, run_psi_pair, small_psi_engine
 from olepsi.transport import bits_per_element_measured
 
-from blocks import alice_inventory, bob_inventory
+from blocks import alice_inventory, bob_inventory, psi_once
 from oracles import RecordingOt, validate_inventories
 
 
@@ -112,7 +106,7 @@ def test_criterion_3_random_instances_all_backends():
             overlap = rng.random() * min(n_x, n_y)
             y = set(map(int, pool[n_x + int(overlap):]))
             y |= set(list(x)[: int(overlap)])
-            got = psi_once(x, y, n=n, k=3, sigma=32, backend=backend,
+            got = psi_once(x, y, derive_params(n, 3, sigma=32), backend=backend,
                            master_seed=seed(1000 * b_idx + i))
             assert got == (x & y), f"{backend} n={n} instance {i}"
     elapsed = time.perf_counter() - t0
@@ -165,20 +159,19 @@ def test_criterion_6_gilboa_products_and_batch_costs():
     s_A + s_B = r_A * r_B; batches share one s_A, keep every r_B
     invertible, and cost exactly slot_len * ceil(log2 q) OTs."""
     m = PrimeModulus(251)
-    ot = DealerAssistedOt(m, seed=seed(6))
-    prg = Prg(seed(60), tag=b"crit6")
-    r_As = prg.elements(m, 10_000).tolist()
-    r_Bs = prg.nonzero_elements(m, 10_000).tolist()
-    for r_A, r_B in zip(r_As, r_Bs):
-        before = ot.invocations
-        s_A, s_B = gilboa_share(ot, r_A, r_B)
-        assert ot.invocations - before == m.bit_len
-        assert (s_A + s_B) % m.q == r_A * r_B % m.q
+    ot = RecordingOt(m, seed=seed(6))
+    alice, bob = gilboa_batch(ot, m, 10_000, 1, seed(60))
+    # one rho list of ceil(log2 q) = 8 transfers per sharing
+    assert ot.rho(10_000, 1).shape == (10_000, 1, 8)
+    assert ot.invocations == 80_000
+    r_B = mod_inv(bob.r_B_inv, m.q).astype(np.int64)
+    s_A, s_B = alice.s_A.astype(np.int64)[:, None], bob.s_B.astype(np.int64)
+    assert (alice.r_A.astype(np.int64) * r_B % m.q == (s_A + s_B) % m.q).all()
 
     p = derive_params(64, 3, sigma=16)
     ot2 = RecordingOt(p.modulus, seed=seed(61))
     count = 50
-    alice, bob = gilboa_batch(ot2, p, count, seed=seed(62))
+    alice, bob = gilboa_batch(ot2, p.modulus, count, p.beta, seed(62))
     assert ot2.invocations == count * p.beta * p.modulus.bit_len
     rho = ot2.rho(count, p.beta)
     assert rho.shape == (count, p.beta, p.modulus.bit_len)
@@ -202,9 +195,10 @@ def test_criterion_7_lbe_pipeline_equivalence():
             for s_A in range(Q):
                 for s_B in range(Q):
                     for r_B in range(1, Q):
-                        want = (s_A + s_B) * pow(r_B, -1, Q) % Q
+                        inv = pow(r_B, -1, Q)
+                        want = (s_A + s_B) * inv % Q
                         for u in range(lbe.u_domain):
-                            assert lbe_sim_tuple(lbe, s_A, s_B, r_B, u) == want
+                            assert lbe_reconstruct(lbe, s_A, s_B, inv, u) % Q == want
 
     m = PrimeModulus(12301)
     lbe = lbe_params_for(m, 40)
@@ -213,15 +207,16 @@ def test_criterion_7_lbe_pipeline_equivalence():
         s_A, s_B = int(rng.integers(m.q)), int(rng.integers(m.q))
         r_B = int(rng.integers(1, m.q))
         u = int(rng.integers(lbe.u_domain))
-        want = (s_A + s_B) * pow(r_B, -1, m.q) % m.q
-        assert lbe_sim_tuple(lbe, s_A, s_B, r_B, u) == want
+        inv = pow(r_B, -1, m.q)
+        want = (s_A + s_B) * inv % m.q
+        assert lbe_reconstruct(lbe, s_A, s_B, inv, u) % m.q == want
 
     m11 = PrimeModulus(11)
     lbe4 = lbe_params_for(m11, 4)
     for s_A, s_B, r_B in ((4, 2, 3), (0, 0, 1), (10, 10, 7), (6, 0, 9)):
         # base point is the unreduced integer (s_A + s_B) * r_B^-1
         c = (s_A + s_B) * pow(r_B, -1, 11)
-        support = {lbe_reconstruct(lbe4, s_A, s_B, r_B, u)
+        support = {lbe_reconstruct(lbe4, s_A, s_B, pow(r_B, -1, 11), u)
                    for u in range(lbe4.u_domain)}
         assert support == {c + 11 * i for i in range(lbe4.u_domain)}
 

@@ -33,7 +33,7 @@ from olepsi.transport import (
 )
 from olepsi.tuples import SIDE_ALICE, SIDE_BOB, load_inventories
 
-from oracles import bin_index, split_element, write_format_1_bob_file
+from oracles import bin_index, reference_section_bytes, split_element, write_format_1_bob_file
 
 BASE = ["--n", "64", "--k", "3", "--sigma", "16"]
 BASE_STASH = ["--n", "64", "--k", "2", "--sigma", "16", "--stash", "4"]
@@ -421,6 +421,16 @@ class TestRun:
             srv.close()
         assert rc == 4
         assert "format 1 is not supported" in capsys.readouterr().err
+
+    def test_section_larger_than_file_exits_4(self, tmp_path, capsys):
+        big = tmp_path / "big.tup"
+        big.write_bytes(reference_section_bytes(b"OLEB", 6151, 2**31, 4096, bytes(16), [])
+                        + bytes(64))
+        s = write_set(tmp_path / "s.txt", [1])
+        rc = invoke(["run", "--role", "bob", "--set", s, "--tuples", str(big),
+                     "--connect", "127.0.0.1:9"] + BASE)
+        assert rc == 4
+        assert "truncated bob section payload" in capsys.readouterr().err
 
     def test_needs_exactly_one_endpoint(self, tmp_path, tuple_files, capsys):
         s = write_set(tmp_path / "s.txt", [1])

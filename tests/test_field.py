@@ -14,7 +14,7 @@ from olepsi.field import (
     smallest_prime_at_least,
 )
 from olepsi.modvec import dtype_for, mod_inv, work_dtype
-from olepsi.offline import DealerAssistedOt, gen_seeded, gilboa_share
+from olepsi.offline import DealerAssistedOt, gen_seeded
 from olepsi.online import PsiSession
 from olepsi.params import derive_params
 from olepsi.prg import Seed
@@ -172,8 +172,6 @@ def test_element_out_of_range_rejected():
     for bad in (11, -1):
         with pytest.raises(ValueError):
             ot.ot_send_many([bad], [0])
-    with pytest.raises(ValueError):
-        gilboa_share(ot, 11, 3)
 
 
 # every modulus the vectorized arithmetic supports: below 2^31, covering

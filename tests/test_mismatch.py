@@ -24,7 +24,7 @@ from olepsi.offline import gen_seeded
 from olepsi.offline.ot import DealerAssistedOt
 from olepsi.prg import SEED_LEN, Prg, Seed
 
-from oracles import validate_inventories
+from oracles import validate_inventories, validate_triples
 
 M11 = PrimeModulus(11)
 M17 = PrimeModulus(17)
@@ -120,13 +120,12 @@ class TestKeyedPinnedTrace:
     """q=11, r_A=2, first slot (s_A=5, r_B=3, s_B=1), H == 9, shares [3,1]."""
 
     def _triples(self):
-        # slot 0: (s_A, r_B, r_B_inv, s_B) = (5, 3, 4, 1); slot 1: 2*4 = 6+2
+        # slot 0: (s_A, r_B, s_B) = (5, 3, 1); slot 1: 2*4 = 6+2
         a = lambda *v: np.array(v, dtype=np.int64)
-        return MismatchTriples(modulus=M11, r_A=2, s_A=a(5, 6), r_B=a(3, 4),
-                               r_B_inv=a(4, 3), s_B=a(1, 2))
+        return MismatchTriples(modulus=M11, r_A=2, s_A=a(5, 6), r_B=a(3, 4), s_B=a(1, 2))
 
     def test_slots_are_valid(self):
-        assert self._triples().validate()
+        assert validate_triples(self._triples())
 
     def test_worked_example(self):
         # x = 0b01, y = 0b11: hamming distance 1, shares sum to 2 - 9 = 4
@@ -191,13 +190,13 @@ def test_keyed_validation():
 
 def test_triples_validate_rejects_tampering():
     good = MismatchTriples.generate(M251, 4, _prg(b"tamper"))
-    assert good.validate()
+    assert validate_triples(good)
     s_A = good.s_A.copy()
     s_A[2] = (s_A[2] + 1) % 251
-    assert not dataclasses.replace(good, s_A=s_A).validate()
+    assert not validate_triples(dataclasses.replace(good, s_A=s_A))
     r_B = good.r_B.copy()
     r_B[2] = 0
-    assert not dataclasses.replace(good, r_B=r_B).validate()
+    assert not validate_triples(dataclasses.replace(good, r_B=r_B))
 
 
 def test_plain_ot_count_is_ell():

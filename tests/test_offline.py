@@ -1,6 +1,7 @@
 """Offline backends: seeded, dealer, OT/Gilboa, LBE simulation."""
 
 import hashlib
+import math
 import os
 import struct
 import subprocess
@@ -16,7 +17,7 @@ import pytest
 
 from olepsi import modvec
 from olepsi import tuples as tuples_mod
-from olepsi.field import FieldError, InversionOfZero, PrimeModulus
+from olepsi.field import FieldError, PrimeModulus
 from olepsi.modvec import dtype_for
 from olepsi.offline import (
     BACKENDS,
@@ -33,9 +34,7 @@ from olepsi.offline import (
     gen_seeded,
     generate_psi_inventories,
     gilboa_batch,
-    gilboa_share,
     lbe_params_for,
-    lbe_sim_tuple,
     subseed,
 )
 from olepsi.offline import _expand as expand_mod
@@ -52,10 +51,13 @@ from oracles import (
     RecordingOt,
     alice_words,
     bob_words,
+    consecutive_prime_ladder,
+    gilboa_share,
     reference_elements,
     reference_section,
     reference_section_bytes,
     reference_token,
+    residue_loop_reconstruct,
     validate_inventories,
 )
 
@@ -660,53 +662,42 @@ def test_ot_session_discipline():
 # ---------------------------------------------------------------- Gilboa
 
 def test_gilboa_worked_example():
+    # the scalar reference, worked by hand: the batch form runs the same
+    # transfers on every slot
     ot = DealerAssistedOt(M11, seed=Seed(bytes(32)), record=True)
-    s_A, s_B = gilboa_share(ot, 5, 3, rho=[2, 7, 1, 6])
+    s_A, s_B = gilboa_share(ot, 5, 3, [2, 7, 1, 6])
     assert (s_A, s_B) == (5, 10)
     assert [r.output for r in ot.receiver_records] == [3, 3, 10, 5]
     assert ot.invocations == 4  # exactly ceil(log2 11) transfers
     assert (s_A + s_B) % 11 == 5 * 3 % 11
 
 
+def _r_b(bob):
+    return modvec.mod_inv(bob.r_B_inv, bob.modulus.q).astype(np.int64)
+
+
 def test_gilboa_zero_r_a():
+    # 160 slots over F_11 draw r_A = 0 about 15 times
     ot = DealerAssistedOt(M11, seed=Seed(bytes(32)))
-    for r_B in (1, 5, 10):
-        s_A, s_B = gilboa_share(ot, 0, r_B)
-        assert (s_A + s_B) % 11 == 0
+    alice, bob = gilboa_batch(ot, M11, 40, 4, Seed(bytes([1]) * 32))
+    zero = alice.r_A == 0
+    assert zero.any()
+    s_A = np.broadcast_to(alice.s_A[:, None], zero.shape).astype(np.int64)
+    assert ((s_A + bob.s_B)[zero] % 11 == 0).all()
 
 
 def test_gilboa_random_trials():
-    q = 251
-    mod = PrimeModulus(q)
+    mod = PrimeModulus(251)
     ot = DealerAssistedOt(mod, seed=Seed(bytes(32)))
-    rng = np.random.default_rng(3)
-    for _ in range(500):
-        r_A = int(rng.integers(q))
-        r_B = int(rng.integers(1, q))
-        s_A, s_B = gilboa_share(ot, r_A, r_B)
-        assert (s_A + s_B) % q == r_A * r_B % q
-
-
-def test_gilboa_input_validation():
-    ot = DealerAssistedOt(M11, seed=Seed(bytes(32)))
-    with pytest.raises(ValueError):
-        gilboa_share(ot, 5, 0)
-    with pytest.raises(ValueError):
-        gilboa_share(ot, 5, 3, ell=1)
-    with pytest.raises(ValueError):
-        gilboa_share(ot, 5, 3, rho=[1, 2])
-    # values of F_13 outside F_11, on either input
-    with pytest.raises(ValueError):
-        gilboa_share(ot, 5, 12)
-    with pytest.raises(ValueError):
-        gilboa_share(ot, 12, 3)
-    assert ot.invocations == 0
+    alice, bob = gilboa_batch(ot, mod, 500, 1, Seed(bytes([3]) * 32))
+    s_A, s_B = alice.s_A.astype(np.int64)[:, None], bob.s_B.astype(np.int64)
+    assert ((s_A + s_B) % 251 == alice.r_A.astype(np.int64) * _r_b(bob) % 251).all()
 
 
 def test_gilboa_batch_validates_and_counts():
     p = params_small()
     ot = DealerAssistedOt(p.modulus, seed=Seed(bytes(32)))
-    alice, bob = gilboa_batch(ot, p, 6, seed=Seed(bytes(32)))
+    alice, bob = gilboa_batch(ot, p.modulus, 6, p.beta, Seed(bytes(32)))
     assert validate_inventories(alice, bob)
     assert ot.invocations == 6 * p.beta * p.modulus.bit_len
 
@@ -714,11 +705,18 @@ def test_gilboa_batch_validates_and_counts():
 def test_gilboa_batch_rho_sums_to_shared_s_a():
     p = params_small()
     ot = RecordingOt(p.modulus, seed=Seed(bytes(32)))
-    alice, _ = gilboa_batch(ot, p, 5, seed=Seed(bytes(32)))
+    alice, bob = gilboa_batch(ot, p.modulus, 5, p.beta, Seed(bytes(32)))
     rho = ot.rho(5, p.beta)
     assert rho.shape == (5, p.beta, p.modulus.bit_len)
     sums = rho.sum(axis=2) % p.modulus.q
     assert (sums == alice.s_A.astype(np.int64)[:, None]).all()
+    # each slot's shares are the scalar reference's on the recorded rho list
+    r_B = _r_b(bob)
+    for i in range(5):
+        for j in range(p.beta):
+            got = gilboa_share(DealerAssistedOt(p.modulus), int(alice.r_A[i, j]),
+                               int(r_B[i, j]), rho[i, j].tolist())
+            assert got == (int(alice.s_A[i]), int(bob.s_B[i, j]))
 
 
 # ---------------------------------------------------------------- LBE simulation
@@ -726,27 +724,33 @@ def test_gilboa_batch_rho_sums_to_shared_s_a():
 def test_lbe_params_examples():
     lbe = lbe_params_for(M11, 4)
     assert lbe.q_i == (43, 47)
-    assert lbe.Q_prime == 2021 and lbe.m == 2 and lbe.u_domain == 16
-    one = lbe_params_for(M11, 4, m=1)
-    assert one.q_i == (11,) and one.u_domain == 1
+    assert lbe.Q_prime == 2021 and lbe.u_domain == 16
+
+
+def test_lbe_ladder_matches_prime_scan():
+    # criterion 7's grid, against a scan from 2
+    for Q in (5, 7, 11, 13, 17, 19, 23, 29, 31):
+        for lam in range(5):
+            got = lbe_params_for(PrimeModulus(Q), lam).q_i
+            assert got == consecutive_prime_ladder(Q, lam), (Q, lam)
+    # wide fields: the scan starts 4000 below isqrt of the bound, and the
+    # oracle checks that its first pair falls short
+    for Q in (4099, 786449, (1 << 31) - 1):
+        for lam in range(41):
+            bound = max(Q * Q << lam, 2 * Q * Q + (Q << lam))
+            start = max(2, math.isqrt(bound) - 4000)
+            got = lbe_params_for(PrimeModulus(Q), lam).q_i
+            assert got == consecutive_prime_ladder(Q, lam, start), (Q, lam)
 
 
 def test_lbe_worked_example():
     lbe = lbe_params_for(M11, 4)
     # componentwise: d = 6*4 + 55 mod q_i -> (36, 32); CRT gives 79 = 2 mod 11
-    assert lbe_reconstruct(lbe, 4, 2, 3, 5) == 79
-    assert lbe_reconstruct(lbe, 4, 2, 3, 5) % 43 == 36
-    assert lbe_reconstruct(lbe, 4, 2, 3, 5) % 47 == 32
-    assert lbe_sim_tuple(lbe, 4, 2, 3, 5) == 2
-
-
-def test_lbe_degenerate_single_modulus():
-    one = lbe_params_for(M11, 4, m=1)
-    for s_A in range(11):
-        for s_B in range(11):
-            for r_B in range(1, 11):
-                want = (s_A + s_B) * pow(r_B, -1, 11) % 11
-                assert lbe_sim_tuple(one, s_A, s_B, r_B, 0) == want
+    v = lbe_reconstruct(lbe, 4, 2, pow(3, -1, 11), 5)
+    assert v == 79
+    assert v % 43 == 36
+    assert v % 47 == 32
+    assert v % 11 == 2
 
 
 def test_lbe_matches_dealer_formula_randomized():
@@ -756,18 +760,19 @@ def test_lbe_matches_dealer_formula_randomized():
     rng = np.random.default_rng(5)
     for _ in range(1000):
         s_A, s_B = int(rng.integers(q)), int(rng.integers(q))
-        r_B = int(rng.integers(1, q))
+        inv = pow(int(rng.integers(1, q)), -1, q)
         u = int(rng.integers(1 << 40))
-        want = (s_A + s_B) * pow(r_B, -1, q) % q
-        assert lbe_sim_tuple(lbe, s_A, s_B, r_B, u) == want
+        want = (s_A + s_B) * inv % q
+        assert lbe_reconstruct(lbe, s_A, s_B, inv, u) % q == want
 
 
 def test_lbe_masking_support():
     # over random u the reconstruction is uniform on {c, c+Q, ..., c+15Q}
     lbe = lbe_params_for(M11, 4)
     for s_A, s_B, r_B in [(4, 2, 3), (0, 0, 1), (10, 10, 7)]:
-        c = (s_A + s_B) * pow(r_B, -1, 11)
-        support = {lbe_reconstruct(lbe, s_A, s_B, r_B, u) for u in range(16)}
+        inv = pow(r_B, -1, 11)
+        c = (s_A + s_B) * inv
+        support = {lbe_reconstruct(lbe, s_A, s_B, inv, u) for u in range(16)}
         assert support == {c + 11 * u for u in range(16)}
 
 
@@ -777,36 +782,15 @@ def test_lbe_validation_errors():
     with pytest.raises(ValueError):
         LbeSimParams(modulus=M11, lam=4, q_i=(13, 17))  # product too small
     with pytest.raises(ValueError):
-        LbeSimParams(modulus=M11, lam=4, q_i=(13,))  # m=1 needs q_1 = Q
-    lbe = lbe_params_for(M11, 4)
-    with pytest.raises(InversionOfZero):
-        lbe_sim_tuple(lbe, 4, 2, 0, 5)
-    with pytest.raises(ValueError):
-        lbe_sim_tuple(lbe, 4, 2, 3, 16)
-    with pytest.raises(ValueError):
-        lbe_sim_tuple(lbe, 11, 2, 3, 5)
-    one = lbe_params_for(M11, 4, m=1)
-    with pytest.raises(ValueError):
-        lbe_sim_tuple(one, 4, 2, 3, 1)
+        LbeSimParams(modulus=M11, lam=-1, q_i=(43, 47))
+    with pytest.raises(FieldError):  # ladder primes near 2^93
+        lbe_params_for(PrimeModulus((1 << 61) - 1), 64)
 
 
 def test_lbe_batch_validates():
     p = params_small()
-    alice, bob = lbe_batch(p, 4, seed=Seed(bytes(32)))
+    alice, bob = lbe_batch(p.modulus, p.lam, 4, p.beta, Seed(bytes(32)))
     assert validate_inventories(alice, bob)
-
-
-def _residue_loop_reconstruct(lbe, s_A, s_B, r_B, u):
-    # reference: the per-residue scalar CRT with its own basis
-    Q = lbe.modulus.q
-    inv = pow(r_B, -1, Q)
-    Qp = lbe.Q_prime
-    v = 0
-    for qi in lbe.q_i:
-        Ni = Qp // qi
-        d_i = (((s_A % qi) + (s_B % qi)) * (inv % qi) + (u * Q) % qi) % qi
-        v += d_i * Ni * pow(Ni, -1, qi)
-    return v % Qp
 
 
 def _lbe_u_draws(seed, modulus, count, slot_len, lbe):
@@ -819,18 +803,19 @@ def _lbe_u_draws(seed, modulus, count, slot_len, lbe):
     return (raw & np.uint64(lbe.u_domain - 1)).reshape(count, slot_len)
 
 
-def _assert_batch_matches_scalar(p, count, lbe):
+def _assert_batch_matches_scalar(p, count, lam):
+    # every r_A is the per-residue reference's v reduced mod Q
     seed = Seed(bytes([6]) * 32)
-    alice, bob = lbe_batch(p, count, seed=seed, lbe=lbe)
+    alice, bob = lbe_batch(p.modulus, lam, count, p.beta, seed)
     assert validate_inventories(alice, bob)
+    lbe = lbe_params_for(p.modulus, lam)
     u = _lbe_u_draws(seed, p.modulus, count, p.beta, lbe)
     for i in range(count):
         s_A = int(alice.s_A[i])
         for j in range(p.beta):
             r_B = pow(int(bob.r_B_inv[i, j]), -1, p.modulus.q)
             args = (s_A, int(bob.s_B[i, j]), r_B, int(u[i, j]))
-            want = lbe_sim_tuple(lbe, *args)
-            assert _residue_loop_reconstruct(lbe, *args) % p.modulus.q == want
+            want = residue_loop_reconstruct(lbe, *args) % p.modulus.q
             assert int(alice.r_A[i, j]) == want
 
 
@@ -838,14 +823,7 @@ def test_lbe_batch_matches_scalar_across_ragged_chunks(monkeypatch):
     # 64-slot chunks of 4 rows at beta=15: 10 rows give chunks 4, 4 and 2
     monkeypatch.setattr(lbe_mod, "_CHUNK_SLOTS", 64)
     p = params_small()
-    _assert_batch_matches_scalar(p, 10, lbe_params_for(p.modulus, p.lam))
-
-
-def test_lbe_batch_matches_scalar_single_modulus():
-    p = params_small()
-    one = lbe_params_for(p.modulus, p.lam, m=1)
-    assert one.u_domain == 1
-    _assert_batch_matches_scalar(p, 6, one)
+    _assert_batch_matches_scalar(p, 10, p.lam)
 
 
 def test_lbe_batch_matches_scalar_lambda40_width3():
@@ -854,7 +832,7 @@ def test_lbe_batch_matches_scalar_lambda40_width3():
     assert p.modulus.byte_len == 3
     lbe = lbe_params_for(p.modulus, 40)
     assert min(lbe.q_i) > 1 << 36 and lbe.Q_prime > 1 << 76
-    _assert_batch_matches_scalar(p, 4, lbe)
+    _assert_batch_matches_scalar(p, 4, 40)
 
 
 def test_lbe_reconstruct_matches_residue_loop_at_extremes():
@@ -862,9 +840,11 @@ def test_lbe_reconstruct_matches_residue_loop_at_extremes():
     Q = p.modulus.q
     lbe = lbe_params_for(p.modulus, 40)
     top = lbe.u_domain - 1
-    for args in [(Q - 1, Q - 1, 1, top), (Q - 1, Q - 1, Q - 1, top), (0, 0, 1, 0),
-                 (Q - 1, 0, 2, top), (12345, 6789, Q - 2, 1 << 39)]:
-        assert lbe_reconstruct(lbe, *args) == _residue_loop_reconstruct(lbe, *args)
+    for s_A, s_B, r_B, u in [(Q - 1, Q - 1, 1, top), (Q - 1, Q - 1, Q - 1, top),
+                             (0, 0, 1, 0), (Q - 1, 0, 2, top),
+                             (12345, 6789, Q - 2, 1 << 39)]:
+        got = lbe_reconstruct(lbe, s_A, s_B, pow(r_B, -1, Q), u)
+        assert got == residue_loop_reconstruct(lbe, s_A, s_B, r_B, u)
 
 
 # ---------------------------------------------------------------- orchestrator

@@ -39,7 +39,7 @@ from olepsi.online import (
 )
 from olepsi.params import PARAM_TABLE, derive_params, online_bits_per_element
 from olepsi.prg import Seed
-from olepsi.runner import make_sessions, psi_once, run_psi_pair, small_psi_engine
+from olepsi.runner import make_sessions, run_psi_pair, small_psi_engine
 from olepsi.transport import (
     _HEAD,
     ALICE_C,
@@ -53,7 +53,7 @@ from olepsi.transport import (
 )
 from olepsi.tuples import inventory_token
 
-from blocks import bob_inventory
+from blocks import bob_inventory, psi_once
 
 M11 = PrimeModulus(11)
 _TRACING = Path(__file__).resolve().parents[1] / "benchmark" / "tracing.py"

@@ -1,6 +1,8 @@
 """The benchmark harness and the scripts under scripts/ run against the
-current API: each is started as its own process, as a user would."""
+current API: each is started as its own process, as a user would. Every
+definition in src/ is reached from the program itself, not only from tests."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -34,3 +36,56 @@ def test_bench_sweep(tmp_path):
                 "--sizes", "64", "--k", "2", "--sigma", "16"], cwd=tmp_path)
     assert out.returncode == 0, out.stderr
     assert out.stdout.count("correct: True") == 4  # one run per backend
+
+
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _unused_definitions(paths):
+    """Top-level and class-level defs and classes whose name is loaded (as an
+    ast.Name or an attribute) nowhere outside their own body, as
+    "file:qualname". Imports do not count and dunders are skipped. Loads from
+    inside an unused definition do not count either, iterated to a fixed
+    point, so a chain of definitions reached only from tests is caught whole."""
+    defs = {}  # (file, qualname) -> name
+    loads = {}  # name -> the definitions enclosing each load of it
+    for path in paths:
+        tree = ast.parse(path.read_text())
+        file = path.relative_to(ROOT).as_posix()
+        tracked = {}
+        for top in tree.body:
+            if isinstance(top, _DEFS):
+                tracked[id(top)] = (file, top.name)
+                for member in top.body if isinstance(top, ast.ClassDef) else ():
+                    if isinstance(member, _DEFS):
+                        tracked[id(member)] = (file, f"{top.name}.{member.name}")
+
+        def walk(node, owners):
+            if id(node) in tracked:
+                owners = owners + (tracked[id(node)],)
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
+                loads.setdefault(node.id if isinstance(node, ast.Name) else node.attr,
+                                 []).append(owners)
+            for child in ast.iter_child_nodes(node):
+                walk(child, owners)
+
+        walk(tree, ())
+        for key in tracked.values():
+            name = key[1].rsplit(".", 1)[-1]
+            if not (name.startswith("__") and name.endswith("__")):
+                defs[key] = name
+
+    unused = set()
+    while True:
+        dead = {key for key, name in defs.items() if key not in unused and not any(
+            key not in owners and unused.isdisjoint(owners) for owners in loads.get(name, ()))}
+        if not dead:
+            return sorted(f"{file}:{qualname}" for file, qualname in unused)
+        unused |= dead
+
+
+def test_src_has_no_definition_reached_only_from_tests():
+    paths = [*sorted((ROOT / "src" / "olepsi").rglob("*.py")),
+             *sorted((ROOT / "benchmark").glob("*.py")),
+             *sorted((ROOT / "scripts").glob("*.py"))]
+    assert _unused_definitions(paths) == []

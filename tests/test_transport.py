@@ -118,11 +118,13 @@ def test_slow_but_steady_reader_completes_a_large_frame():
     assert got == [struct.pack(">IB", len(payload), ALICE_C) + payload]
 
 
-def test_unknown_type_rejected_both_ways(channel_pair):
+@pytest.mark.parametrize("kind", [6, 7, 99])
+def test_unknown_type_rejected_both_ways(channel_pair, kind):
+    # 6 and 7 were the mismatch protocol's frames, which nothing sends
     a, b = channel_pair()
     with pytest.raises(UnknownType):
-        send_frame(a, Frame(99, b""))
-    a.send_bytes(b"\x00\x00\x00\x00\x63")
+        send_frame(a, Frame(kind, b""))
+    a.send_bytes(b"\x00\x00\x00\x00" + bytes([kind]))
     with pytest.raises(UnknownType):
         recv_frame(b)
 

@@ -16,7 +16,7 @@ from olepsi.tuples import (
 )
 
 from blocks import alice_inventory, bob_inventory
-from oracles import validate_inventories, write_format_1_bob_file
+from oracles import reference_section_bytes, validate_inventories, write_format_1_bob_file
 
 Q11 = PrimeModulus(11)
 
@@ -224,6 +224,17 @@ def test_file_errors(tmp_path):
     with pytest.raises(TupleFileError, match="holds bob-side"):
         load_inventories(bobf, "alice")
     with pytest.raises(TupleFileError, match="holds alice-side"):
+        load_inventories(path, "bob")
+
+
+@pytest.mark.parametrize("count, slot_len", [(2**32 - 1, 2**32 - 1), (2**31, 4096)])
+def test_section_larger_than_file_refused(tmp_path, count, slot_len):
+    # refused from the header and the file size, before any read allocates
+    # the declared size
+    path = tmp_path / "big.oleb"
+    path.write_bytes(reference_section_bytes(b"OLEB", 6151, count, slot_len, bytes(16), [])
+                     + bytes(64))
+    with pytest.raises(TupleFileError, match="truncated"):
         load_inventories(path, "bob")
 
 
