@@ -11,6 +11,9 @@ Exit codes: 0 success, 2 usage or bad input data, 3 protocol failure,
 
 import argparse
 import sys
+import warnings
+
+import numpy as np
 
 from .field import FieldError, PrimeModulus
 from .hashing import HashingError
@@ -85,7 +88,34 @@ def _params_from(args):
 
 
 def read_set_file(path, sigma):
-    """Newline-delimited unsigned decimals < 2^sigma; duplicates rejected."""
+    """Newline-delimited unsigned decimals < 2^sigma, blank lines skipped, as
+    a sorted int64 array; duplicates rejected.
+
+    One np.loadtxt parse reads the file. When it refuses the file, or a value
+    is out of range or repeated, _scan_set_file reads it again line by line
+    to name the first line at fault.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # loadtxt on an empty file
+        try:
+            values = np.loadtxt(path, dtype=np.int64, comments=None, ndmin=2)
+        except ValueError:
+            return _scan_set_file(path, sigma)
+    if values.shape[1] == 1:
+        arr = np.sort(values[:, 0])
+        if not arr.size or (
+            arr[0] >= 0 and arr[-1] < (1 << sigma) and not (arr[1:] == arr[:-1]).any()
+        ):
+            return arr
+    return _scan_set_file(path, sigma)
+
+
+def _scan_set_file(path, sigma):
+    """read_set_file one line at a time: raises UsageError naming path:line
+    at the first line that is not an integer, is out of range or repeats.
+    A file with no such line, which only np.loadtxt refused (int() also
+    reads "1_000", and text mode also splits lines at a lone CR), is
+    returned as read_set_file returns it."""
     values = set()
     with open(path) as f:
         for lineno, line in enumerate(f, 1):
@@ -105,7 +135,7 @@ def read_set_file(path, sigma):
             if v in values:
                 raise UsageError(f"{path}:{lineno}: duplicate element {v}")
             values.add(v)
-    return values
+    return np.array(sorted(values), dtype=np.int64)
 
 
 def write_set(stream, values):

@@ -91,18 +91,19 @@ def stash_encode(xs, seeds, params):
     return z.astype(np.int64)
 
 
-def _candidate_bins(arr, seeds, params):
-    """(k, len(arr)) int64 array: entry [j, t] is the bin of arr[t] under hash
-    j, (h_j(x2) + x1) mod alpha.
+def _candidate_bins(arr, seeds, params, dtype=np.int64):
+    """(k, len(arr)) array of the given integer dtype: entry [j, t] is the bin
+    of arr[t] under hash j, (h_j(x2) + x1) mod alpha.
 
     h_j(x2) = fmix64(fmix64(x2 XOR a_j) XOR b_j), where a_j and b_j are the two
     little-endian u64 halves of bin_seeds[j], mapped onto [0, alpha) by
-    multiply-shift of its top 32 bits (alpha < 2^32). Evaluated _BLOCK
-    elements at a time, straight into the output.
+    multiply-shift of its top 32 bits: derive_params refuses alpha >= 2^31,
+    so the product fits 64 bits and every bin fits an int32. Evaluated
+    _BLOCK elements at a time, straight into the output.
     """
     alpha, sigma2 = params.alpha, params.sigma2
     halves = [np.frombuffer(s, dtype="<u8") for s in seeds.bin_seeds]
-    cand = np.empty((params.k, arr.size), dtype=np.int64)
+    cand = np.empty((params.k, arr.size), dtype=dtype)
     for lo in range(0, arr.size, _BLOCK):
         block = arr[lo : lo + _BLOCK]
         x1 = (block >> sigma2).astype(np.uint64)
@@ -147,7 +148,7 @@ def _check_input_set(elements, params):
 class CuckooTable:
     """Alice's table: at most one encoded item per bin, overflow on a stash."""
 
-    bins: np.ndarray      # encoding per bin, dummy_alice when empty
+    bins: np.ndarray      # encoding per bin in dtype_for(dummy_alice + 1), dummy_alice when empty
     origins: np.ndarray   # original element per bin, -1 when empty
     stash: list           # original elements that failed to place
     seeds: HashSeeds
@@ -164,16 +165,28 @@ def build_cuckoo_table(elements, params, seeds):
     index. Items still pending after 16 log2(n) rounds go to the stash; when
     more than stash_size remain, CuckooFailure is raised. The protocol pins
     the seeds to its setup data, so there is nothing to resample.
+
+    The first round has every item pending under hash 0 in an empty table,
+    so it is one np.minimum.at scatter of the item indices with no eviction.
+    Item and bin indices are int32, which holds them because derive_params
+    refuses alpha >= 2^31 and n < alpha.
     """
     arr = _check_input_set(elements, params)
     budget = 16 * max(1, math.ceil(math.log2(max(params.n, 2))))
     size, k = arr.size, params.k
-    cand = _candidate_bins(arr, seeds, params)
-    owner = np.full(params.alpha, -1, dtype=np.int64)  # item index per bin
-    claim = np.full(params.alpha, size, dtype=np.int64)
-    hash_index = np.zeros(size, dtype=np.int64)
-    pending = np.arange(size, dtype=np.int64)
-    for _ in range(budget):
+    cand = _candidate_bins(arr, seeds, params, np.int32)
+    idx = np.arange(size, dtype=np.int32)
+    claim = np.full(params.alpha, size, dtype=np.int32)
+    # the lowest index wins: numpy does not define which of several fancy-index
+    # writes to one bin lands, so this is not claim[cand[0]] = idx
+    np.minimum.at(claim, cand[0], idx)
+    pending = idx[claim[cand[0]] != idx]
+    owner = claim  # item index per bin, -1 when empty
+    owner[owner == size] = -1
+    claim = np.full(params.alpha, size, dtype=np.int32)
+    hash_index = np.zeros(size, dtype=np.int8)
+    hash_index[pending] = 1
+    for _ in range(budget - 1):
         if not pending.size:
             break
         want = cand[hash_index[pending], pending]
@@ -190,12 +203,13 @@ def build_cuckoo_table(elements, params, seeds):
 
     placed = np.flatnonzero(owner >= 0)
     items = owner[placed]
-    bins = np.full(params.alpha, params.dummy_alice, dtype=np.int64)
-    bins[placed] = (hash_index[items] << params.sigma2) + (
-        arr[items] & ((1 << params.sigma2) - 1)
-    )
+    enc = arr[items]
     origins = np.full(params.alpha, -1, dtype=np.int64)
-    origins[placed] = arr[items]
+    origins[placed] = enc
+    enc &= (1 << params.sigma2) - 1  # enc = j * 2^sigma2 + x2
+    enc |= hash_index[items].astype(np.int64) << params.sigma2
+    bins = np.full(params.alpha, params.dummy_alice, dtype=dtype_for(params.dummy_alice + 1))
+    bins[placed] = enc
     return CuckooTable(
         bins=bins,
         origins=origins,
@@ -228,8 +242,8 @@ def build_bin_table(elements, params, seeds):
     sigma2 = params.sigma2
     mask2 = (1 << sigma2) - 1
 
-    # entry [j, t]: arr[t]'s bin under hash j; becomes its sort key in place
-    keys = _candidate_bins(arr, seeds, params)
+    # entry [j, t]: arr[t]'s bin under hash j; becomes its int64 sort key in place
+    keys = _candidate_bins(arr, seeds, params, np.int64)
     counts = np.bincount(keys.ravel(), minlength=alpha)
     if counts.max() > beta:
         raise BinOverflow(

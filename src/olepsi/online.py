@@ -37,7 +37,7 @@ from .hashing import (
     build_cuckoo_table,
     stash_encode,
 )
-from .modvec import dtype_for
+from .modvec import dtype_for, reduce_in_place
 from .params import sections
 from .prg import Prg, Seed
 from .transport import (
@@ -347,7 +347,8 @@ def _reply_dtype(q):
 
 def _bob_reply(c, enc_rows, inv, q):
     """d[i, j] = (c[i] + enc[i, j] + s_B[i, j]) * r_B_inv[i, j] mod q, in
-    _BLOCK-element passes with one reduction per slot."""
+    _BLOCK-element passes with one reduction per slot (reduce_in_place, in
+    the reply dtype)."""
     rows, slot = enc_rows.shape
     out = np.empty((rows, slot), dtype=dtype_for(q))
     step = max(1, _BLOCK // max(slot, 1))
@@ -357,7 +358,7 @@ def _bob_reply(c, enc_rows, inv, q):
         t = np.add(c[lo:hi, None], enc_rows[lo:hi], **wide)
         np.add(t, inv.s_B[lo:hi], out=t, **wide)
         np.multiply(t, inv.r_B_inv[lo:hi], out=t, **wide)
-        np.remainder(t, q, out=t, **wide)
+        reduce_in_place(t, q)
         out[lo:hi] = t
     return out
 

@@ -153,6 +153,9 @@ def derive_params(n, k, sigma=32, lam=40, stash_size=None):
         raise ValueError("set size must be at least 4")
     factor = ALPHA_FACTORS[k]
     alpha = -((-factor.numerator * n) // factor.denominator)
+    if alpha >= 1 << 31:
+        # the hashing holds bin and item indices in int32
+        raise ValueError(f"n={n}, k={k} needs alpha={alpha} bins; at most 2^31 - 1 supported")
     sigma1 = alpha.bit_length() - 1
     sigma2 = sigma - sigma1
     if sigma2 < 1:

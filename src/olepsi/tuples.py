@@ -25,7 +25,7 @@ import struct
 import numpy as np
 
 from .codec import pack_words, unpack_words
-from .field import PrimeModulus
+from .field import FieldError, PrimeModulus
 from .modvec import dtype_for, mod_inv
 
 FILE_VERSION = 2
@@ -166,7 +166,10 @@ def load_inventories(path, side):
                 raise TupleFileError(
                     f"tuple file format {version} is not supported (need {FILE_VERSION})"
                 )
-            modulus = PrimeModulus(q)
+            try:
+                modulus = PrimeModulus(q)
+            except FieldError as e:
+                raise TupleFileError(f"{side} section header: {e}") from None
             if token is None:
                 token = tok
             elif token != tok:

@@ -8,6 +8,8 @@ the documented formats rather than from the vectorised code they check.
 - validate_inventories: the OLE relation over a pair of inventories
 - split_element, fmix64, bin_hash, bin_index, invert_placement:
   permutation-based hashing of one element at a time
+- round_based_cuckoo: Alice's round-based cuckoo build on int64 arrays,
+  every round through the same eviction step
 - RecordingOt: an OT that keeps what the sender offers, so a test can read
   Gilboa's rho lists back
 - gilboa_share: one Gilboa product sharing with its rho list given
@@ -17,11 +19,13 @@ the documented formats rather than from the vectorised code they check.
 """
 
 import hashlib
+import math
 import struct
 
 import numpy as np
 
 from olepsi.field import is_prime
+from olepsi.hashing import CuckooFailure, _candidate_bins
 from olepsi.offline.ot import DealerAssistedOt
 from olepsi.prg import Prg
 
@@ -173,6 +177,44 @@ def invert_placement(i, enc, seeds, params):
     if x1 >= (1 << params.sigma1):
         return None
     return (x1 << params.sigma2) + x2
+
+
+def round_based_cuckoo(arr, params, seeds):
+    """(bins, origins, stash) of Alice's cuckoo table for a sorted int64
+    array, or CuckooFailure, by round-based insertion with int64 indices:
+    each round every pending item claims its bin under its current hash
+    index, the lowest item index wins and evicts the occupant, and losers
+    and evicted items move on to their next hash index."""
+    budget = 16 * max(1, math.ceil(math.log2(max(params.n, 2))))
+    size, k = arr.size, params.k
+    cand = _candidate_bins(arr, seeds, params)
+    owner = np.full(params.alpha, -1, dtype=np.int64)
+    claim = np.full(params.alpha, size, dtype=np.int64)
+    hash_index = np.zeros(size, dtype=np.int64)
+    pending = np.arange(size, dtype=np.int64)
+    for _ in range(budget):
+        if not pending.size:
+            break
+        want = cand[hash_index[pending], pending]
+        np.minimum.at(claim, want, pending)
+        won = claim[want] == pending
+        claim[want] = size
+        won_bins = want[won]
+        evicted = owner[won_bins]
+        owner[won_bins] = pending[won]
+        pending = np.concatenate((pending[~won], evicted[evicted >= 0]))
+        hash_index[pending] = (hash_index[pending] + 1) % k
+    if pending.size > params.stash_size:
+        raise CuckooFailure(f"placement failed for {size} elements")
+    placed = np.flatnonzero(owner >= 0)
+    items = owner[placed]
+    bins = np.full(params.alpha, params.dummy_alice, dtype=np.int64)
+    bins[placed] = (hash_index[items] << params.sigma2) + (
+        arr[items] & ((1 << params.sigma2) - 1)
+    )
+    origins = np.full(params.alpha, -1, dtype=np.int64)
+    origins[placed] = arr[items]
+    return bins, origins, arr[np.sort(pending)].tolist()
 
 
 class RecordingOt(DealerAssistedOt):

@@ -266,12 +266,12 @@ class TestDealerFrameBounds:
 class TestSetFiles:
     def test_read_round_trip(self, tmp_path):
         path = write_set(tmp_path / "s.txt", [5, 1, 9])
-        assert read_set_file(path, 16) == {1, 5, 9}
+        assert read_set_file(path, 16).tolist() == [1, 5, 9]
 
     def test_blank_lines_skipped(self, tmp_path):
         p = tmp_path / "s.txt"
         p.write_text("3\n\n7\n")
-        assert read_set_file(str(p), 8) == {3, 7}
+        assert read_set_file(str(p), 8).tolist() == [3, 7]
 
     @pytest.mark.parametrize("body,fragment", [
         ("4\n4\n", "duplicate"),
@@ -431,6 +431,15 @@ class TestRun:
                      "--connect", "127.0.0.1:9"] + BASE)
         assert rc == 4
         assert "truncated bob section payload" in capsys.readouterr().err
+
+    def test_non_prime_modulus_exits_4(self, tmp_path, capsys):
+        bad = tmp_path / "bad.tup"
+        bad.write_bytes(reference_section_bytes(b"OLEB", 6150, 1, 1, bytes(16), [1, 1]))
+        s = write_set(tmp_path / "s.txt", [1])
+        rc = invoke(["run", "--role", "bob", "--set", s, "--tuples", str(bad),
+                     "--connect", "127.0.0.1:9"] + BASE)
+        assert rc == 4
+        assert "modulus 6150 is not prime" in capsys.readouterr().err
 
     def test_needs_exactly_one_endpoint(self, tmp_path, tuple_files, capsys):
         s = write_set(tmp_path / "s.txt", [1])

@@ -17,10 +17,18 @@ from olepsi.hashing import (
     build_cuckoo_table,
     stash_encode,
 )
+from olepsi.modvec import dtype_for
 from olepsi.params import derive_params
 from olepsi.prg import Prg, Seed
 
-from oracles import bin_hash, bin_index, fmix64, invert_placement, split_element
+from oracles import (
+    bin_hash,
+    bin_index,
+    fmix64,
+    invert_placement,
+    round_based_cuckoo,
+    split_element,
+)
 
 
 def fixed_seeds(k, label=b"seeds"):
@@ -277,6 +285,37 @@ def test_cuckoo_failure_without_resampling():
         # alpha bins would fit, but beta... force failure by shrinking alpha
         tiny = dataclasses.replace(p, alpha=16, sigma1=4)
         build_cuckoo_table(xs[:64], tiny, seeds=fixed_seeds(2))
+
+
+@pytest.mark.parametrize("n,k,sigma,stash,size,seed,outcome", [
+    (64, 2, 16, 1, 64, 4, "stash"),
+    (64, 2, 16, 0, 64, 4, "fail"),
+    (1 << 12, 2, 32, None, 1 << 12, 0, "placed"),
+    (1 << 12, 3, 32, None, 1 << 12, 1, "placed"),
+    (1 << 12, 4, 32, None, 1 << 12, 2, "placed"),
+    (1 << 12, 3, 32, None, 3000, 3, "placed"),
+])
+def test_cuckoo_build_matches_int64_rounds(n, k, sigma, stash, size, seed, outcome):
+    """The int32 build, with its scatter-only first round, places every item
+    where the int64 round loop of tests/oracles.py does, stashes the same
+    items and fails on the same input."""
+    p = derive_params(n, k, sigma=sigma, stash_size=stash)
+    rng = np.random.default_rng(seed)
+    xs = np.sort(rng.choice(1 << sigma, size=size, replace=False)).astype(np.int64)
+    seeds = HashSeeds.generate(k, Prg(Seed(seed.to_bytes(32, "little")), tag=b"eq").read)
+    if outcome == "fail":
+        with pytest.raises(CuckooFailure):
+            round_based_cuckoo(xs, p, seeds)
+        with pytest.raises(CuckooFailure):
+            build_cuckoo_table(xs, p, seeds)
+        return
+    bins, origins, stash_items = round_based_cuckoo(xs, p, seeds)
+    t = build_cuckoo_table(xs, p, seeds)
+    assert t.bins.dtype == dtype_for(p.dummy_alice + 1)
+    assert np.array_equal(t.bins.astype(np.int64), bins)
+    assert np.array_equal(t.origins, origins)
+    assert t.stash == stash_items
+    assert (len(stash_items) > 0) == (outcome == "stash")
 
 
 def test_cuckoo_rejects_bad_input():

@@ -76,6 +76,17 @@ def test_modulus_limit_enforced_at_derivation():
     assert derive_params(256, 3, sigma=36).modulus.q < 1 << 31
 
 
+def test_alpha_bounded_for_int32_indices():
+    # the hashing holds bin and item indices in int32
+    for n, k in PARAM_TABLE:
+        assert derive_params(n, k).alpha < 1 << 31
+    factor = ALPHA_FACTORS[2]
+    n = (((1 << 31) - 1) * factor.denominator) // factor.numerator + 1
+    assert -((-factor.numerator * n) // factor.denominator) == 1 << 31
+    with pytest.raises(ValueError, match="alpha"):
+        derive_params(n, 2)
+
+
 def test_derive_beta_single_ball():
     assert derive_beta(1, 1, 1, 0) == 1
 
