@@ -51,7 +51,7 @@ from .transport import (
     send_elements,
     send_frame,
 )
-from .tuples import TOKEN_LEN, BobInventory
+from .tuples import TOKEN_LEN, BobInventory, release_rows
 
 PROTOCOL_VERSION = 4
 
@@ -254,10 +254,11 @@ def psi_alice(session, elements, channel):
 
     Sends alpha + stash_size c-values, receives alpha*beta + stash_size*n
     d-values in fixed row-major order, frame by frame along frame_plan, and
-    matches each frame against r_A as it arrives. The element counts are
-    asserted against the channel's accounting on every run. Placement
-    failure beyond the stash raises CuckooFailure, since the session's seeds
-    are pinned and cannot be resampled mid-protocol.
+    matches each frame against r_A as it arrives, then releases the frame's
+    tuple rows (a file-mapped inventory drops their pages). The element
+    counts are asserted against the channel's accounting on every run.
+    Placement failure beyond the stash raises CuckooFailure, since the
+    session's seeds are pinned and cannot be resampled mid-protocol.
     """
     invs = session._start("alice")
     p = session.params
@@ -280,15 +281,17 @@ def psi_alice(session, elements, channel):
     out = set()
     for cut in down:
         d = recv_elements(channel, BOB_D, p.modulus, cut.count).reshape(cut.shape)
+        inv = invs[cut.section]
         if cut.section == "bins":
             origins = table.origins[cut.rows]
-            hits = (d == invs["bins"].r_A[cut.rows]).any(axis=1) & (origins >= 0)
+            hits = (d == inv.r_A[cut.rows]).any(axis=1) & (origins >= 0)
             out.update(origins[hits].tolist())
         else:
-            hits = (d == invs["stash"].r_A[cut.rows, cut.cols]).any(axis=1)
+            hits = (d == inv.r_A[cut.rows, cut.cols]).any(axis=1)
             for t in np.flatnonzero(hits) + cut.rows.start:
                 if t < len(stash_items):
                     out.add(int(stash_items[t]))
+        _release(inv, cut)
 
     _check_totals(channel, before, up, down)
     return out
@@ -300,7 +303,8 @@ def psi_bob(session, elements, channel):
     Replies to every bin's c-value with beta d-values (row-major: bin-major,
     slot-minor), then to every stash c-value with one d per slot for each of
     n shuffled element encodings. Each frame of frame_plan is computed and
-    sent before the next, so the whole reply is never held at once. Padding
+    sent before the next, so the whole reply is never held at once, and
+    its tuple rows are released once sent, so neither is the file. Padding
     slots reply under Bob's dummy encoding, which can never match.
     """
     invs = session._start("bob")
@@ -325,12 +329,20 @@ def psi_bob(session, elements, channel):
                 enc = _stash_encodings(table.elements, session.seeds, p)
             enc_rows = np.broadcast_to(enc[cut.cols], cut.shape)
         inv = invs[cut.section]
-        inv = BobInventory(inv.modulus, inv.block[cut.rows, cut.cols])
-        d = _bob_reply(c[cut.section][cut.rows], enc_rows, inv, q)
+        part = BobInventory(inv.modulus, inv.block[cut.rows, cut.cols])
+        d = _bob_reply(c[cut.section][cut.rows], enc_rows, part, q)
         send_elements(channel, BOB_D, d, p.modulus)
+        _release(inv, cut)
 
     _check_totals(channel, before, down, up)
     return None
+
+
+def _release(inv, cut):
+    """Drop the tuple rows of a used frame, after the last piece of a row
+    cut into column pieces (tuples.release_rows)."""
+    if cut.cols.stop == inv.slot_len:
+        release_rows(inv, cut.rows)
 
 
 def _alice_c(s_A, enc, q):

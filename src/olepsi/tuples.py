@@ -15,11 +15,19 @@ token) followed by the inventory's block as little-endian words of
 ceil(bit_len/8) bytes in C order: Alice's rows are (s_A, r_A[0..L)), Bob's
 are L interleaved (r_B^-1, s_B) pairs. A file of any other version, such as
 format 1 with Bob's (r_B, r_B^-1, s_B) triples, is refused.
+
+A run maps its tuple file read-only and reads its blocks straight from the
+mapping: each frame brings in the pages under its rows, and release_rows
+drops them once the frame is used (every slot is used once). A tuple file
+must therefore not be modified in place while a run uses it; saves write a
+new file and rename it over the old one.
 """
 
 import hashlib
 import math
+import mmap
 import os
+import secrets
 import struct
 
 import numpy as np
@@ -45,6 +53,8 @@ class AliceInventory:
     """Alice's halves of `count` batches as one (count, 1 + L) block: s_A
     (count,) in column 0 and r_A (count, L) in the rest, as in the tuple
     file. Both are views of the block, so the file write reads it as it is."""
+
+    _rows_in_file = None  # (mapping, payload offset, row bytes) once loaded
 
     def __init__(self, modulus, block):
         if block.ndim != 2 or block.shape[1] < 1:
@@ -73,6 +83,8 @@ class BobInventory:
     (r_B_inv, s_B) slots, interleaved as in the tuple file. Both are
     (count, L) views of the block, so the token and the file write read it
     as it is."""
+
+    _rows_in_file = None  # (mapping, payload offset, row bytes) once loaded
 
     def __init__(self, modulus, block):
         if block.ndim != 3 or block.shape[2] != 2:
@@ -123,13 +135,25 @@ def inventory_token(bob_inventories):
 
 
 def save_inventories(path, inventories, side, token):
-    """Write one or more sections (bin batches, then stash batches) to a file."""
+    """Write one or more sections (bin batches, then stash batches) to a file.
+
+    The sections go to a new file beside `path`, which is then renamed over
+    it: a run that maps the old file keeps reading the old bytes, and a
+    failed write leaves `path` as it was and no partial file behind."""
     if side not in (SIDE_ALICE, SIDE_BOB):
         raise ValueError(f"side must be alice or bob, got {side}")
-    with open(path, "wb") as f:
-        for inv in inventories:
-            f.write(_section_header(inv.modulus, len(inv), inv.slot_len, token, side))
-            f.write(_payload(inv))
+    path = os.fspath(path)
+    tmp = f"{path}.{secrets.token_hex(8)}.tmp"
+    f = open(tmp, "xb")
+    try:
+        with f:
+            for inv in inventories:
+                f.write(_section_header(inv.modulus, len(inv), inv.slot_len, token, side))
+                f.write(_payload(inv))
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 # per side: the inventory class and the shape of its block for (count, L)
@@ -140,49 +164,77 @@ _SECTIONS = {
 
 
 def load_inventories(path, side):
-    """Read all sections; returns (inventories, token). Each block is a view
-    of the bytes read whenever the field width is 1, 2, 4 or 8 bytes."""
+    """Map the file read-only and parse all sections; returns (inventories,
+    token). Whenever the field width is 1, 2, 4 or 8 bytes each block is a
+    read-only view of the mapping, and release_rows can drop its pages; at
+    other widths it is a copy, and the mapping is closed once no view of it
+    is left."""
     if side not in _SECTIONS:
         raise ValueError(f"side must be alice or bob, got {side}")
     cls, block_shape = _SECTIONS[side]
+    with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+        if size == 0:
+            raise TupleFileError("empty tuple file")
+        mm = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
     out = []
     token = None
-    with open(path, "rb") as f:
-        while True:
-            header = f.read(_HEADER.size)
-            if not header:
-                break
-            if len(header) < _HEADER.size:
-                raise TupleFileError("truncated section header")
-            magic, version, q, count, slot_len, tok = _HEADER.unpack(header)
-            if magic != _MAGIC[side]:
-                if magic in _MAGIC.values():
-                    other = SIDE_BOB if side == SIDE_ALICE else SIDE_ALICE
-                    raise TupleFileError(
-                        f"file holds {other}-side sections, wanted {side}"
-                    )
-                raise TupleFileError(f"bad magic {magic!r}")
-            if version != FILE_VERSION:
-                raise TupleFileError(
-                    f"tuple file format {version} is not supported (need {FILE_VERSION})"
-                )
-            try:
-                modulus = PrimeModulus(q)
-            except FieldError as e:
-                raise TupleFileError(f"{side} section header: {e}") from None
-            if token is None:
-                token = tok
-            elif token != tok:
-                raise TupleFileError("sections carry different inventory tokens")
-            width = modulus.byte_len
-            shape = block_shape(count, slot_len)
-            words = math.prod(shape)
-            # checked before reading: f.read allocates the declared size first
-            if words * width > os.fstat(f.fileno()).st_size - f.tell():
-                raise TupleFileError(f"truncated {side} section payload")
-            data = f.read(words * width)
-            block = unpack_words(data, 8 * width, words, dtype_for(q))
-            out.append(cls(modulus, block.reshape(shape)))
-    if token is None:
-        raise TupleFileError("empty tuple file")
+    pos = 0
+    while pos < size:
+        if size - pos < _HEADER.size:
+            raise TupleFileError("truncated section header")
+        magic, version, q, count, slot_len, tok = _HEADER.unpack_from(mm, pos)
+        pos += _HEADER.size
+        if magic != _MAGIC[side]:
+            if magic in _MAGIC.values():
+                other = SIDE_BOB if side == SIDE_ALICE else SIDE_ALICE
+                raise TupleFileError(f"file holds {other}-side sections, wanted {side}")
+            raise TupleFileError(f"bad magic {magic!r}")
+        if version != FILE_VERSION:
+            raise TupleFileError(
+                f"tuple file format {version} is not supported (need {FILE_VERSION})"
+            )
+        try:
+            modulus = PrimeModulus(q)
+        except FieldError as e:
+            raise TupleFileError(f"{side} section header: {e}") from None
+        if token is None:
+            token = tok
+        elif token != tok:
+            raise TupleFileError("sections carry different inventory tokens")
+        width = modulus.byte_len
+        shape = block_shape(count, slot_len)
+        nbytes = math.prod(shape) * width
+        # checked before any view is made: the header's sizes are untrusted
+        if nbytes > size - pos:
+            raise TupleFileError(f"truncated {side} section payload")
+        payload = memoryview(mm)[pos : pos + nbytes]
+        block = unpack_words(payload, 8 * width, nbytes // width, dtype_for(q))
+        inv = cls(modulus, block.reshape(shape))
+        if np.may_share_memory(block, np.frombuffer(payload, np.uint8)):
+            inv._rows_in_file = (mm, pos, nbytes // max(count, 1))
+        out.append(inv)
+        pos += nbytes
     return out, token
+
+
+def release_rows(inv, rows):
+    """Drop the resident pages under `rows` (a slice of batches) of an
+    inventory mapped from a tuple file, once the caller has used them.
+
+    The pages stay in the page cache and the file, and the mapping is
+    read-only, so a later read of any row faults the same bytes back in:
+    releasing never changes a value. The first page is dropped whole and a
+    page that runs on past the rows is kept, unless the rows end the file,
+    so a front-to-back pass drops each page once the rows on it are used.
+    Inventories not mapped from a file (generated ones, copies) are never
+    touched, and where the platform has no MADV_DONTNEED this does nothing."""
+    if inv._rows_in_file is None or not hasattr(mmap, "MADV_DONTNEED"):
+        return
+    mm, offset, row_bytes = inv._rows_in_file
+    lo = offset + rows.start * row_bytes
+    hi = offset + rows.stop * row_bytes
+    start = lo - lo % mmap.PAGESIZE
+    end = hi if hi == len(mm) else hi - hi % mmap.PAGESIZE
+    if end > start:
+        mm.madvise(mmap.MADV_DONTNEED, start, end - start)

@@ -7,6 +7,8 @@ against brute-force set intersection, which is the natural frozen oracle.
 
 import dataclasses
 import importlib.util
+import mmap
+import os
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -51,7 +53,7 @@ from olepsi.transport import (
     memory_channel_pair,
     send_frame,
 )
-from olepsi.tuples import inventory_token
+from olepsi.tuples import inventory_token, load_inventories, save_inventories
 
 from blocks import bob_inventory, psi_once
 
@@ -601,3 +603,80 @@ def test_protocol_version_3_peer_rejected_at_setup(channel_pair):
     send_frame(chan_peer, Frame(SETUP, bytes([3]) + _setup_payload(a)[1:]))
     with pytest.raises(SeedMismatch, match="version 3"):
         psi_bob(b, {1}, chan)
+
+
+# ------------------------------------------------- tuple rows from mapped files
+
+# every n = 4096 stash row in two pieces, and about 50 bin frames per side
+_RELEASE_CHUNK = 3000
+
+
+def _loaded_run(tmp_path, monkeypatch, sigma):
+    """One in-process run of both roles over tuple files loaded from disk,
+    with many frames per section. Returns (params, sessions, files,
+    intersection, brute-force intersection, pre-run copies of the blocks)."""
+    monkeypatch.setattr(online, "_CHUNK", _RELEASE_CHUNK)
+    p = derive_params(1 << 12, 2, sigma=sigma)
+    alice_secs, bob_secs = generate_psi_inventories("seed", p, Seed(b"\x0c" * 32))
+    token = inventory_token(bob_secs)
+    sessions, files = {}, {}
+    for role, secs in (("alice", alice_secs), ("bob", bob_secs)):
+        files[role] = tmp_path / f"{role}.tup"
+        save_inventories(files[role], secs, role, token)
+        loaded, tok = load_inventories(files[role], role)
+        sessions[role] = PsiSession(role=role, params=p, inventories=loaded, token=tok)
+    # the copies read every row, so every page of a mapping is resident
+    copies = {role: [inv.block.copy() for inv in s.inventories] for role, s in sessions.items()}
+    rng = np.random.default_rng(sigma)
+    pool = rng.choice(1 << sigma, size=2 * p.n - 500, replace=False).tolist()
+    x, y = set(pool[: p.n]), set(pool[p.n - 500 :])
+    result, _, _ = run_psi_pair(sessions["alice"], x, sessions["bob"], y)
+    return p, sessions, files, result, x & y, copies
+
+
+@pytest.mark.parametrize("sigma", [24, 32])  # 2-byte words mapped, 3-byte words copied
+def test_released_tuple_rows_read_back_unchanged(tmp_path, monkeypatch, sigma):
+    p, sessions, _, result, expected, copies = _loaded_run(tmp_path, monkeypatch, sigma)
+    _, down = frame_plan(p)
+    assert len(down) > 10 and any(cut.cols.start > 0 for cut in down)
+    assert result == expected
+    for role, session in sessions.items():
+        for inv, before in zip(session.inventories, copies[role], strict=True):
+            assert np.array_equal(inv.block, before)
+
+
+def _mapped_rss(path):
+    """Resident bytes of this process's mappings of `path` (/proc/self/smaps)."""
+    target, rss, inside = os.path.realpath(path), 0, False
+    with open("/proc/self/smaps") as f:
+        for line in f:
+            head = line.split()
+            if not head[0].endswith(":"):  # a mapping's first line
+                inside = " ".join(head[5:]) == target
+            elif inside and head[0] == "Rss:":
+                rss += int(head[1]) * 1024
+    return rss
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/smaps"), reason="needs /proc/self/smaps")
+@pytest.mark.parametrize("sigma", [24, 32])
+def test_mapped_tuple_rows_do_not_stay_resident(tmp_path, monkeypatch, sigma):
+    p, sessions, files, result, expected, _ = _loaded_run(tmp_path, monkeypatch, sigma)
+    assert result == expected
+    _, down = frame_plan(p)
+    for role, session in sessions.items():
+        invs = dict(zip(("bins", "stash"), session.inventories))
+        frame = max(invs[cut.section].block[cut.rows].nbytes for cut in down)
+        assert _mapped_rss(files[role]) <= frame + 2 * mmap.PAGESIZE
+
+
+def test_generated_inventories_untouched_by_run(monkeypatch):
+    monkeypatch.setattr(online, "_CHUNK", _RELEASE_CHUNK)
+    p = derive_params(1 << 12, 2, sigma=24)
+    a, b = make_sessions(p, master_seed=Seed(b"\x0d" * 32))
+    before = [inv.block.copy() for s in (a, b) for inv in s.inventories]
+    rng = np.random.default_rng(0)
+    x = set(rng.choice(1 << 24, size=p.n, replace=False).tolist())
+    run_psi_pair(a, x, b, set(sorted(x)[:100]))
+    after = [inv.block for s in (a, b) for inv in s.inventories]
+    assert all(np.array_equal(u, v) for u, v in zip(after, before, strict=True))

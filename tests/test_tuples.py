@@ -260,3 +260,34 @@ def test_format_1_file_refused(tmp_path):
     (tmp_path / "a1.oleb").write_bytes(bytes(raw))
     with pytest.raises(TupleFileError, match="format 1"):
         load_inventories(tmp_path / "a1.oleb", "alice")
+
+
+def test_save_over_a_loaded_file_keeps_its_views(tmp_path):
+    # saves replace the file, so a run still reading the old mapping keeps
+    # its bytes (an in-place rewrite would change them, or fault past the
+    # new end of file)
+    m = PrimeModulus(6151)
+    path = tmp_path / "b.oleb"
+    _, bob = _random_inventories(m, 300, 20, b"old")
+    save_inventories(path, [bob], "bob", inventory_token([bob]))
+    (old,), _ = load_inventories(path, "bob")
+    before = old.block.copy()
+    _, bob2 = _random_inventories(m, 3, 2, b"new")
+    save_inventories(path, [bob2], "bob", inventory_token([bob2]))
+    assert np.array_equal(old.block, before)
+    (new,), _ = load_inventories(path, "bob")
+    assert np.array_equal(new.block, bob2.block)
+    assert [f.name for f in tmp_path.iterdir()] == ["b.oleb"]
+
+
+def test_failed_save_leaves_the_old_file(tmp_path):
+    m = PrimeModulus(6151)
+    path = tmp_path / "b.oleb"
+    _, bob = _random_inventories(m, 3, 4, b"kept")
+    token = inventory_token([bob])
+    save_inventories(path, [bob], "bob", token)
+    raw = path.read_bytes()
+    with pytest.raises(AttributeError):
+        save_inventories(path, [bob, object()], "bob", token)
+    assert path.read_bytes() == raw
+    assert [f.name for f in tmp_path.iterdir()] == ["b.oleb"]
