@@ -6,13 +6,19 @@ bits [i * bits, (i + 1) * bits) of the little-endian bit string, and the
 bits after the last word are zero. At widths that are whole bytes this is
 plain byte words: 8, 16, 32 and 64 bits are numpy '<u{width}' views, and
 24 and 40-56 bits are read as overlapping 4- or 8-byte words at a byte
-stride with the surplus high bytes masked off. At other widths eight words
-fill exactly `bits` bytes, and they are moved on uint64 lanes with shifts.
+stride with the surplus high bytes masked off. At other widths G words
+fill whole lanes of 16, 32 or 64 bits (_lanes). Each pass of the lane
+kernels (2^18 words) copies its words once into a transposed (G, groups) buffer, shifts
+and ORs whole contiguous rows into (lanes, groups) lanes, and writes those
+back with one transposed copy into the output viewed as lane words; unpacking
+runs the same steps backwards. So every shift, OR and mask is a contiguous
+numpy pass of one dtype.
 """
 
 import numpy as np
 
-_GROUP_CHUNK = 1 << 13  # 8-word groups per pass of the shift kernels: 64 KiB of lanes
+_PASS_WORDS = 1 << 18  # words per pass of the lane kernels
+_COPY_BYTES = 1 << 17  # source bytes per block of a transposing copy
 
 
 def packed_len(count, bits):
@@ -20,9 +26,30 @@ def packed_len(count, bits):
     return -(-count * bits // 8)
 
 
-def _lane_moves(bits):
-    """Per word of an 8-word group: (lane, shift, spills into the next lane)."""
-    return [(i * bits >> 6, i * bits & 63, (i * bits & 63) + bits > 64) for i in range(8)]
+def _lanes(bits):
+    """The lane kernels' layout for a width that is not whole bytes: (lane
+    dtype, G, per word of a G-word group (lane, shift, spills into the next
+    lane)). Lanes are the narrowest of 16, 32 or 64 bits that hold a word,
+    and G is the smallest power of two >= 8 whose words fill whole lanes."""
+    lane_bits = max(16, 1 << (bits - 1).bit_length())
+    group = 8
+    while group * bits % lane_bits:
+        group *= 2
+    moves = [
+        (i * bits // lane_bits, i * bits % lane_bits, i * bits % lane_bits + bits > lane_bits)
+        for i in range(group)
+    ]
+    return np.dtype(f"<u{lane_bits // 8}"), group, moves
+
+
+def _transpose_into(dst, src):
+    """dst[...] = src.T for a 2-D src, in blocks of _COPY_BYTES of src rows,
+    so each block is transposed while it is in cache. One whole-array copy
+    sweeps all of src once per row of dst, and at wide rows (64 words of 8
+    bytes) fetches src's lines from memory again on each sweep."""
+    step = max(1, _COPY_BYTES // (src.shape[1] * src.itemsize))
+    for lo in range(0, src.shape[0], step):
+        np.copyto(dst[:, lo : lo + step], src[lo : lo + step].T, casting="unsafe")
 
 
 def pack_words(vals, bits, out=None):
@@ -50,30 +77,37 @@ def pack_words(vals, bits, out=None):
 
     if out is None:
         out = np.empty(nbytes, dtype=np.uint8)
-    lanes = -(-bits // 8)  # uint64 lanes that cover one group's `bits` bytes
-    mask = np.uint64((1 << bits) - 1)
-    groups = -(-vals.size // 8)
-    for g0 in range(0, groups, _GROUP_CHUNK):
-        g1 = min(groups, g0 + _GROUP_CHUNK)
-        part = vals[8 * g0 : 8 * g1]
-        if part.size == 8 * (g1 - g0):
-            src = part.astype(np.uint64).reshape(-1, 8)
-        else:  # a short last group is padded with zero words
-            src = np.zeros((g1 - g0, 8), dtype=np.uint64)
-            src.reshape(-1)[: part.size] = part
-        src &= mask
-        acc = np.zeros((g1 - g0, lanes), dtype=np.uint64)
-        for i, (lane, shift, spills) in enumerate(_lane_moves(bits)):
-            acc[:, lane] |= src[:, i] << np.uint64(shift)
-            if spills:
-                acc[:, lane + 1] |= src[:, i] >> np.uint64(64 - shift)
-        packed = acc.view(np.uint8)[:, :bits]
-        lo = g0 * bits
-        hi = min(nbytes, g1 * bits)
-        if hi - lo == packed.size:
-            out[lo:hi].reshape(packed.shape)[...] = packed
+    lane, group, moves = _lanes(bits)
+    lane_bits = 8 * lane.itemsize
+    mask = lane.type((1 << bits) - 1)
+    group_bytes = group * bits // 8
+    groups = -(-vals.size // group)
+    step = max(1, min(groups, _PASS_WORDS // group))  # groups per pass
+    words = np.empty((group, step), lane)  # row i: word i of every group
+    lanes = np.empty((group_bytes // lane.itemsize, step), lane)
+    spare = np.empty(step, lane)
+    for g0 in range(0, groups, step):
+        g1 = min(groups, g0 + step)
+        w, acc, t = words[:, : g1 - g0], lanes[:, : g1 - g0], spare[: g1 - g0]
+        part = vals[group * g0 : group * g1]
+        if part.size < w.size:  # a short last group is padded with zero words
+            part = np.concatenate((part, np.zeros(w.size - part.size, part.dtype)))
+        _transpose_into(w, part.reshape(-1, group))
+        w &= mask
+        for i, (j, shift, spills) in enumerate(moves):
+            if shift == 0:  # word i starts lane j
+                acc[j] = w[i]
+            else:
+                np.left_shift(w[i], shift, out=t)
+                acc[j] |= t
+            if spills:  # and starts lane j + 1 with its high bits
+                np.right_shift(w[i], lane_bits - shift, out=acc[j + 1])
+        lo = g0 * group_bytes
+        hi = min(nbytes, g1 * group_bytes)
+        if hi - lo == acc.size * lane.itemsize:
+            np.copyto(out[lo:hi].view(lane).reshape(-1, acc.shape[0]), acc.T)
         else:  # the last group is cut short: its zero high bytes are dropped
-            out[lo:hi] = packed.reshape(-1)[: hi - lo]
+            out[lo:hi] = np.ascontiguousarray(acc.T).view(np.uint8).reshape(-1)[: hi - lo]
     return memoryview(out)
 
 
@@ -101,26 +135,32 @@ def unpack_words(buf, bits, count, dtype):
     if tail and raw[-1] >> tail:
         raise ValueError("non-zero pad bits after the last word")
     out = np.empty(count, dtype=dtype)
-    lanes = -(-bits // 8)
-    mask = np.uint64((1 << bits) - 1)
-    groups = -(-count // 8)
-    for g0 in range(0, groups, _GROUP_CHUNK):
-        g1 = min(groups, g0 + _GROUP_CHUNK)
-        part = raw[g0 * bits : g1 * bits]
-        if part.size < (g1 - g0) * bits:  # a short last group reads as zeros
-            part = np.concatenate((part, np.zeros((g1 - g0) * bits - part.size, np.uint8)))
-        # bytes past `bits` in a row only feed bits that the mask drops
-        grid = np.empty((g1 - g0, 8 * lanes), dtype=np.uint8)
-        grid[:, :bits] = part.reshape(-1, bits)
-        acc = grid.view(np.uint64)
-        whole = 8 * g1 <= count
-        dst = out[8 * g0 : 8 * g1].reshape(-1, 8) if whole else np.empty((g1 - g0, 8), np.uint64)
-        for i, (lane, shift, spills) in enumerate(_lane_moves(bits)):
-            col = acc[:, lane] >> np.uint64(shift)
+    lane, group, moves = _lanes(bits)
+    lane_bits = 8 * lane.itemsize
+    mask = lane.type((1 << bits) - 1)
+    group_bytes = group * bits // 8
+    nlanes = group_bytes // lane.itemsize
+    groups = -(-count // group)
+    step = max(1, min(groups, _PASS_WORDS // group))  # groups per pass
+    lanes = np.empty((nlanes, step), lane)  # row j: lane j of every group
+    words = np.empty((group, step), lane)
+    spare = np.empty(step, lane)
+    for g0 in range(0, groups, step):
+        g1 = min(groups, g0 + step)
+        acc, w, t = lanes[:, : g1 - g0], words[:, : g1 - g0], spare[: g1 - g0]
+        part = raw[g0 * group_bytes : g1 * group_bytes]
+        if part.size < acc.size * lane.itemsize:  # a short last group reads as zeros
+            part = np.concatenate((part, np.zeros(acc.size * lane.itemsize - part.size, np.uint8)))
+        _transpose_into(acc, part.view(lane).reshape(-1, nlanes))
+        for i, (j, shift, spills) in enumerate(moves):
+            np.right_shift(acc[j], shift, out=w[i])
             if spills:
-                col |= acc[:, lane + 1] << np.uint64(64 - shift)
-            col &= mask
-            dst[:, i] = col
-        if not whole:
-            out[8 * g0 :] = dst.reshape(-1)[: count - 8 * g0]
+                np.left_shift(acc[j + 1], lane_bits - shift, out=t)
+                w[i] |= t
+        w &= mask
+        dst = out[group * g0 : group * g1]
+        if dst.size == w.size:
+            np.copyto(dst.reshape(-1, group), w.T, casting="unsafe")
+        else:  # the zero words that pad a short last group are dropped
+            dst[...] = w.T.reshape(-1)[: dst.size]
     return out

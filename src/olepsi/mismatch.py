@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .online import _alice_c, _bob_reply
-from .tuples import BobInventory
 
 
 def keyed_hash(seed, x, range_size):
@@ -68,8 +67,8 @@ def set_compare_single(e, candidates, alice, bob):
         raise ValueError("batch too short for the candidate set")
     q = alice.modulus.q
     c = _alice_c(alice.s_A[:1], e, q)
-    first = BobInventory(bob.modulus, bob.block[:1, :k])
-    d = _bob_reply(c, np.asarray(candidates, dtype=np.int64).reshape(1, k), first, q)
+    enc = np.asarray(candidates, dtype=np.int64).reshape(1, k)
+    d = _bob_reply(c, enc, bob.block[:1, :k], q)
     return bool((d[0] == alice.r_A[0, :k]).any())
 
 

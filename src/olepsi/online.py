@@ -51,7 +51,7 @@ from .transport import (
     send_elements,
     send_frame,
 )
-from .tuples import TOKEN_LEN, BobInventory, release_rows
+from .tuples import TOKEN_LEN, release_rows
 
 PROTOCOL_VERSION = 4
 
@@ -278,19 +278,19 @@ def psi_alice(session, elements, channel):
     for cut in up:
         send_elements(channel, ALICE_C, c[cut.section][cut.rows], p.modulus)
 
+    # the element behind each row of a section: -1 marks an empty bin or an
+    # unused stash row, which never report a hit
+    element = {"bins": table.origins}
+    if p.stash_size:
+        element["stash"] = np.full(p.stash_size, -1, dtype=np.int64)
+        element["stash"][: len(stash_items)] = stash_items
     out = set()
     for cut in down:
         d = recv_elements(channel, BOB_D, p.modulus, cut.count).reshape(cut.shape)
         inv = invs[cut.section]
-        if cut.section == "bins":
-            origins = table.origins[cut.rows]
-            hits = (d == inv.r_A[cut.rows]).any(axis=1) & (origins >= 0)
-            out.update(origins[hits].tolist())
-        else:
-            hits = (d == inv.r_A[cut.rows, cut.cols]).any(axis=1)
-            for t in np.flatnonzero(hits) + cut.rows.start:
-                if t < len(stash_items):
-                    out.add(int(stash_items[t]))
+        hits = np.flatnonzero(d == inv.r_A[cut.rows, cut.cols]) // cut.shape[1]
+        found = element[cut.section][hits + cut.rows.start]
+        out.update(found[found >= 0].tolist())
         _release(inv, cut)
 
     _check_totals(channel, before, up, down)
@@ -329,8 +329,7 @@ def psi_bob(session, elements, channel):
                 enc = _stash_encodings(table.elements, session.seeds, p)
             enc_rows = np.broadcast_to(enc[cut.cols], cut.shape)
         inv = invs[cut.section]
-        part = BobInventory(inv.modulus, inv.block[cut.rows, cut.cols])
-        d = _bob_reply(c[cut.section][cut.rows], enc_rows, part, q)
+        d = _bob_reply(c[cut.section][cut.rows], enc_rows, inv.block[cut.rows, cut.cols], q)
         send_elements(channel, BOB_D, d, p.modulus)
         _release(inv, cut)
 
@@ -357,21 +356,34 @@ def _reply_dtype(q):
     return np.uint32 if 3 * (q - 1) ** 2 < 1 << 32 else np.uint64
 
 
-def _bob_reply(c, enc_rows, inv, q):
-    """d[i, j] = (c[i] + enc[i, j] + s_B[i, j]) * r_B_inv[i, j] mod q, in
-    _BLOCK-element passes with one reduction per slot (reduce_in_place, in
-    the reply dtype)."""
+def _bob_reply(c, enc_rows, block, q):
+    """d[i, j] = (c[i] + enc[i, j] + s_B[i, j]) * r_B_inv[i, j] mod q over
+    Bob's (rows, L, 2) tuple block, in _BLOCK-element passes with one
+    reduction per slot (reduce_in_place, in the reply dtype).
+
+    Each (r_B_inv, s_B) slot is read as one little-endian word of twice the
+    element width (dtype_for(q) is at most 4 bytes): s_B is its high half
+    and r_B_inv its low half. So every per-slot ufunc reads contiguous
+    arrays; a block in another dtype is converted once, up front."""
     rows, slot = enc_rows.shape
+    elem = np.dtype(dtype_for(q)).newbyteorder("<")
+    half = 8 * elem.itemsize
+    pairs = np.ascontiguousarray(block, elem).view(f"<u{2 * elem.itemsize}").reshape(rows, slot)
+    work = _reply_dtype(q)
+    c = c.astype(work)
     out = np.empty((rows, slot), dtype=dtype_for(q))
     step = max(1, _BLOCK // max(slot, 1))
-    wide = {"dtype": _reply_dtype(q), "casting": "unsafe"}
+    t = np.empty((min(step, rows), slot), work)
+    u = np.empty_like(t)
     for lo in range(0, rows, step):
         hi = min(rows, lo + step)
-        t = np.add(c[lo:hi, None], enc_rows[lo:hi], **wide)
-        np.add(t, inv.s_B[lo:hi], out=t, **wide)
-        np.multiply(t, inv.r_B_inv[lo:hi], out=t, **wide)
-        reduce_in_place(t, q)
-        out[lo:hi] = t
+        tt, uu, pair = t[: hi - lo], u[: hi - lo], pairs[lo:hi]
+        np.copyto(tt, enc_rows[lo:hi], casting="unsafe")
+        tt += c[lo:hi, None]
+        tt += np.right_shift(pair, half, out=uu)  # s_B
+        tt *= np.bitwise_and(pair, (1 << half) - 1, out=uu)  # r_B_inv
+        reduce_in_place(tt, q)
+        out[lo:hi] = tt
     return out
 
 

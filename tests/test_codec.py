@@ -3,20 +3,32 @@
 import numpy as np
 import pytest
 
+from olepsi import codec
 from olepsi.codec import pack_words, packed_len, unpack_words
 
 
 def _reference(vals, bits):
-    """Word i at bits [i * bits, (i + 1) * bits) of one little-endian integer."""
-    word = sum(int(v) << (i * bits) for i, v in enumerate(vals))
-    return word.to_bytes(packed_len(len(vals), bits), "little")
+    """Word i at bits [i * bits, (i + 1) * bits) of one little-endian integer,
+    built by halves so that long vectors stay fast."""
+
+    def word(lo, hi):
+        if hi - lo <= 16:
+            return sum(int(v) << ((i - lo) * bits) for i, v in enumerate(vals[lo:hi], lo))
+        mid = (lo + hi) // 2
+        return word(lo, mid) | word(mid, hi) << ((mid - lo) * bits)
+
+    return word(0, len(vals)).to_bytes(packed_len(len(vals), bits), "little")
 
 
-@pytest.mark.parametrize("bits", range(2, 63))
+@pytest.mark.parametrize("bits", range(2, 64))
 def test_roundtrip_every_width_with_field_ends(bits):
+    # counts around the kernel's G-word group and one word past a full pass,
+    # so the second pass is a single word in a zero-padded group
+    _, group, _ = codec._lanes(bits)
+    one_pass = codec._PASS_WORDS // group * group
     top = (1 << bits) - 1
     rng = np.random.default_rng(bits)
-    for count in (1, 7, 8, 9, 23):
+    for count in (1, group - 1, group, group + 1, one_pass + 1):
         vals = rng.integers(0, top, size=count, dtype=np.uint64, endpoint=True)
         vals[0] = 0
         vals[-1] = top

@@ -11,7 +11,6 @@ import mmap
 import os
 from fractions import Fraction
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -45,12 +44,14 @@ from olepsi.runner import make_sessions, run_psi_pair, small_psi_engine
 from olepsi.transport import (
     _HEAD,
     ALICE_C,
+    BOB_D,
     MAX_PAYLOAD,
     SETUP,
     Frame,
     OversizeFrame,
     UnexpectedType,
     memory_channel_pair,
+    send_elements,
     send_frame,
 )
 from olepsi.tuples import inventory_token, load_inventories, save_inventories
@@ -70,7 +71,7 @@ def _reply(c, y_enc, s_B, r_B_inv, q):
     tuple half (s_B, r_B_inv) in every slot."""
     shape = np.shape(y_enc)
     inv = bob_inventory(PrimeModulus(q), np.full(shape, r_B_inv), np.full(shape, s_B))
-    return _bob_reply(np.asarray(c), np.asarray(y_enc), inv, q)
+    return _bob_reply(np.asarray(c), np.asarray(y_enc), inv.block, q)
 
 
 def test_compare_alice_c_pinned():
@@ -104,7 +105,7 @@ def test_comparison_exhaustive_small_field():
     alice, bob = gen_seeded(Seed(b"\x31" * 32), q * q, m, 1, domain=b"exh")
     x, y = np.divmod(np.arange(q * q), q)
     c = _alice_c(alice.s_A, x, q)
-    d = _bob_reply(c, y[:, None], bob, q)
+    d = _bob_reply(c, y[:, None], bob.block, q)
     assert ((d == alice.r_A)[:, 0] == (x == y)).all()
 
 
@@ -151,8 +152,8 @@ def test_bob_reply_matches_scalar_formula_at_extremes(q):
     r_B_inv = rng.integers(1, q, (rows, slot))
     for a in (c, enc, s_B, r_B_inv):
         a[:5] = q - 1
-    inv = SimpleNamespace(s_B=s_B.astype(np.uint16), r_B_inv=r_B_inv.astype(np.uint16))
-    d = _bob_reply(c.astype(np.uint16), enc.astype(np.uint16), inv, q)
+    block = np.stack([r_B_inv, s_B], axis=-1).astype(np.uint16)
+    d = _bob_reply(c.astype(np.uint16), enc.astype(np.uint16), block, q)
     expect = [
         [(int(c[i]) + int(enc[i, j]) + int(s_B[i, j])) * int(r_B_inv[i, j]) % q
          for j in range(slot)]
@@ -188,10 +189,39 @@ def test_bob_reply_one_reduction_matches_two(q):
     r_B_inv = rng.integers(1, q, (rows, slot)).astype(dt)
     for a in (c, enc, s_B, r_B_inv):
         a[:7] = q - 1
-    inv = SimpleNamespace(s_B=s_B, r_B_inv=r_B_inv)
-    d = _bob_reply(c, enc, inv, q)
+    d = _bob_reply(c, enc, np.stack([r_B_inv, s_B], axis=-1), q)
     assert d.dtype == dt
     assert (d == _two_reductions(c, enc, s_B, r_B_inv, q)).all()
+
+
+def test_bob_reply_reads_loaded_block_and_stash_piece(tmp_path):
+    """The reply over a block mapped from a tuple file (read-only, its
+    payload at byte 37, so its words are unaligned) and over one column
+    piece of a stash row equals reducing the sum, then the product."""
+    p = derive_params(1 << 10, 2, sigma=24)  # 2-byte words: blocks are views of the mapping
+    q = p.modulus.q
+    _, bob_secs = generate_psi_inventories("seed", p, Seed(b"\x0e" * 32))
+    path = tmp_path / "bob.tup"
+    save_inventories(path, bob_secs, "bob", inventory_token(bob_secs))
+    (bins, stash), _ = load_inventories(path, "bob")
+    assert not bins.block.flags.writeable and not bins.block.flags.aligned
+    rng = np.random.default_rng(q)
+    dt = dtype_for(q)
+    c = rng.integers(0, q, len(bins)).astype(dt)
+    enc = rng.integers(0, q, (len(bins), p.beta)).astype(dt)
+    c[:3] = enc[:3] = q - 1
+    d = _bob_reply(c, enc, bins.block, q)
+    assert (d == _two_reductions(c, enc, bins.s_B, bins.r_B_inv, q)).all()
+
+    row, cols = 1, slice(300, 700)  # a piece that starts and ends mid-row
+    enc_st = rng.integers(0, q, p.n).astype(dt)
+    enc_rows = np.broadcast_to(enc_st[cols], (1, cols.stop - cols.start))
+    c_st = c[row : row + 1]
+    d = _bob_reply(c_st, enc_rows, stash.block[row : row + 1, cols], q)
+    expect = _two_reductions(
+        c_st, enc_rows, stash.s_B[row : row + 1, cols], stash.r_B_inv[row : row + 1, cols], q
+    )
+    assert (d == expect).all()
 
 
 def test_d_never_hits_r_a_on_mismatch_and_spreads():
@@ -202,7 +232,7 @@ def test_d_never_hits_r_a_on_mismatch_and_spreads():
     alice, bob = gen_seeded(Seed(b"\x07" * 32), trials, m, 1, domain=b"chi")
     r_A = alice.r_A[:, 0].astype(np.int64)
     x, y = 4, 9  # fixed distinct encodings
-    d = _bob_reply(_alice_c(alice.s_A, x, q), np.full((trials, 1), y), bob, q)[:, 0]
+    d = _bob_reply(_alice_c(alice.s_A, x, q), np.full((trials, 1), y), bob.block, q)[:, 0]
     assert not np.any(d == r_A)
     # chi-square over the q-1 reachable values per tuple: shift so r_A -> 0
     shifted = (d - r_A) % q
@@ -572,6 +602,62 @@ def test_stash_match_found_across_cut_rows(monkeypatch):
     assert result == x & y
     assert stash_item in result
     assert sa.elements_received == p.alpha * p.beta + p.stash_size * p.n
+
+
+def test_alice_match_finds_hits_at_frame_edges(channel_pair, monkeypatch):
+    """Bob's replies are forged to equal r_A in the first slot of a frame's
+    first row and the last slot of its last row, in one bins frame and one
+    stash piece; Alice reports exactly the elements behind those rows. A
+    hit in an empty bin or an unused stash row is never reported."""
+    monkeypatch.setattr(online, "_CHUNK", 48)  # 3-row bin frames, 64-slot stash rows in two pieces
+    p = derive_params(64, 2, sigma=16, stash_size=4)
+    rng = np.random.default_rng(112)
+    x = set(map(int, rng.choice(1 << 16, size=64, replace=False)))
+    a, b = make_sessions(p, master_seed=Seed((112).to_bytes(32, "little")))
+    table = build_cuckoo_table(x, p, seeds=a.seeds)
+    assert 0 < len(table.stash) < p.stash_size
+    _, down = frame_plan(p)
+    origins = table.origins
+    bins_cut = next(
+        cut for cut in down
+        if cut.section == "bins" and cut.rows.start > 0 and cut.shape[0] > 1
+        and origins[cut.rows.start] >= 0 and origins[cut.rows.stop - 1] >= 0
+    )
+    stash_cut = next(cut for cut in down if cut.section == "stash" and cut.cols.start > 0)
+    assert stash_cut.rows.start < len(table.stash)
+    planted = {  # (row, slot) of each forced hit, in section coordinates
+        "bins": [
+            (bins_cut.rows.start, 0),
+            (bins_cut.rows.stop - 1, p.beta - 1),
+            (int(np.flatnonzero(origins < 0)[0]), 0),  # an empty bin
+        ],
+        "stash": [
+            (stash_cut.rows.start, stash_cut.cols.start),
+            (stash_cut.rows.start, stash_cut.cols.stop - 1),
+            (len(table.stash), p.n - 1),  # a stash row with no item
+        ],
+    }
+    chan_a, chan_b = channel_pair(timeout=5.0)
+    send_frame(chan_b, Frame(SETUP, _setup_payload(b)))
+    invs = dict(zip(("bins", "stash"), a.inventories))
+    for cut in down:
+        r_A = invs[cut.section].r_A[cut.rows, cut.cols].astype(np.int64)
+        d = (r_A + 1) % p.modulus.q
+        for row, slot in planted[cut.section]:
+            if cut.rows.start <= row < cut.rows.stop and cut.cols.start <= slot < cut.cols.stop:
+                i, j = row - cut.rows.start, slot - cut.cols.start
+                d[i, j] = r_A[i, j]
+        send_elements(chan_b, BOB_D, d, p.modulus)
+    result = psi_alice(a, x, chan_a)
+    element = {"bins": origins.tolist(), "stash": table.stash + [-1] * p.stash_size}
+    expected = {
+        element[section][row]
+        for section, hits in planted.items()
+        for row, _ in hits
+        if element[section][row] >= 0
+    }
+    assert result == expected
+    assert len(expected) == 3 and -1 not in result
 
 
 def test_protocol_version_1_peer_rejected_at_setup(channel_pair):
