@@ -17,7 +17,7 @@ import numpy as np
 
 from .field import FieldError, PrimeModulus
 from .hashing import HashingError
-from .mismatch import MismatchTriples, mismatch_keyed, mismatch_plain
+from .mismatch import mismatch_keyed, mismatch_plain
 from .offline import gen_seeded, generate_psi_inventories, subseed
 from .offline.dealer import (
     dealer_generate,
@@ -327,24 +327,28 @@ def cmd_ot_demo(args):
 
 
 def cmd_mismatch_demo(args):
+    """Both mismatch variants at q = 251, ell = 8. Every case consumes a
+    fresh one-batch inventory pair of the same kind: the keyed variant is
+    the plain one with key offsets, and Bob's candidates go out in a row
+    rotated by a fresh offset."""
     q = 251
     ell = 8
     m = PrimeModulus(q)
     prg = Prg(Seed.random(), tag=b"demo")
+
+    def batch():
+        return gen_seeded(Seed(prg.read(SEED_LEN)), 1, m, ell)
+
     print(f"plain variant, q={q}, ell={ell}")
     for x, y in ((0xA5, 0xA5), (0xA5, 0xA4), (0x00, 0xFF)):
-        batch = gen_seeded(Seed(prg.read(SEED_LEN)), 1, m, ell)
-        ot = DealerAssistedOt(m)
-        got = mismatch_plain(x, y, ell, ot, batch, prg=prg)
+        got = mismatch_plain(x, y, ell, DealerAssistedOt(m), batch(), prg=prg)
         print(f"  x={x:#04x} y={y:#04x} -> mismatch={got} (expected {x != y})")
 
     h_seed = b"\x5a" * 16
     print(f"keyed variant, q={q}, ell={ell}")
     cases = ((7, 0xA5, 7, 0xA4), (7, 0xA5, 7, 0xA5), (7, 0xA5, 9, 0xA4))
     for k_a, x, k_b, y in cases:
-        triples = MismatchTriples.generate(m, ell, prg)
-        ot = DealerAssistedOt(m)
-        got = mismatch_keyed(k_a, x, k_b, y, triples, ot, h_seed=h_seed, prg=prg)
+        got = mismatch_keyed(k_a, x, k_b, y, batch(), DealerAssistedOt(m), h_seed=h_seed, prg=prg)
         want = (k_a == k_b) and (x != y)
         print(f"  k_A={k_a} k_B={k_b} x={x:#04x} y={y:#04x} -> {got} (expected {want})")
     return 0

@@ -151,8 +151,6 @@ class CuckooTable:
     bins: np.ndarray      # encoding per bin in dtype_for(dummy_alice + 1), dummy_alice when empty
     origins: np.ndarray   # original element per bin, -1 when empty
     stash: list           # original elements that failed to place
-    seeds: HashSeeds
-    params: object
 
 
 def build_cuckoo_table(elements, params, seeds):
@@ -210,13 +208,7 @@ def build_cuckoo_table(elements, params, seeds):
     enc |= hash_index[items].astype(np.int64) << params.sigma2
     bins = np.full(params.alpha, params.dummy_alice, dtype=dtype_for(params.dummy_alice + 1))
     bins[placed] = enc
-    return CuckooTable(
-        bins=bins,
-        origins=origins,
-        stash=arr[np.sort(pending)].tolist(),
-        seeds=seeds,
-        params=params,
-    )
+    return CuckooTable(bins=bins, origins=origins, stash=arr[np.sort(pending)].tolist())
 
 
 @dataclass
@@ -225,7 +217,6 @@ class BinTable:
 
     bins: np.ndarray      # shape (alpha, beta), dummy_bob padding
     elements: np.ndarray  # the input set as a sorted int64 array
-    seeds: HashSeeds
     params: object
 
 
@@ -272,4 +263,4 @@ def build_bin_table(elements, params, seeds):
     keys &= (1 << enc_bits) - 1
     table = np.full((alpha, beta), params.dummy_bob, dtype=dtype_for(params.dummy_bob + 1))
     table.reshape(-1)[pos] = keys
-    return BinTable(bins=table, elements=arr, seeds=seeds, params=params)
+    return BinTable(bins=table, elements=arr, params=params)

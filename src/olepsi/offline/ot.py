@@ -17,7 +17,6 @@ with the same two methods.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,18 +25,6 @@ from ..prg import Prg, Seed
 
 class OtError(Exception):
     """OT sessions driven out of order or with mismatched shapes."""
-
-
-@dataclass(frozen=True)
-class ReceiverRecord:
-    """Everything the receiver side of one transfer ever materializes."""
-
-    delta: int
-    e0: int
-    e1: int
-    cstar: int
-    pad: int
-    output: int
 
 
 class DealerAssistedOt:
@@ -51,15 +38,12 @@ class DealerAssistedOt:
     choice.  Deterministic given the seed and the sequence of session sizes.
     """
 
-    def __init__(self, modulus, seed=None, record=False):
+    def __init__(self, modulus, seed=None):
         self.modulus = modulus
         seed = Seed.random() if seed is None else seed
         self._pads = Prg(seed, tag=b"ot/pads")
         self._bits = Prg(seed, tag=b"ot/bits")
         self._pending = deque()
-        self.invocations = 0
-        self.record = record
-        self.receiver_records = []
 
     def ot_send_many(self, m0, m1):
         m0 = np.asarray(m0, dtype=np.int64)
@@ -70,7 +54,6 @@ class DealerAssistedOt:
         if m0.size and (min(m0.min(), m1.min()) < 0 or max(m0.max(), m1.max()) >= q):
             raise ValueError(f"OT messages must lie in [0, {q})")
         self._pending.append((m0, m1))
-        self.invocations += len(m0)
 
     def ot_receive_many(self, choices):
         if not self._pending:
@@ -99,16 +82,4 @@ class DealerAssistedOt:
         out = np.where(c, e1, e0)
         out += pad - q
         out += (out >> 63) & q
-        if self.record:
-            for i in range(n):
-                self.receiver_records.append(
-                    ReceiverRecord(
-                        delta=int(delta[i]),
-                        e0=int(e0[i]),
-                        e1=int(e1[i]),
-                        cstar=int(cstar[i]),
-                        pad=int(pad[i]),
-                        output=int(out[i]),
-                    )
-                )
         return out

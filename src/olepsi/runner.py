@@ -159,8 +159,8 @@ def bench_run(params, backend="seed", master_seed=None, rng=None):
 def small_psi_engine(params=None, backend="seed", master_seed=None):
     """A (receiver set, sender set) -> intersection callable on tiny inputs.
 
-    Backs the OT-from-PSI reduction and the mismatch protocols' final step
-    with real protocol runs rather than plain set intersection.
+    Backs the OT-from-PSI reduction with real protocol runs rather than
+    plain set intersection.
     """
     if params is None:
         params = derive_params(4, 3, sigma=4)

@@ -10,24 +10,25 @@ the documented formats rather than from the vectorised code they check.
   permutation-based hashing of one element at a time
 - round_based_cuckoo: Alice's round-based cuckoo build on int64 arrays,
   every round through the same eviction step
-- RecordingOt: an OT that keeps what the sender offers, so a test can read
-  Gilboa's rho lists back
+- RecordingOt: an OT that counts transfers, keeps what the sender offers,
+  so a test can read Gilboa's rho lists back, and rebuilds the receiver's
+  view of every transfer from the pad and bit streams
 - gilboa_share: one Gilboa product sharing with its rho list given
 - residue_loop_reconstruct: the LBE simulation's CRT, one residue at a time
 - consecutive_prime_ladder: the LBE modulus ladder by a scan over primes
-- validate_triples: the relation of a mismatch protocol's triples
 """
 
 import hashlib
 import math
 import struct
+from collections import deque
 
 import numpy as np
 
 from olepsi.field import is_prime
 from olepsi.hashing import CuckooFailure, _candidate_bins
 from olepsi.offline.ot import DealerAssistedOt
-from olepsi.prg import Prg
+from olepsi.prg import Prg, Seed
 
 ROW_CHUNK_WORDS = 1 << 21  # words per chunk of whole rows in the seed expansion
 
@@ -218,15 +219,50 @@ def round_based_cuckoo(arr, params, seeds):
 
 
 class RecordingOt(DealerAssistedOt):
-    """A DealerAssistedOt that keeps the m0 vector of every ot_send_many."""
+    """A DealerAssistedOt that counts its transfers in `invocations`, keeps
+    the m0 vector of every ot_send_many, and rebuilds the receiver's view of
+    every completed transfer from its own copies of the ot/pads and ot/bits
+    streams, checking first that the view's outputs are ot_receive_many's.
+
+    view() is that view as an (n, 6) int64 array, one row per transfer:
+    (delta, e0, e1, cstar, pad, output), everything the receiver sees."""
 
     def __init__(self, modulus, seed=None):
+        seed = Seed.random() if seed is None else seed
         super().__init__(modulus, seed=seed)
+        self._view_pads = Prg(seed, tag=b"ot/pads")
+        self._view_bits = Prg(seed, tag=b"ot/bits")
+        self._sent = deque()
+        self._views = []
+        self.invocations = 0
         self.sent_m0 = []
 
     def ot_send_many(self, m0, m1):
         super().ot_send_many(m0, m1)
-        self.sent_m0.append(np.array(m0, dtype=np.int64))
+        m0, m1 = np.array(m0, dtype=np.int64), np.array(m1, dtype=np.int64)
+        self._sent.append((m0, m1))
+        self.sent_m0.append(m0)
+        self.invocations += len(m0)
+
+    def ot_receive_many(self, choices):
+        out = super().ot_receive_many(choices)
+        m0, m1 = self._sent.popleft()
+        q, n = self.modulus.q, len(out)
+        c = np.asarray(choices, dtype=np.int64)
+        pads = self._view_pads.elements(self.modulus, 2 * n).astype(np.int64)
+        p0, p1 = pads[0::2], pads[1::2]
+        cstar = np.frombuffer(self._view_bits.read(n), dtype=np.uint8).astype(np.int64) & 1
+        delta = c ^ cstar
+        e0 = (m0 - np.where(delta, p1, p0)) % q
+        e1 = (m1 - np.where(delta, p0, p1)) % q
+        pad = np.where(cstar, p1, p0)
+        output = (np.where(c, e1, e0) + pad) % q
+        assert (output == out).all(), "receiver view disagrees with ot_receive_many"
+        self._views.append(np.stack([delta, e0, e1, cstar, pad, output], axis=1))
+        return out
+
+    def view(self):
+        return np.concatenate(self._views)
 
     def rho(self, rows, slot_len):
         """The rho lists of one gilboa_batch of `rows` batches as a
@@ -279,11 +315,3 @@ def consecutive_prime_ladder(Q, lam, start=2):
     while a * b <= bound:
         a, b = b, next_prime(b + 1)
     return a, b
-
-
-def validate_triples(triples):
-    """True iff every r_B is nonzero and r_A * r_B = s_A + s_B per slot."""
-    q = triples.modulus.q
-    if (triples.r_B % q == 0).any():
-        return False
-    return bool((triples.r_A * triples.r_B % q == (triples.s_A + triples.s_B) % q).all())

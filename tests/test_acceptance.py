@@ -13,7 +13,7 @@ import pytest
 from scipy.stats import chisquare
 
 from olepsi.field import PrimeModulus
-from olepsi.mismatch import MismatchTriples, mismatch_keyed, mismatch_plain
+from olepsi.mismatch import mismatch_keyed, mismatch_plain
 from olepsi.offline import BACKENDS, gen_seeded, generate_psi_inventories
 from olepsi.offline.gilboa import gilboa_batch
 from olepsi.offline.lbe import lbe_params_for, lbe_reconstruct
@@ -237,18 +237,18 @@ def test_criterion_8_mismatch_protocols():
     h_seed = b"\x42" * 16
     for x in range(16):
         for y in range(16):
-            triples = MismatchTriples.generate(m, ell, prg)
+            batch = gen_seeded(Seed(prg.read(SEED_LEN)), 1, m, ell)
             ot = DealerAssistedOt(m)
-            got = mismatch_keyed(3, x, 3, y, triples, ot, h_seed=h_seed, prg=prg)
+            got = mismatch_keyed(3, x, 3, y, batch, ot, h_seed=h_seed, prg=prg)
             assert got == (x != y), (x, y)
 
     trials, hits = 2000, 0
     rng = np.random.default_rng(80)
     for _ in range(trials):
-        triples = MismatchTriples.generate(m, ell, prg)
+        batch = gen_seeded(Seed(prg.read(SEED_LEN)), 1, m, ell)
         ot = DealerAssistedOt(m)
         x, y = int(rng.integers(16)), int(rng.integers(16))
-        if mismatch_keyed(3, x, 5, y, triples, ot, h_seed=h_seed, prg=prg):
+        if mismatch_keyed(3, x, 5, y, batch, ot, h_seed=h_seed, prg=prg):
             hits += 1
     p0 = ell / q
     bound = p0 + 3 * (p0 * (1 - p0) / trials) ** 0.5

@@ -158,7 +158,8 @@ def test_cuckoo_random_set_membership():
     p = derive_params(1 << 10, 3)
     rng = np.random.default_rng(7)
     xs = rng.choice(1 << 32, size=1 << 10, replace=False)
-    t = build_cuckoo_table(xs, p, seeds=fixed_seeds(3, b"src"))
+    seeds = fixed_seeds(3, b"src")
+    t = build_cuckoo_table(xs, p, seeds=seeds)
     placed = set(int(v) for v in t.origins[t.origins >= 0])
     assert placed | set(t.stash) == set(int(v) for v in xs)
     assert len(placed) + len(t.stash) == xs.size
@@ -167,7 +168,7 @@ def test_cuckoo_random_set_membership():
         x = int(t.origins[i])
         x1, x2 = split_element(x, p)
         j = int(t.bins[i]) >> p.sigma2
-        assert bin_index(j, x1, x2, t.seeds, p) == i
+        assert bin_index(j, x1, x2, seeds, p) == i
         assert t.bins[i] == _enc(j, x2, p)
 
 
@@ -251,7 +252,8 @@ def test_cuckoo_placement_invariants_2_14(k):
     p = derive_params(1 << 14, k)
     rng = np.random.default_rng(31 + k)
     xs = rng.choice(1 << 32, size=1 << 14, replace=False)
-    t = build_cuckoo_table(xs, p, seeds=fixed_seeds(k, b"src"))
+    seeds = fixed_seeds(k, b"src")
+    t = build_cuckoo_table(xs, p, seeds=seeds)
     real = np.flatnonzero(t.origins >= 0)
     placed = t.origins[real]
     assert len(t.stash) <= p.stash_size
@@ -262,7 +264,7 @@ def test_cuckoo_placement_invariants_2_14(k):
         x1, x2 = split_element(x, p)
         j = int(t.bins[i]) >> p.sigma2
         assert j < k
-        assert bin_index(j, x1, x2, t.seeds, p) == i
+        assert bin_index(j, x1, x2, seeds, p) == i
         assert t.bins[i] == _enc(j, x2, p)
 
 

@@ -551,7 +551,7 @@ def test_dealer_alice_message_length_is_fixed_by_params():
 # ---------------------------------------------------------------- OT provider
 
 def test_ot_delivers_chosen_message():
-    ot = DealerAssistedOt(M11, seed=Seed(bytes(32)))
+    ot = RecordingOt(M11, seed=Seed(bytes(32)))
     m0, m1, c = [3, 3, 0, 7], [9, 9, 10, 7], [0, 1, 1, 0]
     ot.ot_send_many(m0, m1)
     got = ot.ot_receive_many(c)
@@ -563,19 +563,20 @@ def test_ot_receiver_never_materializes_unchosen():
     # large field so a chance collision cannot mask a leak
     big = PrimeModulus((1 << 31) - 1)
     rng = np.random.default_rng(7)
-    ot = DealerAssistedOt(big, seed=Seed(bytes(32)), record=True)
+    ot = RecordingOt(big, seed=Seed(bytes(32)))
     m0 = rng.integers(big.q, size=200)
     m1 = rng.integers(big.q, size=200)
     c = rng.integers(2, size=200)
     ot.ot_send_many(m0, m1)
     out = ot.ot_receive_many(c)
-    for i, rec in enumerate(ot.receiver_records):
+    view = ot.view().tolist()
+    for i, (delta, e0, e1, cstar, pad, output) in enumerate(view):
         chosen, unchosen = (int(m1[i]), int(m0[i])) if c[i] else (int(m0[i]), int(m1[i]))
         assert int(out[i]) == chosen
-        assert unchosen not in (rec.delta, rec.e0, rec.e1, rec.cstar, rec.pad, rec.output)
+        assert unchosen not in (delta, e0, e1, cstar, pad, output)
         # the unchosen wire word is still masked by the pad the receiver lacks
-        assert (rec.e0 if c[i] else rec.e1) != (unchosen - rec.pad) % big.q
-    assert len(ot.receiver_records) == 200
+        assert (e0 if c[i] else e1) != (unchosen - pad) % big.q
+    assert len(view) == 200
 
 
 def test_ot_vector_path_matches_semantics():
@@ -585,7 +586,7 @@ def test_ot_vector_path_matches_semantics():
     m0 = rng.integers(q, size=500)
     m1 = rng.integers(q, size=500)
     c = rng.integers(2, size=500)
-    ot = DealerAssistedOt(mod, seed=Seed(bytes(32)))
+    ot = RecordingOt(mod, seed=Seed(bytes(32)))
     ot.ot_send_many(m0, m1)
     out = ot.ot_receive_many(c)
     assert (out == np.where(c == 1, m1, m0)).all()
@@ -608,14 +609,14 @@ def test_ot_vector_transcript_golden():
     # are consumed
     mod = PrimeModulus(786449)
     q = mod.q
-    ot = DealerAssistedOt(mod, seed=Seed(bytes([3]) * 32), record=True)
+    ot = RecordingOt(mod, seed=Seed(bytes([3]) * 32))
     m0 = [0, q - 1, 5, 123456, q - 1, 0]
     m1 = [q - 1, 0, 786000, 7, 0, 1]
     c = [0, 1, 1, 0, 1, 0]
     ot.ot_send_many(m0, m1)
     out = ot.ot_receive_many(c)
     assert out.tolist() == [0, 0, 786000, 123456, 0, 0]
-    records = [(r.delta, r.e0, r.e1, r.cstar, r.pad) for r in ot.receiver_records]
+    records = [tuple(row[:5]) for row in ot.view().tolist()]
     assert records == [
         (1, 224511, 428182, 1, 561938),
         (1, 405089, 190139, 0, 596310),
@@ -624,7 +625,7 @@ def test_ot_vector_transcript_golden():
         (0, 109282, 484067, 1, 302382),
         (1, 692809, 61611, 1, 93640),
     ]
-    assert [r.output for r in ot.receiver_records] == out.tolist()
+    assert ot.view()[:, 5].tolist() == out.tolist()
     # the same transcript from the scalar reference of both streams
     pads = reference_elements(Prg(Seed(bytes([3]) * 32), tag=b"ot/pads"), q, 12)
     bits = Prg(Seed(bytes([3]) * 32), tag=b"ot/bits").read(6)
@@ -639,7 +640,7 @@ def test_ot_vector_transcript_golden():
 
 
 def test_ot_session_discipline():
-    ot = DealerAssistedOt(M11, seed=Seed(bytes(32)))
+    ot = RecordingOt(M11, seed=Seed(bytes(32)))
     with pytest.raises(OtError):
         ot.ot_receive_many([0])
     ot.ot_send_many([1, 3], [2, 4])
@@ -665,10 +666,10 @@ def test_ot_session_discipline():
 def test_gilboa_worked_example():
     # the scalar reference, worked by hand: the batch form runs the same
     # transfers on every slot
-    ot = DealerAssistedOt(M11, seed=Seed(bytes(32)), record=True)
+    ot = RecordingOt(M11, seed=Seed(bytes(32)))
     s_A, s_B = gilboa_share(ot, 5, 3, [2, 7, 1, 6])
     assert (s_A, s_B) == (5, 10)
-    assert [r.output for r in ot.receiver_records] == [3, 3, 10, 5]
+    assert ot.view()[:, 5].tolist() == [3, 3, 10, 5]
     assert ot.invocations == 4  # exactly ceil(log2 11) transfers
     assert (s_A + s_B) % 11 == 5 * 3 % 11
 
@@ -697,7 +698,7 @@ def test_gilboa_random_trials():
 
 def test_gilboa_batch_validates_and_counts():
     p = params_small()
-    ot = DealerAssistedOt(p.modulus, seed=Seed(bytes(32)))
+    ot = RecordingOt(p.modulus, seed=Seed(bytes(32)))
     alice, bob = gilboa_batch(ot, p.modulus, 6, p.beta, Seed(bytes(32)))
     assert validate_inventories(alice, bob)
     assert ot.invocations == 6 * p.beta * p.modulus.bit_len

@@ -1,6 +1,7 @@
 """The benchmark harness and the scripts under scripts/ run against the
 current API: each is started as its own process, as a user would. Every
-definition in src/ is reached from the program itself, not only from tests."""
+definition in src/ is reached from the program itself, not only from tests,
+and every attribute src/ stores is read by the program."""
 
 import ast
 import os
@@ -89,3 +90,33 @@ def test_src_has_no_definition_reached_only_from_tests():
              *sorted((ROOT / "benchmark").glob("*.py")),
              *sorted((ROOT / "scripts").glob("*.py"))]
     assert _unused_definitions(paths) == []
+
+
+def _unread_attributes(src_paths, reader_paths):
+    """Dataclass-style fields (annotated names in a class body) and self.X
+    attributes assigned in src_paths whose name no ast.Attribute load in
+    reader_paths reads, as "file:Class.name"."""
+    assigned = {}  # (file, qualname) -> name
+    for path in src_paths:
+        file = path.relative_to(ROOT).as_posix()
+        for cls in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                    assigned[(file, f"{cls.name}.{node.target.id}")] = node.target.id
+            for node in ast.walk(cls):
+                if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                        and isinstance(node.value, ast.Name) and node.value.id == "self"):
+                    assigned[(file, f"{cls.name}.{node.attr}")] = node.attr
+    read = {node.attr for path in reader_paths for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return sorted(f"{file}:{qualname}" for (file, qualname), name in assigned.items()
+                  if name not in read)
+
+
+def test_src_stores_no_attribute_that_nothing_reads():
+    src = sorted((ROOT / "src" / "olepsi").rglob("*.py"))
+    readers = [*src, *sorted((ROOT / "benchmark").glob("*.py")),
+               *sorted((ROOT / "scripts").glob("*.py"))]
+    assert _unread_attributes(src, readers) == []
