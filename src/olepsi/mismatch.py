@@ -23,7 +23,8 @@ import secrets
 
 import numpy as np
 
-from .online import _alice_c, _bob_reply
+from .modvec import bob_reply
+from .online import _alice_c
 
 
 def keyed_hash(seed, x, range_size):
@@ -62,7 +63,7 @@ def set_compare_single(e, candidates, alice, bob):
     q = alice.modulus.q
     c = _alice_c(alice.s_A[:1], e, q)
     enc = np.roll(np.asarray(candidates, dtype=np.int64), secrets.randbelow(max(k, 1)))
-    d = _bob_reply(c, enc.reshape(1, k), bob.block[:1, :k], q)
+    d = bob_reply(c, enc.reshape(1, k), bob.block[:1, :k], q)
     return bool((d[0] == alice.r_A[0, :k]).any())
 
 

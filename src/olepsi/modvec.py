@@ -1,17 +1,19 @@
-"""Vectorized modular arithmetic on int64 arrays.
+"""Vectorized modular arithmetic on numpy arrays.
 
 All protocol moduli fit below MAX_Q = 2^31, so products of reduced values
 fit int64. Moduli from 2^31 up are rejected here, and derive_params refuses
 parameters that would need them.
-"""
 
-import math
-from functools import lru_cache
+bob_reply is the one OLE kernel, (c + enc + s_B) * r_B_inv mod q per slot:
+Bob's online reply, and, at c = s_A and enc = 0, the r_A = (s_A + s_B) *
+r_B_inv of every tuple the offline expansion derives.
+"""
 
 import numpy as np
 
 MAX_Q = 1 << 31  # exclusive bound on the moduli this module handles
-_TABLE_LIMIT = 1 << 20
+_BLOCK = 1 << 16  # slots per bob_reply pass: temporaries stay in cache
+_INV_BLOCK = 1 << 14  # elements per mod_inv pass
 
 
 def dtype_for(q):
@@ -23,12 +25,6 @@ def dtype_for(q):
     if q <= 1 << 32:
         return np.uint32
     return np.uint64
-
-
-def work_dtype(q):
-    """Signed dtype for products of two values reduced mod q, and for
-    sums of a few: int32 while q < 2^15, int64 above."""
-    return np.int32 if q < (1 << 15) else np.int64
 
 
 def reduce_in_place(x, m):
@@ -46,77 +42,72 @@ def _check(q):
         raise ValueError(f"vectorized path requires q < 2^31, got {q}")
 
 
-def mod_pow(base, exp, q):
-    """base**exp mod q, elementwise, square-and-multiply."""
-    _check(q)
-    result = np.ones_like(np.asarray(base, dtype=np.int64))
-    b = np.asarray(base, dtype=np.int64) % q
-    e = exp
-    while e:
-        if e & 1:
-            result = result * b % q
-        b = b * b % q
-        e >>= 1
-    return result
-
-
-def _primitive_root(q):
-    """Smallest generator of F_q^*, from the prime factors of q - 1."""
-    factors, n, d = [], q - 1, 2
-    while d * d <= n:
-        if n % d == 0:
-            factors.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        factors.append(n)
-    return next(
-        g for g in range(1, q) if all(pow(g, (q - 1) // f, q) != 1 for f in factors)
-    )
-
-
-def _powers(base, count, q):
-    """[base^0, ..., base^(count-1)] mod q as int64."""
-    out = [1]
-    for _ in range(count - 1):
-        out.append(out[-1] * base % q)
-    return np.array(out, dtype=np.int64)
-
-
-@lru_cache(maxsize=8)
-def inverse_table(q):
-    """Inverses of all of F_q in dtype_for(q) (index 0 unused, set to 0);
-    read-only, since every caller shares it.
-
-    With g a generator, powers[k] = g^k for k < q - 1 comes from one outer
-    product of two ~sqrt(q)-long power lists, and the inverse of g^k is
-    g^(q-1-k) = powers[-k mod (q-1)].
-    """
-    _check(q)
-    g = _primitive_root(q)
-    step = math.isqrt(q - 1) + 1
-    small = _powers(g, step, q)
-    big = _powers(pow(g, step, q), -(-(q - 1) // step), q)
-    powers = (big[:, None] * small % q).ravel()[: q - 1]
-    table = np.zeros(q, dtype=dtype_for(q))
-    table[powers] = np.concatenate((powers[:1], powers[:0:-1]))
-    table.flags.writeable = False
-    return table
-
-
 def mod_inv(vals, q):
-    """Elementwise inverse of nonzero values in F_q.
+    """Elementwise inverse of nonzero values in F_q, as x^(q-2) by
+    square-and-multiply in int64, in place over _INV_BLOCK-element passes.
 
-    Unsigned input with q <= _TABLE_LIMIT comes back in dtype_for(q), any
-    other input in int64.
+    Unsigned input comes back in dtype_for(q), any other input in int64. A
+    value that is 0 mod q raises ZeroDivisionError.
     """
     _check(q)
     vals = np.asarray(vals)
-    if q <= _TABLE_LIMIT:
-        inv = inverse_table(q).take(vals, mode="wrap")  # wrap: the entry at vals mod q
-    else:
-        inv = mod_pow(vals, q - 2, q)
-    if (inv == 0).any():
-        raise ZeroDivisionError("inverse of zero element")
-    return inv if vals.dtype.kind == "u" else inv.astype(np.int64, copy=False)
+    out = np.empty(vals.shape, dtype_for(q) if vals.dtype.kind == "u" else np.int64)
+    flat, dest = vals.reshape(-1), out.reshape(-1)
+    base = np.empty(min(flat.size, _INV_BLOCK), np.int64)
+    acc = np.empty_like(base)
+    for lo in range(0, flat.size, _INV_BLOCK):
+        b, r = base[: flat.size - lo], acc[: flat.size - lo]
+        np.copyto(b, flat[lo : lo + _INV_BLOCK], casting="unsafe")
+        reduce_in_place(b, q)  # floor division: negative input lands in [0, q) too
+        if not b.all():
+            raise ZeroDivisionError("inverse of zero element")
+        r.fill(1)
+        e = q - 2
+        while e:
+            if e & 1:
+                r *= b
+                reduce_in_place(r, q)
+            e >>= 1
+            if e:
+                b *= b
+                reduce_in_place(b, q)
+        dest[lo : lo + _INV_BLOCK] = r
+    return out
+
+
+def reply_dtype(q):
+    """Unsigned dtype that holds (c + enc + s_B) * r_B_inv unreduced: every
+    term is below q, so the product is below 3 (q - 1)^2. uint32 up to
+    q = 37838, uint64 (below 3 * 2^62) for every q < MAX_Q."""
+    return np.uint32 if 3 * (q - 1) ** 2 < 1 << 32 else np.uint64
+
+
+def bob_reply(c, enc_rows, block, q):
+    """d[i, j] = (c[i] + enc[i, j] + s_B[i, j]) * r_B_inv[i, j] mod q over
+    Bob's (rows, L, 2) tuple block, in _BLOCK-element passes with one
+    reduction per slot (reduce_in_place, in the reply dtype).
+
+    Each (r_B_inv, s_B) slot is read as one little-endian word of twice the
+    element width (dtype_for(q) is at most 4 bytes): s_B is its high half
+    and r_B_inv its low half. So every per-slot ufunc reads contiguous
+    arrays; a block in another dtype is converted once, up front."""
+    rows, slot = enc_rows.shape
+    elem = np.dtype(dtype_for(q)).newbyteorder("<")
+    half = 8 * elem.itemsize
+    pairs = np.ascontiguousarray(block, elem).view(f"<u{2 * elem.itemsize}").reshape(rows, slot)
+    work = reply_dtype(q)
+    c = c.astype(work)
+    out = np.empty((rows, slot), dtype=dtype_for(q))
+    step = max(1, _BLOCK // max(slot, 1))
+    t = np.empty((min(step, rows), slot), work)
+    u = np.empty_like(t)
+    for lo in range(0, rows, step):
+        hi = min(rows, lo + step)
+        tt, uu, pair = t[: hi - lo], u[: hi - lo], pairs[lo:hi]
+        np.copyto(tt, enc_rows[lo:hi], casting="unsafe")
+        tt += c[lo:hi, None]
+        tt += np.right_shift(pair, half, out=uu)  # s_B
+        tt *= np.bitwise_and(pair, (1 << half) - 1, out=uu)  # r_B_inv
+        reduce_in_place(tt, q)
+        out[lo:hi] = tt
+    return out

@@ -7,6 +7,11 @@ Four interchangeable backends produce the same inventory shape:
     ot       Gilboa product sharing over precomputed oblivious transfer
     lbe-sim  plaintext walk through the leveled-encryption pipeline
 
+The seed, dealer and lbe-sim backends are clients of one chunked
+expansion (_expand), which draws Bob's r_B^-1 directly and derives r_A per
+chunk: lbe-sim only swaps in its residue pipeline as the r_A step. The ot
+backend runs Gilboa on its own engine, and is the one backend that inverts.
+
 A PSI run needs one inventory per side for each entry of
 `params.sections(params)`, in that order: `bins` (alpha batches of beta
 slots), then `stash` (stash_size batches of n slots).
@@ -28,7 +33,7 @@ from .dealer import (
     expand_bob,
 )
 from .gilboa import gilboa_batch
-from .lbe import LbeSimParams, lbe_batch, lbe_params_for
+from .lbe import LbeSimParams, lbe_params_for, lbe_r_a
 from .ot import DealerAssistedOt, OtError
 from .seeded import gen_seeded
 
@@ -56,18 +61,15 @@ def generate_psi_inventories(backend, params, master_seed=None):
         shared = subseed(master, b"shared")
         return expand_sections(params.modulus, sections(params), seed_a=shared, seed_b=shared)
 
-    if backend == "ot":
-        provider = DealerAssistedOt(params.modulus, seed=subseed(master, b"ot-deal"))
+    if backend == "lbe-sim":
+        seed = subseed(master, b"lbe")
+        return expand_sections(
+            params.modulus, sections(params), seed_a=seed, seed_b=seed, r_a=lbe_r_a(params.lam)
+        )
 
-        def batch(rows, cols, domain):
-            seed = subseed(master, b"gil|" + domain)
-            return gilboa_batch(provider, params.modulus, rows, cols, seed)
-
-    else:  # lbe-sim
-
-        def batch(rows, cols, domain):
-            seed = subseed(master, b"lbe|" + domain)
-            return lbe_batch(params.modulus, params.lam, rows, cols, seed)
-
-    halves = [batch(rows, cols, name.encode()) for name, rows, cols in sections(params)]
+    provider = DealerAssistedOt(params.modulus, seed=subseed(master, b"ot-deal"))
+    halves = [
+        gilboa_batch(provider, params.modulus, rows, cols, subseed(master, b"gil|" + name.encode()))
+        for name, rows, cols in sections(params)
+    ]
     return [a for a, _ in halves], [b for _, b in halves]

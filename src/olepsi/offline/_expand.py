@@ -1,4 +1,5 @@
-"""Shared seed-to-array expansion for the seeded and dealer backends.
+"""The chunked seed-to-array expansion that the seed, dealer and lbe-sim
+backends share.
 
 Every section is cut into chunks of _row_chunk(L) whole rows, and each chunk
 is expanded from its own PRG streams, tagged role|section|chunk (chunk in
@@ -8,6 +9,11 @@ expanded from the same seed, and any chunk expands without the ones before
 it. Bob's r_B^-1 is drawn directly as a nonzero element: inversion is a
 bijection of F_q^*, so this is the distribution of an inverted uniform r_B,
 and nothing here inverts.
+
+Where both halves are expanded, a backend's r_A step derives Alice's r_A
+from them, chunk by chunk: by default Bob's reply kernel, lbe-sim's residue
+pipeline in its place. The step gets one more stream of its own per chunk,
+tagged rA|section|chunk from Bob's seed.
 
 Since chunks are independent, the chunks of all sections of one call are
 dealt out in turn to up to one process per CPU: the caller and forked
@@ -27,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 # mod_inv is not called here: the benchmark's tracer wraps it under this name
-from ..modvec import dtype_for, mod_inv, reduce_in_place, work_dtype  # noqa: F401
+from ..modvec import bob_reply, dtype_for, mod_inv  # noqa: F401
 from ..prg import Prg
 from ..tuples import AliceInventory, BobInventory
 
@@ -53,7 +59,8 @@ def _stream(seed, role, domain, chunk):
 @dataclass(frozen=True)
 class _Section:
     """One section to expand: Alice's (rows, 1 + L) block when seed_a is
-    given, Bob's (rows, L, 2) block when seed_b is given, else None."""
+    given, Bob's (rows, L, 2) block when seed_b is given, else None, and
+    the r_A step that fills Alice's r_A columns when both are."""
 
     modulus: object
     domain: bytes
@@ -63,20 +70,20 @@ class _Section:
     seed_b: object
     alice: np.ndarray | None
     bob: np.ndarray | None
+    r_a: object
 
 
-def derive_r_a_arrays(s_A, s_B, r_B_inv, q):
-    """r_A = (s_A + s_B) * r_B_inv per slot of (rows, L) arrays, in the work
-    dtype, with one reduction: (s_A + s_B) < 2q times r_B_inv < q stays
-    below 2q^2, which the work dtype holds."""
-    t = s_A[:, None].astype(work_dtype(q)) + s_B
-    t *= r_B_inv
-    return reduce_in_place(t, q)
+def _reply_r_a(modulus, s_A, bob_rows, stream):
+    """r_A = (s_A + s_B) * r_B_inv per slot: Bob's reply to c = s_A on
+    encoding 0. Reads nothing from the chunk's stream."""
+    zeros = np.broadcast_to(np.uint8(0), bob_rows.shape[:2])
+    return bob_reply(s_A, zeros, bob_rows, modulus.q)
 
 
 def _expand_chunk(sec, c, lo, hi):
     """Chunk c (rows lo..hi) of one section: Bob's r_B^-1 and s_B, Alice's
-    s_A, and her r_A when both halves are expanded here."""
+    s_A, and her r_A by the section's r_A step when both halves are
+    expanded here."""
     dt = dtype_for(sec.modulus.q)
     shape = (hi - lo, sec.slot_len)
     if sec.bob is not None:
@@ -92,7 +99,8 @@ def _expand_chunk(sec, c, lo, hi):
         s_A = _stream(sec.seed_a, b"sA", sec.domain, c).elements(sec.modulus, hi - lo, dtype=dt)
         sec.alice[lo:hi, 0] = s_A
         if sec.bob is not None:
-            sec.alice[lo:hi, 1:] = derive_r_a_arrays(s_A, s_B, r_B_inv, sec.modulus.q)
+            stream = _stream(sec.seed_b, b"rA", sec.domain, c)
+            sec.alice[lo:hi, 1:] = sec.r_a(sec.modulus, s_A, sec.bob[lo:hi], stream)
 
 
 def _shared_blocks(shapes, dtype):
@@ -163,12 +171,14 @@ def _child(items):
         os._exit(status)
 
 
-def expand_sections(modulus, layout, seed_a=None, seed_b=None):
+def expand_sections(modulus, layout, seed_a=None, seed_b=None, r_a=_reply_r_a):
     """Expand each (name, rows, L) section of `layout` (as params.sections
     gives it): Alice's s_A from seed_a, Bob's (r_B^-1, s_B) from seed_b, and
-    r_A when both seeds are given. Returns (Alice's inventories, Bob's), a
-    list per side whose seed was given, else None; without seed_b, Alice's
-    r_A columns are left for the caller to fill."""
+    r_A when both seeds are given, as r_a(modulus, s_A, bob_rows, stream)
+    returns it per chunk: s_A the chunk's (rows,) column, bob_rows its
+    (rows, L, 2) block, stream its rA|section|chunk Prg. Returns (Alice's
+    inventories, Bob's), a list per side whose seed was given, else None;
+    without seed_b, Alice's r_A columns are left for the caller to fill."""
     dt = dtype_for(modulus.q)
     shapes = []
     for _, rows, cols in layout:
@@ -182,6 +192,7 @@ def expand_sections(modulus, layout, seed_a=None, seed_b=None):
             modulus, name.encode(), rows, cols, seed_a, seed_b,
             next(blocks) if seed_a is not None else None,
             next(blocks) if seed_b is not None else None,
+            r_a,
         )
         for name, rows, cols in layout
     ]

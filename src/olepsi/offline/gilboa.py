@@ -10,6 +10,12 @@ so s_A = sum rho_i and s_B = sum o_i satisfy s_A + s_B = r_A * r_B.
 
 gilboa_batch runs this on every slot of a batch at once, and shares one
 s_A across the batch by constraining each slot's rho list to sum to it.
+
+It keeps its own engine rather than the chunked expansion the other
+backends share: the DealerAssistedOt draws its pads from one sequential
+stream, so chunks expanded on forked workers would each reuse the same
+pads. Bob holds r_B here, not a drawn r_B^-1, so this is the one backend
+that inverts (BobInventory.from_r_b_s_b).
 """
 
 from __future__ import annotations

@@ -13,9 +13,12 @@ modulus product must clear Q^2 * 2^lambda (hiding) and the slightly
 larger no-wraparound bound, so CRT reconstruction is exact over the
 integers.
 
-lbe_batch replays this for about 2^16 slots at a time through
-lbe_reconstruct, on Python-int (object) arrays, so it stays exact however
-wide the q_i and the CRT basis terms are.
+The lbe-sim backend is the seed expansion (_expand) from a seed of its
+own, with lbe_r_a as its r_A step: each chunk reads one u per slot from the
+chunk's own stream and replays the pipeline through lbe_reconstruct, about
+2^16 slots at a time, on Python-int (object) arrays, so it stays exact
+however wide the q_i and the CRT basis terms are. Its r_B^-1 is drawn, as
+the seed backend draws it, so nothing inverts.
 """
 
 from __future__ import annotations
@@ -29,10 +32,8 @@ import numpy as np
 from ..codec import unpack_words
 from ..field import MAX_MODULUS, FieldError, is_prime
 from ..modvec import dtype_for
-from ..prg import Prg
-from ..tuples import AliceInventory, BobInventory
 
-_CHUNK_SLOTS = 1 << 16  # slots per object-array CRT pass in lbe_batch
+_CHUNK_SLOTS = 1 << 16  # slots per object-array CRT pass in lbe_r_a
 
 
 def _bound(Q, lam):
@@ -119,29 +120,27 @@ def lbe_reconstruct(lbe, s_A, s_B, r_B_inv, u):
     return v % lbe.Q_prime
 
 
-def lbe_batch(modulus, lam, count, slot_len, seed):
-    """`count` batches of slot_len slots over F_q where every r_A went
-    through the residue pipeline at masking width lam."""
-    q = modulus.q
-    L = slot_len
+def lbe_r_a(lam):
+    """The lbe-sim backend's r_A step for expand_sections at masking width
+    lam: per slot u is the next little-endian 8-byte word of the chunk's
+    stream, masked to lam bits, and r_A = lbe_reconstruct(...) mod Q."""
     if lam > 64:
         raise ValueError("batch sampling supports lambda <= 64")
-    lbe = lbe_params_for(modulus, lam)
-    prg = Prg(seed, tag=b"lbe")
-    dt = dtype_for(q)
-    block = np.empty((count, 1 + L), dtype=dt)  # Alice's (s_A, r_A...) rows
-    s_A, r_A = block[:, 0], block[:, 1:]
-    s_A[:] = prg.elements(modulus, count, dtype=dt)
-    r_B = prg.nonzero_elements(modulus, count * L, dtype=dt).reshape(count, L)
-    s_B = prg.elements(modulus, count * L, dtype=dt).reshape(count, L)
-    mask = np.uint64(lbe.u_domain - 1)
-    u_vals = unpack_words(prg.read(8 * count * L), 64, count * L, np.uint64) & mask
-    u_vals = u_vals.reshape(count, L)
-    bob = BobInventory.from_r_b_s_b(modulus, r_B, s_B)
-    step = max(1, _CHUNK_SLOTS // max(L, 1))
-    for lo in range(0, count, step):
-        hi = lo + step
-        s = s_A[lo:hi, None].astype(object)
-        u = u_vals[lo:hi].astype(object)
-        r_A[lo:hi] = lbe_reconstruct(lbe, s, s_B[lo:hi], bob.r_B_inv[lo:hi], u) % q
-    return AliceInventory(modulus, block), bob
+
+    def r_a(modulus, s_A, bob_rows, stream):
+        lbe = lbe_params_for(modulus, lam)
+        mask = np.uint64(lbe.u_domain - 1)
+        rows, L = bob_rows.shape[:2]
+        out = np.empty((rows, L), dtype_for(modulus.q))
+        step = max(1, _CHUNK_SLOTS // max(L, 1))
+        for lo in range(0, rows, step):
+            hi = min(lo + step, rows)
+            slots = (hi - lo) * L
+            u = unpack_words(stream.read(8 * slots), 64, slots, np.uint64) & mask
+            s = s_A[lo:hi, None].astype(object)
+            r_B_inv, s_B = bob_rows[lo:hi, :, 0], bob_rows[lo:hi, :, 1]
+            v = lbe_reconstruct(lbe, s, s_B, r_B_inv, u.reshape(hi - lo, L).astype(object))
+            out[lo:hi] = v % modulus.q
+        return out
+
+    return r_a

@@ -37,7 +37,7 @@ from .hashing import (
     build_cuckoo_table,
     stash_encode,
 )
-from .modvec import dtype_for, reduce_in_place
+from .modvec import bob_reply, dtype_for
 from .params import sections
 from .prg import Prg, Seed
 from .transport import (
@@ -56,7 +56,6 @@ from .tuples import TOKEN_LEN, release_rows
 PROTOCOL_VERSION = 4
 
 _CHUNK = 1 << 22  # field elements per frame
-_BLOCK = 1 << 16  # field elements per vectorized pass: temporaries stay in cache
 
 
 class OnlineError(Exception):
@@ -329,7 +328,7 @@ def psi_bob(session, elements, channel):
                 enc = _stash_encodings(table.elements, session.seeds, p)
             enc_rows = np.broadcast_to(enc[cut.cols], cut.shape)
         inv = invs[cut.section]
-        d = _bob_reply(c[cut.section][cut.rows], enc_rows, inv.block[cut.rows, cut.cols], q)
+        d = bob_reply(c[cut.section][cut.rows], enc_rows, inv.block[cut.rows, cut.cols], q)
         send_elements(channel, BOB_D, d, p.modulus)
         _release(inv, cut)
 
@@ -347,44 +346,6 @@ def _release(inv, cut):
 def _alice_c(s_A, enc, q):
     """c = s_A - enc mod q: Alice's message per batch, as int64."""
     return (s_A.astype(np.int64) - enc) % q
-
-
-def _reply_dtype(q):
-    """Unsigned dtype that holds (c + enc + s_B) * r_B_inv unreduced: every
-    term is below q, so the product is below 3 (q - 1)^2. uint32 up to
-    q = 37838, uint64 (below 3 * 2^62) for every q < MAX_Q."""
-    return np.uint32 if 3 * (q - 1) ** 2 < 1 << 32 else np.uint64
-
-
-def _bob_reply(c, enc_rows, block, q):
-    """d[i, j] = (c[i] + enc[i, j] + s_B[i, j]) * r_B_inv[i, j] mod q over
-    Bob's (rows, L, 2) tuple block, in _BLOCK-element passes with one
-    reduction per slot (reduce_in_place, in the reply dtype).
-
-    Each (r_B_inv, s_B) slot is read as one little-endian word of twice the
-    element width (dtype_for(q) is at most 4 bytes): s_B is its high half
-    and r_B_inv its low half. So every per-slot ufunc reads contiguous
-    arrays; a block in another dtype is converted once, up front."""
-    rows, slot = enc_rows.shape
-    elem = np.dtype(dtype_for(q)).newbyteorder("<")
-    half = 8 * elem.itemsize
-    pairs = np.ascontiguousarray(block, elem).view(f"<u{2 * elem.itemsize}").reshape(rows, slot)
-    work = _reply_dtype(q)
-    c = c.astype(work)
-    out = np.empty((rows, slot), dtype=dtype_for(q))
-    step = max(1, _BLOCK // max(slot, 1))
-    t = np.empty((min(step, rows), slot), work)
-    u = np.empty_like(t)
-    for lo in range(0, rows, step):
-        hi = min(rows, lo + step)
-        tt, uu, pair = t[: hi - lo], u[: hi - lo], pairs[lo:hi]
-        np.copyto(tt, enc_rows[lo:hi], casting="unsafe")
-        tt += c[lo:hi, None]
-        tt += np.right_shift(pair, half, out=uu)  # s_B
-        tt *= np.bitwise_and(pair, (1 << half) - 1, out=uu)  # r_B_inv
-        reduce_in_place(tt, q)
-        out[lo:hi] = tt
-    return out
 
 
 def _stash_encodings(arr, seeds, params):

@@ -128,11 +128,9 @@ def bench_sets(params, rng):
     return x, y
 
 
-def bench_run(params, backend="seed", master_seed=None, rng=None):
+def bench_run(params, backend="seed", master_seed=None):
     """Time one full run, offline and online; see BenchReport."""
-    if rng is None:
-        rng = np.random.default_rng(0xB17)
-    x, y = bench_sets(params, rng)
+    x, y = bench_sets(params, np.random.default_rng(0xB17))
 
     t0 = time.perf_counter()
     alice, bob = make_sessions(params, backend=backend, master_seed=master_seed)
@@ -156,17 +154,17 @@ def bench_run(params, backend="seed", master_seed=None, rng=None):
     )
 
 
-def small_psi_engine(params=None, backend="seed", master_seed=None):
-    """A (receiver set, sender set) -> intersection callable on tiny inputs.
+def small_psi_engine(master_seed=None):
+    """A (receiver set, sender set) -> intersection callable on tiny inputs
+    (n = 4, k = 3, sigma = 4, seed backend).
 
     Backs the OT-from-PSI reduction with real protocol runs rather than
     plain set intersection.
     """
-    if params is None:
-        params = derive_params(4, 3, sigma=4)
+    params = derive_params(4, 3, sigma=4)
 
     def engine(receiver_set, sender_set):
-        alice, bob = make_sessions(params, backend=backend, master_seed=master_seed)
+        alice, bob = make_sessions(params, master_seed=master_seed)
         result, _, _ = run_psi_pair(alice, receiver_set, bob, sender_set)
         return result
 

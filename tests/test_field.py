@@ -1,6 +1,6 @@
 """Prime moduli, and field arithmetic in the one representation the code
-uses: values stored in dtype_for(q) arrays, widened to work_dtype(q) for
-sums and products, inverted through mod_inv, encoded through the codec."""
+uses: values stored in dtype_for(q) arrays, widened to int64 for sums and
+products, inverted through mod_inv, encoded through the codec."""
 
 import numpy as np
 import pytest
@@ -13,7 +13,7 @@ from olepsi.field import (
     is_prime,
     smallest_prime_at_least,
 )
-from olepsi.modvec import dtype_for, mod_inv, work_dtype
+from olepsi.modvec import dtype_for, mod_inv
 from olepsi.offline import DealerAssistedOt, gen_seeded
 from olepsi.online import PsiSession
 from olepsi.params import derive_params
@@ -58,21 +58,26 @@ def _vec(vals, q):
     return np.array(vals, dtype=dtype_for(q))
 
 
+def _wide(vals, q):
+    # int64 holds the product of two values below q < 2^31
+    return _vec(vals, q).astype(np.int64)
+
+
 def _add(a, b, q):
-    return (_vec(a, q).astype(work_dtype(q)) + _vec(b, q)) % q
+    return (_wide(a, q) + _vec(b, q)) % q
 
 
 def _sub(a, b, q):
-    return (_vec(a, q).astype(work_dtype(q)) - _vec(b, q)) % q
+    return (_wide(a, q) - _vec(b, q)) % q
 
 
 def _mul(a, b, q):
-    return _vec(a, q).astype(work_dtype(q)) * _vec(b, q) % q
+    return _wide(a, q) * _vec(b, q) % q
 
 
 def test_add_examples():
     assert _add([10, 0, 6], [5, 7, 5], 11).tolist() == [4, 7, 0]
-    # 250 + 250 wraps a uint8 lane; the work dtype does not
+    # 250 + 250 wraps a uint8 lane; int64 does not
     assert _add([250], [250], 251).tolist() == [249]
 
 
@@ -83,8 +88,8 @@ def test_sub_examples():
 
 def test_mul_examples():
     assert _mul([6, 1, 0], [4, 9, 9], 11).tolist() == [2, 9, 0]
-    # (q-1)^2 = 1 on either side of the int32 work-dtype bound
-    for q in (32749, 32771):
+    # (q-1)^2 = 1 on either side of 2^15 and at the largest q below 2^31
+    for q in (32749, 32771, (1 << 31) - 1):
         assert _mul([q - 1], [q - 1], q).tolist() == [1]
 
 

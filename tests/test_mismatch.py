@@ -26,7 +26,7 @@ from olepsi.mismatch import (
 )
 from olepsi.offline import gen_seeded
 from olepsi.offline.ot import DealerAssistedOt
-from olepsi.online import _bob_reply
+from olepsi.modvec import bob_reply
 from olepsi.prg import SEED_LEN, Prg, Seed
 
 from blocks import alice_inventory, bob_inventory
@@ -138,8 +138,8 @@ class TestKeyedPinnedTrace:
         # c = 7 against the candidates in either order: 9 meets r_A = (7, 6)
         block = self._batch()[1].block
         c = np.array([7], dtype=np.int64)
-        assert _bob_reply(c, np.array([[9, 8]]), block, 11).tolist() == [[7, 2]]
-        assert _bob_reply(c, np.array([[8, 9]]), block, 11).tolist() == [[4, 6]]
+        assert bob_reply(c, np.array([[9, 8]]), block, 11).tolist() == [[7, 2]]
+        assert bob_reply(c, np.array([[8, 9]]), block, 11).tolist() == [[4, 6]]
 
     def test_worked_example(self):
         # x = 0b01, y = 0b11: hamming distance 1, Alice's value 4 + 5 = 9
@@ -206,11 +206,11 @@ def test_hit_slot_is_uniform_at_fixed_distance(variant, monkeypatch):
     replies = []
 
     def recording_reply(c, enc, block, q):
-        d = _bob_reply(c, enc, block, q)
+        d = bob_reply(c, enc, block, q)
         replies.append(d[0])
         return d
 
-    monkeypatch.setattr(mismatch_mod, "_bob_reply", recording_reply)
+    monkeypatch.setattr(mismatch_mod, "bob_reply", recording_reply)
     counts = np.zeros(ell, dtype=np.int64)
     for _ in range(runs):
         alice, bob = random_batch(M251, ell, prg)

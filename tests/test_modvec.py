@@ -1,9 +1,9 @@
-"""Vectorized modular arithmetic: the typed inverse-table path."""
+"""Vectorized modular arithmetic: Fermat inversion in int64 blocks."""
 
 import numpy as np
 import pytest
 
-from olepsi.modvec import dtype_for, inverse_table, mod_inv, mod_pow
+from olepsi.modvec import _INV_BLOCK, dtype_for, mod_inv
 
 
 @pytest.mark.parametrize("dtype", [np.uint16, np.uint32])
@@ -23,19 +23,19 @@ def test_mod_inv_rejects_zero(dtype):
             mod_inv(np.array([3, bad, 5], dtype=dtype), q)
 
 
-@pytest.mark.parametrize("q", [2, 3, 11, 6151])
-def test_inverse_table_matches_pow_on_all_of_field(q):
-    table = inverse_table(q)
-    assert table.dtype == dtype_for(q)
-    assert table.tolist() == [0] + [pow(x, -1, q) for x in range(1, q)]
-    assert not table.flags.writeable
-    with pytest.raises(ZeroDivisionError):
-        mod_inv(np.array([0], dtype=dtype_for(q)), q)
-
-
-def test_inverse_table_matches_fermat_construction():
-    # the generator-power table equals x^(q-2) by square-and-multiply
-    q = 786449
-    fermat = np.zeros(q, dtype=np.int64)
-    fermat[1:] = mod_pow(np.arange(1, q, dtype=np.int64), q - 2, q)
-    assert (inverse_table(q).astype(np.int64) == fermat).all()
+@pytest.mark.parametrize("q", [
+    (1 << 20) + 7,  # the smallest prime above 2^20
+    (1 << 31) - 1,  # the largest prime below MAX_Q
+])
+def test_mod_inv_matches_pow_at_wide_q(q):
+    # a (rows, 5) array of two blocks and a ragged third, extremes included,
+    # unsigned and as int64 (where a negative x is inverted as x mod q)
+    rng = np.random.default_rng(q)
+    xs = rng.integers(1, q, 5 * (2 * _INV_BLOCK // 5 + 2))
+    xs[:4] = [1, 2, q - 2, q - 1]
+    want = [pow(int(x), -1, q) for x in xs]
+    inv = mod_inv(xs.astype(dtype_for(q)).reshape(-1, 5), q)
+    assert inv.dtype == dtype_for(q) and inv.shape == (len(xs) // 5, 5)
+    assert inv.ravel().tolist() == want
+    inv = mod_inv(xs - q, q)
+    assert inv.dtype == np.int64 and inv.tolist() == want

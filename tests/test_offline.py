@@ -41,7 +41,7 @@ from olepsi.offline import (
 from olepsi.offline import _expand as expand_mod
 from olepsi.offline import dealer as dealer_mod
 from olepsi.offline import lbe as lbe_mod
-from olepsi.offline.lbe import LbeSimParams, lbe_batch, lbe_reconstruct
+from olepsi.offline.lbe import LbeSimParams, lbe_r_a, lbe_reconstruct
 from olepsi.params import derive_params
 from olepsi.prg import Prg, Seed
 from olepsi.transport import TransportError
@@ -279,15 +279,15 @@ def test_live_thread_keeps_expansion_in_one_process(monkeypatch):
     assert ref == (a.s_A.tolist(), a.r_A.tolist(), b.r_B_inv.tolist(), b.s_B.tolist())
 
 
-@pytest.mark.parametrize("backend", ["seed", "dealer"])
+@pytest.mark.parametrize("backend", ["seed", "dealer", "lbe-sim"])
 def test_seed_and_dealer_backends_invert_nothing(monkeypatch, backend):
-    # r_B_inv is drawn as a nonzero element, so no inversion is left to do
+    # r_B_inv is drawn as a nonzero element, so no inversion is left to do:
+    # only the ot backend (Gilboa) inverts
     def no_inversion(*args):
         raise AssertionError("mod_inv called")
 
     for module in (modvec, tuples_mod, expand_mod):
         monkeypatch.setattr(module, "mod_inv", no_inversion)
-    monkeypatch.setattr(modvec, "inverse_table", no_inversion)
     p = replace(params_small(), alpha=6)
     alice, bob = generate_psi_inventories(backend, p, Seed(bytes([8]) * 32))
     assert all(validate_inventories(a, b) for a, b in zip(alice, bob, strict=True))
@@ -381,8 +381,9 @@ def test_dealer_micro_run_stub(monkeypatch):
 
         nonzero_elements = elements
 
-    # r_B = 3, so r_B_inv = 4
-    values = {b"sA": 4, b"sB": 2, b"rBinv": 4}
+    # r_B = 3, so r_B_inv = 4; the dealer's r_A step reads nothing from the
+    # rA stream it is handed
+    values = {b"sA": 4, b"sB": 2, b"rBinv": 4, b"rA": None}
     monkeypatch.setattr(expand_mod, "_stream", lambda seed, role, domain, c: FixedStream(values[role]))
     # sections (1, 1) of bins and (0, 1) of stash over F_11
     p = SimpleNamespace(modulus=M11, alpha=1, beta=1, stash_size=0, n=1)
@@ -479,10 +480,10 @@ def test_seed_inventory_and_dealer_bytes_golden(
          "7063eaf67bc2ef534d8f7bf9508c3b3e5e23ca4fe7a76aba812d6ab43d1e3155"),
         ("ot", 3, 25, 393241, "ccc2d262b2cbcc569f86d5b7c94bd8e1",
          "df40eafedc9595e4235095f79cb2d6632015bd99ecba1340c914fa6ce54838f9"),
-        ("lbe-sim", 2, 20, 4099, "f176cdfbf0be6e705a18b7601a2a2567",
-         "3ad330121ac8bdafdf50c7f5297cb396dc5105654c5dfbfb4d4caa26f2542ba2"),
-        ("lbe-sim", 3, 25, 393241, "45e05b4d230d5a551176125f01ab8740",
-         "948f8440d727bc1fbab66d3ae5d46ebdc8737d91e91168e3e3c86b5ad976e2c3"),
+        ("lbe-sim", 2, 20, 4099, "4ffc9d9ac92f5f72d7f32c93b2ad6270",
+         "ebbb30f7a792c0a8c099a8c11f3a16b01b85bc2e609417ba3ff9120d8a291c7c"),
+        ("lbe-sim", 3, 25, 393241, "dca5f2f079e23a9a325d549cf6ee6716",
+         "b943149fe06a504c8b1af5fcf5f1802f2c74574b4387af459573795c4e14ace6"),
     ],
     ids=["ot-k2-q4099", "ot-k3-q393241", "lbe-sim-k2-q4099", "lbe-sim-k3-q393241"],
 )
@@ -498,17 +499,20 @@ def test_ot_and_lbe_inventory_golden(tmp_path, backend, k, sigma, q, token, alic
     assert hashlib.sha256((tmp_path / "a").read_bytes()).hexdigest() == alice_sha
     # the same values from the scalar reference: each backend's PRG draws in
     # stream order, the rest fixed by the OLE relation, the bytes by the format
+    # (lbe-sim is the seed expansion from its own seed: its r_A step leaves
+    # r_A = (s_A + s_B) * r_B_inv exactly)
     sections = (("bins", p.alpha, p.beta), ("stash", p.stash_size, p.n))
     for (name, rows, cols), a, b in zip(sections, alice, bob, strict=True):
-        label, tag = (b"gil|", b"gilboa") if backend == "ot" else (b"lbe|", b"lbe")
-        prg = Prg(subseed(master, label + name.encode()), tag=tag)
-        assert a.s_A.tolist() == reference_elements(prg, q, rows)
         if backend == "ot":
+            prg = Prg(subseed(master, b"gil|" + name.encode()), tag=b"gilboa")
+            assert a.s_A.tolist() == reference_elements(prg, q, rows)
             assert a.r_A.ravel().tolist() == reference_elements(prg, q, rows * cols)
-        r_B = reference_elements(prg, q, rows * cols, nonzero=True)
-        assert b.r_B_inv.ravel().tolist() == [pow(r, -1, q) for r in r_B]
-        if backend == "lbe-sim":
-            assert b.s_B.ravel().tolist() == reference_elements(prg, q, rows * cols)
+            r_B = reference_elements(prg, q, rows * cols, nonzero=True)
+            assert b.r_B_inv.ravel().tolist() == [pow(r, -1, q) for r in r_B]
+        else:
+            seed = subseed(master, b"lbe")
+            ref = reference_section(seed, seed, q, rows, cols, name.encode())
+            assert ref == (a.s_A.tolist(), a.r_A.tolist(), b.r_B_inv.tolist(), b.s_B.tolist())
         assert validate_inventories(a, b)
     ref_token = reference_token(
         q, [(len(b), b.slot_len, bob_words(b.r_B_inv.tolist(), b.s_B.tolist())) for b in bob]
@@ -790,51 +794,83 @@ def test_lbe_validation_errors():
 
 
 def test_lbe_batch_validates():
-    p = params_small()
-    alice, bob = lbe_batch(p.modulus, p.lam, 4, p.beta, Seed(bytes(32)))
-    assert validate_inventories(alice, bob)
+    p = replace(params_small(), alpha=4)
+    alice, bob = generate_psi_inventories("lbe-sim", p, Seed(bytes(32)))
+    assert all(validate_inventories(a, b) for a, b in zip(alice, bob, strict=True))
 
 
-def _lbe_u_draws(seed, modulus, count, slot_len, lbe):
-    # replays lbe_batch's stream: s_A, r_B, s_B, then one 8-byte u per slot
-    prg = Prg(seed, tag=b"lbe")
-    prg.elements(modulus, count)
-    prg.nonzero_elements(modulus, count * slot_len)
-    prg.elements(modulus, count * slot_len)
-    raw = np.frombuffer(prg.read(8 * count * slot_len), dtype="<u8")
-    return (raw & np.uint64(lbe.u_domain - 1)).reshape(count, slot_len)
+def _assert_batch_matches_scalar(monkeypatch, p, count, lam):
+    # one bins section of `count` rows through the lbe-sim r_A step, in one
+    # process: every v that lbe_reconstruct returns is the per-residue
+    # reference's, with u replayed from each chunk's rA stream, and r_A is v
+    # reduced mod Q; the tuple values are the seed expansion's
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    recorded, real = [], lbe_mod.lbe_reconstruct
 
+    def recording(*args):
+        v = real(*args)
+        recorded.append(v)
+        return v
 
-def _assert_batch_matches_scalar(p, count, lam):
-    # every r_A is the per-residue reference's v reduced mod Q
-    seed = Seed(bytes([6]) * 32)
-    alice, bob = lbe_batch(p.modulus, lam, count, p.beta, seed)
-    assert validate_inventories(alice, bob)
+    monkeypatch.setattr(lbe_mod, "lbe_reconstruct", recording)
+    q, seed = p.modulus.q, Seed(bytes([6]) * 32)
+    layout = [("bins", count, p.beta)]
+    (alice,), (bob,) = expand_mod.expand_sections(p.modulus, layout, seed, seed, lbe_r_a(lam))
+    chunk_rows = expand_mod._row_chunk(p.beta)
+    ref = reference_section(seed, seed, q, count, p.beta, b"bins", chunk_rows=chunk_rows)
+    assert ref == (alice.s_A.tolist(), alice.r_A.tolist(), bob.r_B_inv.tolist(), bob.s_B.tolist())
     lbe = lbe_params_for(p.modulus, lam)
-    u = _lbe_u_draws(seed, p.modulus, count, p.beta, lbe)
+    u = []
+    for c, lo in enumerate(range(0, count, chunk_rows)):
+        prg = Prg(seed, tag=b"rA|bins|%d" % c)
+        slots = (min(lo + chunk_rows, count) - lo) * p.beta
+        u += [int.from_bytes(prg.read(8), "little") % lbe.u_domain for _ in range(slots)]
+    v = [int(x) for rows in recorded for row in rows for x in row]
+    assert len(v) == len(u) == count * p.beta
     for i in range(count):
         s_A = int(alice.s_A[i])
         for j in range(p.beta):
-            r_B = pow(int(bob.r_B_inv[i, j]), -1, p.modulus.q)
-            args = (s_A, int(bob.s_B[i, j]), r_B, int(u[i, j]))
-            want = residue_loop_reconstruct(lbe, *args) % p.modulus.q
-            assert int(alice.r_A[i, j]) == want
+            slot = i * p.beta + j
+            r_B = pow(int(bob.r_B_inv[i, j]), -1, q)
+            want = residue_loop_reconstruct(lbe, s_A, int(bob.s_B[i, j]), r_B, u[slot])
+            assert v[slot] == want
+            assert int(alice.r_A[i, j]) == want % q
 
 
 def test_lbe_batch_matches_scalar_across_ragged_chunks(monkeypatch):
-    # 64-slot chunks of 4 rows at beta=15: 10 rows give chunks 4, 4 and 2
+    # chunks of 6 rows in 64-slot passes of 4 rows at beta=15: 10 rows give
+    # chunks 0 (passes of 4 and 2 rows) and 1 (one pass of 4)
     monkeypatch.setattr(lbe_mod, "_CHUNK_SLOTS", 64)
+    monkeypatch.setattr(expand_mod, "_row_chunk", lambda slot_len: 6)
     p = params_small()
-    _assert_batch_matches_scalar(p, 10, p.lam)
+    _assert_batch_matches_scalar(monkeypatch, p, 10, p.lam)
 
 
-def test_lbe_batch_matches_scalar_lambda40_width3():
+def test_lbe_batch_matches_scalar_lambda40_width3(monkeypatch):
     # 40-bit q_i: each CRT basis term is near 2^77, far past int64
     p = derive_params(1 << 8, 3, sigma=25)
     assert p.modulus.byte_len == 3
     lbe = lbe_params_for(p.modulus, 40)
     assert min(lbe.q_i) > 1 << 36 and lbe.Q_prime > 1 << 76
-    _assert_batch_matches_scalar(p, 4, 40)
+    _assert_batch_matches_scalar(monkeypatch, p, 4, 40)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_lbe_sim_is_identical_on_any_number_of_processes(monkeypatch, cpus):
+    # 9 bin rows and 3 stash rows in chunks of 2: 7 chunks dealt out to
+    # `cpus` processes give the seed expansion's values from lbe-sim's seed
+    forks = _expand_on(monkeypatch, cpus)
+    p = replace(params_small(), alpha=9)
+    master = Seed(bytes([3]) * 32)
+    alice, bob = generate_psi_inventories("lbe-sim", p, master)
+    seed = subseed(master, b"lbe")
+    for (name, rows, cols), a, b in zip(
+        [("bins", 9, p.beta), ("stash", p.stash_size, p.n)], alice, bob, strict=True
+    ):
+        ref = reference_section(seed, seed, p.modulus.q, rows, cols, name.encode(), chunk_rows=2)
+        assert ref == (a.s_A.tolist(), a.r_A.tolist(), b.r_B_inv.tolist(), b.s_B.tolist())
+    assert len(forks) == cpus - 1
+    _no_children_left()
 
 
 def test_lbe_reconstruct_matches_residue_loop_at_extremes():

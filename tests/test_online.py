@@ -21,13 +21,12 @@ from olepsi import online, runner
 from olepsi.codec import packed_len
 from olepsi.field import PrimeModulus
 from olepsi.hashing import BinOverflow, build_cuckoo_table
-from olepsi.modvec import dtype_for
+from olepsi.modvec import bob_reply, dtype_for, reply_dtype
 from olepsi.offline import BACKENDS, gen_seeded, generate_psi_inventories
 from olepsi.online import (
     PROTOCOL_VERSION,
     OnlineError,
     _alice_c,
-    _bob_reply,
     PsiSession,
     SeedMismatch,
     TupleExhausted,
@@ -71,7 +70,7 @@ def _reply(c, y_enc, s_B, r_B_inv, q):
     tuple half (s_B, r_B_inv) in every slot."""
     shape = np.shape(y_enc)
     inv = bob_inventory(PrimeModulus(q), np.full(shape, r_B_inv), np.full(shape, s_B))
-    return _bob_reply(np.asarray(c), np.asarray(y_enc), inv.block, q)
+    return bob_reply(np.asarray(c), np.asarray(y_enc), inv.block, q)
 
 
 def test_compare_alice_c_pinned():
@@ -105,7 +104,7 @@ def test_comparison_exhaustive_small_field():
     alice, bob = gen_seeded(Seed(b"\x31" * 32), q * q, m, 1, domain=b"exh")
     x, y = np.divmod(np.arange(q * q), q)
     c = _alice_c(alice.s_A, x, q)
-    d = _bob_reply(c, y[:, None], bob.block, q)
+    d = bob_reply(c, y[:, None], bob.block, q)
     assert ((d == alice.r_A)[:, 0] == (x == y)).all()
 
 
@@ -153,7 +152,7 @@ def test_bob_reply_matches_scalar_formula_at_extremes(q):
     for a in (c, enc, s_B, r_B_inv):
         a[:5] = q - 1
     block = np.stack([r_B_inv, s_B], axis=-1).astype(np.uint16)
-    d = _bob_reply(c.astype(np.uint16), enc.astype(np.uint16), block, q)
+    d = bob_reply(c.astype(np.uint16), enc.astype(np.uint16), block, q)
     expect = [
         [(int(c[i]) + int(enc[i, j]) + int(s_B[i, j])) * int(r_B_inv[i, j]) % q
          for j in range(slot)]
@@ -179,7 +178,7 @@ def test_bob_reply_one_reduction_matches_two(q):
     """One reduction per slot gives bit-identical replies to reducing the sum
     first, with every input at its largest value in some rows and Bob's
     dummy encoding (q - 1 at most) among the encodings."""
-    assert online._reply_dtype(q) == (np.uint32 if q < 37838 else np.uint64)
+    assert reply_dtype(q) == (np.uint32 if q < 37838 else np.uint64)
     rng = np.random.default_rng(q)
     rows, slot = 300, 5
     dt = dtype_for(q)
@@ -189,7 +188,7 @@ def test_bob_reply_one_reduction_matches_two(q):
     r_B_inv = rng.integers(1, q, (rows, slot)).astype(dt)
     for a in (c, enc, s_B, r_B_inv):
         a[:7] = q - 1
-    d = _bob_reply(c, enc, np.stack([r_B_inv, s_B], axis=-1), q)
+    d = bob_reply(c, enc, np.stack([r_B_inv, s_B], axis=-1), q)
     assert d.dtype == dt
     assert (d == _two_reductions(c, enc, s_B, r_B_inv, q)).all()
 
@@ -210,14 +209,14 @@ def test_bob_reply_reads_loaded_block_and_stash_piece(tmp_path):
     c = rng.integers(0, q, len(bins)).astype(dt)
     enc = rng.integers(0, q, (len(bins), p.beta)).astype(dt)
     c[:3] = enc[:3] = q - 1
-    d = _bob_reply(c, enc, bins.block, q)
+    d = bob_reply(c, enc, bins.block, q)
     assert (d == _two_reductions(c, enc, bins.s_B, bins.r_B_inv, q)).all()
 
     row, cols = 1, slice(300, 700)  # a piece that starts and ends mid-row
     enc_st = rng.integers(0, q, p.n).astype(dt)
     enc_rows = np.broadcast_to(enc_st[cols], (1, cols.stop - cols.start))
     c_st = c[row : row + 1]
-    d = _bob_reply(c_st, enc_rows, stash.block[row : row + 1, cols], q)
+    d = bob_reply(c_st, enc_rows, stash.block[row : row + 1, cols], q)
     expect = _two_reductions(
         c_st, enc_rows, stash.s_B[row : row + 1, cols], stash.r_B_inv[row : row + 1, cols], q
     )
@@ -232,7 +231,7 @@ def test_d_never_hits_r_a_on_mismatch_and_spreads():
     alice, bob = gen_seeded(Seed(b"\x07" * 32), trials, m, 1, domain=b"chi")
     r_A = alice.r_A[:, 0].astype(np.int64)
     x, y = 4, 9  # fixed distinct encodings
-    d = _bob_reply(_alice_c(alice.s_A, x, q), np.full((trials, 1), y), bob.block, q)[:, 0]
+    d = bob_reply(_alice_c(alice.s_A, x, q), np.full((trials, 1), y), bob.block, q)[:, 0]
     assert not np.any(d == r_A)
     # chi-square over the q-1 reachable values per tuple: shift so r_A -> 0
     shifted = (d - r_A) % q

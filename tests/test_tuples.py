@@ -3,9 +3,8 @@ import pytest
 from scipy import stats
 
 from olepsi.field import PrimeModulus
-from olepsi.modvec import mod_inv
+from olepsi.modvec import bob_reply, mod_inv
 from olepsi.offline import gen_seeded
-from olepsi.offline._expand import derive_r_a_arrays
 from olepsi.prg import Seed
 from olepsi.tuples import (
     BobInventory,
@@ -54,13 +53,34 @@ def test_validate_batch_length_mismatch():
 
 
 def test_derive_r_A_examples():
-    # r_A = (s_A + s_B) / r_B per slot: (4+2)/3, (0+0)/7, (5+6)/1 mod 11
+    # r_A = (s_A + s_B) / r_B per slot: (4+2)/3, (0+0)/7, (5+6)/1 mod 11, as
+    # Bob's reply to c = s_A on encoding 0
     s_A = np.array([4, 0, 5], dtype=np.uint8)
     s_B = np.array([[2], [0], [6]], dtype=np.uint8)
     r_B_inv = mod_inv(np.array([[3], [7], [1]], dtype=np.uint8), 11)
-    assert derive_r_a_arrays(s_A, s_B, r_B_inv, 11).tolist() == [[2], [0], [0]]
+    block = np.stack([r_B_inv, s_B], axis=-1)
+    assert bob_reply(s_A, np.zeros((3, 1), np.uint8), block, 11).tolist() == [[2], [0], [0]]
     with pytest.raises(ZeroDivisionError):
         mod_inv(np.array([[0]], dtype=np.uint8), 11)
+
+
+@pytest.mark.parametrize("q", [
+    251,            # 1-byte words
+    8209,           # 2-byte words
+    37831,          # largest prime whose reply dtype is uint32
+    37847,          # smallest prime above it: uint64
+    786449,         # 3-byte words
+    (1 << 31) - 1,  # 4-byte words, largest prime below MAX_Q
+])
+def test_engine_r_a_matches_python_ints(q):
+    # the expansion's r_A is (s_A + s_B) * r_B_inv mod q over Python ints
+    alice, bob = gen_seeded(Seed(bytes([q % 256]) * 32), 40, PrimeModulus(q), 7)
+    want = [
+        [(s_A + s_B) * inv % q for inv, s_B in zip(inv_row, sb_row)]
+        for s_A, inv_row, sb_row in zip(alice.s_A.tolist(), bob.r_B_inv.tolist(),
+                                        bob.s_B.tolist())
+    ]
+    assert alice.r_A.tolist() == want
 
 
 def test_ole_tuple_from_values():
