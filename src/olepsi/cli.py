@@ -139,8 +139,10 @@ def _scan_set_file(path, sigma):
 
 
 def write_set(stream, values):
-    for v in sorted(values):
-        print(v, file=stream)
+    """One decimal value per line, ascending, in a single write."""
+    text = "\n".join(map(str, sorted(values)))
+    if text:
+        stream.write(text + "\n")
 
 
 def cmd_params(args):

@@ -10,7 +10,9 @@ Four interchangeable backends produce the same inventory shape:
 The seed, dealer and lbe-sim backends are clients of one chunked
 expansion (_expand), which draws Bob's r_B^-1 directly and derives r_A per
 chunk: lbe-sim only swaps in its residue pipeline as the r_A step. The ot
-backend runs Gilboa on its own engine, and is the one backend that inverts.
+backend runs Gilboa chunks, each on an OT dealer and seed of its own, on the
+same chunk runner and forked workers (gilboa_sections), and is the one
+backend that inverts.
 
 A PSI run needs one inventory per side for each entry of
 `params.sections(params)`, in that order: `bins` (alpha batches of beta
@@ -20,7 +22,7 @@ slots), then `stash` (stash_size batches of n slots).
 from __future__ import annotations
 
 from ..params import sections
-from ..prg import SEED_LEN, Prg, Seed
+from ..prg import Seed, subseed
 from ._expand import ExpansionError, expand_sections
 from .dealer import (
     DealerMessages,
@@ -32,17 +34,12 @@ from .dealer import (
     expand_alice,
     expand_bob,
 )
-from .gilboa import gilboa_batch
+from .gilboa import gilboa_batch, gilboa_sections
 from .lbe import LbeSimParams, lbe_params_for, lbe_r_a
 from .ot import DealerAssistedOt, OtError
 from .seeded import gen_seeded
 
 BACKENDS = ("seed", "dealer", "ot", "lbe-sim")
-
-
-def subseed(master, label):
-    """Derive an independent seed from a master seed and a label."""
-    return Seed(Prg(master, tag=b"sub|" + label).read(SEED_LEN))
 
 
 def generate_psi_inventories(backend, params, master_seed=None):
@@ -67,9 +64,4 @@ def generate_psi_inventories(backend, params, master_seed=None):
             params.modulus, sections(params), seed_a=seed, seed_b=seed, r_a=lbe_r_a(params.lam)
         )
 
-    provider = DealerAssistedOt(params.modulus, seed=subseed(master, b"ot-deal"))
-    halves = [
-        gilboa_batch(provider, params.modulus, rows, cols, subseed(master, b"gil|" + name.encode()))
-        for name, rows, cols in sections(params)
-    ]
-    return [a for a, _ in halves], [b for _, b in halves]
+    return gilboa_sections(params.modulus, sections(params), master)

@@ -1,5 +1,6 @@
 """The chunked seed-to-array expansion that the seed, dealer and lbe-sim
-backends share.
+backends share, and the chunk runner that the ot backend's Gilboa chunks
+(offline.gilboa) run on too.
 
 Every section is cut into chunks of _row_chunk(L) whole rows, and each chunk
 is expanded from its own PRG streams, tagged role|section|chunk (chunk in
@@ -18,7 +19,9 @@ tagged rA|section|chunk from Bob's seed.
 Since chunks are independent, the chunks of all sections of one call are
 dealt out in turn to up to one process per CPU: the caller and forked
 children, all writing into blocks carved from one anonymous shared mapping.
-The output does not depend on how many processes ran.
+The output does not depend on how many processes ran. Any backend whose
+chunks draw only from streams of their own can run on the same runner
+(_run_chunks) with its own chunk function, as Gilboa does.
 """
 
 from __future__ import annotations
@@ -46,9 +49,8 @@ def _row_chunk(slot_len):
     return max(1, (1 << 21) // max(slot_len, 1))
 
 
-def _chunks(count, slot_len):
-    """(chunk index, first row, end row) of each chunk of whole rows."""
-    step = _row_chunk(slot_len)
+def _chunks(count, step):
+    """(chunk index, first row, end row) of each chunk of `step` whole rows."""
     return [(c, lo, min(lo + step, count)) for c, lo in enumerate(range(0, count, step))]
 
 
@@ -128,22 +130,23 @@ def _worker_count(jobs):
     return max(1, min(jobs, len(os.sched_getaffinity(0))))
 
 
-def _run_chunks(work):
-    """Run _expand_chunk on every (section, c, lo, hi) of `work`: with P
-    workers, worker w takes items w, w + P, ...; worker 0 is this process and
-    the others are forked children. Returns once every child has been
-    reaped; a child that fails raises ExpansionError, and a failure here
-    kills the children before it propagates."""
+def _run_chunks(work, chunk):
+    """Call chunk(*item) on every item of `work`: with P workers, worker w
+    takes items w, w + P, ...; worker 0 is this process and the others are
+    forked children, so `chunk` returns nothing and writes its output into
+    shared blocks. Returns once every child has been reaped; a child that
+    fails raises ExpansionError, and a failure here kills the children
+    before it propagates."""
     procs = _worker_count(len(work))
     children = []
     try:
         for w in range(1, procs):
             pid = os.fork()
             if pid == 0:
-                _child(work[w::procs])
+                _child(work[w::procs], chunk)
             children.append(pid)
         for item in work[::procs]:
-            _expand_chunk(*item)
+            chunk(*item)
     except BaseException:
         for pid in children:
             os.kill(pid, signal.SIGKILL)
@@ -155,13 +158,13 @@ def _run_chunks(work):
         raise ExpansionError(f"{len(failed)} of {procs - 1} expansion workers failed: {failed}")
 
 
-def _child(items):
-    """A forked worker: expand `items`, then leave by os._exit, so that none of
-    the parent's atexit handlers, finalizers or stdio buffers run here."""
+def _child(items, chunk):
+    """A forked worker: run `chunk` on `items`, then leave by os._exit, so that
+    none of the parent's atexit handlers, finalizers or stdio buffers run here."""
     status = 1
     try:
         for item in items:
-            _expand_chunk(*item)
+            chunk(*item)
         status = 0
     except BaseException:
         import traceback  # only a failing worker needs it
@@ -196,7 +199,8 @@ def expand_sections(modulus, layout, seed_a=None, seed_b=None, r_a=_reply_r_a):
         )
         for name, rows, cols in layout
     ]
-    _run_chunks([(sec, *chunk) for sec in secs for chunk in _chunks(sec.rows, sec.slot_len)])
+    work = [(sec, *c) for sec in secs for c in _chunks(sec.rows, _row_chunk(sec.slot_len))]
+    _run_chunks(work, _expand_chunk)
     alice = [AliceInventory(modulus, s.alice) for s in secs] if seed_a is not None else None
     bob = [BobInventory(modulus, s.bob) for s in secs] if seed_b is not None else None
     return alice, bob

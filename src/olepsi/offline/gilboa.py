@@ -11,11 +11,15 @@ so s_A = sum rho_i and s_B = sum o_i satisfy s_A + s_B = r_A * r_B.
 gilboa_batch runs this on every slot of a batch at once, and shares one
 s_A across the batch by constraining each slot's rho list to sum to it.
 
-It keeps its own engine rather than the chunked expansion the other
-backends share: the DealerAssistedOt draws its pads from one sequential
-stream, so chunks expanded on forked workers would each reuse the same
-pads. Bob holds r_B here, not a drawn r_B^-1, so this is the one backend
-that inverts (BobInventory.from_r_b_s_b).
+gilboa_sections runs the ot backend on the chunk runner the other backends
+share (_expand._run_chunks): every chunk of _chunk_rows whole rows runs
+gilboa_batch on its own DealerAssistedOt and Gilboa seed, derived from the
+master seed and tagged section|chunk. A DealerAssistedOt draws its pads and
+choice masks from sequential streams, so giving each chunk its own means no
+two chunks share a pad, a choice bit or a rho, in any process, and the
+output does not depend on how many processes ran. Bob holds r_B here, not a
+drawn r_B^-1, so this is the one backend that inverts
+(BobInventory.from_r_b_s_b), chunk by chunk.
 """
 
 from __future__ import annotations
@@ -23,8 +27,15 @@ from __future__ import annotations
 import numpy as np
 
 from ..modvec import dtype_for
-from ..prg import Prg
+from ..prg import Prg, subseed
 from ..tuples import AliceInventory, BobInventory
+from ._expand import _chunks, _run_chunks, _shared_blocks
+from .ot import DealerAssistedOt
+
+
+def _chunk_rows(slot_len, ell):
+    """Rows per step: about 2^20 OTs of slot_len * ell each."""
+    return max(1, (1 << 20) // max(slot_len * ell, 1))
 
 
 def gilboa_batch(ot, modulus, count, slot_len, seed):
@@ -48,7 +59,7 @@ def gilboa_batch(ot, modulus, count, slot_len, seed):
     s_B = np.empty((count, L), dtype=dt)
     pow2 = np.array([pow(2, i, q) for i in range(ell)], dtype=np.int64)
     positions = np.arange(ell, dtype=np.int64)
-    step = max(1, (1 << 20) // max(L * ell, 1))
+    step = _chunk_rows(L, ell)
     for lo in range(0, count, step):
         hi = min(lo + step, count)
         c = hi - lo
@@ -66,3 +77,29 @@ def gilboa_batch(ot, modulus, count, slot_len, seed):
         o = ot.ot_receive_many(bits.ravel()).reshape(c, L, ell)
         s_B[lo:hi] = o.sum(axis=2) % q
     return AliceInventory(modulus, block), BobInventory.from_r_b_s_b(modulus, r_B, s_B)
+
+
+def _gilboa_chunk(modulus, master, domain, slot_len, alice, bob, c, lo, hi):
+    """Chunk c (rows lo..hi) of one section: gilboa_batch on the chunk's own
+    OT dealer and Gilboa seed, copied into its rows of the shared blocks."""
+    tag = b"%s|%d" % (domain, c)
+    ot = DealerAssistedOt(modulus, seed=subseed(master, b"ot-deal|" + tag))
+    a, b = gilboa_batch(ot, modulus, hi - lo, slot_len, subseed(master, b"gil|" + tag))
+    alice[lo:hi] = a.block
+    bob[lo:hi] = b.block
+
+
+def gilboa_sections(modulus, layout, master):
+    """The ot backend: Alice's and Bob's inventories for each (name, rows, L)
+    section of `layout` (as params.sections gives it), by Gilboa product
+    sharing over dealer-assisted OT, chunk by chunk from `master`."""
+    shapes = [shape for _, rows, L in layout for shape in ((rows, 1 + L), (rows, L, 2))]
+    blocks = _shared_blocks(shapes, dtype_for(modulus.q))
+    alice, bob = blocks[0::2], blocks[1::2]
+    work = [
+        (modulus, master, name.encode(), L, a, b, *c)
+        for (name, rows, L), a, b in zip(layout, alice, bob)
+        for c in _chunks(rows, _chunk_rows(L, modulus.bit_len))
+    ]
+    _run_chunks(work, _gilboa_chunk)
+    return [AliceInventory(modulus, a) for a in alice], [BobInventory(modulus, b) for b in bob]

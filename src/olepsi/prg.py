@@ -127,6 +127,11 @@ class Prg:
         return self._sample(modulus, count, reject_zero=True, dtype=dtype)
 
 
+def subseed(master, label):
+    """Derive an independent seed from a master seed and a label."""
+    return Seed(Prg(master, tag=b"sub|" + label).read(SEED_LEN))
+
+
 def _end_of_nth_from_last(flags, n):
     """1 + the index of the n-th True counted from the end of flags, which
     holds at least n. Searches a window at the end, doubled as needed, so a

@@ -117,7 +117,8 @@ class BenchReport:
 def bench_sets(params, rng):
     """Random input pair of size n with roughly n/2 overlap."""
     n, bound = params.n, 1 << params.sigma
-    pool = np.unique(rng.integers(0, bound, size=3 * n + 16, dtype=np.uint64))
+    pool = np.sort(rng.integers(0, bound, size=3 * n + 16, dtype=np.uint64))
+    pool = pool[np.concatenate(([True], pool[1:] != pool[:-1]))]  # distinct, as np.unique
     rng.shuffle(pool)
     need = n + (n - n // 2)
     if pool.size < need:  # only possible when 2^sigma is tiny

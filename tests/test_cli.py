@@ -5,6 +5,7 @@ console entry point and the dealer service over real loopback TCP.
 """
 
 import dataclasses
+import io
 import re
 import socket
 import subprocess
@@ -14,6 +15,7 @@ import threading
 import pytest
 
 from olepsi.cli import main, read_set_file
+from olepsi.cli import write_set as cli_write_set
 from olepsi.hashing import build_cuckoo_table
 from olepsi.offline.dealer import dealer_generate, encode_to_alice, to_alice_len
 from olepsi.online import derive_hash_seeds
@@ -67,6 +69,18 @@ def tuple_files(tmp_path_factory):
 def write_set(path, values):
     path.write_text("".join(f"{v}\n" for v in values))
     return str(path)
+
+
+@pytest.mark.parametrize("values", [set(), {7}, {2**31, 2**31 + 5, 3, 2**40 - 1}],
+                         ids=["empty", "one", "wide"])
+def test_write_set_bytes_match_per_line_print(values):
+    # one buffered write gives the bytes the per-line print writer gave
+    old = io.StringIO()
+    for v in sorted(values):
+        print(v, file=old)
+    new = io.StringIO()
+    cli_write_set(new, values)
+    assert new.getvalue() == old.getvalue()
 
 
 class TestParams:

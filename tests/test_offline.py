@@ -40,7 +40,9 @@ from olepsi.offline import (
 )
 from olepsi.offline import _expand as expand_mod
 from olepsi.offline import dealer as dealer_mod
+from olepsi.offline import gilboa as gilboa_mod
 from olepsi.offline import lbe as lbe_mod
+from olepsi.offline import ot as ot_mod
 from olepsi.offline.lbe import LbeSimParams, lbe_r_a, lbe_reconstruct
 from olepsi.params import derive_params
 from olepsi.prg import Prg, Seed
@@ -476,10 +478,10 @@ def test_seed_inventory_and_dealer_bytes_golden(
 @pytest.mark.parametrize(
     "backend, k, sigma, q, token, alice_sha",
     [
-        ("ot", 2, 20, 4099, "5eb796969eb07c4dd21e22c03e88c2d8",
-         "7063eaf67bc2ef534d8f7bf9508c3b3e5e23ca4fe7a76aba812d6ab43d1e3155"),
-        ("ot", 3, 25, 393241, "ccc2d262b2cbcc569f86d5b7c94bd8e1",
-         "df40eafedc9595e4235095f79cb2d6632015bd99ecba1340c914fa6ce54838f9"),
+        ("ot", 2, 20, 4099, "053ec6ea36cbdd5a3c572de5baea3ddf",
+         "f990adc267162e525156c063bbcbed5f356ca01c42665f70e166797cb3ca7efa"),
+        ("ot", 3, 25, 393241, "98b3fad6302e2801c4f0b432ea9799d9",
+         "3c4ea73770761c60d788867663a823ff25ac09c3cba7d4b2564cf96ff65e7600"),
         ("lbe-sim", 2, 20, 4099, "4ffc9d9ac92f5f72d7f32c93b2ad6270",
          "ebbb30f7a792c0a8c099a8c11f3a16b01b85bc2e609417ba3ff9120d8a291c7c"),
         ("lbe-sim", 3, 25, 393241, "dca5f2f079e23a9a325d549cf6ee6716",
@@ -504,7 +506,9 @@ def test_ot_and_lbe_inventory_golden(tmp_path, backend, k, sigma, q, token, alic
     sections = (("bins", p.alpha, p.beta), ("stash", p.stash_size, p.n))
     for (name, rows, cols), a, b in zip(sections, alice, bob, strict=True):
         if backend == "ot":
-            prg = Prg(subseed(master, b"gil|" + name.encode()), tag=b"gilboa")
+            # one Gilboa chunk per section at this size: chunk 0's seed
+            assert gilboa_mod._chunk_rows(cols, p.modulus.bit_len) >= rows
+            prg = Prg(subseed(master, b"gil|%s|0" % name.encode()), tag=b"gilboa")
             assert a.s_A.tolist() == reference_elements(prg, q, rows)
             assert a.r_A.ravel().tolist() == reference_elements(prg, q, rows * cols)
             r_B = reference_elements(prg, q, rows * cols, nonzero=True)
@@ -723,6 +727,93 @@ def test_gilboa_batch_rho_sums_to_shared_s_a():
             got = gilboa_share(DealerAssistedOt(p.modulus), int(alice.r_A[i, j]),
                                int(r_B[i, j]), rho[i, j].tolist())
             assert got == (int(alice.s_A[i]), int(bob.s_B[i, j]))
+
+
+def _gilboa_on(monkeypatch, cpus):
+    """Gilboa chunks of 2 rows on `cpus` usable CPUs, and a k=2 layout of 9
+    bin rows and 3 stash rows: 7 chunks over two sections. Returns the
+    params, the layout and the parent's list of forked pids."""
+    forks = _expand_on(monkeypatch, cpus)
+    monkeypatch.setattr(gilboa_mod, "_chunk_rows", lambda slot_len, ell: 2)
+    p = replace(params_small(), alpha=9)
+    assert p.k == 2 and p.stash_size == 3
+    return p, [("bins", 9, p.beta), ("stash", 3, p.n)], forks
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_ot_is_identical_on_any_number_of_processes(monkeypatch, cpus):
+    # the ot backend's 7 chunks dealt out to `cpus` processes give the blocks
+    # and token of gilboa_batch run chunk by chunk, in order, on each chunk's
+    # own dealer and Gilboa seed
+    p, layout, forks = _gilboa_on(monkeypatch, cpus)
+    master = Seed(bytes([5]) * 32)
+    alice, bob = generate_psi_inventories("ot", p, master)
+    assert len(forks) == cpus - 1
+    _no_children_left()
+    for (name, rows, cols), a, b in zip(layout, alice, bob, strict=True):
+        ref_a, ref_b = [], []
+        for c, lo in enumerate(range(0, rows, 2)):
+            tag = b"%s|%d" % (name.encode(), c)
+            ot = DealerAssistedOt(p.modulus, seed=subseed(master, b"ot-deal|" + tag))
+            x, y = gilboa_batch(ot, p.modulus, min(2, rows - lo), cols,
+                                subseed(master, b"gil|" + tag))
+            ref_a.append(x.block)
+            ref_b.append(y.block)
+        assert np.concatenate(ref_a).tobytes() == a.block.tobytes()
+        assert np.concatenate(ref_b).tobytes() == b.block.tobytes()
+        assert validate_inventories(a, b)
+    ref_token = reference_token(
+        p.modulus.q,
+        [(len(b), b.slot_len, bob_words(b.r_B_inv.tolist(), b.s_B.tolist())) for b in bob],
+    )
+    assert inventory_token(bob) == ref_token
+
+
+def test_failed_gilboa_worker_fails_the_ot_backend(monkeypatch):
+    # every chunk the forked child runs raises there; the parent's succeed
+    p, _, forks = _gilboa_on(monkeypatch, 2)
+    parent, real = os.getpid(), gilboa_mod._gilboa_chunk
+
+    def chunk(*item):
+        if os.getpid() != parent:
+            raise RuntimeError("worker chunk failed")
+        real(*item)
+
+    monkeypatch.setattr(gilboa_mod, "_gilboa_chunk", chunk)
+    with pytest.raises(ExpansionError):
+        generate_psi_inventories("ot", p, Seed(bytes([5]) * 32))
+    assert len(forks) == 1
+    _no_children_left()
+
+
+def test_ot_chunks_share_no_stream(monkeypatch, tmp_path):
+    # every Prg that a chunk's DealerAssistedOt (ot/pads, ot/bits) or its
+    # Gilboa run constructs, in either process, has a prefix (seed and tag)
+    # of its own: no two chunks share a pad, a choice bit or a rho
+    p, layout, forks = _gilboa_on(monkeypatch, 2)
+    log = tmp_path / "prefixes"
+
+    class RecordingPrg(Prg):
+        def __init__(self, seed, tag=b""):
+            super().__init__(seed, tag)
+            fd = os.open(log, os.O_WRONLY | os.O_APPEND | os.O_CREAT)
+            try:
+                os.write(fd, self._prefix.hex().encode() + b"\n")
+            finally:
+                os.close(fd)
+
+    for module in (ot_mod, gilboa_mod):
+        monkeypatch.setattr(module, "Prg", RecordingPrg)
+    generate_psi_inventories("ot", p, Seed(bytes([5]) * 32))
+    assert len(forks) == 1
+    _no_children_left()
+    prefixes = log.read_text().split()
+    chunks = sum(math.ceil(rows / 2) for _, rows, _ in layout)
+    assert chunks == 7
+    assert len(prefixes) == 3 * chunks  # ot/pads, ot/bits, gilboa per chunk
+    assert len(set(prefixes)) == len(prefixes)
+    for tag in (b"ot/pads", b"ot/bits", b"gilboa"):
+        assert sum(bytes.fromhex(x).endswith(tag) for x in prefixes) == chunks
 
 
 # ---------------------------------------------------------------- LBE simulation

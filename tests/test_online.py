@@ -471,6 +471,23 @@ def test_run_psi_pair_closes_both_channel_ends(monkeypatch, fail):
     assert chan_a._sock.fileno() == -1 and chan_b._sock.fileno() == -1
 
 
+@pytest.mark.parametrize("n, sigma", [(1 << 8, 12), (1 << 8, 16), (1 << 10, 20)])
+def test_bench_sets_match_np_unique_draw(n, sigma):
+    # the sets for default_rng(0xB17) are those of the np.unique pool; at
+    # sigma = 12 and 16 the 3n + 16 draws hold repeats
+    p = dataclasses.replace(derive_params(n, 2), sigma=sigma)
+    rng = np.random.default_rng(0xB17)
+    draw = rng.integers(0, 1 << sigma, size=3 * n + 16, dtype=np.uint64)
+    pool = np.unique(draw)
+    assert pool.size < draw.size or sigma == 20
+    rng.shuffle(pool)
+    need = n + (n - n // 2)
+    x = set(map(int, pool[:n]))
+    y = set(map(int, pool[: n // 2])) | set(map(int, pool[n:need]))
+    assert runner.bench_sets(p, np.random.default_rng(0xB17)) == (x, y)
+    assert len(x) == len(y) == n
+
+
 def test_wire_token_matches_inventory_token():
     p = derive_params(16, 3, sigma=16)
     _, bob_secs = generate_psi_inventories("seed", p, Seed(b"\x09" * 32))
