@@ -18,14 +18,13 @@ import numpy as np
 from .field import FieldError, PrimeModulus
 from .hashing import HashingError
 from .mismatch import mismatch_keyed, mismatch_plain
-from .offline import gen_seeded, generate_psi_inventories, subseed
+from .offline import BACKENDS, gen_seeded, generate_psi_inventories, subseed
 from .offline.dealer import (
     dealer_generate,
     decode_to_alice,
     decode_to_bob,
     encode_to_alice,
     encode_to_bob,
-    expand_alice,
     expand_bob,
     to_alice_len,
 )
@@ -182,7 +181,8 @@ def cmd_offline(args):
 
 
 def _offline_fetch(args, p):
-    """Client side of the dealer service: request, expand, save."""
+    """Client side of the dealer service: request, then save Alice's tuple
+    file as served, or expand Bob's half from his seed and save it."""
     if not args.role:
         raise UsageError("--connect needs --role")
     out = args.out_alice if args.role == "alice" else args.out_bob
@@ -198,8 +198,7 @@ def _offline_fetch(args, p):
         if args.role == "alice":
             if frame.msg_type != DEALER_A:
                 raise TransportError(f"wanted DEALER_A, got type {frame.msg_type}")
-            seed, r_A_lists, token = decode_to_alice(frame.payload, p)
-            invs = expand_alice(seed, r_A_lists, p)
+            invs, token = decode_to_alice(frame.payload, p)
             save_inventories(out, invs, SIDE_ALICE, token)
         else:
             if frame.msg_type != DEALER_B:
@@ -260,7 +259,7 @@ def _serve_dealer_request(chan, p, msgs, served):
     if role in served:
         raise OnlineError(f"second {role} connection refused")
     if role == "alice":
-        send_frame(chan, Frame(DEALER_A, encode_to_alice(msgs, p.modulus)))
+        send_frame(chan, Frame(DEALER_A, encode_to_alice(msgs)))
     else:
         send_frame(chan, Frame(DEALER_B, encode_to_bob(msgs)))
     return role
@@ -379,8 +378,7 @@ def _parser():
 
     sp = sub.add_parser("offline", help="generate tuple inventories")
     _add_param_flags(sp)
-    sp.add_argument("--mode", default="seed",
-                    choices=("seed", "dealer", "ot", "lbe-sim"))
+    sp.add_argument("--mode", default="seed", choices=BACKENDS)
     sp.add_argument("--out-alice", metavar="FILE")
     sp.add_argument("--out-bob", metavar="FILE")
     sp.add_argument("--seed", metavar="HEX", help="64 hex chars; deterministic run")
@@ -411,8 +409,7 @@ def _parser():
 
     sp = sub.add_parser("bench", help="time one full run and report costs")
     _add_param_flags(sp, n_default=1024)
-    sp.add_argument("--offline", default="seed",
-                    choices=("seed", "dealer", "ot", "lbe-sim"))
+    sp.add_argument("--offline", default="seed", choices=BACKENDS)
     sp.add_argument("--seed", metavar="HEX")
     sp.set_defaults(func=cmd_bench)
 

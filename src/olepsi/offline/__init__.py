@@ -3,7 +3,7 @@
 Four interchangeable backends produce the same inventory shape:
 
     seed     both parties expand one shared seed (trusted-execution model)
-    dealer   a third party ships seeds + Alice's r_A lists
+    dealer   a third party ships Alice her tuple file and Bob his seed
     ot       Gilboa product sharing over precomputed oblivious transfer
     lbe-sim  plaintext walk through the leveled-encryption pipeline
 
@@ -31,7 +31,6 @@ from .dealer import (
     decode_to_bob,
     encode_to_alice,
     encode_to_bob,
-    expand_alice,
     expand_bob,
 )
 from .gilboa import gilboa_batch, gilboa_sections
@@ -51,8 +50,7 @@ def generate_psi_inventories(backend, params, master_seed=None):
 
     if backend == "dealer":
         msg = dealer_generate(subseed(master, b"RA"), subseed(master, b"RB"), params)
-        seed_a, r_A_lists = msg.to_alice
-        return expand_alice(seed_a, r_A_lists, params), expand_bob(msg.to_bob, params)
+        return msg.to_alice, expand_bob(msg.to_bob, params)
 
     if backend == "seed":
         shared = subseed(master, b"shared")

@@ -18,7 +18,7 @@ tagged rA|section|chunk from Bob's seed.
 
 Since chunks are independent, the chunks of all sections of one call are
 dealt out in turn to up to one process per CPU: the caller and forked
-children, all writing into blocks carved from one anonymous shared mapping.
+children, all writing into blocks on anonymous shared mappings.
 The output does not depend on how many processes ran. Any backend whose
 chunks draw only from streams of their own can run on the same runner
 (_run_chunks) with its own chunk function, as Gilboa does.
@@ -106,16 +106,17 @@ def _expand_chunk(sec, c, lo, hi):
 
 
 def _shared_blocks(shapes, dtype):
-    """One ndarray per shape, all carved from one anonymous MAP_SHARED
-    mapping, so that writes from forked workers reach the caller."""
-    sizes = [math.prod(s) * np.dtype(dtype).itemsize for s in shapes]
-    buf = mmap.mmap(-1, max(1, sum(sizes)))
-    blocks, off = [], 0
-    for shape, size in zip(shapes, sizes):
-        flat = np.frombuffer(buf, dtype=dtype, count=math.prod(shape), offset=off)
-        blocks.append(flat.reshape(shape))
-        off += size
-    return blocks
+    """One ndarray per shape, each on an anonymous MAP_SHARED mapping of its
+    own, so that writes from forked workers reach the caller and each block
+    is freed with its last view."""
+    return [
+        np.frombuffer(
+            mmap.mmap(-1, max(1, math.prod(shape) * np.dtype(dtype).itemsize)),
+            dtype=dtype,
+            count=math.prod(shape),
+        ).reshape(shape)
+        for shape in shapes
+    ]
 
 
 def _worker_count(jobs):

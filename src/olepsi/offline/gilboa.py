@@ -44,7 +44,8 @@ def gilboa_batch(ot, modulus, count, slot_len, seed):
 
     Per batch: one shared s_A, independent (r_A, r_B) per slot, and per
     slot a rho list constrained to sum to s_A, so every slot's Gilboa run
-    lands on the same Alice share.
+    lands on the same Alice share. All rows run in one pass, so a caller
+    bounds its memory by the rows it asks for (gilboa_sections: _chunk_rows).
     """
     q = modulus.q
     L = slot_len
@@ -56,26 +57,20 @@ def gilboa_batch(ot, modulus, count, slot_len, seed):
     s_A[:] = prg.elements(modulus, count, dtype=dt)
     r_A[:] = prg.elements(modulus, count * L, dtype=dt).reshape(count, L)
     r_B = prg.nonzero_elements(modulus, count * L, dtype=dt).reshape(count, L)
-    s_B = np.empty((count, L), dtype=dt)
     pow2 = np.array([pow(2, i, q) for i in range(ell)], dtype=np.int64)
     positions = np.arange(ell, dtype=np.int64)
-    step = _chunk_rows(L, ell)
-    for lo in range(0, count, step):
-        hi = min(lo + step, count)
-        c = hi - lo
-        rho = np.empty((c, L, ell), dtype=np.int64)
-        if ell > 1:
-            rho[:, :, : ell - 1] = prg.elements(
-                modulus, c * L * (ell - 1)
-            ).reshape(c, L, ell - 1)
-        partial = rho[:, :, : ell - 1].sum(axis=2) % q
-        rho[:, :, ell - 1] = (s_A[lo:hi, None].astype(np.int64) - partial) % q
-        m0 = (-rho) % q
-        m1 = (r_A[lo:hi, :, None].astype(np.int64) * pow2 - rho) % q
-        bits = (r_B[lo:hi, :, None].astype(np.int64) >> positions) & 1
-        ot.ot_send_many(m0.ravel(), m1.ravel())
-        o = ot.ot_receive_many(bits.ravel()).reshape(c, L, ell)
-        s_B[lo:hi] = o.sum(axis=2) % q
+    rho = np.empty((count, L, ell), dtype=np.int64)
+    if ell > 1:
+        rho[:, :, : ell - 1] = prg.elements(
+            modulus, count * L * (ell - 1)
+        ).reshape(count, L, ell - 1)
+    partial = rho[:, :, : ell - 1].sum(axis=2) % q
+    rho[:, :, ell - 1] = (s_A[:, None].astype(np.int64) - partial) % q
+    m0 = (-rho) % q
+    m1 = (r_A[:, :, None].astype(np.int64) * pow2 - rho) % q
+    bits = (r_B[:, :, None].astype(np.int64) >> positions) & 1
+    ot.ot_send_many(m0.ravel(), m1.ravel())
+    s_B = ot.ot_receive_many(bits.ravel()).reshape(count, L, ell).sum(axis=2) % q
     return AliceInventory(modulus, block), BobInventory.from_r_b_s_b(modulus, r_B, s_B)
 
 

@@ -51,7 +51,7 @@ from .transport import (
     send_elements,
     send_frame,
 )
-from .tuples import TOKEN_LEN, release_rows
+from .tuples import TOKEN_LEN, check_sections, release_rows
 
 PROTOCOL_VERSION = 4
 
@@ -86,7 +86,9 @@ class PsiSession:
     """One party's agreed state for a single protocol run.
 
     inventories holds one inventory per entry of sections(params), in that
-    order (the layout produced by the offline generators). The hash seeds
+    order (the layout produced by the offline generators), each over the
+    parameters' field and exactly its (rows, cols): check_sections refuses
+    any other at construction and again when the run starts. The hash seeds
     are always derive_hash_seeds(params, token), so both parties hold the
     same ones and a table build never resamples them.
     Batches are single-use: a session refuses to run twice.
@@ -102,12 +104,7 @@ class PsiSession:
             raise ValueError(f"role must be alice or bob, got {self.role!r}")
         if len(self.token) != TOKEN_LEN:
             raise ValueError(f"token must be {TOKEN_LEN} bytes")
-        q = self.params.modulus.q
-        for inv in self.inventories:
-            if inv.modulus.q != q:
-                raise ValueError(
-                    f"inventory modulus {inv.modulus.q} does not match params ({q})"
-                )
+        check_sections(self.inventories, self.params, TupleExhausted)
         self.seeds = derive_hash_seeds(self.params, self.token)
         self._used = False
 
@@ -119,24 +116,8 @@ class PsiSession:
         if self._used:
             raise TupleExhausted("session already ran; tuple batches are single-use")
         self._used = True
-        layout = sections(self.params)
-        names = [name for name, _, _ in layout]
-        if len(self.inventories) != len(names):
-            raise TupleExhausted(
-                f"{len(self.inventories)} tuple sections, the run needs "
-                f"{len(names)} ({', '.join(names)})"
-            )
-        invs = dict(zip(names, self.inventories))
-        for name, rows, cols in layout:
-            label = name.removesuffix("s") + " batches"  # bin / stash batches
-            inv = invs[name]
-            if len(inv) != rows:
-                raise TupleExhausted(f"{label}: need {rows} batches, have {len(inv)}")
-            if inv.slot_len != cols:
-                raise TupleExhausted(
-                    f"{label}: need slot length {cols}, have {inv.slot_len}"
-                )
-        return invs
+        check_sections(self.inventories, self.params, TupleExhausted)
+        return dict(zip((name for name, _, _ in sections(self.params)), self.inventories))
 
 
 class FrameCut(NamedTuple):

@@ -15,6 +15,9 @@ token) followed by the inventory's block as little-endian words of
 ceil(bit_len/8) bytes in C order: Alice's rows are (s_A, r_A[0..L)), Bob's
 are L interleaved (r_B^-1, s_B) pairs. A file of any other version, such as
 format 1 with Bob's (r_B, r_B^-1, s_B) triples, is refused.
+The dealer's message to Alice is her tuple file: section_bytes writes it,
+parse_inventories reads it from any buffer, and alice_file_len is its
+exact length.
 
 A run maps its tuple file read-only and reads its blocks straight from the
 mapping: each frame brings in the pages under its rows, and release_rows
@@ -35,6 +38,7 @@ import numpy as np
 from .codec import pack_words, unpack_words
 from .field import FieldError, PrimeModulus
 from .modvec import dtype_for, mod_inv
+from .params import sections
 
 FILE_VERSION = 2
 TOKEN_LEN = 16
@@ -121,16 +125,19 @@ def _payload(inv):
     return pack_words(inv.block, 8 * inv.modulus.byte_len)
 
 
-def _section_header(modulus, count, slot_len, token, side=SIDE_BOB):
-    return _HEADER.pack(_MAGIC[side], FILE_VERSION, modulus.q, count, slot_len, token)
+def section_bytes(inventories, side, token):
+    """The tuple file of `inventories`, as the parts save_inventories writes:
+    per section its header, then its block's words."""
+    for inv in inventories:
+        yield _HEADER.pack(_MAGIC[side], FILE_VERSION, inv.modulus.q, len(inv), inv.slot_len, token)
+        yield _payload(inv)
 
 
 def inventory_token(bob_inventories):
     """16-byte digest of Bob's halves; identifies one offline run's output."""
     h = hashlib.sha256()
-    for inv in bob_inventories:
-        h.update(_section_header(inv.modulus, len(inv), inv.slot_len, bytes(TOKEN_LEN)))
-        h.update(_payload(inv))
+    for part in section_bytes(bob_inventories, SIDE_BOB, bytes(TOKEN_LEN)):
+        h.update(part)
     return h.digest()[:TOKEN_LEN]
 
 
@@ -147,9 +154,7 @@ def save_inventories(path, inventories, side, token):
     f = open(tmp, "xb")
     try:
         with f:
-            for inv in inventories:
-                f.write(_section_header(inv.modulus, len(inv), inv.slot_len, token, side))
-                f.write(_payload(inv))
+            f.writelines(section_bytes(inventories, side, token))
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -163,41 +168,60 @@ _SECTIONS = {
 }
 
 
+def alice_file_len(params):
+    """Bytes of Alice's tuple file for one parameter set: one header and
+    rows * (1 + L) words per section of sections(params)."""
+    return sum(
+        _HEADER.size + rows * (1 + cols) * params.modulus.byte_len
+        for _, rows, cols in sections(params)
+    )
+
+
 def load_inventories(path, side):
-    """Map the file read-only and parse all sections; returns (inventories,
-    token). Whenever the field width is 1, 2, 4 or 8 bytes each block is a
-    read-only view of the mapping, and release_rows can drop its pages; at
-    other widths it is a copy, and the mapping is closed once no view of it
-    is left."""
+    """Map the file read-only and parse all sections (parse_inventories);
+    returns (inventories, token). Whenever the field width is 1, 2, 4 or 8
+    bytes each block is a read-only view of the mapping, and release_rows
+    can drop its pages; at other widths it is a copy, and the mapping is
+    closed once no view of it is left."""
+    with open(path, "rb") as f:
+        empty = os.fstat(f.fileno()).st_size == 0
+        data = b"" if empty else mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
+    return parse_inventories(data, side)
+
+
+def parse_inventories(data, side):
+    """Parse the tuple file sections held in `data`, a file mapping or any
+    other buffer; returns (inventories, token). Blocks are views of `data`
+    where the field width allows; only views of a file mapping are marked
+    for release_rows."""
     if side not in _SECTIONS:
         raise ValueError(f"side must be alice or bob, got {side}")
     cls, block_shape = _SECTIONS[side]
-    with open(path, "rb") as f:
-        size = os.fstat(f.fileno()).st_size
-        if size == 0:
-            raise TupleFileError("empty tuple file")
-        mm = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
+    size = len(data)
+    if size == 0:
+        raise TupleFileError("empty tuple file")
     out = []
     token = None
     pos = 0
     while pos < size:
+        where = f"{side} section {len(out) + 1}"
         if size - pos < _HEADER.size:
-            raise TupleFileError("truncated section header")
-        magic, version, q, count, slot_len, tok = _HEADER.unpack_from(mm, pos)
+            raise TupleFileError(f"truncated {where} header")
+        magic, version, q, count, slot_len, tok = _HEADER.unpack_from(data, pos)
         pos += _HEADER.size
         if magic != _MAGIC[side]:
             if magic in _MAGIC.values():
                 other = SIDE_BOB if side == SIDE_ALICE else SIDE_ALICE
-                raise TupleFileError(f"file holds {other}-side sections, wanted {side}")
-            raise TupleFileError(f"bad magic {magic!r}")
+                raise TupleFileError(f"{where} holds {other}-side data, wanted {side}")
+            raise TupleFileError(f"{where}: bad magic {magic!r}")
         if version != FILE_VERSION:
             raise TupleFileError(
-                f"tuple file format {version} is not supported (need {FILE_VERSION})"
+                f"{where}: tuple file format {version} is not supported (need {FILE_VERSION})"
             )
         try:
             modulus = PrimeModulus(q)
         except FieldError as e:
-            raise TupleFileError(f"{side} section header: {e}") from None
+            raise TupleFileError(f"{where} header: {e}") from None
         if token is None:
             token = tok
         elif token != tok:
@@ -207,15 +231,43 @@ def load_inventories(path, side):
         nbytes = math.prod(shape) * width
         # checked before any view is made: the header's sizes are untrusted
         if nbytes > size - pos:
-            raise TupleFileError(f"truncated {side} section payload")
-        payload = memoryview(mm)[pos : pos + nbytes]
+            raise TupleFileError(f"truncated {side} section payload ({where})")
+        payload = memoryview(data)[pos : pos + nbytes]
         block = unpack_words(payload, 8 * width, nbytes // width, dtype_for(q))
         inv = cls(modulus, block.reshape(shape))
-        if np.may_share_memory(block, np.frombuffer(payload, np.uint8)):
-            inv._rows_in_file = (mm, pos, nbytes // max(count, 1))
+        if isinstance(data, mmap.mmap) and np.may_share_memory(
+            block, np.frombuffer(payload, np.uint8)
+        ):
+            inv._rows_in_file = (data, pos, nbytes // max(count, 1))
         out.append(inv)
         pos += nbytes
     return out, token
+
+
+def check_sections(inventories, params, error):
+    """Raise error(message) unless `inventories` holds one inventory per
+    section of sections(params), in that order, each exactly (rows, cols).
+    An inventory over another field than the parameters' raises ValueError
+    first, whatever `error` is. Every message names the section."""
+    layout = sections(params)
+    q = params.modulus.q
+    for (name, _, _), inv in zip(layout, inventories):
+        if inv.modulus.q != q:
+            raise ValueError(
+                f"{_batches(name)}: inventory modulus {inv.modulus.q} does not match params ({q})"
+            )
+    if len(inventories) != len(layout):
+        names = ", ".join(name for name, _, _ in layout)
+        raise error(f"{len(inventories)} tuple sections, the run needs {len(layout)} ({names})")
+    for (name, rows, cols), inv in zip(layout, inventories):
+        if len(inv) != rows:
+            raise error(f"{_batches(name)}: need {rows} batches, have {len(inv)}")
+        if inv.slot_len != cols:
+            raise error(f"{_batches(name)}: need slot length {cols}, have {inv.slot_len}")
+
+
+def _batches(name):
+    return name.removesuffix("s") + " batches"  # bin / stash batches
 
 
 def release_rows(inv, rows):

@@ -3,7 +3,8 @@ the documented formats rather than from the vectorised code they check.
 
 - reference_elements: the PRG sampler, one word at a time through Prg.read
 - reference_section: one section of the seed and dealer expansion
-- reference_section_bytes / reference_token: tuple file format 2
+- reference_section_bytes / reference_token: tuple file format 2, and
+  with_header to rewrite a field of a section header
 - write_format_1_bob_file: Bob's half in the retired tuple file format 1
 - validate_inventories: the OLE relation over a pair of inventories
 - split_element, fmix64, bin_hash, bin_index, invert_placement:
@@ -87,6 +88,15 @@ def reference_section_bytes(magic, q, count, slot_len, token, words):
     width = word_bytes(q)
     head = _HEADER.pack(magic, 2, q, count, slot_len, token)
     return head + b"".join(int(w).to_bytes(width, "little") for w in words)
+
+
+def with_header(data, **fields):
+    """Tuple file bytes `data` with fields (magic, version, q, count,
+    slot_len, token) of its first section header replaced."""
+    names = ("magic", "version", "q", "count", "slot_len", "token")
+    head = dict(zip(names, _HEADER.unpack_from(data)))
+    head.update(fields)
+    return _HEADER.pack(*(head[name] for name in names)) + bytes(data[_HEADER.size :])
 
 
 def bob_words(r_B_inv, s_B):

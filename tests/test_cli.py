@@ -4,7 +4,6 @@ Most tests call main() in process; one subprocess test exercises the
 console entry point and the dealer service over real loopback TCP.
 """
 
-import dataclasses
 import io
 import re
 import socket
@@ -35,7 +34,13 @@ from olepsi.transport import (
 )
 from olepsi.tuples import SIDE_ALICE, SIDE_BOB, load_inventories
 
-from oracles import bin_index, reference_section_bytes, split_element, write_format_1_bob_file
+from oracles import (
+    bin_index,
+    reference_section_bytes,
+    split_element,
+    with_header,
+    write_format_1_bob_file,
+)
 
 BASE = ["--n", "64", "--k", "3", "--sigma", "16"]
 BASE_STASH = ["--n", "64", "--k", "2", "--sigma", "16", "--stash", "4"]
@@ -150,18 +155,18 @@ class TestDealerFrameBounds:
     still holds the connection open and has sent no payload. The dealer
     drops a bad client and keeps serving; a client given a bad reply exits 3."""
 
-    def start_dealer(self, rc):
+    def start_dealer(self, rc, base=BASE):
         port = free_port()
         # a daemon, so a dealer still waiting for a client cannot hang the tests
         dealer = threading.Thread(target=lambda: rc.append(invoke(
-            ["dealer", "--listen", f"127.0.0.1:{port}", "--seed", SEED_B] + BASE)),
+            ["dealer", "--listen", f"127.0.0.1:{port}", "--seed", SEED_B] + base)),
             daemon=True)
         dealer.start()
         return dealer, port
 
-    def fetch(self, tmp_path, port, role):
+    def fetch(self, tmp_path, port, role, base=BASE):
         return invoke(["offline", "--connect", f"127.0.0.1:{port}", "--role", role,
-                       f"--out-{role}", str(tmp_path / f"{role}.tup")] + BASE)
+                       f"--out-{role}", str(tmp_path / f"{role}.tup")] + base)
 
     def test_oversize_request_fails_at_header(self, tmp_path, capsys):
         rc = []
@@ -241,12 +246,11 @@ class TestDealerFrameBounds:
         assert f"{limit + 1} byte payload, limit {limit}" in capsys.readouterr().err
         assert not (tmp_path / f"{role}.tup").exists()
 
-    def alice_payload(self, p, mangle=lambda r_A: r_A):
-        """A DEALER_A payload for p with `mangle` applied to each r_A array."""
+    def alice_payload(self, p, **fields):
+        """A DEALER_A payload for p with `fields` of its bins section header
+        replaced."""
         msg = dealer_generate(Seed(bytes([1]) * 32), Seed(bytes([2]) * 32), p)
-        R_A, r_A_lists = msg.to_alice
-        msg = dataclasses.replace(msg, to_alice=(R_A, tuple(map(mangle, r_A_lists))))
-        return encode_to_alice(msg, p.modulus)
+        return with_header(encode_to_alice(msg), **fields)
 
     @pytest.mark.parametrize("role", ["alice", "bob"])
     def test_truncated_dealer_reply_is_protocol_error(self, tmp_path, capsys, role):
@@ -264,17 +268,52 @@ class TestDealerFrameBounds:
         assert "Traceback" not in err
         assert not (tmp_path / f"{role}.tup").exists()
 
-    def test_misshaped_dealer_reply_is_protocol_error(self, tmp_path, capsys):
-        # as many words as the parameters need, with each section transposed
+    def refuse_alice_payload(self, tmp_path, capsys, payload, want):
+        """A reply of the right length carrying `payload` exits 3 with `want`
+        in the error, no traceback and no tuple file."""
         p = derive_params(64, 3, sigma=16)
-        payload = self.alice_payload(p, lambda r_A: r_A.T.copy())
         assert len(payload) == to_alice_len(p)
         rc = self.fetch_from_fake(tmp_path, _HEAD.pack(len(payload), DEALER_A) + payload, "alice")
         assert rc == 3
         err = capsys.readouterr().err
-        assert f"bins section is {p.beta} x {p.alpha}, parameters need {p.alpha} x {p.beta}" in err
+        assert want in err
         assert "Traceback" not in err
         assert not (tmp_path / "alice.tup").exists()
+
+    def test_misshaped_dealer_reply_is_protocol_error(self, tmp_path, capsys):
+        # as many words as the parameters need, with the bins header declaring
+        # 1 + beta batches of alpha - 1 slots
+        p = derive_params(64, 3, sigma=16)
+        payload = self.alice_payload(p, count=p.beta + 1, slot_len=p.alpha - 1)
+        want = f"bin batches: need {p.alpha} batches, have {p.beta + 1}"
+        self.refuse_alice_payload(tmp_path, capsys, payload, want)
+
+    @pytest.mark.parametrize("fields, want", [
+        ({"q": 3083}, "bin batches: inventory modulus 3083 does not match params (3079)"),
+        ({"magic": b"OLEB"}, "alice section 1 holds bob-side data, wanted alice"),
+        ({"q": 3080}, "alice section 1 header: modulus 3080 is not prime"),
+    ], ids=["other-field", "bob-magic", "non-prime-q"])
+    def test_bad_dealer_reply_header_is_protocol_error(self, tmp_path, capsys, fields, want):
+        p = derive_params(64, 3, sigma=16)
+        assert p.modulus.q == 3079
+        self.refuse_alice_payload(tmp_path, capsys, self.alice_payload(p, **fields), want)
+
+    @pytest.mark.parametrize("base", [BASE_STASH, BASE], ids=["k2-stash4", "k3"])
+    def test_served_files_equal_local_dealer_files(self, tmp_path, capsys, base):
+        # the dealer service and `offline --mode dealer` give the same bytes
+        rc = []
+        dealer, port = self.start_dealer(rc, base)
+        try:
+            for role in ("alice", "bob"):
+                assert self.fetch(tmp_path, port, role, base) == 0
+        finally:
+            dealer.join(timeout=30)
+        assert rc == [0]
+        assert invoke(["offline", "--mode", "dealer", "--seed", SEED_B,
+                       "--out-alice", str(tmp_path / "a.tup"),
+                       "--out-bob", str(tmp_path / "b.tup")] + base) == 0
+        for served, local in (("alice.tup", "a.tup"), ("bob.tup", "b.tup")):
+            assert (tmp_path / served).read_bytes() == (tmp_path / local).read_bytes()
 
 
 class TestSetFiles:

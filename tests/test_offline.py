@@ -4,7 +4,6 @@ import hashlib
 import math
 import mmap
 import os
-import struct
 import subprocess
 import sys
 import threading
@@ -30,7 +29,6 @@ from olepsi.offline import (
     decode_to_bob,
     encode_to_alice,
     encode_to_bob,
-    expand_alice,
     expand_bob,
     gen_seeded,
     generate_psi_inventories,
@@ -62,6 +60,7 @@ from oracles import (
     reference_token,
     residue_loop_reconstruct,
     validate_inventories,
+    with_header,
 )
 
 M11 = PrimeModulus(11)
@@ -175,15 +174,15 @@ def test_expansion_is_identical_on_any_number_of_processes(monkeypatch, cpus):
     assert ref == (a.s_A.tolist(), a.r_A.tolist(), b.r_B_inv.tolist(), b.s_B.tolist())
 
     msg = dealer_generate(R_A, R_B, p)
-    alice, bob = expand_alice(msg.to_alice[0], msg.to_alice[1], p), expand_bob(R_B, p)
+    alice, bob = msg.to_alice, expand_bob(R_B, p)
     refs = [reference_section(R_A, R_B, q, rows, cols, name.encode(), chunk_rows=2)
             for name, rows, cols in layout]
     for x, y, r in zip(alice, bob, refs, strict=True):
         assert r == (x.s_A.tolist(), x.r_A.tolist(), y.r_B_inv.tolist(), y.s_B.tolist())
     words = [(rows, cols, bob_words(r[2], r[3])) for (_, rows, cols), r in zip(layout, refs)]
     assert msg.token == inventory_token(bob) == reference_token(q, words)
-    # one fork per extra process for each of the four expansions
-    assert len(forks) == 4 * (cpus - 1)
+    # one fork per extra process for each of the three expansions
+    assert len(forks) == 3 * (cpus - 1)
     _no_children_left()
 
 
@@ -339,8 +338,9 @@ def test_each_backend_holds_each_side_in_one_block(tmp_path, backend):
 def test_dealer_reconstruction_validates():
     p = replace(params_small(), alpha=5)
     msg = dealer_generate(Seed(bytes([1]) * 32), Seed(bytes([2]) * 32), p)
-    alice = expand_alice(msg.to_alice[0], msg.to_alice[1], p)
-    bob = expand_bob(msg.to_bob, p)
+    # Alice's half as she receives it, Bob's as he expands it from his seed
+    alice, _ = decode_to_alice(encode_to_alice(msg), p)
+    bob = expand_bob(decode_to_bob(encode_to_bob(msg)), p)
     assert len(alice) == len(bob) == 2
     assert all(validate_inventories(x, y) for x, y in zip(alice, bob))
     # bins section shaped (alpha, beta), stash section (stash_size, n)
@@ -367,7 +367,7 @@ def test_dealer_token_identifies_bob_half():
 def test_dealer_mismatched_seed_fails_validation():
     p = replace(params_small(), alpha=6)
     msg = dealer_generate(Seed(bytes([1]) * 32), Seed(bytes([2]) * 32), p)
-    alice = expand_alice(msg.to_alice[0], msg.to_alice[1], p)
+    alice = msg.to_alice
     wrong = expand_bob(Seed(bytes([3]) * 32), p)
     assert not validate_inventories(alice[0], wrong[0])
 
@@ -390,14 +390,15 @@ def test_dealer_micro_run_stub(monkeypatch):
     # sections (1, 1) of bins and (0, 1) of stash over F_11
     p = SimpleNamespace(modulus=M11, alpha=1, beta=1, stash_size=0, n=1)
     msg = dealer_mod.dealer_generate(Seed(bytes(32)), Seed(bytes([1]) * 32), p)
-    assert int(msg.to_alice[1][0][0, 0]) == 2
+    alice, _ = decode_to_alice(encode_to_alice(msg), p)
+    assert (int(alice[0].s_A[0]), int(alice[0].r_A[0, 0])) == (4, 2)
 
 
 def test_dealer_alice_expansion_golden_prefix():
     # frozen: seed 0x01..01, small parameter set
     p = replace(params_small(), alpha=5)
     msg = dealer_generate(Seed(bytes([1]) * 32), Seed(bytes([2]) * 32), p)
-    alice = expand_alice(msg.to_alice[0], msg.to_alice[1], p)
+    alice, _ = decode_to_alice(encode_to_alice(msg), p)
     assert alice[0].s_A[:4].tolist() == [115, 148, 119, 49]
     prg = Prg(Seed(bytes([1]) * 32), tag=b"sA|bins|0")
     assert reference_elements(prg, p.modulus.q, 4) == [115, 148, 119, 49]
@@ -423,19 +424,17 @@ def _reference_seed_files(p, master, dealer_a, dealer_b):
         reference_section_bytes(b"OLEB", q, rows, cols, token, bob_words(s[2], s[3]))
         for (_, rows, cols), s in zip(layout, secs)
     )
-    # the dealer message: R_A, the token of Bob's half, q, the section count,
-    # then per section (count, L) and the r_A words
+    # the dealer message: Alice's tuple file of the dealer's run
     layout[0] = ("bins", 5, p.beta)
     secs = [reference_section(dealer_a, dealer_b, q, rows, cols, name.encode())
             for name, rows, cols in layout]
     dealer_token = reference_token(
         q, [(rows, cols, bob_words(s[2], s[3])) for (_, rows, cols), s in zip(layout, secs)]
     )
-    width = p.modulus.byte_len
-    dealer = struct.pack("<32s16sQB", dealer_a.value, dealer_token, q, len(layout))
-    for (_, rows, cols), s in zip(layout, secs):
-        dealer += struct.pack("<II", rows, cols)
-        dealer += b"".join(w.to_bytes(width, "little") for row in s[1] for w in row)
+    dealer = b"".join(
+        reference_section_bytes(b"OLEA", q, rows, cols, dealer_token, alice_words(s[0], s[1]))
+        for (_, rows, cols), s in zip(layout, secs)
+    )
     return token, alice, bob, dealer
 
 
@@ -445,11 +444,11 @@ def _reference_seed_files(p, master, dealer_a, dealer_b):
         (2, 20, 4099, "8a31cdf726ea6e23a7ffd4580a677c95",
          "df1500f1c760a4f09654068179a49d16f8a875358a946a5befaab4b60c21b94e",
          "78b5ea2bc6fc8b8771df7ce2daab4f87e77634d5959c5a98470591589543c117",
-         "ffe1e1dfa60358eab6fbfcec2746802f02f2bbe04543495770371da5fc125996"),
+         "6f68eecfd8b12911681e49cfe3c5a2b9e381c5ecf660f98a835fdcb239f24451"),
         (3, 25, 393241, "e0338402e3c4da1d50b7088c6733f3f0",
          "8e87b985dad45d2448aed16d5ea32b1230c9218ac088afe3cf60ca3ec33e60ff",
          "c213c0d6596e540ba86faefb0be56d8f49d819a845c8fad7ca2065d16fb896ce",
-         "c0fc57ee7715ea5174d93f611bc7854f9aa31640cb7534ae12ecf62fc9d85758"),
+         "062cc4032078df0bbc9b77e9107fbafdf31e98c2c902e5dc2dbef968f77a09d6"),
     ],
     ids=["k2-q4099", "k3-q393241"],  # not the pinned values: a re-pin keeps the name
 )
@@ -469,7 +468,7 @@ def test_seed_inventory_and_dealer_bytes_golden(
     assert hashlib.sha256((tmp_path / "a").read_bytes()).hexdigest() == alice_sha
     assert hashlib.sha256((tmp_path / "b").read_bytes()).hexdigest() == bob_sha
     msg = dealer_generate(dealer_a, dealer_b, replace(p, alpha=5))
-    data = encode_to_alice(msg, p.modulus)
+    data = encode_to_alice(msg)
     assert hashlib.sha256(data).hexdigest() == dealer_sha
     ref = _reference_seed_files(p, master, dealer_a, dealer_b)
     assert ref == (tok, (tmp_path / "a").read_bytes(), (tmp_path / "b").read_bytes(), data)
@@ -533,27 +532,41 @@ def test_ot_and_lbe_inventory_golden(tmp_path, backend, k, sigma, q, token, alic
 def test_dealer_alice_message_roundtrip():
     p = replace(params_small(), alpha=3)
     msg = dealer_generate(Seed(bytes([1]) * 32), Seed(bytes([2]) * 32), p)
-    data = encode_to_alice(msg, p.modulus)
-    seed, lists, token = decode_to_alice(data, p)
-    assert seed == msg.to_alice[0]
+    data = encode_to_alice(msg)
+    invs, token = decode_to_alice(data, p)
     assert token == msg.token
-    assert all((x == y).all() for x, y in zip(lists, msg.to_alice[1], strict=True))
+    assert all(np.array_equal(x.block, y.block) for x, y in zip(invs, msg.to_alice, strict=True))
     for bad in (data + b"\x00", data[:60], data[:-1]):
         with pytest.raises(TransportError, match="bytes, parameters need"):
             decode_to_alice(bad, p)
-    # as many words, in the layout of parameters with alpha and beta swapped
-    with pytest.raises(TransportError, match="bins section is 3 x 15, parameters need 15 x 3"):
-        decode_to_alice(data, replace(p, alpha=p.beta, beta=p.alpha))
+    # the right length, with a bins header that is not the parameters':
+    # as many words as 1 + beta batches of alpha - 1 slots, another prime
+    # field of the same width, Bob's magic, a q that is not prime
+    assert p.modulus.q == 263
+    for fields, want in (
+        ({"count": p.beta + 1, "slot_len": p.alpha - 1}, "bin batches: need 3 batches, have 16"),
+        ({"q": 257}, "bin batches: inventory modulus 257 does not match params \\(263\\)"),
+        ({"magic": b"OLEB"}, "alice section 1 holds bob-side data"),
+        ({"q": 264}, "alice section 1 header: modulus 264 is not prime"),
+    ):
+        bad = with_header(data, **fields)
+        assert len(bad) == len(data)
+        with pytest.raises(TransportError, match=want):
+            decode_to_alice(bad, p)
     with pytest.raises(TransportError):
         decode_to_bob(b"\x00" * 31)
 
 
-def test_dealer_alice_message_length_is_fixed_by_params():
-    # the client bounds the DEALER_A frame by this length before reading it
+def test_dealer_alice_message_length_is_fixed_by_params(tmp_path):
+    # the client bounds the DEALER_A frame by this length before reading it,
+    # and the message is the tuple file that Alice saves
     for count in (None, 1, 7):
         p = params_small() if count is None else replace(params_small(), alpha=count)
         msg = dealer_generate(Seed(bytes([1]) * 32), Seed(bytes([2]) * 32), p)
-        assert len(encode_to_alice(msg, p.modulus)) == dealer_mod.to_alice_len(p)
+        data = encode_to_alice(msg)
+        assert len(data) == dealer_mod.to_alice_len(p)
+        save_inventories(tmp_path / "a", msg.to_alice, "alice", msg.token)
+        assert data == (tmp_path / "a").read_bytes()
 
 
 # ---------------------------------------------------------------- OT provider

@@ -32,6 +32,16 @@ def test_make_tables(tmp_path):
     assert out.returncode == 0, out.stderr
 
 
+def test_tcp_demo(tmp_path):
+    # the script's python3 is this interpreter
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"),
+               PATH=os.pathsep.join([os.path.dirname(sys.executable), os.environ["PATH"]]))
+    out = subprocess.run(["bash", str(ROOT / "scripts" / "tcp_demo.sh")], cwd=tmp_path, env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stdout + out.stderr
+    assert "intersection size: 500" in out.stdout
+
+
 def test_bench_sweep(tmp_path):
     out = _run([str(ROOT / "scripts" / "bench_sweep.py"),
                 "--sizes", "64", "--k", "2", "--sigma", "16"], cwd=tmp_path)
