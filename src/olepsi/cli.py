@@ -6,7 +6,7 @@ dealer (serve correlated randomness to both parties), bench (timing and
 communication report), ot-demo and mismatch-demo (protocol walkthroughs).
 
 Exit codes: 0 success, 2 usage or bad input data, 3 protocol failure,
-4 file or network I/O failure.
+4 file, network or worker-process failure.
 """
 
 import argparse
@@ -18,7 +18,7 @@ import numpy as np
 from .field import FieldError, PrimeModulus
 from .hashing import HashingError
 from .mismatch import mismatch_keyed, mismatch_plain
-from .offline import BACKENDS, gen_seeded, generate_psi_inventories, subseed
+from .offline import BACKENDS, ExpansionError, gen_seeded, generate_psi_inventories, subseed
 from .offline.dealer import (
     dealer_generate,
     decode_to_alice,
@@ -26,7 +26,6 @@ from .offline.dealer import (
     encode_to_alice,
     encode_to_bob,
     expand_bob,
-    to_alice_len,
 )
 from .offline.ot import DealerAssistedOt, OtError
 from .online import OnlineError, PsiSession, ot_via_psi, psi_alice, psi_bob
@@ -49,6 +48,7 @@ from .tuples import (
     SIDE_ALICE,
     SIDE_BOB,
     TupleFileError,
+    alice_file_len,
     inventory_token,
     load_inventories,
     save_inventories,
@@ -193,7 +193,7 @@ def _offline_fetch(args, p):
     try:
         send_frame(chan, Frame(SETUP, args.role.encode() + p.digest()))
         # the reply's length is fixed by the parameters
-        bound = to_alice_len(p) if args.role == "alice" else SEED_LEN
+        bound = alice_file_len(p) if args.role == "alice" else SEED_LEN
         frame = recv_frame(chan, max_payload=bound)
         if args.role == "alice":
             if frame.msg_type != DEALER_A:
@@ -433,7 +433,7 @@ def main(argv=None):
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (OSError, TupleFileError, PeerTimeout) as e:
+    except (OSError, TupleFileError, PeerTimeout, ExpansionError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 4
     except (OnlineError, TransportError, HashingError, FieldError, OtError) as e:

@@ -7,12 +7,13 @@ Four interchangeable backends produce the same inventory shape:
     ot       Gilboa product sharing over precomputed oblivious transfer
     lbe-sim  plaintext walk through the leveled-encryption pipeline
 
-The seed, dealer and lbe-sim backends are clients of one chunked
-expansion (_expand), which draws Bob's r_B^-1 directly and derives r_A per
-chunk: lbe-sim only swaps in its residue pipeline as the r_A step. The ot
-backend runs Gilboa chunks, each on an OT dealer and seed of its own, on the
-same chunk runner and forked workers (gilboa_sections), and is the one
-backend that inverts.
+All four fill their sections through one section filler (_expand), which
+cuts every section into chunks and runs them on forked workers. The seed,
+dealer and lbe-sim backends hand it one chunked expansion, which draws Bob's
+r_B^-1 directly and derives r_A per chunk: lbe-sim only swaps in its residue
+pipeline as the r_A step. The ot backend hands it Gilboa chunks, each on an
+OT dealer and seed of its own (gilboa_sections), and is the one backend that
+inverts.
 
 A PSI run needs one inventory per side for each entry of
 `params.sections(params)`, in that order: `bins` (alpha batches of beta
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 from ..params import sections
 from ..prg import Seed, subseed
-from ._expand import ExpansionError, expand_sections
+from ._expand import ExpansionError, expand_sections, gen_seeded
 from .dealer import (
     DealerMessages,
     dealer_generate,
@@ -36,7 +37,6 @@ from .dealer import (
 from .gilboa import gilboa_batch, gilboa_sections
 from .lbe import LbeSimParams, lbe_params_for, lbe_r_a
 from .ot import DealerAssistedOt, OtError
-from .seeded import gen_seeded
 
 BACKENDS = ("seed", "dealer", "ot", "lbe-sim")
 

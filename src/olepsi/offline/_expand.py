@@ -1,27 +1,31 @@
-"""The chunked seed-to-array expansion that the seed, dealer and lbe-sim
-backends share, and the chunk runner that the ot backend's Gilboa chunks
-(offline.gilboa) run on too.
+"""The one section filler of the offline phase, the chunked seed-to-array
+expansion that the seed, dealer and lbe-sim backends share, and the forked
+chunk runner under both.
 
-Every section is cut into chunks of _row_chunk(L) whole rows, and each chunk
-is expanded from its own PRG streams, tagged role|section|chunk (chunk in
-decimal): the bins and stash sections of one run never share a stream,
-Alice-side and Bob-side material come from disjoint streams even when
-expanded from the same seed, and any chunk expands without the ones before
-it. Bob's r_B^-1 is drawn directly as a nonzero element: inversion is a
-bijection of F_q^*, so this is the distribution of an inverted uniform r_B,
-and nothing here inverts.
+_fill_sections allocates each section's blocks, cuts the section into
+chunks of whole rows and runs a backend's chunk function on every chunk:
+the expansion's (_expand_chunk, _row_chunk rows) here, Gilboa's
+(offline.gilboa) for the ot backend. It does not know which backend it
+serves.
 
-Where both halves are expanded, a backend's r_A step derives Alice's r_A
-from them, chunk by chunk: by default Bob's reply kernel, lbe-sim's residue
-pipeline in its place. The step gets one more stream of its own per chunk,
-tagged rA|section|chunk from Bob's seed.
+The expansion draws each chunk from its own PRG streams, tagged
+role|section|chunk (chunk in decimal): the bins and stash sections of one
+run never share a stream, Alice-side and Bob-side material come from
+disjoint streams even when expanded from the same seed, and any chunk
+expands without the ones before it. Bob's r_B^-1 is drawn directly as a
+nonzero element: inversion is a bijection of F_q^*, so this is the
+distribution of an inverted uniform r_B, and nothing here inverts.
+
+Where Alice's half is expanded too, a backend's r_A step derives her r_A
+from both halves, chunk by chunk: by default Bob's reply kernel, lbe-sim's
+residue pipeline in its place. The step gets one more stream of its own per
+chunk, tagged rA|section|chunk from Bob's seed.
 
 Since chunks are independent, the chunks of all sections of one call are
 dealt out in turn to up to one process per CPU: the caller and forked
-children, all writing into blocks on anonymous shared mappings.
-The output does not depend on how many processes ran. Any backend whose
-chunks draw only from streams of their own can run on the same runner
-(_run_chunks) with its own chunk function, as Gilboa does.
+children, all writing into blocks on anonymous shared mappings. The output
+does not depend on how many processes ran, as long as each chunk draws only
+from streams of its own.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ import mmap
 import os
 import signal
 import threading
-from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -58,23 +62,6 @@ def _stream(seed, role, domain, chunk):
     return Prg(seed, tag=b"%s|%s|%d" % (role, domain, chunk))
 
 
-@dataclass(frozen=True)
-class _Section:
-    """One section to expand: Alice's (rows, 1 + L) block when seed_a is
-    given, Bob's (rows, L, 2) block when seed_b is given, else None, and
-    the r_A step that fills Alice's r_A columns when both are."""
-
-    modulus: object
-    domain: bytes
-    rows: int
-    slot_len: int
-    seed_a: object
-    seed_b: object
-    alice: np.ndarray | None
-    bob: np.ndarray | None
-    r_a: object
-
-
 def _reply_r_a(modulus, s_A, bob_rows, stream):
     """r_A = (s_A + s_B) * r_B_inv per slot: Bob's reply to c = s_A on
     encoding 0. Reads nothing from the chunk's stream."""
@@ -82,41 +69,34 @@ def _reply_r_a(modulus, s_A, bob_rows, stream):
     return bob_reply(s_A, zeros, bob_rows, modulus.q)
 
 
-def _expand_chunk(sec, c, lo, hi):
-    """Chunk c (rows lo..hi) of one section: Bob's r_B^-1 and s_B, Alice's
-    s_A, and her r_A by the section's r_A step when both halves are
-    expanded here."""
-    dt = dtype_for(sec.modulus.q)
-    shape = (hi - lo, sec.slot_len)
-    if sec.bob is not None:
-        r_B_inv = _stream(sec.seed_b, b"rBinv", sec.domain, c).nonzero_elements(
-            sec.modulus, math.prod(shape), dtype=dt
-        ).reshape(shape)
-        s_B = _stream(sec.seed_b, b"sB", sec.domain, c).elements(
-            sec.modulus, math.prod(shape), dtype=dt
-        ).reshape(shape)
-        sec.bob[lo:hi, :, 0] = r_B_inv
-        sec.bob[lo:hi, :, 1] = s_B
-    if sec.alice is not None:
-        s_A = _stream(sec.seed_a, b"sA", sec.domain, c).elements(sec.modulus, hi - lo, dtype=dt)
-        sec.alice[lo:hi, 0] = s_A
-        if sec.bob is not None:
-            stream = _stream(sec.seed_b, b"rA", sec.domain, c)
-            sec.alice[lo:hi, 1:] = sec.r_a(sec.modulus, s_A, sec.bob[lo:hi], stream)
+def _expand_chunk(modulus, seed_a, seed_b, r_a, domain, slot_len, alice, bob, c, lo, hi):
+    """Chunk c (rows lo..hi) of one section: Bob's r_B^-1 and s_B from
+    seed_b, and, when Alice's block is given, her s_A from seed_a and her
+    r_A by the r_A step."""
+    dt = dtype_for(modulus.q)
+    shape = (hi - lo, slot_len)
+    r_B_inv = _stream(seed_b, b"rBinv", domain, c).nonzero_elements(
+        modulus, math.prod(shape), dtype=dt
+    ).reshape(shape)
+    s_B = _stream(seed_b, b"sB", domain, c).elements(
+        modulus, math.prod(shape), dtype=dt
+    ).reshape(shape)
+    bob[lo:hi, :, 0] = r_B_inv
+    bob[lo:hi, :, 1] = s_B
+    if alice is not None:
+        s_A = _stream(seed_a, b"sA", domain, c).elements(modulus, hi - lo, dtype=dt)
+        alice[lo:hi, 0] = s_A
+        stream = _stream(seed_b, b"rA", domain, c)
+        alice[lo:hi, 1:] = r_a(modulus, s_A, bob[lo:hi], stream)
 
 
-def _shared_blocks(shapes, dtype):
-    """One ndarray per shape, each on an anonymous MAP_SHARED mapping of its
-    own, so that writes from forked workers reach the caller and each block
-    is freed with its last view."""
-    return [
-        np.frombuffer(
-            mmap.mmap(-1, max(1, math.prod(shape) * np.dtype(dtype).itemsize)),
-            dtype=dtype,
-            count=math.prod(shape),
-        ).reshape(shape)
-        for shape in shapes
-    ]
+def _shared_block(shape, dtype):
+    """An ndarray on an anonymous MAP_SHARED mapping of its own, so that
+    writes from forked workers reach the caller and the block is freed with
+    its last view."""
+    count = math.prod(shape)
+    buf = mmap.mmap(-1, max(1, count * np.dtype(dtype).itemsize))
+    return np.frombuffer(buf, dtype=dtype, count=count).reshape(shape)
 
 
 def _worker_count(jobs):
@@ -175,33 +155,48 @@ def _child(items, chunk):
         os._exit(status)
 
 
-def expand_sections(modulus, layout, seed_a=None, seed_b=None, r_a=_reply_r_a):
-    """Expand each (name, rows, L) section of `layout` (as params.sections
-    gives it): Alice's s_A from seed_a, Bob's (r_B^-1, s_B) from seed_b, and
-    r_A when both seeds are given, as r_a(modulus, s_A, bob_rows, stream)
-    returns it per chunk: s_A the chunk's (rows,) column, bob_rows its
-    (rows, L, 2) block, stream its rA|section|chunk Prg. Returns (Alice's
-    inventories, Bob's), a list per side whose seed was given, else None;
-    without seed_b, Alice's r_A columns are left for the caller to fill."""
+def _fill_sections(modulus, layout, rows_per_chunk, chunk, alice=True):
+    """Fill each (name, rows, L) section of `layout` (as params.sections
+    gives it): Bob's (rows, L, 2) block, and Alice's (rows, 1 + L) block when
+    `alice` is true, each on a shared mapping of its own. Every section is
+    cut into chunks of rows_per_chunk(L) rows, and
+    chunk(domain, L, alice_block_or_None, bob_block, c, lo, hi) fills chunk c
+    (rows lo..hi) on the chunk runner. Returns (Alice's inventories or None,
+    Bob's), one per section."""
     dt = dtype_for(modulus.q)
-    shapes = []
-    for _, rows, cols in layout:
-        if seed_a is not None:
-            shapes.append((rows, 1 + cols))
-        if seed_b is not None:
-            shapes.append((rows, cols, 2))
-    blocks = iter(_shared_blocks(shapes, dt))
-    secs = [
-        _Section(
-            modulus, name.encode(), rows, cols, seed_a, seed_b,
-            next(blocks) if seed_a is not None else None,
-            next(blocks) if seed_b is not None else None,
-            r_a,
-        )
-        for name, rows, cols in layout
+    alices = [_shared_block((rows, 1 + L), dt) if alice else None for _, rows, L in layout]
+    bobs = [_shared_block((rows, L, 2), dt) for _, rows, L in layout]
+    work = [
+        (name.encode(), L, a, b, *c)
+        for (name, rows, L), a, b in zip(layout, alices, bobs)
+        for c in _chunks(rows, rows_per_chunk(L))
     ]
-    work = [(sec, *c) for sec in secs for c in _chunks(sec.rows, _row_chunk(sec.slot_len))]
-    _run_chunks(work, _expand_chunk)
-    alice = [AliceInventory(modulus, s.alice) for s in secs] if seed_a is not None else None
-    bob = [BobInventory(modulus, s.bob) for s in secs] if seed_b is not None else None
+    _run_chunks(work, chunk)
+    return (
+        [AliceInventory(modulus, a) for a in alices] if alice else None,
+        [BobInventory(modulus, b) for b in bobs],
+    )
+
+
+def expand_sections(modulus, layout, seed_a, seed_b, r_a=_reply_r_a):
+    """Expand each (name, rows, L) section of `layout`: Bob's (r_B^-1, s_B)
+    from seed_b and, unless seed_a is None, Alice's s_A from seed_a and her
+    r_A as r_a(modulus, s_A, bob_rows, stream) returns it per chunk: s_A the
+    chunk's (rows,) column, bob_rows its (rows, L, 2) block, stream its
+    rA|section|chunk Prg. Returns (Alice's inventories or None, Bob's)."""
+    chunk = partial(_expand_chunk, modulus, seed_a, seed_b, r_a)
+    return _fill_sections(modulus, layout, _row_chunk, chunk, alice=seed_a is not None)
+
+
+def gen_seeded(shared_seed, count, modulus, slot_len, *, domain=b"bins"):
+    """Expand `count` batches of `slot_len` tuples over F_q from one seed:
+    the shared-seed (trusted-execution) backend on one section.
+
+    Returns (AliceInventory, BobInventory), both deterministic functions
+    of the seed: running twice yields bit-identical arrays.
+    """
+    if count < 0:
+        raise ValueError("count must be >= 0")
+    layout = [(domain.decode(), count, slot_len)]
+    (alice,), (bob,) = expand_sections(modulus, layout, seed_a=shared_seed, seed_b=shared_seed)
     return alice, bob

@@ -25,9 +25,6 @@ from ..tuples import (
 )
 from ._expand import expand_sections
 
-# the dealer-to-Alice message is Alice's tuple file: a receiver's exact frame bound
-to_alice_len = alice_file_len
-
 
 @dataclass(frozen=True)
 class DealerMessages:
@@ -52,7 +49,7 @@ def dealer_generate(R_A, R_B, params):
 
 def expand_bob(R_B, params):
     """Bob's side: everything re-expanded from the 32-byte seed."""
-    return expand_sections(params.modulus, sections(params), seed_b=R_B)[1]
+    return expand_sections(params.modulus, sections(params), seed_a=None, seed_b=R_B)[1]
 
 
 def encode_to_alice(msg):
@@ -65,13 +62,13 @@ def decode_to_alice(data, params):
     """Alice's (inventories, token) from a dealer-to-Alice message, parsed
     as her tuple file. A message of another length, or whose sections are
     not those of the parameters, raises TransportError."""
-    need = to_alice_len(params)
+    need = alice_file_len(params)
     if len(data) != need:
         raise TransportError(f"dealer message is {len(data)} bytes, parameters need {need}")
     try:
         invs, token = parse_inventories(data, SIDE_ALICE)
         check_sections(invs, params, TupleFileError)
-    except (TupleFileError, ValueError) as e:
+    except TupleFileError as e:
         raise TransportError(f"dealer message: {e}") from None
     return invs, token
 

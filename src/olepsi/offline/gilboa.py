@@ -11,25 +11,27 @@ so s_A = sum rho_i and s_B = sum o_i satisfy s_A + s_B = r_A * r_B.
 gilboa_batch runs this on every slot of a batch at once, and shares one
 s_A across the batch by constraining each slot's rho list to sum to it.
 
-gilboa_sections runs the ot backend on the chunk runner the other backends
-share (_expand._run_chunks): every chunk of _chunk_rows whole rows runs
-gilboa_batch on its own DealerAssistedOt and Gilboa seed, derived from the
-master seed and tagged section|chunk. A DealerAssistedOt draws its pads and
-choice masks from sequential streams, so giving each chunk its own means no
-two chunks share a pad, a choice bit or a rho, in any process, and the
-output does not depend on how many processes ran. Bob holds r_B here, not a
-drawn r_B^-1, so this is the one backend that inverts
+gilboa_sections runs the ot backend through the section filler the other
+backends share (_expand._fill_sections): every chunk of _chunk_rows whole
+rows runs gilboa_batch on its own DealerAssistedOt and Gilboa seed, derived
+from the master seed and tagged section|chunk. A DealerAssistedOt draws its
+pads and choice masks from sequential streams, so giving each chunk its own
+means no two chunks share a pad, a choice bit or a rho, in any process, and
+the output does not depend on how many processes ran. Bob holds r_B here,
+not a drawn r_B^-1, so this is the one backend that inverts
 (BobInventory.from_r_b_s_b), chunk by chunk.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 import numpy as np
 
 from ..modvec import dtype_for
 from ..prg import Prg, subseed
 from ..tuples import AliceInventory, BobInventory
-from ._expand import _chunks, _run_chunks, _shared_blocks
+from ._expand import _fill_sections
 from .ot import DealerAssistedOt
 
 
@@ -88,13 +90,7 @@ def gilboa_sections(modulus, layout, master):
     """The ot backend: Alice's and Bob's inventories for each (name, rows, L)
     section of `layout` (as params.sections gives it), by Gilboa product
     sharing over dealer-assisted OT, chunk by chunk from `master`."""
-    shapes = [shape for _, rows, L in layout for shape in ((rows, 1 + L), (rows, L, 2))]
-    blocks = _shared_blocks(shapes, dtype_for(modulus.q))
-    alice, bob = blocks[0::2], blocks[1::2]
-    work = [
-        (modulus, master, name.encode(), L, a, b, *c)
-        for (name, rows, L), a, b in zip(layout, alice, bob)
-        for c in _chunks(rows, _chunk_rows(L, modulus.bit_len))
-    ]
-    _run_chunks(work, _gilboa_chunk)
-    return [AliceInventory(modulus, a) for a in alice], [BobInventory(modulus, b) for b in bob]
+    ell = modulus.bit_len
+    return _fill_sections(
+        modulus, layout, lambda L: _chunk_rows(L, ell), partial(_gilboa_chunk, modulus, master)
+    )

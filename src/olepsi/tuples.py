@@ -246,24 +246,22 @@ def parse_inventories(data, side):
 
 def check_sections(inventories, params, error):
     """Raise error(message) unless `inventories` holds one inventory per
-    section of sections(params), in that order, each exactly (rows, cols).
-    An inventory over another field than the parameters' raises ValueError
-    first, whatever `error` is. Every message names the section."""
+    section of sections(params), in that order, each over the parameters'
+    field and exactly (rows, cols). Every message names the section."""
     layout = sections(params)
     q = params.modulus.q
-    for (name, _, _), inv in zip(layout, inventories):
+    for (name, rows, cols), inv in zip(layout, inventories):
         if inv.modulus.q != q:
-            raise ValueError(
+            raise error(
                 f"{_batches(name)}: inventory modulus {inv.modulus.q} does not match params ({q})"
             )
-    if len(inventories) != len(layout):
-        names = ", ".join(name for name, _, _ in layout)
-        raise error(f"{len(inventories)} tuple sections, the run needs {len(layout)} ({names})")
-    for (name, rows, cols), inv in zip(layout, inventories):
         if len(inv) != rows:
             raise error(f"{_batches(name)}: need {rows} batches, have {len(inv)}")
         if inv.slot_len != cols:
             raise error(f"{_batches(name)}: need slot length {cols}, have {inv.slot_len}")
+    if len(inventories) != len(layout):
+        names = ", ".join(name for name, _, _ in layout)
+        raise error(f"{len(inventories)} tuple sections, the run needs {len(layout)} ({names})")
 
 
 def _batches(name):

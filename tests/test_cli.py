@@ -5,6 +5,7 @@ console entry point and the dealer service over real loopback TCP.
 """
 
 import io
+import os
 import re
 import socket
 import subprocess
@@ -16,7 +17,8 @@ import pytest
 from olepsi.cli import main, read_set_file
 from olepsi.cli import write_set as cli_write_set
 from olepsi.hashing import build_cuckoo_table
-from olepsi.offline.dealer import dealer_generate, encode_to_alice, to_alice_len
+from olepsi.offline import _expand as expand_mod
+from olepsi.offline.dealer import dealer_generate, encode_to_alice
 from olepsi.online import derive_hash_seeds
 from olepsi.params import derive_params
 from olepsi.prg import SEED_LEN, Seed
@@ -32,7 +34,7 @@ from olepsi.transport import (
     send_frame,
     tcp_connect,
 )
-from olepsi.tuples import SIDE_ALICE, SIDE_BOB, load_inventories
+from olepsi.tuples import SIDE_ALICE, SIDE_BOB, alice_file_len, load_inventories
 
 from oracles import (
     bin_index,
@@ -143,6 +145,27 @@ class TestOffline:
                      "--out-bob", str(tmp_path / "b")] + BASE)
         assert rc == 2
 
+    def test_failed_worker_exits_4(self, tmp_path, monkeypatch, capfd):
+        # two usable CPUs and chunks of 2 rows: the forked worker's chunks
+        # fail there, and the command reports it without a traceback of its own
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(expand_mod, "_row_chunk", lambda slot_len: 2)
+        parent, real = os.getpid(), expand_mod._expand_chunk
+
+        def chunk(*item):
+            if os.getpid() != parent:
+                raise RuntimeError("worker chunk failed")
+            real(*item)
+
+        monkeypatch.setattr(expand_mod, "_expand_chunk", chunk)
+        a, b = tmp_path / "a.tup", tmp_path / "b.tup"
+        rc = invoke(["offline", "--mode", "seed", "--seed", SEED_A,
+                     "--out-alice", str(a), "--out-bob", str(b)] + BASE)
+        assert rc == 4
+        last = capfd.readouterr().err.strip().splitlines()[-1]
+        assert last.startswith("error: ") and "expansion workers failed" in last
+        assert not a.exists() and not b.exists()
+
     def test_connect_requires_role(self, capsys):
         rc = invoke(["offline", "--connect", "127.0.0.1:1"] + BASE)
         assert rc == 2
@@ -239,7 +262,7 @@ class TestDealerFrameBounds:
     @pytest.mark.parametrize("role", ["alice", "bob"])
     def test_oversize_dealer_reply_fails_at_header(self, tmp_path, capsys, role):
         p = derive_params(64, 3, sigma=16)
-        limits = {"alice": (DEALER_A, to_alice_len(p)), "bob": (DEALER_B, SEED_LEN)}
+        limits = {"alice": (DEALER_A, alice_file_len(p)), "bob": (DEALER_B, SEED_LEN)}
         msg_type, limit = limits[role]
         rc = self.fetch_from_fake(tmp_path, _HEAD.pack(limit + 1, msg_type), role)
         assert rc == 3
@@ -257,7 +280,7 @@ class TestDealerFrameBounds:
         p = derive_params(64, 3, sigma=16)
         if role == "alice":
             short = _HEAD.pack(60, DEALER_A) + self.alice_payload(p)[:60]
-            want = f"dealer message is 60 bytes, parameters need {to_alice_len(p)}"
+            want = f"dealer message is 60 bytes, parameters need {alice_file_len(p)}"
         else:
             short = _HEAD.pack(20, DEALER_B) + bytes(20)
             want = f"dealer-to-Bob message must be {SEED_LEN} bytes"
@@ -272,7 +295,7 @@ class TestDealerFrameBounds:
         """A reply of the right length carrying `payload` exits 3 with `want`
         in the error, no traceback and no tuple file."""
         p = derive_params(64, 3, sigma=16)
-        assert len(payload) == to_alice_len(p)
+        assert len(payload) == alice_file_len(p)
         rc = self.fetch_from_fake(tmp_path, _HEAD.pack(len(payload), DEALER_A) + payload, "alice")
         assert rc == 3
         err = capsys.readouterr().err
@@ -493,6 +516,18 @@ class TestRun:
                      "--connect", "127.0.0.1:9"] + BASE)
         assert rc == 4
         assert "modulus 6150 is not prime" in capsys.readouterr().err
+
+    def test_file_of_another_sigma_exits_3(self, tmp_path, capsys):
+        # same sections, another prime field: refused like any other misfit
+        a, b = str(tmp_path / "a.tup"), str(tmp_path / "b.tup")
+        assert invoke(["offline", "--mode", "seed", "--seed", SEED_A,
+                       "--out-alice", a, "--out-bob", b,
+                       "--n", "64", "--k", "3", "--sigma", "20"]) == 0
+        s = write_set(tmp_path / "s.txt", [1])
+        rc = invoke(["run", "--role", "alice", "--set", s, "--tuples", a,
+                     "--connect", "127.0.0.1:9"] + BASE)
+        assert rc == 3
+        assert "bin batches" in capsys.readouterr().err
 
     def test_needs_exactly_one_endpoint(self, tmp_path, tuple_files, capsys):
         s = write_set(tmp_path / "s.txt", [1])

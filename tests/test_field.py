@@ -15,7 +15,7 @@ from olepsi.field import (
 )
 from olepsi.modvec import dtype_for, mod_inv
 from olepsi.offline import DealerAssistedOt, gen_seeded
-from olepsi.online import PsiSession
+from olepsi.online import PsiSession, TupleExhausted
 from olepsi.params import derive_params
 from olepsi.prg import Seed
 from olepsi.transport import (
@@ -111,7 +111,7 @@ def test_modulus_mismatch_rejected():
     other = PrimeModulus(251)
     assert p.modulus != other
     alice, _ = gen_seeded(Seed(bytes(32)), 1, other, 1)
-    with pytest.raises(ValueError, match="modulus"):
+    with pytest.raises(TupleExhausted, match="modulus"):
         PsiSession("alice", p, (alice,), bytes(16))
     # and a value of F_13 that is no value of F_11 is refused by the OT
     with pytest.raises(ValueError):

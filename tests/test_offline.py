@@ -191,12 +191,13 @@ def _failing_chunk(fail_on, then=None):
     `then` on the others."""
     real = expand_mod._expand_chunk
 
-    def chunk(sec, c, lo, hi):
+    def chunk(*item):
+        c = item[-3]
         if c % 2 == fail_on:
             raise RuntimeError(f"chunk {c} failed")
         if then is not None:
             then()
-        real(sec, c, lo, hi)
+        real(*item)
 
     return chunk
 
@@ -564,7 +565,7 @@ def test_dealer_alice_message_length_is_fixed_by_params(tmp_path):
         p = params_small() if count is None else replace(params_small(), alpha=count)
         msg = dealer_generate(Seed(bytes([1]) * 32), Seed(bytes([2]) * 32), p)
         data = encode_to_alice(msg)
-        assert len(data) == dealer_mod.to_alice_len(p)
+        assert len(data) == tuples_mod.alice_file_len(p)
         save_inventories(tmp_path / "a", msg.to_alice, "alice", msg.token)
         assert data == (tmp_path / "a").read_bytes()
 

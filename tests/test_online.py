@@ -268,7 +268,7 @@ class TestPsiSession:
         p = derive_params(4, 3, sigma=8)
         other = derive_params(4, 3, sigma=10)
         secs, _ = generate_psi_inventories("seed", other, Seed(bytes(32)))
-        with pytest.raises(ValueError):
+        with pytest.raises(TupleExhausted):
             PsiSession(role="alice", params=p, inventories=secs, token=bytes(16))
 
     def test_sessions_are_single_use(self):

@@ -1,13 +1,19 @@
 """The benchmark harness and the scripts under scripts/ run against the
 current API: each is started as its own process, as a user would. Every
 definition in src/ is reached from the program itself, not only from tests,
-and every attribute src/ stores is read by the program."""
+every attribute src/ stores is read by the program, and every exception
+class src/ defines leaves the command line through a documented exit code."""
 
 import ast
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
+
+import olepsi
+from olepsi import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -130,3 +136,29 @@ def test_src_stores_no_attribute_that_nothing_reads():
     readers = [*src, *sorted((ROOT / "benchmark").glob("*.py")),
                *sorted((ROOT / "scripts").glob("*.py"))]
     assert _unread_attributes(src, readers) == []
+
+
+def _olepsi_exceptions():
+    """Every Exception subclass defined in a module of the olepsi package."""
+    for info in pkgutil.walk_packages(olepsi.__path__, "olepsi."):
+        importlib.import_module(info.name)
+    found, todo = set(), [Exception]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            if sub not in found:
+                found.add(sub)
+                todo.append(sub)
+    return sorted((c for c in found if c.__module__.split(".")[0] == "olepsi"),
+                  key=lambda c: f"{c.__module__}.{c.__qualname__}")
+
+
+def test_every_exception_exits_through_a_documented_code(monkeypatch, capsys):
+    errors = _olepsi_exceptions()
+    assert {"ExpansionError", "TupleFileError", "UsageError"} <= {c.__name__ for c in errors}
+    for error in errors:
+        def raising(args, error=error):
+            raise error("injected")
+
+        monkeypatch.setattr(cli, "cmd_params", raising)
+        assert cli.main(["params", "--n", "16"]) in (2, 3, 4), error
+        assert capsys.readouterr().err == "error: injected\n", error
