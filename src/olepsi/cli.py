@@ -90,31 +90,31 @@ def read_set_file(path, sigma):
     """Newline-delimited unsigned decimals < 2^sigma, blank lines skipped, as
     a sorted int64 array; duplicates rejected.
 
-    One np.loadtxt parse reads the file. When it refuses the file, or a value
-    is out of range or repeated, _scan_set_file reads it again line by line
-    to name the first line at fault.
+    One np.loadtxt parse reads the file, and only a file it reads is
+    accepted. When it refuses the file, or a value is out of range or
+    repeated, _set_file_error reads it again line by line to name the first
+    line at fault.
     """
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # loadtxt on an empty file
         try:
             values = np.loadtxt(path, dtype=np.int64, comments=None, ndmin=2)
-        except ValueError:
-            return _scan_set_file(path, sigma)
+        except ValueError as e:
+            raise _set_file_error(path, sigma, str(e)) from None
     if values.shape[1] == 1:
         arr = np.sort(values[:, 0])
         if not arr.size or (
             arr[0] >= 0 and arr[-1] < (1 << sigma) and not (arr[1:] == arr[:-1]).any()
         ):
             return arr
-    return _scan_set_file(path, sigma)
+    raise _set_file_error(path, sigma, "not one unsigned integer per line")
 
 
-def _scan_set_file(path, sigma):
-    """read_set_file one line at a time: raises UsageError naming path:line
-    at the first line that is not an integer, is out of range or repeats.
-    A file with no such line, which only np.loadtxt refused (int() also
-    reads "1_000", and text mode also splits lines at a lone CR), is
-    returned as read_set_file returns it."""
+def _set_file_error(path, sigma, reason):
+    """The UsageError for a set file that read_set_file refused: it names
+    path:line at the first line that is not an integer, is out of range or
+    repeats. A file with no such line, which only np.loadtxt refused (int()
+    also reads "1_000"), is refused for the given reason."""
     values = set()
     with open(path) as f:
         for lineno, line in enumerate(f, 1):
@@ -124,17 +124,13 @@ def _scan_set_file(path, sigma):
             try:
                 v = int(text, 10)
             except ValueError:
-                raise UsageError(
-                    f"{path}:{lineno}: not an unsigned integer: {text!r}"
-                ) from None
+                return UsageError(f"{path}:{lineno}: not an unsigned integer: {text!r}")
             if not 0 <= v < (1 << sigma):
-                raise UsageError(
-                    f"{path}:{lineno}: element {v} outside [0, 2^{sigma})"
-                )
+                return UsageError(f"{path}:{lineno}: element {v} outside [0, 2^{sigma})")
             if v in values:
-                raise UsageError(f"{path}:{lineno}: duplicate element {v}")
+                return UsageError(f"{path}:{lineno}: duplicate element {v}")
             values.add(v)
-    return np.array(sorted(values), dtype=np.int64)
+    return UsageError(f"{path}: {reason}")
 
 
 def write_set(stream, values):

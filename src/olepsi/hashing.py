@@ -12,6 +12,9 @@ like a random function for the load and stash bounds, not to be one-way.
 
 Items Alice stashes have no bin, so stash comparisons use stash_encode: a
 keyed 64-bit mixer of the whole element, reduced into the same range.
+
+The seeds are one (k + 1, 2) array of uint64 (online.derive_hash_seeds):
+row j < k holds (a_j, b_j), and the last row's first word keys stash_encode.
 """
 
 import math
@@ -21,8 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .modvec import dtype_for
-
-HASH_SEED_LEN = 16
 
 
 class HashingError(Exception):
@@ -35,32 +36,6 @@ class CuckooFailure(HashingError):
 
 class BinOverflow(HashingError):
     pass
-
-
-@dataclass(frozen=True)
-class HashSeeds:
-    """k bin-hash seeds plus one keyed-hash seed, shared by both parties."""
-
-    bin_seeds: tuple
-    keyed_seed: bytes
-
-    def __post_init__(self):
-        for s in self.bin_seeds:
-            if len(s) != HASH_SEED_LEN:
-                raise ValueError("bin seed of wrong length")
-        if len(self.keyed_seed) != HASH_SEED_LEN:
-            raise ValueError("keyed seed of wrong length")
-
-    @classmethod
-    def generate(cls, k, randbytes):
-        """k + 1 seeds read in order from randbytes(n) -> n bytes."""
-        return cls(
-            bin_seeds=tuple(randbytes(HASH_SEED_LEN) for _ in range(k)),
-            keyed_seed=randbytes(HASH_SEED_LEN),
-        )
-
-    def to_bytes(self):
-        return b"".join(self.bin_seeds) + self.keyed_seed
 
 
 _BLOCK = 1 << 16  # elements per pass of the bin hash: temporaries stay in cache
@@ -80,12 +55,12 @@ def _fmix64(z):
 def stash_encode(xs, seeds, params):
     """Field encodings of full elements for stash comparisons, one per element.
 
-    z = x XOR (the first 8 keyed-seed bytes, little-endian), then fmix64,
+    z = x XOR seeds[-1, 0] (the keyed seed's first word), then fmix64,
     reduced mod dummy_alice: so every encoding lies in [0, k * 2^sigma2) and
     can never equal a dummy. One numpy pass over the whole array.
     """
     z = np.array(xs, dtype=np.uint64)
-    z ^= np.frombuffer(seeds.keyed_seed[:8], dtype="<u8")[0]
+    z ^= seeds[-1, 0]
     _fmix64(z)
     z %= params.dummy_alice
     return z.astype(np.int64)
@@ -95,20 +70,19 @@ def _candidate_bins(arr, seeds, params, dtype=np.int64):
     """(k, len(arr)) array of the given integer dtype: entry [j, t] is the bin
     of arr[t] under hash j, (h_j(x2) + x1) mod alpha.
 
-    h_j(x2) = fmix64(fmix64(x2 XOR a_j) XOR b_j), where a_j and b_j are the two
-    little-endian u64 halves of bin_seeds[j], mapped onto [0, alpha) by
-    multiply-shift of its top 32 bits: derive_params refuses alpha >= 2^31,
-    so the product fits 64 bits and every bin fits an int32. Evaluated
-    _BLOCK elements at a time, straight into the output.
+    h_j(x2) = fmix64(fmix64(x2 XOR a_j) XOR b_j), where (a_j, b_j) is row j
+    of the seed array, mapped onto [0, alpha) by multiply-shift of its top
+    32 bits: derive_params refuses alpha >= 2^31, so the product fits 64 bits
+    and every bin fits an int32. Evaluated _BLOCK elements at a time,
+    straight into the output.
     """
     alpha, sigma2 = params.alpha, params.sigma2
-    halves = [np.frombuffer(s, dtype="<u8") for s in seeds.bin_seeds]
     cand = np.empty((params.k, arr.size), dtype=dtype)
     for lo in range(0, arr.size, _BLOCK):
         block = arr[lo : lo + _BLOCK]
         x1 = (block >> sigma2).astype(np.uint64)
         x2 = (block & ((1 << sigma2) - 1)).astype(np.uint64)
-        for j, (a, b) in enumerate(halves):
+        for j, (a, b) in enumerate(seeds[: params.k]):
             z = _fmix64(x2 ^ a)
             z ^= b
             _fmix64(z)

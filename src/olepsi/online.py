@@ -17,10 +17,13 @@ into frames of at most _CHUNK elements along a frame plan that both sides
 derive from the parameters alone; Bob computes and sends his reply one bin
 range at a time, and Alice matches each range as it arrives.
 
-PROTOCOL_VERSION 4 is the first whose bin hashes are a keyed fmix64 mixer;
-version 3 used a keyed SHA-256 there, so its elements land in other bins,
-and version 2 also encoded the stash with one. Older peers are refused at
-SETUP.
+SETUP, the first frame each way, holds the protocol version, the parameter
+digest and the inventory token; both sides derive the hash seeds from the
+last two. PROTOCOL_VERSION 5 is the first that does not also send the seeds.
+Version 4 did, so its longer SETUP is refused at the frame header; version 4
+was the first whose bin hashes are a keyed fmix64 mixer, version 3 used a
+keyed SHA-256 there, so its elements land in other bins, and version 2 also
+encoded the stash with one. Every older peer is refused at SETUP.
 """
 
 import hashlib
@@ -30,13 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .hashing import (
-    HASH_SEED_LEN,
-    HashSeeds,
-    build_bin_table,
-    build_cuckoo_table,
-    stash_encode,
-)
+from .hashing import build_bin_table, build_cuckoo_table, stash_encode
 from .modvec import bob_reply, dtype_for
 from .params import sections
 from .prg import Prg, Seed
@@ -53,7 +50,7 @@ from .transport import (
 )
 from .tuples import TOKEN_LEN, check_sections, release_rows
 
-PROTOCOL_VERSION = 4
+PROTOCOL_VERSION = 5
 
 _CHUNK = 1 << 22  # field elements per frame
 
@@ -67,18 +64,22 @@ class TupleExhausted(OnlineError):
 
 
 class SeedMismatch(OnlineError):
-    """Setup exchange shows the parties disagree on parameters, seeds or tuples."""
+    """Setup exchange shows the parties disagree on the protocol version, the
+    parameters or the tuples; both roles raise it, naming the cause."""
 
 
 def derive_hash_seeds(params, token):
-    """Shared hash seeds derived from public setup data.
+    """Shared hash seeds derived from public setup data: a read-only
+    (k + 1, 2) array of little-endian uint64, the k bin seeds and then the
+    keyed seed, 16 bytes each, read in that order from one PRG stream.
 
-    Binding the seeds to (parameter digest, inventory token) lets both
-    parties compute identical seeds without an agreement round.
+    Binding the seeds to (parameter digest, inventory token), which SETUP
+    compares, lets both parties compute identical seeds without sending them.
     """
     material = hashlib.sha256(b"hash-seeds|" + params.digest() + token).digest()
     prg = Prg(Seed(material), tag=b"hash-seeds")
-    return HashSeeds.generate(params.k, randbytes=prg.read)
+    raw = bytes(prg.read(16 * (params.k + 1)))
+    return np.frombuffer(raw, dtype="<u8").reshape(params.k + 1, 2)
 
 
 @dataclass
@@ -176,57 +177,41 @@ def _check_totals(channel, before, sent, received):
 
 
 def _setup_payload(session):
-    return (
-        bytes([PROTOCOL_VERSION])
-        + session.params.digest()
-        + session.token
-        + session.seeds.to_bytes()
-    )
+    return bytes([PROTOCOL_VERSION]) + session.params.digest() + session.token
 
 
 def _verify_setup(session, payload):
     digest = session.params.digest()
-    expect = 1 + len(digest) + TOKEN_LEN + (session.params.k + 1) * HASH_SEED_LEN
+    expect = 1 + len(digest) + TOKEN_LEN
     if len(payload) != expect:
         raise SeedMismatch(f"setup frame is {len(payload)} bytes, expected {expect}")
     if payload[0] != PROTOCOL_VERSION:
         raise SeedMismatch(
             f"peer speaks protocol version {payload[0]}, ours is {PROTOCOL_VERSION}"
         )
-    off = 1
-    if payload[off : off + len(digest)] != digest:
+    if payload[1 : 1 + len(digest)] != digest:
         raise SeedMismatch("parameter digest mismatch")
-    off += len(digest)
-    peer_token = payload[off : off + TOKEN_LEN]
-    off += TOKEN_LEN
-    if peer_token != session.token:
+    if payload[1 + len(digest) :] != session.token:
         raise SeedMismatch(
             "tuple inventory tokens differ; the halves are not from one offline run"
         )
-    if payload[off:] != session.seeds.to_bytes():
-        raise SeedMismatch("hash seed mismatch")
 
 
 def _setup_exchange(session, channel):
-    """Verify agreement before any comparison traffic. Alice speaks first.
+    """Verify agreement before any comparison traffic: each side sends its
+    SETUP, then reads the peer's and checks it, so on any mismatch both
+    roles raise SeedMismatch naming the cause.
 
     A peer that agrees sends a payload as long as ours, so a header
-    declaring more raises OversizeFrame before any payload is read.
+    declaring more (such as a version-4 SETUP, which also carried the hash
+    seeds) raises OversizeFrame before any payload is read.
     """
-    mine = Frame(SETUP, _setup_payload(session))
-    bound = len(mine.payload)
-    if session.role == "alice":
-        send_frame(channel, mine)
-        reply = recv_frame(channel, max_payload=bound)
-        if reply.msg_type != SETUP:
-            raise UnexpectedType(f"wanted SETUP, got type {reply.msg_type}")
-        _verify_setup(session, reply.payload)
-    else:
-        frame = recv_frame(channel, max_payload=bound)
-        if frame.msg_type != SETUP:
-            raise UnexpectedType(f"wanted SETUP, got type {frame.msg_type}")
-        _verify_setup(session, frame.payload)
-        send_frame(channel, mine)
+    mine = _setup_payload(session)
+    send_frame(channel, Frame(SETUP, mine))
+    frame = recv_frame(channel, max_payload=len(mine))
+    if frame.msg_type != SETUP:
+        raise UnexpectedType(f"wanted SETUP, got type {frame.msg_type}")
+    _verify_setup(session, frame.payload)
 
 
 def psi_alice(session, elements, channel):
@@ -249,21 +234,20 @@ def psi_alice(session, elements, channel):
     _setup_exchange(session, channel)
     up, down = frame_plan(p)
 
-    stash_items = table.stash
-    c = {"bins": _alice_c(invs["bins"].s_A, table.bins, q)}
-    if p.stash_size:
-        enc_st = np.full(p.stash_size, p.dummy_alice, dtype=np.int64)
-        enc_st[: len(stash_items)] = stash_encode(stash_items, session.seeds, p)
-        c["stash"] = _alice_c(invs["stash"].s_A, enc_st, q)
+    # per section, the encoding each row compares and the element behind it:
+    # stash rows past Alice's stash items hold her dummy encoding and -1, as
+    # empty bins do, and never report a hit
+    stash = np.array(table.stash, dtype=np.int64)
+    pad = (0, p.stash_size - stash.size)
+    enc = {
+        "bins": table.bins,
+        "stash": np.pad(stash_encode(stash, session.seeds, p), pad, constant_values=p.dummy_alice),
+    }
+    element = {"bins": table.origins, "stash": np.pad(stash, pad, constant_values=-1)}
     for cut in up:
-        send_elements(channel, ALICE_C, c[cut.section][cut.rows], p.modulus)
+        c = _alice_c(invs[cut.section].s_A[cut.rows], enc[cut.section][cut.rows], q)
+        send_elements(channel, ALICE_C, c, p.modulus)
 
-    # the element behind each row of a section: -1 marks an empty bin or an
-    # unused stash row, which never report a hit
-    element = {"bins": table.origins}
-    if p.stash_size:
-        element["stash"] = np.full(p.stash_size, -1, dtype=np.int64)
-        element["stash"][: len(stash_items)] = stash_items
     out = set()
     for cut in down:
         d = recv_elements(channel, BOB_D, p.modulus, cut.count).reshape(cut.shape)

@@ -7,6 +7,7 @@ the documented formats rather than from the vectorised code they check.
   with_header to rewrite a field of a section header
 - write_format_1_bob_file: Bob's half in the retired tuple file format 1
 - validate_inventories: the OLE relation over a pair of inventories
+- hash_seeds: the (k + 1, 2) seed array from its raw bytes
 - split_element, fmix64, bin_hash, bin_index, invert_placement:
   permutation-based hashing of one element at a time
 - round_based_cuckoo: Alice's round-based cuckoo build on int64 arrays,
@@ -162,13 +163,16 @@ def fmix64(z):
     return z
 
 
+def hash_seeds(raw):
+    """The seed array hashing.py reads, from 16 raw bytes per seed (the k bin
+    seeds, then the keyed seed): (k + 1, 2) little-endian uint64, read-only."""
+    return np.frombuffer(bytes(raw), dtype="<u8").reshape(-1, 2)
+
+
 def bin_hash(j, x2, seeds, params):
-    """h_j(x2) = fmix64(fmix64(x2 ^ a) ^ b), a and b the little-endian halves
-    of bin_seeds[j]; its top 32 bits times alpha, shifted down by 32, lies
-    in [0, alpha)."""
-    seed = seeds.bin_seeds[j]
-    a = int.from_bytes(seed[:8], "little")
-    b = int.from_bytes(seed[8:], "little")
+    """h_j(x2) = fmix64(fmix64(x2 ^ a) ^ b), (a, b) row j of the seed array;
+    its top 32 bits times alpha, shifted down by 32, lies in [0, alpha)."""
+    a, b = (int(w) for w in seeds[j])
     return (fmix64(fmix64(x2 ^ a) ^ b) >> 32) * params.alpha >> 32
 
 

@@ -6,7 +6,6 @@ are generous enough that reruns cannot flake.
 """
 
 import time
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,7 +13,7 @@ from scipy.stats import chisquare
 
 from olepsi.field import PrimeModulus
 from olepsi.mismatch import mismatch_keyed, mismatch_plain
-from olepsi.offline import BACKENDS, gen_seeded, generate_psi_inventories
+from olepsi.offline import BACKENDS, gen_seeded
 from olepsi.offline.gilboa import gilboa_batch
 from olepsi.offline.lbe import lbe_params_for, lbe_reconstruct
 from olepsi.offline.ot import DealerAssistedOt

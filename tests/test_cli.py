@@ -349,6 +349,18 @@ class TestSetFiles:
         p.write_text("3\n\n7\n")
         assert read_set_file(str(p), 8).tolist() == [3, 7]
 
+    def test_underscore_digits_refused(self, tmp_path, capsys, tuple_files):
+        # int() reads "1_000", but the one accepted format is np.loadtxt's;
+        # the file is refused before any connection is tried
+        p = tmp_path / "bad.txt"
+        p.write_text("1_000\n5\n")
+        rc = invoke(["run", "--role", "bob", "--set", str(p),
+                     "--tuples", tuple_files[1],
+                     "--connect", f"127.0.0.1:{free_port()}"] + BASE)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert str(p) in err and "1_000" in err
+
     @pytest.mark.parametrize("body,fragment", [
         ("4\n4\n", "duplicate"),
         ("4\nbeef\n", "not an unsigned integer"),
@@ -442,9 +454,12 @@ class TestRun:
         assert rc == 0
         rcs, _ = self.run_pair(tmp_path, tuple_files, [1], [1],
                                tuples_b=other_b)
-        assert rcs["b"] == 3
-        assert rcs["a"] == 3
-        assert "token" in capsys.readouterr().err
+        assert rcs == {"a": 3, "b": 3}
+        # both roles name the cause, not only the one that read first
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("error:")]
+        assert len(errors) == 2
+        assert all("token" in line for line in errors)
 
     def test_silent_peer_is_io_error(self, tmp_path, tuple_files, monkeypatch, capsys):
         # the peer accepts and never sends; a short channel timeout stands

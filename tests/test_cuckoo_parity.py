@@ -13,9 +13,11 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from olepsi.hashing import CuckooFailure, HashSeeds, _candidate_bins, build_cuckoo_table
+from olepsi.hashing import CuckooFailure, _candidate_bins, build_cuckoo_table
 from olepsi.params import derive_params
 from olepsi.prg import Prg, Seed
+
+from oracles import hash_seeds
 
 
 def sequential_stash_size(arr, params, seeds):
@@ -52,7 +54,7 @@ def _case(params, domain, seed):
     rng = np.random.default_rng([seed, params.n, params.k, params.stash_size])
     arr = np.sort(rng.choice(domain, size=params.n, replace=False)).astype(np.int64)
     prg = Prg(Seed(seed.to_bytes(32, "little")), tag=b"parity")
-    return arr, HashSeeds.generate(params.k, randbytes=prg.read)
+    return arr, hash_seeds(prg.read(16 * (params.k + 1)))
 
 
 def parity_sweep(params, domain, seeds):

@@ -8,10 +8,8 @@ from scipy.stats import binom, chisquare
 
 from olepsi import hashing
 from olepsi.hashing import (
-    HASH_SEED_LEN,
     BinOverflow,
     CuckooFailure,
-    HashSeeds,
     _candidate_bins,
     build_bin_table,
     build_cuckoo_table,
@@ -25,6 +23,7 @@ from oracles import (
     bin_hash,
     bin_index,
     fmix64,
+    hash_seeds,
     invert_placement,
     round_based_cuckoo,
     split_element,
@@ -33,7 +32,7 @@ from oracles import (
 
 def fixed_seeds(k, label=b"seeds"):
     prg = Prg(Seed(bytes(32)), tag=label)
-    return HashSeeds.generate(k, randbytes=prg.read)
+    return hash_seeds(prg.read(16 * (k + 1)))
 
 
 def test_split_element_examples():
@@ -91,7 +90,7 @@ def test_bin_index_concrete_value():
     assert p.alpha == 16
     seeds = fixed_seeds(3)
     j, x1, x2 = 1, 3, 7
-    assert seeds.bin_seeds[j].hex() == "d65eeaf1ee4614cd376253538dbc07f2"
+    assert seeds[j].tobytes().hex() == "d65eeaf1ee4614cd376253538dbc07f2"
     a, b = 0xCD1446EEF1EA5ED6, 0xF207BC8D53536237  # the little-endian halves
 
     def fmix64(z):
@@ -120,18 +119,6 @@ def test_candidate_bins_match_oracle_across_blocks(monkeypatch):
     for t, x in enumerate(xs.tolist()):
         x1, x2 = split_element(x, p)
         assert cand[:, t].tolist() == [bin_index(j, x1, x2, seeds, p) for j in range(3)]
-
-
-def test_hash_seeds_roundtrip():
-    seeds = fixed_seeds(3)
-    # SETUP carries the k bin seeds, then the keyed seed
-    data = seeds.to_bytes()
-    parts = [data[i : i + HASH_SEED_LEN] for i in range(0, len(data), HASH_SEED_LEN)]
-    assert HashSeeds(bin_seeds=tuple(parts[:3]), keyed_seed=parts[3]) == seeds
-    with pytest.raises(ValueError):
-        HashSeeds(bin_seeds=tuple(parts[:3]), keyed_seed=parts[3][:-1])
-    with pytest.raises(ValueError):
-        HashSeeds(bin_seeds=(b"x",), keyed_seed=bytes(16))
 
 
 def test_cuckoo_empty_set():
@@ -304,7 +291,7 @@ def test_cuckoo_build_matches_int64_rounds(n, k, sigma, stash, size, seed, outco
     p = derive_params(n, k, sigma=sigma, stash_size=stash)
     rng = np.random.default_rng(seed)
     xs = np.sort(rng.choice(1 << sigma, size=size, replace=False)).astype(np.int64)
-    seeds = HashSeeds.generate(k, Prg(Seed(seed.to_bytes(32, "little")), tag=b"eq").read)
+    seeds = hash_seeds(Prg(Seed(seed.to_bytes(32, "little")), tag=b"eq").read(16 * (k + 1)))
     if outcome == "fail":
         with pytest.raises(CuckooFailure):
             round_based_cuckoo(xs, p, seeds)
@@ -481,12 +468,12 @@ def test_joint_hash_pair_grid_is_uniform(shared):
     counts and h_1 is no simple function of h_0."""
     p = derive_params(1 << 16, 3)
     assert p.sigma2 == 16
-    s0, s1, s2 = fixed_seeds(3).bin_seeds
+    s0, s1, s2 = (row.tobytes() for row in fixed_seeds(3)[:3])
     if shared == "first":
         s1 = _halves(s1, first=s0[:8])
     elif shared == "second":
         s1 = _halves(s1, second=s0[8:])
-    seeds = HashSeeds(bin_seeds=(s0, s1, s2), keyed_seed=bytes(16))
+    seeds = hash_seeds(s0 + s1 + s2 + bytes(16))
     h = _candidate_bins(np.arange(1 << p.sigma2, dtype=np.int64), seeds, p)
     cells = (h[0] * 64 // p.alpha) * 64 + h[1] * 64 // p.alpha
     counts = np.bincount(cells, minlength=64 * 64)
@@ -501,7 +488,7 @@ def test_stash_encode_range():
     assert ((0 <= vals) & (vals < p.dummy_alice)).all()
     # one batched call is bit-identical to the scalar mixer per element
     assert vals.tolist() == [
-        _stash_encode_ref(x, seeds.keyed_seed, p.dummy_alice) for x in range(500)
+        _stash_encode_ref(x, seeds[-1].tobytes(), p.dummy_alice) for x in range(500)
     ]
     assert stash_encode(np.empty(0, dtype=np.int64), seeds, p).size == 0
 

@@ -25,7 +25,6 @@ from olepsi.modvec import bob_reply, dtype_for, reply_dtype
 from olepsi.offline import BACKENDS, gen_seeded, generate_psi_inventories
 from olepsi.online import (
     PROTOCOL_VERSION,
-    OnlineError,
     _alice_c,
     PsiSession,
     SeedMismatch,
@@ -248,9 +247,10 @@ def test_derive_hash_seeds_deterministic_and_token_bound():
     a = derive_hash_seeds(p, b"\x01" * 16)
     b = derive_hash_seeds(p, b"\x01" * 16)
     c = derive_hash_seeds(p, b"\x02" * 16)
-    assert a == b
-    assert a != c
-    assert len(a.bin_seeds) == 3
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, c)
+    assert a.shape == (4, 2)
+    assert not a.flags.writeable
 
 
 class TestPsiSession:
@@ -364,7 +364,6 @@ class TestSetupRejections:
         p = derive_params(16, 3, sigma=16)
         a, _ = make_sessions(p, master_seed=Seed(bytes(32)))
         _, b = make_sessions(p, master_seed=Seed(b"\x01" * 32))
-        b.seeds = a.seeds  # isolate the token check
         with pytest.raises(SeedMismatch, match="token"):
             run_psi_pair(a, {1}, b, {2})
 
@@ -374,13 +373,6 @@ class TestSetupRejections:
         a, _ = make_sessions(p1, master_seed=Seed(bytes(32)))
         _, b = make_sessions(p2, master_seed=Seed(bytes(32)))
         with pytest.raises(SeedMismatch, match="digest"):
-            run_psi_pair(a, {1}, b, {2})
-
-    def test_hash_seed_mismatch(self):
-        p = derive_params(16, 3, sigma=16)
-        a, b = make_sessions(p, master_seed=Seed(bytes(32)))
-        b.seeds = derive_hash_seeds(p, b"\xee" * 16)
-        with pytest.raises(SeedMismatch, match="seed"):
             run_psi_pair(a, {1}, b, {2})
 
     @pytest.mark.parametrize("role", ["alice", "bob"])
@@ -492,7 +484,7 @@ def test_wire_token_matches_inventory_token():
     p = derive_params(16, 3, sigma=16)
     _, bob_secs = generate_psi_inventories("seed", p, Seed(b"\x09" * 32))
     assert len(inventory_token(bob_secs)) == 16
-    assert PROTOCOL_VERSION == 4
+    assert PROTOCOL_VERSION == 5
 
 
 class TestOtViaPsi:
@@ -676,35 +668,38 @@ def test_alice_match_finds_hits_at_frame_edges(channel_pair, monkeypatch):
     assert len(expected) == 3 and -1 not in result
 
 
-def test_protocol_version_1_peer_rejected_at_setup(channel_pair):
+@pytest.mark.parametrize("version", [
+    1,  # byte-rounded elements, one frame per message
+    # encoded stash items with a keyed SHA-256: its stash encodings differ
+    # from ours, so it must be refused before any traffic
+    2,
+    # hashed suffixes into bins with a keyed SHA-256: its elements land in
+    # other bins, so it would miss matches and must be refused
+    3,
+    4,  # also sent the hash seeds, which both sides now derive
+])
+def test_old_protocol_version_rejected_at_setup(channel_pair, version):
     p = derive_params(16, 3, sigma=16)
     a, b = make_sessions(p, master_seed=Seed(bytes(32)))
     chan_peer, chan = channel_pair(timeout=5.0)
-    send_frame(chan_peer, Frame(SETUP, bytes([1]) + _setup_payload(a)[1:]))
-    with pytest.raises(SeedMismatch, match="version 1"):
+    send_frame(chan_peer, Frame(SETUP, bytes([version]) + _setup_payload(a)[1:]))
+    with pytest.raises(SeedMismatch, match=f"version {version}"):
         psi_bob(b, {1}, chan)
 
 
-def test_protocol_version_2_peer_rejected_at_setup(channel_pair):
-    # version 2 encoded stash items with a keyed SHA-256: its stash
-    # encodings differ from ours, so it must be refused before any traffic
+def test_version_4_setup_refused_at_its_header(channel_pair):
+    """A real version-4 SETUP carries the k + 1 hash seeds of 16 bytes after
+    the token, so it is longer than ours and refused at its header, with its
+    payload left unread."""
     p = derive_params(16, 3, sigma=16)
     a, b = make_sessions(p, master_seed=Seed(bytes(32)))
+    payload = bytes([4]) + _setup_payload(a)[1:] + a.seeds.tobytes()
+    assert len(payload) == 97
     chan_peer, chan = channel_pair(timeout=5.0)
-    send_frame(chan_peer, Frame(SETUP, bytes([2]) + _setup_payload(a)[1:]))
-    with pytest.raises(SeedMismatch, match="version 2"):
+    send_frame(chan_peer, Frame(SETUP, payload))
+    with pytest.raises(OversizeFrame):
         psi_bob(b, {1}, chan)
-
-
-def test_protocol_version_3_peer_rejected_at_setup(channel_pair):
-    # version 3 hashed suffixes into bins with a keyed SHA-256: its elements
-    # land in other bins, so it would miss matches and must be refused
-    p = derive_params(16, 3, sigma=16)
-    a, b = make_sessions(p, master_seed=Seed(bytes(32)))
-    chan_peer, chan = channel_pair(timeout=5.0)
-    send_frame(chan_peer, Frame(SETUP, bytes([3]) + _setup_payload(a)[1:]))
-    with pytest.raises(SeedMismatch, match="version 3"):
-        psi_bob(b, {1}, chan)
+    assert chan.recv_bytes(len(payload)) == payload
 
 
 # ------------------------------------------------- tuple rows from mapped files

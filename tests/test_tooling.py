@@ -162,3 +162,24 @@ def test_every_exception_exits_through_a_documented_code(monkeypatch, capsys):
         monkeypatch.setattr(cli, "cmd_params", raising)
         assert cli.main(["params", "--n", "16"]) in (2, 3, 4), error
         assert capsys.readouterr().err == "error: injected\n", error
+
+
+def _unused_imports(paths):
+    """Names a module binds by import and never loads as an ast.Name, as
+    "file:name" (for `import a.b`, the name a)."""
+    unused = []
+    for path in paths:
+        tree = ast.parse(path.read_text())
+        loaded = {node.id for node in ast.walk(tree)
+                  if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    if name != "*" and name not in loaded:
+                        unused.append(f"{path.relative_to(ROOT).as_posix()}:{name}")
+    return unused
+
+
+def test_tests_load_every_name_they_import():
+    assert _unused_imports(sorted((ROOT / "tests").rglob("*.py"))) == []
