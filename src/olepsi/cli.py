@@ -275,8 +275,10 @@ def cmd_run(args):
     if args.listen:
         listener = TcpListener(*_hostport(args.listen))
         print(f"listening on port {listener.port}", file=sys.stderr, flush=True)
-        chan = listener.accept()
-        listener.close()
+        try:
+            chan = listener.accept()
+        finally:
+            listener.close()
     else:
         chan = tcp_connect(*_hostport(args.connect))
 

@@ -6,7 +6,10 @@ _fill_sections allocates each section's blocks, cuts the section into
 chunks of whole rows and runs a backend's chunk function on every chunk:
 the expansion's (_expand_chunk, _row_chunk rows) here, Gilboa's
 (offline.gilboa) for the ot backend. It does not know which backend it
-serves.
+serves. A chunk function cuts its chunk once more, into tiles of at most
+_TILE slots (params.tiles: whole rows while a row fits, else pieces of one
+row), and writes each tile straight into the blocks, so a process holds its
+blocks plus a working set that does not grow with the chunk or a row.
 
 The expansion draws each chunk from its own PRG streams, tagged
 role|section|chunk (chunk in decimal): the bins and stash sections of one
@@ -17,9 +20,11 @@ nonzero element: inversion is a bijection of F_q^*, so this is the
 distribution of an inverted uniform r_B, and nothing here inverts.
 
 Where Alice's half is expanded too, a backend's r_A step derives her r_A
-from both halves, chunk by chunk: by default Bob's reply kernel, lbe-sim's
+from both halves, tile by tile: by default Bob's reply kernel, lbe-sim's
 residue pipeline in its place. The step gets one more stream of its own per
-chunk, tagged rA|section|chunk from Bob's seed.
+chunk, tagged rA|section|chunk from Bob's seed, and reads it in tile order.
+Each stream is read in tiles in row-major order, which gives the elements
+one sample of the whole chunk would (prg), so the tile size moves no byte.
 
 Since chunks are independent, the chunks of all sections of one call are
 dealt out in turn to up to one process per CPU: the caller and forked
@@ -41,12 +46,16 @@ import numpy as np
 
 # mod_inv is not called here: the benchmark's tracer wraps it under this name
 from ..modvec import bob_reply, dtype_for, mod_inv  # noqa: F401
+from ..params import tiles
 from ..prg import Prg
 from ..tuples import AliceInventory, BobInventory
 
 
 class ExpansionError(Exception):
     """A forked expansion worker did not finish its chunks."""
+
+
+_TILE = 1 << 16  # slots per pass of the expansion; Gilboa's transfers per pass
 
 
 def _row_chunk(slot_len):
@@ -69,25 +78,35 @@ def _reply_r_a(modulus, s_A, bob_rows, stream):
     return bob_reply(s_A, zeros, bob_rows, modulus.q)
 
 
+def _sample_into(dest, stream, modulus, nonzero=False):
+    """Fill the array view dest with the next dest.size elements of F_q
+    (F_q minus 0 when nonzero) from stream, in row-major order."""
+    sample = stream.nonzero_elements if nonzero else stream.elements
+    dest[...] = sample(modulus, dest.size, dtype=dest.dtype).reshape(dest.shape)
+
+
 def _expand_chunk(modulus, seed_a, seed_b, r_a, domain, slot_len, alice, bob, c, lo, hi):
     """Chunk c (rows lo..hi) of one section: Bob's r_B^-1 and s_B from
-    seed_b, and, when Alice's block is given, her s_A from seed_a and her
-    r_A by the r_A step."""
-    dt = dtype_for(modulus.q)
-    shape = (hi - lo, slot_len)
-    r_B_inv = _stream(seed_b, b"rBinv", domain, c).nonzero_elements(
-        modulus, math.prod(shape), dtype=dt
-    ).reshape(shape)
-    s_B = _stream(seed_b, b"sB", domain, c).elements(
-        modulus, math.prod(shape), dtype=dt
-    ).reshape(shape)
-    bob[lo:hi, :, 0] = r_B_inv
-    bob[lo:hi, :, 1] = s_B
+    seed_b and, when Alice's block is given, her s_A from seed_a (first,
+    for the whole chunk) and her r_A by the r_A step. Every pass covers one
+    tile of at most _TILE slots (params.tiles) and writes straight into the
+    blocks, so nothing here grows with the chunk or a row."""
+    bob = bob[lo:hi]
+    r_B_inv = _stream(seed_b, b"rBinv", domain, c)
+    s_B = _stream(seed_b, b"sB", domain, c)
     if alice is not None:
-        s_A = _stream(seed_a, b"sA", domain, c).elements(modulus, hi - lo, dtype=dt)
-        alice[lo:hi, 0] = s_A
+        alice = alice[lo:hi]
+        s_A = _stream(seed_a, b"sA", domain, c)
+        for rows, _ in tiles(hi - lo, 1, _TILE):
+            _sample_into(alice[rows, 0], s_A, modulus)
         stream = _stream(seed_b, b"rA", domain, c)
-        alice[lo:hi, 1:] = r_a(modulus, s_A, bob[lo:hi], stream)
+    for rows, cols in tiles(hi - lo, slot_len, _TILE):
+        tile = bob[rows, cols]
+        _sample_into(tile[:, :, 0], r_B_inv, modulus, nonzero=True)
+        _sample_into(tile[:, :, 1], s_B, modulus)
+        if alice is not None:
+            r_A = r_a(modulus, alice[rows, 0], tile, stream)
+            alice[rows, 1 + cols.start : 1 + cols.stop] = r_A
 
 
 def _shared_block(shape, dtype):
@@ -181,9 +200,10 @@ def _fill_sections(modulus, layout, rows_per_chunk, chunk, alice=True):
 def expand_sections(modulus, layout, seed_a, seed_b, r_a=_reply_r_a):
     """Expand each (name, rows, L) section of `layout`: Bob's (r_B^-1, s_B)
     from seed_b and, unless seed_a is None, Alice's s_A from seed_a and her
-    r_A as r_a(modulus, s_A, bob_rows, stream) returns it per chunk: s_A the
-    chunk's (rows,) column, bob_rows its (rows, L, 2) block, stream its
-    rA|section|chunk Prg. Returns (Alice's inventories or None, Bob's)."""
+    r_A as r_a(modulus, s_A, bob_rows, stream) returns it per tile: s_A the
+    tile's (rows,) column, bob_rows its (rows, cols, 2) block, stream its
+    chunk's rA|section|chunk Prg. Returns (Alice's inventories or None,
+    Bob's)."""
     chunk = partial(_expand_chunk, modulus, seed_a, seed_b, r_a)
     return _fill_sections(modulus, layout, _row_chunk, chunk, alice=seed_a is not None)
 

@@ -14,11 +14,13 @@ larger no-wraparound bound, so CRT reconstruction is exact over the
 integers.
 
 The lbe-sim backend is the seed expansion (_expand) from a seed of its
-own, with lbe_r_a as its r_A step: each chunk reads one u per slot from the
-chunk's own stream and replays the pipeline through lbe_reconstruct, about
-2^16 slots at a time, on Python-int (object) arrays, so it stays exact
-however wide the q_i and the CRT basis terms are. Its r_B^-1 is drawn, as
-the seed backend draws it, so nothing inverts.
+own, with lbe_r_a as its r_A step: each tile of the expansion reads one u
+per slot from its chunk's own stream and replays the pipeline through
+lbe_reconstruct on Python-int (object) arrays, so it stays exact however
+wide the q_i and the CRT basis terms are. An object slot costs about five
+times the bytes of a numpy slot, so the step cuts each tile again, into
+passes of at most 2^14 slots (params.tiles). Its r_B^-1 is drawn, as the
+seed backend draws it, so nothing inverts.
 """
 
 from __future__ import annotations
@@ -32,8 +34,9 @@ import numpy as np
 from ..codec import unpack_words
 from ..field import MAX_MODULUS, FieldError, is_prime
 from ..modvec import dtype_for
+from ..params import tiles
 
-_CHUNK_SLOTS = 1 << 16  # slots per object-array CRT pass in lbe_r_a
+_CHUNK_SLOTS = 1 << 14  # slots per object-array CRT pass in lbe_r_a
 
 
 def _bound(Q, lam):
@@ -123,24 +126,23 @@ def lbe_reconstruct(lbe, s_A, s_B, r_B_inv, u):
 def lbe_r_a(lam):
     """The lbe-sim backend's r_A step for expand_sections at masking width
     lam: per slot u is the next little-endian 8-byte word of the chunk's
-    stream, masked to lam bits, and r_A = lbe_reconstruct(...) mod Q."""
+    stream, masked to lam bits, and r_A = lbe_reconstruct(...) mod Q, in
+    passes of at most _CHUNK_SLOTS slots."""
     if lam > 64:
         raise ValueError("batch sampling supports lambda <= 64")
 
     def r_a(modulus, s_A, bob_rows, stream):
         lbe = lbe_params_for(modulus, lam)
         mask = np.uint64(lbe.u_domain - 1)
-        rows, L = bob_rows.shape[:2]
-        out = np.empty((rows, L), dtype_for(modulus.q))
-        step = max(1, _CHUNK_SLOTS // max(L, 1))
-        for lo in range(0, rows, step):
-            hi = min(lo + step, rows)
-            slots = (hi - lo) * L
+        out = np.empty(bob_rows.shape[:2], dtype_for(modulus.q))
+        for rows, cols in tiles(*out.shape, _CHUNK_SLOTS):
+            tile = bob_rows[rows, cols]
+            shape = tile.shape[:2]
+            slots = math.prod(shape)
             u = unpack_words(stream.read(8 * slots), 64, slots, np.uint64) & mask
-            s = s_A[lo:hi, None].astype(object)
-            r_B_inv, s_B = bob_rows[lo:hi, :, 0], bob_rows[lo:hi, :, 1]
-            v = lbe_reconstruct(lbe, s, s_B, r_B_inv, u.reshape(hi - lo, L).astype(object))
-            out[lo:hi] = v % modulus.q
+            s, u = s_A[rows, None].astype(object), u.reshape(shape).astype(object)
+            v = lbe_reconstruct(lbe, s, tile[:, :, 1], tile[:, :, 0], u)
+            out[rows, cols] = v % modulus.q
         return out
 
     return r_a

@@ -35,7 +35,7 @@ import numpy as np
 
 from .hashing import build_bin_table, build_cuckoo_table, stash_encode
 from .modvec import bob_reply, dtype_for
-from .params import sections
+from .params import sections, tiles
 from .prg import Prg, Seed
 from .transport import (
     ALICE_C,
@@ -138,30 +138,14 @@ class FrameCut(NamedTuple):
         return rows * cols
 
 
-def _cuts(section, rows, width):
-    """Frames of at most _CHUNK elements over a row-major rows x width
-    message: whole-row ranges while a row fits in one frame, else each row
-    in pieces."""
-    if width <= _CHUNK:
-        step = _CHUNK // width
-        return [
-            FrameCut(section, slice(lo, min(rows, lo + step)), slice(0, width))
-            for lo in range(0, rows, step)
-        ]
-    return [
-        FrameCut(section, slice(r, r + 1), slice(lo, min(width, lo + _CHUNK)))
-        for r in range(rows)
-        for lo in range(0, width, _CHUNK)
-    ]
-
-
 def frame_plan(params):
     """Every element frame of one run, in send order: (Alice's c frames,
-    Bob's d frames). A pure function of the parameters, so both sides cut
-    the messages the same way without telling each other."""
+    Bob's d frames), each section's message cut into tiles of at most
+    _CHUNK elements (params.tiles). A pure function of the parameters, so
+    both sides cut the messages the same way without telling each other."""
     layout = sections(params)
-    up = [cut for name, rows, _ in layout for cut in _cuts(name, rows, 1)]
-    down = [cut for name, rows, cols in layout for cut in _cuts(name, rows, cols)]
+    up = [FrameCut(name, *t) for name, rows, _ in layout for t in tiles(rows, 1, _CHUNK)]
+    down = [FrameCut(name, *t) for name, rows, cols in layout for t in tiles(rows, cols, _CHUNK)]
     return up, down
 
 
@@ -309,8 +293,12 @@ def _release(inv, cut):
 
 
 def _alice_c(s_A, enc, q):
-    """c = s_A - enc mod q: Alice's message per batch, as int64."""
-    return (s_A.astype(np.int64) - enc) % q
+    """c = s_A - enc mod q: Alice's message per batch, as int32. Both are
+    reduced, so the difference lies in (-q, q) and one conditional +q
+    replaces the remainder; (x >> 31) & q is q exactly where x < 0."""
+    c = np.subtract(s_A, enc, dtype=np.int32)
+    c += (c >> 31) & q
+    return c
 
 
 def _stash_encodings(arr, seeds, params):

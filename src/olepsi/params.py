@@ -207,6 +207,21 @@ def sections(params):
     return (("bins", params.alpha, params.beta), ("stash", params.stash_size, params.n))
 
 
+def tiles(rows, width, limit):
+    """The (row slice, column slice) tiles of at most `limit` elements that
+    cover a row-major rows x width array once, in row-major order: ranges
+    of whole rows while a row fits in one tile, else each row in pieces.
+    The one cut of the online frames and of every offline pass."""
+    if width <= limit:
+        step = limit // max(width, 1)
+        for lo in range(0, rows, step):
+            yield slice(lo, min(rows, lo + step)), slice(0, width)
+    else:
+        for r in range(rows):
+            for lo in range(0, width, limit):
+                yield slice(r, r + 1), slice(lo, min(width, lo + limit))
+
+
 def online_bits_per_element(params):
     """Exact online communication cost per element, as a rational, in bits.
 

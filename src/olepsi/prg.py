@@ -13,10 +13,13 @@ number of accepted words. A sample consumes the stream up to and including
 its last accepted word and no further, so the elements of any sequence of
 calls on one Prg are the accepted words in stream order.
 
+A sample reads at most _PASS_WORDS words per pass, so its working set
+beyond the count elements it returns stays bounded however many it draws.
 Callers that expand large arrays (offline._expand) cut each array into
 chunks of whole rows and give every chunk a stream of its own, tagged
 role|section|chunk, so any chunk expands without the ones before it, in
-any process.
+any process; within a chunk they sample tile by tile, which reads each
+stream as one sample of the whole chunk would.
 """
 
 import hashlib
@@ -29,6 +32,7 @@ from .modvec import reduce_in_place
 
 SEED_LEN = 32
 _BLOCK = 65536
+_PASS_WORDS = 1 << 16  # stream words per pass of a sample
 
 
 class Seed:
@@ -99,7 +103,7 @@ class Prg:
         while have < count:
             need = count - have
             # a few standard deviations over the expected draw
-            draw = min(int(need / rate + 4 * need**0.5) + 16, 1 << 22)
+            draw = min(int(need / rate + 4 * need**0.5) + 16, _PASS_WORDS)
             raw = self.read(draw * width)
             vals = unpack_words(raw, bits, draw, word)
             keep = vals <= limit - 1

@@ -12,7 +12,8 @@ One channel implementation over a connected stream socket: TCP for real
 two-process runs, and one end of a socketpair for tests and single-process
 runs (memory_channel_pair). Reads, EOF, backpressure and the deadline are
 the same code either way: a peer that neither sends nor takes data for
-`timeout` seconds raises PeerTimeout.
+`timeout` seconds raises PeerTimeout, and so does a listener that no peer
+connects to within it.
 """
 
 from __future__ import annotations
@@ -172,15 +173,22 @@ def memory_channel_pair(timeout=PEER_TIMEOUT):
 
 
 class TcpListener:
-    """Bound listening socket; port 0 picks an ephemeral port."""
+    """Bound listening socket; port 0 picks an ephemeral port. accept waits
+    at most `timeout` seconds for a peer to connect, then raises PeerTimeout,
+    and the channel it returns has the same timeout."""
 
-    def __init__(self, host, port):
+    def __init__(self, host, port, timeout=PEER_TIMEOUT):
         self._srv = socket.create_server((host, port))
+        self._srv.settimeout(timeout)
+        self._timeout = timeout
         self.port = self._srv.getsockname()[1]
 
     def accept(self):
-        conn, _ = self._srv.accept()
-        return TcpChannel(conn)
+        try:
+            conn, _ = self._srv.accept()
+        except TimeoutError:
+            raise PeerTimeout(f"no peer connected within {self._timeout} s") from None
+        return TcpChannel(conn, self._timeout)
 
     def close(self):
         self._srv.close()

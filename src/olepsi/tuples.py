@@ -37,11 +37,14 @@ import numpy as np
 
 from .codec import pack_words, unpack_words
 from .field import FieldError, PrimeModulus
-from .modvec import dtype_for, mod_inv
+# mod_inv is not called here: offline.gilboa calls it as tuples.mod_inv, the
+# name the benchmark's tracer wraps
+from .modvec import dtype_for, mod_inv  # noqa: F401
 from .params import sections
 
 FILE_VERSION = 2
 TOKEN_LEN = 16
+_PASS_WORDS = 1 << 16  # block words per part of section_bytes
 _HEADER = struct.Struct(f"<4sBQII{TOKEN_LEN}s")
 
 SIDE_ALICE = "alice"
@@ -96,15 +99,6 @@ class BobInventory:
         self.modulus = modulus
         self.block = block
 
-    @classmethod
-    def from_r_b_s_b(cls, modulus, r_B, s_B):
-        """Bob's half from r_B and s_B, each (count, L): inverts r_B."""
-        r_B = np.asarray(r_B)
-        block = np.empty(r_B.shape + (2,), dtype=r_B.dtype)
-        block[:, :, 0] = mod_inv(r_B, modulus.q)
-        block[:, :, 1] = s_B
-        return cls(modulus, block)
-
     @property
     def r_B_inv(self):
         return self.block[:, :, 0]
@@ -121,16 +115,17 @@ class BobInventory:
         return self.block.shape[0]
 
 
-def _payload(inv):
-    return pack_words(inv.block, 8 * inv.modulus.byte_len)
-
-
 def section_bytes(inventories, side, token):
     """The tuple file of `inventories`, as the parts save_inventories writes:
-    per section its header, then its block's words."""
+    per section its header, then its block's words, _PASS_WORDS at a time.
+    A part is a view of the block where the field width is 1, 2, 4 or 8
+    bytes, else a packed copy of its words, so no part grows with the
+    section."""
     for inv in inventories:
         yield _HEADER.pack(_MAGIC[side], FILE_VERSION, inv.modulus.q, len(inv), inv.slot_len, token)
-        yield _payload(inv)
+        words = inv.block.reshape(-1)
+        for lo in range(0, words.size, _PASS_WORDS):
+            yield pack_words(words[lo : lo + _PASS_WORDS], 8 * inv.modulus.byte_len)
 
 
 def inventory_token(bob_inventories):

@@ -1,9 +1,12 @@
 """Building blocks for tests: tuple inventories built from per-field arrays,
 for tests that write tuples by hand (each helper lays the arrays out as the
-one block the inventory classes take), and one PSI run in one call."""
+one block the inventory classes take), Gilboa batches on blocks of their
+own, and one PSI run in one call."""
 
 import numpy as np
 
+from olepsi.modvec import dtype_for
+from olepsi.offline import gilboa_batch
 from olepsi.runner import make_sessions, run_psi_pair
 from olepsi.tuples import AliceInventory, BobInventory
 
@@ -22,6 +25,16 @@ def bob_inventory(modulus, r_B_inv, s_B):
     """Bob's half from two (count, L) arrays, stacked into one (count, L, 2)
     block."""
     return BobInventory(modulus, np.stack([r_B_inv, s_B], axis=-1))
+
+
+def gilboa_inventories(ot, modulus, count, slot_len, seed):
+    """(AliceInventory, BobInventory) of gilboa_batch run on fresh blocks of
+    `count` batches of slot_len slots."""
+    dt = dtype_for(modulus.q)
+    alice = np.empty((count, 1 + slot_len), dt)
+    bob = np.empty((count, slot_len, 2), dt)
+    gilboa_batch(ot, modulus, seed, alice, bob)
+    return AliceInventory(modulus, alice), BobInventory(modulus, bob)
 
 
 def psi_once(alice_set, bob_set, params, backend="seed", master_seed=None):

@@ -14,7 +14,6 @@ from scipy.stats import chisquare
 from olepsi.field import PrimeModulus
 from olepsi.mismatch import mismatch_keyed, mismatch_plain
 from olepsi.offline import BACKENDS, gen_seeded
-from olepsi.offline.gilboa import gilboa_batch
 from olepsi.offline.lbe import lbe_params_for, lbe_reconstruct
 from olepsi.offline.ot import DealerAssistedOt
 from olepsi.modvec import mod_inv
@@ -23,7 +22,7 @@ from olepsi.prg import SEED_LEN, Prg, Seed
 from olepsi.runner import bench_sets, make_sessions, run_psi_pair, small_psi_engine
 from olepsi.transport import bits_per_element_measured
 
-from blocks import alice_inventory, bob_inventory, psi_once
+from blocks import alice_inventory, bob_inventory, gilboa_inventories, psi_once
 from oracles import RecordingOt, validate_inventories
 
 
@@ -159,7 +158,7 @@ def test_criterion_6_gilboa_products_and_batch_costs():
     invertible, and cost exactly slot_len * ceil(log2 q) OTs."""
     m = PrimeModulus(251)
     ot = RecordingOt(m, seed=seed(6))
-    alice, bob = gilboa_batch(ot, m, 10_000, 1, seed(60))
+    alice, bob = gilboa_inventories(ot, m, 10_000, 1, seed(60))
     # one rho list of ceil(log2 q) = 8 transfers per sharing
     assert ot.rho(10_000, 1).shape == (10_000, 1, 8)
     assert ot.invocations == 80_000
@@ -170,7 +169,7 @@ def test_criterion_6_gilboa_products_and_batch_costs():
     p = derive_params(64, 3, sigma=16)
     ot2 = RecordingOt(p.modulus, seed=seed(61))
     count = 50
-    alice, bob = gilboa_batch(ot2, p.modulus, count, p.beta, seed(62))
+    alice, bob = gilboa_inventories(ot2, p.modulus, count, p.beta, seed(62))
     assert ot2.invocations == count * p.beta * p.modulus.bit_len
     rho = ot2.rho(count, p.beta)
     assert rho.shape == (count, p.beta, p.modulus.bit_len)

@@ -480,6 +480,30 @@ class TestRun:
         assert rc == 4
         assert "no data from peer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["run", "dealer"])
+    def test_no_peer_connecting_is_io_error(self, tmp_path, tuple_files, monkeypatch,
+                                            capsys, command):
+        # no peer ever connects: the listener gives up after its timeout, a
+        # short one standing in for the default, instead of waiting forever
+        import functools
+        import time
+
+        import olepsi.cli as cli
+
+        monkeypatch.setattr(cli, "TcpListener", functools.partial(TcpListener, timeout=0.3))
+        if command == "run":
+            argv = ["run", "--role", "alice", "--set", write_set(tmp_path / "s.txt", [1]),
+                    "--tuples", tuple_files[0]]
+        else:
+            argv = ["dealer", "--seed", SEED_B]
+        start = time.monotonic()
+        rc = invoke(argv + ["--listen", "127.0.0.1:0"] + BASE)
+        assert time.monotonic() - start < 10
+        assert rc == 4
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("error:")]
+        assert len(errors) == 1 and "no peer connected" in errors[0]
+
     def test_missing_tuples_is_io_error(self, tmp_path, capsys):
         s = write_set(tmp_path / "s.txt", [1])
         rc = invoke(["run", "--role", "alice", "--set", s,

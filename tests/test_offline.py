@@ -8,6 +8,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -16,6 +17,7 @@ import numpy as np
 import pytest
 
 from olepsi import modvec
+from olepsi import prg as prg_mod
 from olepsi import tuples as tuples_mod
 from olepsi.field import FieldError, PrimeModulus
 from olepsi.modvec import dtype_for
@@ -32,7 +34,6 @@ from olepsi.offline import (
     expand_bob,
     gen_seeded,
     generate_psi_inventories,
-    gilboa_batch,
     lbe_params_for,
     subseed,
 )
@@ -42,12 +43,12 @@ from olepsi.offline import gilboa as gilboa_mod
 from olepsi.offline import lbe as lbe_mod
 from olepsi.offline import ot as ot_mod
 from olepsi.offline.lbe import LbeSimParams, lbe_r_a, lbe_reconstruct
-from olepsi.params import derive_params
+from olepsi.params import PARAM_TABLE, derive_params, sections, tiles
 from olepsi.prg import Prg, Seed
 from olepsi.transport import TransportError
 from olepsi.tuples import inventory_token, load_inventories, save_inventories
 
-from blocks import alice_inventory, bob_inventory
+from blocks import alice_inventory, bob_inventory, gilboa_inventories
 from oracles import (
     RecordingOt,
     alice_words,
@@ -332,6 +333,99 @@ def test_each_backend_holds_each_side_in_one_block(tmp_path, backend):
             assert isinstance(_buffer_owner(loaded.block), mmap.mmap)
             assert loaded.block.dtype == dt
             assert np.array_equal(loaded.block, orig.block)
+
+
+# ---------------------------------------------------------------- bounded passes
+
+def _pass_slots(rows, cols, chunk_rows, limits):
+    """(first slot, slots) of every innermost pass over a rows x cols
+    section, in the order the kernels run them: chunks of chunk_rows whole
+    rows, each cut into params.tiles at limits[0], each of those at
+    limits[1], and so on."""
+
+    def cut(r0, c0, height, width, limits):
+        if not limits:
+            yield r0 * cols + c0, height * width
+            return
+        for r, c in tiles(height, width, limits[0]):
+            yield from cut(r0 + r.start, c0 + c.start, r.stop - r.start, c.stop - c.start,
+                           limits[1:])
+
+    for _, lo, hi in expand_mod._chunks(rows, chunk_rows):
+        yield from cut(lo, 0, hi - lo, cols, limits)
+
+
+@pytest.mark.parametrize("n, k", sorted(PARAM_TABLE))
+def test_offline_passes_bounded_at_every_table_row(n, k):
+    # computed from the parameters alone: nothing of size n is allocated.
+    # Per kernel, the passes over each section (and over Alice's s_A column)
+    # cover it once, in row-major order, and none exceeds the kernel's limit
+    p = derive_params(n, k)
+    ell = p.modulus.bit_len
+    tile = expand_mod._TILE
+    assert tile == 1 << 16 and lbe_mod._CHUNK_SLOTS == 1 << 14
+    for _, rows, cols in sections(p):
+        expand_rows = expand_mod._row_chunk(cols)
+        gilboa_rows = gilboa_mod._chunk_rows(cols, ell)
+        kernels = [
+            (cols, expand_rows, [tile]),  # expansion: r_B^-1, s_B and r_A
+            (1, expand_rows, [tile]),  # expansion: s_A
+            (cols, expand_rows, [tile, lbe_mod._CHUNK_SLOTS]),  # lbe-sim's CRT
+            (cols, gilboa_rows, [tile]),  # Gilboa: r_A and r_B
+            (1, gilboa_rows, [tile]),  # Gilboa: s_A
+            (cols, gilboa_rows, [tile // ell]),  # Gilboa: one OT session each
+        ]
+        for width, chunk_rows, limits in kernels:
+            pos = 0
+            for first, count in _pass_slots(rows, width, chunk_rows, limits):
+                assert first == pos
+                assert 0 < count <= limits[-1]
+                pos += count
+            assert pos == rows * width
+        assert (tile // ell) * ell <= 1 << 16  # transfers per Gilboa session
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_tile_sizes_move_no_byte(monkeypatch, backend):
+    # tiles of a few slots (every n = 256 stash row cut into pieces), CRT
+    # passes of 5 slots and sampler passes of 7 words give the blocks of the
+    # default passes
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    p = replace(params_small(), alpha=9)
+    master = Seed(bytes([8]) * 32)
+    want = generate_psi_inventories(backend, p, master)
+    monkeypatch.setattr(expand_mod, "_TILE", 40)
+    monkeypatch.setattr(gilboa_mod, "_TILE", 40)
+    monkeypatch.setattr(lbe_mod, "_CHUNK_SLOTS", 5)
+    monkeypatch.setattr(prg_mod, "_PASS_WORDS", 7)
+    got = generate_psi_inventories(backend, p, master)
+    for side_want, side_got in zip(want, got, strict=True):
+        for x, y in zip(side_want, side_got, strict=True):
+            assert x.block.tobytes() == y.block.tobytes()
+
+
+# traced peak MiB of one backend's passes: the blocks sit on anonymous
+# mappings, which tracemalloc does not see, so what it traces is the working
+# set of the passes. Measured: 1.9 (seed, dealer), 6.4 (ot) and 4.9
+# (lbe-sim); sampling or inverting a whole 2^17-slot row at once takes
+# 4.5 MiB at the least, and the ot backend's Gilboa temporaries for it 207 MiB
+_PASS_PEAK_MIB = {"seed": 3, "dealer": 3, "ot": 8, "lbe-sim": 6}
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_offline_working_set_does_not_grow_with_a_row(monkeypatch, backend):
+    # one process, 64 bin rows and one stash row of 2^17 slots, wider than
+    # any pass, over a field of 3-byte words (packed a pass at a time)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    p = replace(derive_params(1 << 17, 2, sigma=34), alpha=64, stash_size=1)
+    assert p.modulus.byte_len == 3 and p.n == 1 << 17
+    tracemalloc.start()
+    try:
+        generate_psi_inventories(backend, p, Seed(bytes([9]) * 32))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < _PASS_PEAK_MIB[backend] << 20, peak / (1 << 20)
 
 
 # ---------------------------------------------------------------- dealer
@@ -703,7 +797,7 @@ def _r_b(bob):
 def test_gilboa_zero_r_a():
     # 160 slots over F_11 draw r_A = 0 about 15 times
     ot = DealerAssistedOt(M11, seed=Seed(bytes(32)))
-    alice, bob = gilboa_batch(ot, M11, 40, 4, Seed(bytes([1]) * 32))
+    alice, bob = gilboa_inventories(ot, M11, 40, 4, Seed(bytes([1]) * 32))
     zero = alice.r_A == 0
     assert zero.any()
     s_A = np.broadcast_to(alice.s_A[:, None], zero.shape).astype(np.int64)
@@ -713,7 +807,7 @@ def test_gilboa_zero_r_a():
 def test_gilboa_random_trials():
     mod = PrimeModulus(251)
     ot = DealerAssistedOt(mod, seed=Seed(bytes(32)))
-    alice, bob = gilboa_batch(ot, mod, 500, 1, Seed(bytes([3]) * 32))
+    alice, bob = gilboa_inventories(ot, mod, 500, 1, Seed(bytes([3]) * 32))
     s_A, s_B = alice.s_A.astype(np.int64)[:, None], bob.s_B.astype(np.int64)
     assert ((s_A + s_B) % 251 == alice.r_A.astype(np.int64) * _r_b(bob) % 251).all()
 
@@ -721,7 +815,7 @@ def test_gilboa_random_trials():
 def test_gilboa_batch_validates_and_counts():
     p = params_small()
     ot = RecordingOt(p.modulus, seed=Seed(bytes(32)))
-    alice, bob = gilboa_batch(ot, p.modulus, 6, p.beta, Seed(bytes(32)))
+    alice, bob = gilboa_inventories(ot, p.modulus, 6, p.beta, Seed(bytes(32)))
     assert validate_inventories(alice, bob)
     assert ot.invocations == 6 * p.beta * p.modulus.bit_len
 
@@ -729,7 +823,7 @@ def test_gilboa_batch_validates_and_counts():
 def test_gilboa_batch_rho_sums_to_shared_s_a():
     p = params_small()
     ot = RecordingOt(p.modulus, seed=Seed(bytes(32)))
-    alice, bob = gilboa_batch(ot, p.modulus, 5, p.beta, Seed(bytes(32)))
+    alice, bob = gilboa_inventories(ot, p.modulus, 5, p.beta, Seed(bytes(32)))
     rho = ot.rho(5, p.beta)
     assert rho.shape == (5, p.beta, p.modulus.bit_len)
     sums = rho.sum(axis=2) % p.modulus.q
@@ -769,8 +863,8 @@ def test_ot_is_identical_on_any_number_of_processes(monkeypatch, cpus):
         for c, lo in enumerate(range(0, rows, 2)):
             tag = b"%s|%d" % (name.encode(), c)
             ot = DealerAssistedOt(p.modulus, seed=subseed(master, b"ot-deal|" + tag))
-            x, y = gilboa_batch(ot, p.modulus, min(2, rows - lo), cols,
-                                subseed(master, b"gil|" + tag))
+            x, y = gilboa_inventories(ot, p.modulus, min(2, rows - lo), cols,
+                                      subseed(master, b"gil|" + tag))
             ref_a.append(x.block)
             ref_b.append(y.block)
         assert np.concatenate(ref_a).tobytes() == a.block.tobytes()

@@ -296,3 +296,15 @@ def test_tcp_silent_peer_times_out():
         t.join()
         listener.close()
         ch.close()
+
+
+def test_listener_with_no_peer_times_out():
+    # nobody connects: accept gives up after the listener's timeout
+    listener = TcpListener("127.0.0.1", 0, timeout=0.3)
+    start = time.monotonic()
+    try:
+        with pytest.raises(PeerTimeout, match="no peer connected"):
+            listener.accept()
+    finally:
+        listener.close()
+    assert time.monotonic() - start < 10

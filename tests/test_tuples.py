@@ -7,7 +7,6 @@ from olepsi.modvec import bob_reply, mod_inv
 from olepsi.offline import gen_seeded
 from olepsi.prg import Seed
 from olepsi.tuples import (
-    BobInventory,
     TupleFileError,
     inventory_token,
     load_inventories,
@@ -84,7 +83,7 @@ def test_engine_r_a_matches_python_ints(q):
 
 
 def test_ole_tuple_from_values():
-    bob = BobInventory.from_r_b_s_b(Q11, [[3]], [[2]])
+    bob = bob_inventory(Q11, mod_inv(np.array([[3]], np.uint8), 11), [[2]])
     assert bob.r_B_inv.tolist() == [[4]]
     assert validate_inventories(alice_inventory(Q11, [4], [[2]]), bob)
     assert not validate_inventories(alice_inventory(Q11, [4], [[5]]), bob)
