@@ -15,6 +15,12 @@ keyed 64-bit mixer of the whole element, reduced into the same range.
 
 The seeds are one (k + 1, 2) array of uint64 (online.derive_hash_seeds):
 row j < k holds (a_j, b_j), and the last row's first word keys stash_encode.
+
+Bob's table is never built whole. build_bin_table keeps his k * n sorted
+(bin, encoding) keys and, for each, the slot a fresh rotation of its bin
+gives it, and BinTable.rows fills any range of bins from them, padded to
+beta with his dummy: so the online phase holds one frame of rows at a
+time, not alpha * beta slots.
 """
 
 import math
@@ -38,7 +44,9 @@ class BinOverflow(HashingError):
     pass
 
 
-_BLOCK = 1 << 16  # elements per pass of the bin hash: temporaries stay in cache
+# elements per pass of the bin hash, the offset draw and the slot pass:
+# temporaries stay in cache
+_BLOCK = 1 << 16
 
 
 def _fmix64(z):
@@ -187,54 +195,96 @@ def build_cuckoo_table(elements, params, seeds):
 
 @dataclass
 class BinTable:
-    """Bob's table: every element under each of its k hashes, padded to beta."""
+    """Bob's table, held as his sorted (bin, encoding) keys and each key's
+    slot in its bin; rows() fills any range of bins from them on demand, so
+    the whole (alpha, beta) table never has to exist at once."""
 
-    bins: np.ndarray      # shape (alpha, beta), dummy_bob padding
+    keys: np.ndarray      # sorted int64 (bin << _enc_bits) | enc, k per element
+    slots: np.ndarray     # each key's slot in its bin, in dtype_for(beta)
     elements: np.ndarray  # the input set as a sorted int64 array
     params: object
 
+    def rows(self, lo, hi, out=None):
+        """Bins lo..hi as a (hi - lo, beta) array in dtype_for(dummy_bob + 1):
+        each key of those bins at its slot and dummy_bob everywhere else,
+        written into the first hi - lo rows of `out` when it is given."""
+        p = self.params
+        bits = _enc_bits(p)
+        if out is None:
+            out = np.empty((hi - lo, p.beta), dtype_for(p.dummy_bob + 1))
+        rows = out[: hi - lo]
+        rows.fill(p.dummy_bob)
+        first, last = np.searchsorted(self.keys, [lo << bits, hi << bits])
+        keys = self.keys[first:last]
+        bins = keys >> bits
+        bins -= lo
+        rows[bins, self.slots[first:last]] = keys & ((1 << bits) - 1)
+        return rows
+
+    @property
+    def bins(self):
+        """The whole (alpha, beta) table, through rows()."""
+        return self.rows(0, self.params.alpha)
+
+
+def _enc_bits(params):
+    """Bits of an encoding in a packed key: derive_params refuses q >= 2^31,
+    so an encoding takes at most 31 bits, and a bin at most 28 on every
+    PARAM_TABLE row, so (bin, encoding) fits an int64."""
+    return (params.dummy_alice - 1).bit_length()
+
 
 def build_bin_table(elements, params, seeds):
-    """Bob's table, each bin's row rotated by a fresh uniform offset.
+    """Bob's table: the sorted (bin, encoding) keys of every element under
+    each of its k hashes, each with its slot under a fresh uniform rotation
+    of its bin.
 
-    A bin's entries, in encoding order, fill one cyclic run of slots that
-    starts at its offset, and the dummies fill the rest. So a match's slot is
-    uniform on [0, beta), whatever the bin's load and the match's rank, and
-    reveals nothing about Bob's other entries in that bin.
+    The keys are unique, since (bin, j, x2) determines the element, so one
+    sort orders every bin's entries by encoding. Those entries fill the
+    cyclic run of slots that starts at the bin's offset: the entry of rank r
+    goes to slot (r + offset) mod beta, and rows() puts dummies around them.
+    So a match's slot is uniform on [0, beta), whatever the bin's load and
+    the match's rank, and reveals nothing about Bob's other entries in that
+    bin.
     """
     arr = _check_input_set(elements, params)
     alpha, beta, k = params.alpha, params.beta, params.k
     sigma2 = params.sigma2
-    mask2 = (1 << sigma2) - 1
+    bits = _enc_bits(params)
 
     # entry [j, t]: arr[t]'s bin under hash j; becomes its int64 sort key in place
     keys = _candidate_bins(arr, seeds, params, np.int64)
-    counts = np.bincount(keys.ravel(), minlength=alpha)
-    if counts.max() > beta:
-        raise BinOverflow(
-            f"bin load {int(counts.max())} exceeds beta={beta}; "
-            "parameter guarantee violated"
-        )
-    # one sort of (bin, encoding) keys packed in an int64; they are unique,
-    # since (bin, j, x2) determines the element. They fit: derive_params
-    # refuses q >= 2^31, so enc takes at most 31 bits, and the bin takes at
-    # most 28 on every PARAM_TABLE row
-    enc_bits = (params.dummy_alice - 1).bit_length()
-    keys <<= enc_bits
-    keys |= arr & mask2  # enc = j * 2^sigma2 + x2
+    keys <<= bits
+    keys |= arr & ((1 << sigma2) - 1)  # enc = j * 2^sigma2 + x2
     keys |= (np.arange(k, dtype=np.int64) << sigma2)[:, None]
     keys = keys.ravel()
     keys.sort()
-    # entry i of the sorted keys goes to slot (i - starts[bin] + off[bin])
-    # mod beta of its bin, where off[bin] is uniform on [0, beta) and
-    # starts[bin] is the bin's first sorted entry; shift = off - starts
-    shift = np.random.default_rng(list(os.urandom(16))).integers(0, beta, alpha)
-    shift[1:] -= np.cumsum(counts)[:-1]
-    pos = shift[keys >> enc_bits]
-    pos += np.arange(keys.size, dtype=np.int64)
-    pos %= beta
-    pos += (keys >> enc_bits) * beta
-    keys &= (1 << enc_bits) - 1
-    table = np.full((alpha, beta), params.dummy_bob, dtype=dtype_for(params.dummy_bob + 1))
-    table.reshape(-1)[pos] = keys
-    return BinTable(bins=table, elements=arr, params=params)
+    # one offset per bin, uniform on [0, beta): drawn in passes, but as int64
+    # in bin order from one generator, so they are the values of one
+    # alpha-length draw
+    rng = np.random.default_rng(list(os.urandom(16)))
+    offsets = np.empty(alpha, dtype_for(beta))
+    for lo in range(0, alpha, _BLOCK):
+        offsets[lo : lo + _BLOCK] = rng.integers(0, beta, min(_BLOCK, alpha - lo))
+
+    slots = np.empty(keys.size, offsets.dtype)
+    load = 0  # the longest run of one bin in the sorted keys
+    for lo in range(0, keys.size, _BLOCK):
+        b = keys[lo : lo + _BLOCK] >> bits
+        # a key's rank in its bin: its index less its bin's first key, which
+        # for the pass's first bin may lie in an earlier pass
+        rank = np.arange(b.size, dtype=np.int32)
+        first = np.empty(b.size, bool)
+        first[0] = True
+        np.not_equal(b[1:], b[:-1], out=first[1:])
+        start = rank * first  # a key's own index where its bin starts, else 0
+        np.maximum.accumulate(start, out=start)
+        rank -= start
+        rank[b == b[0]] += lo - np.searchsorted(keys[:lo], b[0] << bits)
+        load = max(load, int(rank.max()) + 1)
+        rank += offsets[b]
+        rank %= beta
+        slots[lo : lo + _BLOCK] = rank
+    if load > beta:
+        raise BinOverflow(f"bin load {load} exceeds beta={beta}; parameter guarantee violated")
+    return BinTable(keys=keys, slots=slots, elements=arr, params=params)

@@ -20,7 +20,7 @@ from sequential streams, so giving each chunk its own means no two chunks
 share a pad, a choice bit or a rho, in any process, and the output does not
 depend on how many processes ran. Bob holds r_B here,
 not a drawn r_B^-1, so this is the one backend that inverts
-(tuples.mod_inv), tile by tile.
+(tuples.mod_inv), in passes of _TILE slots after a chunk's OT sessions.
 """
 
 from __future__ import annotations
@@ -53,10 +53,10 @@ def gilboa_batch(ot, modulus, seed, alice, bob):
     The Gilboa stream gives s_A, r_A and r_B for every row first, then the
     rho lists slot by slot; r_A goes straight into Alice's block and r_B into
     Bob's r_B^-1 slots. Then each tile (params.tiles) of at most _TILE
-    transfers runs one OT session and writes its s_B and its inverted r_B,
-    so the OT's pads and choice bits are read in slot order too. Every pass
-    holds at most _TILE slots or transfers, so no temporary grows with the
-    batch count or a row.
+    transfers runs one OT session and writes its s_B, so the OT's pads and
+    choice bits are read in slot order too. Last, r_B is inverted in place
+    in passes of _TILE slots. Every pass holds at most _TILE slots or
+    transfers, so no temporary grows with the batch count or a row.
     """
     q = modulus.q
     ell = modulus.bit_len
@@ -92,7 +92,9 @@ def gilboa_batch(ot, modulus, seed, alice, bob):
         ot.ot_send_many(m0.ravel(), m1.ravel())
         o = ot.ot_receive_many(bits.ravel()).reshape(bits.shape)
         bob[rows, cols, 1] = reduce_in_place(o.sum(axis=2), q)
-        b[...] = tuples.mod_inv(b, q)
+    # every tile's bits are read above, so r_B turns into r_B^-1 only now
+    for rows, cols in tiles(count, L, _TILE):
+        r_B[rows, cols] = tuples.mod_inv(r_B[rows, cols], q)
 
 
 def _gilboa_chunk(modulus, master, domain, slot_len, alice, bob, c, lo, hi):

@@ -17,6 +17,13 @@ into frames of at most _CHUNK elements along a frame plan that both sides
 derive from the parameters alone; Bob computes and sends his reply one bin
 range at a time, and Alice matches each range as it arrives.
 
+Neither role holds more than its hashing arrays plus about one frame. Bob
+fills each frame's bin rows from his sorted keys into one reused buffer
+(BinTable.rows), and each role releases a frame's tuple rows once it is
+used (tuples.release_rows): Alice computes her c frames in passes of
+_PASS_ROWS rows and releases each pass behind her, so no c frame keeps her
+tuple file resident until the d frames arrive.
+
 SETUP, the first frame each way, holds the protocol version, the parameter
 digest and the inventory token; both sides derive the hash seeds from the
 last two. PROTOCOL_VERSION 5 is the first that does not also send the seeds.
@@ -53,6 +60,7 @@ from .tuples import TOKEN_LEN, check_sections, release_rows
 PROTOCOL_VERSION = 5
 
 _CHUNK = 1 << 22  # field elements per frame
+_PASS_ROWS = 1 << 16  # rows per pass of Alice's c, released behind it
 
 
 class OnlineError(Exception):
@@ -204,8 +212,11 @@ def psi_alice(session, elements, channel):
     Sends alpha + stash_size c-values, receives alpha*beta + stash_size*n
     d-values in fixed row-major order, frame by frame along frame_plan, and
     matches each frame against r_A as it arrives, then releases the frame's
-    tuple rows (a file-mapped inventory drops their pages). The element
-    counts are asserted against the channel's accounting on every run.
+    tuple rows (a file-mapped inventory drops their pages). Each c frame is
+    computed in passes of at most _PASS_ROWS rows, and each pass's rows are
+    released once its c is computed, so the match faults them back in frame
+    by frame. The element counts are asserted against the channel's
+    accounting on every run.
     Placement failure beyond the stash raises CuckooFailure, since the
     session's seeds are pinned and cannot be resampled mid-protocol.
     """
@@ -229,7 +240,14 @@ def psi_alice(session, elements, channel):
     }
     element = {"bins": table.origins, "stash": np.pad(stash, pad, constant_values=-1)}
     for cut in up:
-        c = _alice_c(invs[cut.section].s_A[cut.rows], enc[cut.section][cut.rows], q)
+        inv = invs[cut.section]
+        c = np.empty(cut.count, np.int32)
+        # in passes of rows, each released once its c is computed: s_A is
+        # column 0 of every row, so the frame touches every page of its rows
+        for part, _ in tiles(cut.count, 1, _PASS_ROWS):
+            rows = slice(cut.rows.start + part.start, cut.rows.start + part.stop)
+            c[part] = _alice_c(inv.s_A[rows], enc[cut.section][rows], q)
+            release_rows(inv, rows)
         send_elements(channel, ALICE_C, c, p.modulus)
 
     out = set()
@@ -252,8 +270,12 @@ def psi_bob(session, elements, channel):
     slot-minor), then to every stash c-value with one d per slot for each of
     n shuffled element encodings. Each frame of frame_plan is computed and
     sent before the next, so the whole reply is never held at once, and
-    its tuple rows are released once sent, so neither is the file. Padding
-    slots reply under Bob's dummy encoding, which can never match.
+    its tuple rows are released once sent, so neither is the file. A bins
+    frame's rows are filled from the table's sorted keys (BinTable.rows)
+    into one buffer sized by the first bins frame, so neither is the whole
+    (alpha, beta) table, and the keys are dropped once the last bin is
+    filled. Padding slots reply under Bob's dummy encoding,
+    which can never match.
     """
     invs = session._start("bob")
     p = session.params
@@ -268,13 +290,18 @@ def psi_bob(session, elements, channel):
     for cut in up:
         c[cut.section][cut.rows] = recv_elements(channel, ALICE_C, p.modulus, cut.count)
 
+    # one buffer for every bins frame's rows, sized by the first (and largest)
+    buf = np.empty((down[0].shape[0], p.beta), dtype_for(p.dummy_bob + 1))
+    ys = table.elements
     enc = None
     for cut in down:
         if cut.section == "bins":
-            enc_rows = table.bins[cut.rows]
+            enc_rows = table.rows(cut.rows.start, cut.rows.stop, buf)[:, cut.cols]
+            if cut.rows.stop == p.alpha and cut.cols.stop == p.beta:
+                table = None  # every bin is filled: drop the keys before the reply
         else:
             if enc is None:
-                enc = _stash_encodings(table.elements, session.seeds, p)
+                enc = _stash_encodings(ys, session.seeds, p)
             enc_rows = np.broadcast_to(enc[cut.cols], cut.shape)
         inv = invs[cut.section]
         d = bob_reply(c[cut.section][cut.rows], enc_rows, inv.block[cut.rows, cut.cols], q)
@@ -286,10 +313,15 @@ def psi_bob(session, elements, channel):
 
 
 def _release(inv, cut):
-    """Drop the tuple rows of a used frame, after the last piece of a row
-    cut into column pieces (tuples.release_rows)."""
+    """Drop the tuple rows of a used frame and every row before it, after
+    the last piece of a row cut into column pieces (tuples.release_rows).
+
+    The rows before it are used too, and releasing them again costs little:
+    a fault on a frame's rows may map neighbouring pages of the file as well
+    (fault-around), among them pages an earlier release dropped, and this
+    keeps those from staying resident."""
     if cut.cols.stop == inv.slot_len:
-        release_rows(inv, cut.rows)
+        release_rows(inv, slice(0, cut.rows.stop))
 
 
 def _alice_c(s_A, enc, q):

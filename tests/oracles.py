@@ -12,6 +12,8 @@ the documented formats rather than from the vectorised code they check.
   permutation-based hashing of one element at a time
 - round_based_cuckoo: Alice's round-based cuckoo build on int64 arrays,
   every round through the same eviction step
+- whole_bin_table: Bob's whole rotated (alpha, beta) table in one pass over
+  int64 positions, drawing its rotations from os.urandom as the build does
 - RecordingOt: an OT that counts transfers, keeps what the sender offers,
   so a test can read Gilboa's rho lists back, and rebuilds the receiver's
   view of every transfer from the pad and bit streams
@@ -22,13 +24,15 @@ the documented formats rather than from the vectorised code they check.
 
 import hashlib
 import math
+import os
 import struct
 from collections import deque
 
 import numpy as np
 
 from olepsi.field import is_prime
-from olepsi.hashing import CuckooFailure, _candidate_bins
+from olepsi.hashing import CuckooFailure, _candidate_bins, _check_input_set
+from olepsi.modvec import dtype_for
 from olepsi.offline.ot import DealerAssistedOt
 from olepsi.prg import Prg, Seed
 
@@ -230,6 +234,29 @@ def round_based_cuckoo(arr, params, seeds):
     origins = np.full(params.alpha, -1, dtype=np.int64)
     origins[placed] = arr[items]
     return bins, origins, arr[np.sort(pending)].tolist()
+
+
+def whole_bin_table(elements, params, seeds):
+    """Bob's (alpha, beta) table in one pass: every element's k (bin, enc)
+    keys sorted, each bin's entries placed from slot offset[bin] on,
+    cyclically, and dummy_bob everywhere else. The offsets are one
+    alpha-length int64 draw from a generator seeded with os.urandom(16),
+    so a pinned os.urandom pins the table."""
+    arr = _check_input_set(elements, params)
+    alpha, beta, k, sigma2 = params.alpha, params.beta, params.k, params.sigma2
+    cand = _candidate_bins(arr, seeds, params)
+    enc = (np.arange(k, dtype=np.int64)[:, None] << sigma2) | (arr & ((1 << sigma2) - 1))
+    bins, encs = cand.ravel(), enc.ravel()
+    order = np.lexsort((encs, bins))
+    bins, encs = bins[order], encs[order]
+    counts = np.bincount(bins, minlength=alpha)
+    assert counts.max() <= beta
+    offset = np.random.default_rng(list(os.urandom(16))).integers(0, beta, alpha)
+    start = np.cumsum(counts) - counts
+    rank = np.arange(bins.size) - start[bins]
+    table = np.full((alpha, beta), params.dummy_bob, dtype=dtype_for(params.dummy_bob + 1))
+    table[bins, (rank + offset[bins]) % beta] = encs
+    return table
 
 
 class RecordingOt(DealerAssistedOt):

@@ -1,5 +1,6 @@
 import dataclasses
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from olepsi.hashing import (
     stash_encode,
 )
 from olepsi.modvec import dtype_for
+from olepsi.online import frame_plan
 from olepsi.params import derive_params
 from olepsi.prg import Prg, Seed
 
@@ -27,6 +29,7 @@ from oracles import (
     invert_placement,
     round_based_cuckoo,
     split_element,
+    whole_bin_table,
 )
 
 
@@ -382,6 +385,104 @@ def test_bin_table_overflow():
     ys = rng.choice(1 << 32, size=1 << 8, replace=False)
     with pytest.raises(BinOverflow):
         build_bin_table(ys, tiny, fixed_seeds(3))
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_bin_table_overflow_at_exactly_beta_plus_one(k, monkeypatch):
+    """A bin may hold beta entries but not beta + 1: the check on runs of
+    equal bins in the sorted keys agrees with a count per bin, also when a
+    run crosses the passes it reads the keys in."""
+    monkeypatch.setattr(hashing, "_BLOCK", 7)
+    p = derive_params(1 << 8, k)
+    seeds = fixed_seeds(k)
+    ys = np.random.default_rng(43 + k).choice(1 << 32, size=1 << 8, replace=False)
+    load = int(np.bincount(_candidate_bins(np.sort(ys), seeds, p).ravel()).max())
+    t = build_bin_table(ys, dataclasses.replace(p, beta=load), seeds)
+    assert int((t.bins != p.dummy_bob).sum(axis=1).max()) == load
+    with pytest.raises(BinOverflow, match=f"bin load {load} exceeds beta={load - 1}"):
+        build_bin_table(ys, dataclasses.replace(p, beta=load - 1), seeds)
+
+
+def _pin_urandom(monkeypatch):
+    """A fresh fixed os.urandom stream, so the next build draws the same
+    rotations as the last one pinned this way."""
+    monkeypatch.setattr(os, "urandom", Prg(Seed(bytes(32)), tag=b"rotation").read)
+
+
+@pytest.mark.parametrize("logn,k", [(18, 2), (14, 3), (12, 4), (10, 3)])
+def test_bin_rows_per_frame_equal_whole_table(logn, k, monkeypatch):
+    """rows() over every bins frame of frame_plan, into the one buffer the
+    first frame sizes, gives the whole table of tests/oracles.py byte for
+    byte under the same os.urandom stream; 2^18 takes several frames."""
+    p = derive_params(1 << logn, k)
+    seeds = fixed_seeds(k)
+    ys = np.random.default_rng(logn + k).choice(1 << 32, size=p.n - 3, replace=False)
+    _pin_urandom(monkeypatch)
+    table = build_bin_table(ys, p, seeds)
+    _pin_urandom(monkeypatch)
+    whole = whole_bin_table(ys, p, seeds)
+    cuts = [cut for cut in frame_plan(p)[1] if cut.section == "bins"]
+    assert len(cuts) > 1 or logn < 18
+    buf = np.empty((cuts[0].shape[0], p.beta), whole.dtype)
+    for cut in cuts:
+        rows = table.rows(cut.rows.start, cut.rows.stop, buf)
+        assert np.shares_memory(rows, buf)
+        assert rows.dtype == whole.dtype
+        assert np.array_equal(rows, whole[cut.rows])
+    assert np.array_equal(table.bins, whole)
+
+
+def test_bin_rows_any_order_and_split(monkeypatch):
+    """Bin ranges cut at any bin (single bins, empty bins, the last bin) and
+    filled in any order, fresh or into a larger buffer, give the rows of the
+    whole table."""
+    p = derive_params(1 << 12, 3)
+    seeds = fixed_seeds(3)
+    ys = np.random.default_rng(47).choice(1 << 32, size=3000, replace=False)
+    _pin_urandom(monkeypatch)
+    table = build_bin_table(ys, p, seeds)
+    _pin_urandom(monkeypatch)
+    whole = whole_bin_table(ys, p, seeds)
+    rng = np.random.default_rng(53)
+    empty = int(np.flatnonzero((whole == p.dummy_bob).all(axis=1))[0])
+    edges = {0, 1, 2, empty, empty + 1, p.alpha - 1, p.alpha}
+    edges |= set(rng.choice(p.alpha, size=40, replace=False).tolist())
+    edges = sorted(edges)
+    ranges = list(zip(edges[:-1], edges[1:]))
+    buf = np.empty((max(hi - lo for lo, hi in ranges) + 5, p.beta), whole.dtype)
+    for i in rng.permutation(len(ranges)):
+        lo, hi = ranges[i]
+        assert np.array_equal(table.rows(lo, hi), whole[lo:hi])
+        assert np.array_equal(table.rows(lo, hi, buf), whole[lo:hi])
+
+
+# the sorted copy of Bob's set (2 MiB at 2^18), his slots and offsets (0.5
+# and 0.6 MiB) and one frame's index temporaries (about 4 MiB)
+_ROWS_SLACK = 10 << 20
+
+
+def test_bin_rows_peak_memory_is_keys_and_one_frame():
+    """Bob's build plus every bins frame's rows() into one buffer peaks under
+    his k * n int64 sort keys, that buffer and a fixed slack: no (alpha,
+    beta) table (11.3M uint16 slots, 22.6 MB at 2^18) or alpha-sized int64
+    array is ever allocated. A build of the whole table peaks at 41 MiB here."""
+    p = derive_params(1 << 18, 2)
+    seeds = fixed_seeds(2)
+    ys = np.random.default_rng(59).choice(1 << 32, size=p.n, replace=False)
+    cuts = [cut for cut in frame_plan(p)[1] if cut.section == "bins"]
+    assert len(cuts) > 1
+    keys = p.k * p.n * 8
+    tracemalloc.start()
+    try:
+        table = build_bin_table(ys, p, seeds)
+        buf = np.empty((cuts[0].shape[0], p.beta), dtype_for(p.dummy_bob + 1))
+        for cut in cuts:
+            table.rows(cut.rows.start, cut.rows.stop, buf)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table.keys.nbytes == keys
+    assert peak < keys + buf.nbytes + _ROWS_SLACK, peak / (1 << 20)
 
 
 def test_exhaustive_inversion_small_domain():

@@ -9,6 +9,7 @@ import dataclasses
 import importlib.util
 import mmap
 import os
+import weakref
 from fractions import Fraction
 from pathlib import Path
 
@@ -765,6 +766,81 @@ def test_mapped_tuple_rows_do_not_stay_resident(tmp_path, monkeypatch, sigma):
         invs = dict(zip(("bins", "stash"), session.inventories))
         frame = max(invs[cut.section].block[cut.rows].nbytes for cut in down)
         assert _mapped_rss(files[role]) <= frame + 2 * mmap.PAGESIZE
+
+
+def test_alice_releases_every_up_row_before_her_first_d_frame(tmp_path, monkeypatch):
+    """Alice computes each c frame in passes of at most _PASS_ROWS rows and
+    releases each pass once its c is computed, so every row of her mapped
+    file is released before the first d frame arrives."""
+    events = []  # (kind, inventory, rows), from both roles' threads
+    release = online.release_rows
+    recv = online.recv_elements
+
+    def recording_release(inv, rows):
+        events.append(("release", inv, rows))
+        release(inv, rows)
+
+    def recording_recv(channel, msg_type, *args):
+        if msg_type == BOB_D:
+            events.append(("d", None, None))
+        return recv(channel, msg_type, *args)
+
+    monkeypatch.setattr(online, "release_rows", recording_release)
+    monkeypatch.setattr(online, "recv_elements", recording_recv)
+    monkeypatch.setattr(online, "_PASS_ROWS", 1000)  # 3 passes per 3000-row c frame
+    p, sessions, _, result, expected, _ = _loaded_run(tmp_path, monkeypatch, 24)
+    assert result == expected
+    first_d = next(i for i, (kind, _, _) in enumerate(events) if kind == "d")
+    for inv in sessions["alice"].inventories:
+        assert inv._rows_in_file is not None
+        passes = [rows for _, owner, rows in events[:first_d] if owner is inv]
+        assert all(rows.stop - rows.start <= 1000 for rows in passes)
+        released = np.zeros(len(inv), bool)
+        for rows in passes:
+            released[rows] = True
+        assert released.all()
+
+
+def test_bob_bins_buffer_is_one_frame_at_every_tabulated_row():
+    """psi_bob fills every bins frame into one buffer of the first bins
+    cut's rows, beta wide: at most _CHUNK encodings, at every PARAM_TABLE
+    row. Read off frame_plan, without allocating."""
+    for n, k in PARAM_TABLE:
+        p = derive_params(n, k)
+        bins = [cut for cut in frame_plan(p)[1] if cut.section == "bins"]
+        rows = bins[0].shape[0]
+        assert all(cut.shape[0] <= rows and cut.cols == slice(0, p.beta) for cut in bins)
+        itemsize = np.dtype(dtype_for(p.dummy_bob + 1)).itemsize
+        assert rows * p.beta * itemsize <= online._CHUNK * itemsize
+
+
+def test_bob_drops_his_keys_before_the_last_bins_reply(monkeypatch):
+    """Bob's bin table (his sorted keys) lives through every bins frame but
+    the last: once the last bin is filled it is dropped before that frame's
+    reply, so a one-frame run holds the rows and not the keys as well."""
+    tables, alive = [], []
+    build, reply = online.build_bin_table, online.bob_reply
+
+    def recording_build(*args):
+        table = build(*args)
+        tables.append(weakref.ref(table))
+        return table
+
+    def recording_reply(*args):
+        alive.append(tables[0]() is not None)
+        return reply(*args)
+
+    monkeypatch.setattr(online, "build_bin_table", recording_build)
+    monkeypatch.setattr(online, "bob_reply", recording_reply)
+    monkeypatch.setattr(online, "_CHUNK", _RELEASE_CHUNK)
+    p = derive_params(1 << 12, 2, stash_size=2)
+    a, b = make_sessions(p, master_seed=Seed(b"\x0e" * 32))
+    x = set(np.random.default_rng(1).choice(1 << 32, size=p.n, replace=False).tolist())
+    assert run_psi_pair(a, x, b, set(sorted(x)[:100]))[0] == set(sorted(x)[:100])
+    down = frame_plan(p)[1]
+    bins = sum(cut.section == "bins" for cut in down)
+    assert bins > 1 and len(down) > bins
+    assert alive == [True] * (bins - 1) + [False] * (len(down) - bins + 1)
 
 
 def test_generated_inventories_untouched_by_run(monkeypatch):
