@@ -19,14 +19,7 @@ from .field import FieldError, PrimeModulus
 from .hashing import HashingError
 from .mismatch import mismatch_keyed, mismatch_plain
 from .offline import BACKENDS, ExpansionError, gen_seeded, generate_psi_inventories, subseed
-from .offline.dealer import (
-    dealer_generate,
-    decode_to_alice,
-    decode_to_bob,
-    encode_to_alice,
-    encode_to_bob,
-    expand_bob,
-)
+from .offline.dealer import dealer_generate, decode_to_bob, expand_bob
 from .offline.ot import DealerAssistedOt, OtError
 from .online import OnlineError, PsiSession, ot_via_psi, psi_alice, psi_bob
 from .params import derive_params, online_bits_per_element
@@ -45,13 +38,17 @@ from .transport import (
     tcp_connect,
 )
 from .tuples import (
+    MAX_PART,
     SIDE_ALICE,
     SIDE_BOB,
     TupleFileError,
     alice_file_len,
+    check_sections,
     inventory_token,
     load_inventories,
     save_inventories,
+    section_bytes,
+    write_file,
 )
 
 
@@ -177,8 +174,8 @@ def cmd_offline(args):
 
 
 def _offline_fetch(args, p):
-    """Client side of the dealer service: request, then save Alice's tuple
-    file as served, or expand Bob's half from his seed and save it."""
+    """Client side of the dealer service: request, then write Alice's tuple
+    file as it streams in, or expand Bob's half from his seed and save it."""
     if not args.role:
         raise UsageError("--connect needs --role")
     out = args.out_alice if args.role == "alice" else args.out_bob
@@ -188,15 +185,10 @@ def _offline_fetch(args, p):
     chan = tcp_connect(host, port)
     try:
         send_frame(chan, Frame(SETUP, args.role.encode() + p.digest()))
-        # the reply's length is fixed by the parameters
-        bound = alice_file_len(p) if args.role == "alice" else SEED_LEN
-        frame = recv_frame(chan, max_payload=bound)
         if args.role == "alice":
-            if frame.msg_type != DEALER_A:
-                raise TransportError(f"wanted DEALER_A, got type {frame.msg_type}")
-            invs, token = decode_to_alice(frame.payload, p)
-            save_inventories(out, invs, SIDE_ALICE, token)
+            token = _fetch_alice_file(chan, p, out)
         else:
+            frame = recv_frame(chan, max_payload=SEED_LEN)
             if frame.msg_type != DEALER_B:
                 raise TransportError(f"wanted DEALER_B, got type {frame.msg_type}")
             seed = decode_to_bob(frame.payload)
@@ -208,6 +200,36 @@ def _offline_fetch(args, p):
     print(f"role: {args.role}")
     print(f"token: {token.hex()}")
     return 0
+
+
+def _fetch_alice_file(chan, p, out):
+    """Write the DEALER_A frames to `out` as they arrive, until the file's
+    alice_file_len(p) bytes are in, then check it as `olepsi run` would load
+    it; returns its token. A frame may be no longer than the bytes still due
+    and than MAX_PART, so its header is checked before any payload is read;
+    an empty frame, a frame of another type or a file that is not Alice's for
+    p raises TransportError and leaves no file behind."""
+
+    def frames():
+        due = alice_file_len(p)
+        while due:
+            frame = recv_frame(chan, max_payload=min(due, MAX_PART))
+            if frame.msg_type != DEALER_A:
+                raise TransportError(f"wanted DEALER_A, got type {frame.msg_type}")
+            if not frame.payload:
+                raise TransportError("empty DEALER_A frame")
+            due -= len(frame.payload)
+            yield frame.payload
+
+    def check(path):
+        try:
+            invs, token = load_inventories(path, SIDE_ALICE)
+            check_sections(invs, p, TupleFileError)
+        except TupleFileError as e:
+            raise TransportError(f"dealer message: {e}") from None
+        return token
+
+    return write_file(out, frames(), check)
 
 
 def cmd_dealer(args):
@@ -255,9 +277,11 @@ def _serve_dealer_request(chan, p, msgs, served):
     if role in served:
         raise OnlineError(f"second {role} connection refused")
     if role == "alice":
-        send_frame(chan, Frame(DEALER_A, encode_to_alice(msgs)))
+        # Alice's tuple file, one frame per part
+        for part in section_bytes(msgs.to_alice, SIDE_ALICE, msgs.token):
+            send_frame(chan, Frame(DEALER_A, part))
     else:
-        send_frame(chan, Frame(DEALER_B, encode_to_bob(msgs)))
+        send_frame(chan, Frame(DEALER_B, msgs.to_bob.value))
     return role
 
 

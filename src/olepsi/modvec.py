@@ -11,7 +11,8 @@ r_B_inv of every tuple the offline expansion derives.
 
 import numpy as np
 
-MAX_Q = 1 << 31  # exclusive bound on the moduli this module handles
+from .params import MAX_Q, tiles
+
 _BLOCK = 1 << 16  # slots per bob_reply pass: temporaries stay in cache
 _INV_BLOCK = 1 << 14  # elements per mod_inv pass
 
@@ -84,8 +85,9 @@ def reply_dtype(q):
 
 def bob_reply(c, enc_rows, block, q):
     """d[i, j] = (c[i] + enc[i, j] + s_B[i, j]) * r_B_inv[i, j] mod q over
-    Bob's (rows, L, 2) tuple block, in _BLOCK-element passes with one
-    reduction per slot (reduce_in_place, in the reply dtype).
+    Bob's (rows, L, 2) tuple block, in passes of at most _BLOCK slots
+    (params.tiles) with one reduction per slot (reduce_in_place, in the
+    reply dtype).
 
     Each (r_B_inv, s_B) slot is read as one little-endian word of twice the
     element width (dtype_for(q) is at most 4 bytes): s_B is its high half
@@ -98,16 +100,15 @@ def bob_reply(c, enc_rows, block, q):
     work = reply_dtype(q)
     c = c.astype(work)
     out = np.empty((rows, slot), dtype=dtype_for(q))
-    step = max(1, _BLOCK // max(slot, 1))
-    t = np.empty((min(step, rows), slot), work)
+    t = np.empty(min(_BLOCK, rows * slot), work)
     u = np.empty_like(t)
-    for lo in range(0, rows, step):
-        hi = min(rows, lo + step)
-        tt, uu, pair = t[: hi - lo], u[: hi - lo], pairs[lo:hi]
-        np.copyto(tt, enc_rows[lo:hi], casting="unsafe")
-        tt += c[lo:hi, None]
+    for rs, cs in tiles(rows, slot, _BLOCK):
+        pair = pairs[rs, cs]
+        tt, uu = t[: pair.size].reshape(pair.shape), u[: pair.size].reshape(pair.shape)
+        np.copyto(tt, enc_rows[rs, cs], casting="unsafe")
+        tt += c[rs, None]
         tt += np.right_shift(pair, half, out=uu)  # s_B
         tt *= np.bitwise_and(pair, (1 << half) - 1, out=uu)  # r_B_inv
         reduce_in_place(tt, q)
-        out[lo:hi] = tt
+        out[rs, cs] = tt
     return out

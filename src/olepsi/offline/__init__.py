@@ -25,15 +25,7 @@ from __future__ import annotations
 from ..params import sections
 from ..prg import Seed, subseed
 from ._expand import ExpansionError, expand_sections, gen_seeded
-from .dealer import (
-    DealerMessages,
-    dealer_generate,
-    decode_to_alice,
-    decode_to_bob,
-    encode_to_alice,
-    encode_to_bob,
-    expand_bob,
-)
+from .dealer import DealerMessages, dealer_generate, decode_to_bob, expand_bob
 from .gilboa import gilboa_batch, gilboa_sections
 from .lbe import LbeSimParams, lbe_params_for, lbe_r_a
 from .ot import DealerAssistedOt, OtError

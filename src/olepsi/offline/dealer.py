@@ -14,15 +14,7 @@ from dataclasses import dataclass
 from ..params import sections
 from ..prg import SEED_LEN, Seed
 from ..transport import TransportError
-from ..tuples import (
-    SIDE_ALICE,
-    TupleFileError,
-    alice_file_len,
-    check_sections,
-    inventory_token,
-    parse_inventories,
-    section_bytes,
-)
+from ..tuples import inventory_token
 from ._expand import expand_sections
 
 
@@ -50,32 +42,6 @@ def dealer_generate(R_A, R_B, params):
 def expand_bob(R_B, params):
     """Bob's side: everything re-expanded from the 32-byte seed."""
     return expand_sections(params.modulus, sections(params), seed_a=None, seed_b=R_B)[1]
-
-
-def encode_to_alice(msg):
-    """Wire form of the dealer-to-Alice message: the bytes of Alice's tuple
-    file, as save_inventories writes it."""
-    return b"".join(section_bytes(msg.to_alice, SIDE_ALICE, msg.token))
-
-
-def decode_to_alice(data, params):
-    """Alice's (inventories, token) from a dealer-to-Alice message, parsed
-    as her tuple file. A message of another length, or whose sections are
-    not those of the parameters, raises TransportError."""
-    need = alice_file_len(params)
-    if len(data) != need:
-        raise TransportError(f"dealer message is {len(data)} bytes, parameters need {need}")
-    try:
-        invs, token = parse_inventories(data, SIDE_ALICE)
-        check_sections(invs, params, TupleFileError)
-    except TupleFileError as e:
-        raise TransportError(f"dealer message: {e}") from None
-    return invs, token
-
-
-def encode_to_bob(msg):
-    """Wire form of the dealer-to-Bob message: the bare 32-byte seed."""
-    return msg.to_bob.value
 
 
 def decode_to_bob(data):

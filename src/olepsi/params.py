@@ -11,7 +11,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .field import PrimeModulus, smallest_prime_at_least
-from .modvec import MAX_Q
+
+MAX_Q = 1 << 31  # exclusive bound on the moduli modvec's arithmetic handles
 
 # Bin-count factors per hash-function count: alpha = ceil(factor * n).
 ALPHA_FACTORS = {

@@ -15,9 +15,10 @@ token) followed by the inventory's block as little-endian words of
 ceil(bit_len/8) bytes in C order: Alice's rows are (s_A, r_A[0..L)), Bob's
 are L interleaved (r_B^-1, s_B) pairs. A file of any other version, such as
 format 1 with Bob's (r_B, r_B^-1, s_B) triples, is refused.
-The dealer's message to Alice is her tuple file: section_bytes writes it,
-parse_inventories reads it from any buffer, and alice_file_len is its
-exact length.
+The dealer service streams Alice her tuple file as the parts section_bytes
+yields, one frame each and none longer than MAX_PART bytes. Her client
+writes the frames as they arrive through save_inventories' writer
+(write_file), up to alice_file_len, the file's exact length.
 
 A run maps its tuple file read-only and reads its blocks straight from the
 mapping: each frame brings in the pages under its rows, and release_rows
@@ -45,6 +46,7 @@ from .params import sections
 FILE_VERSION = 2
 TOKEN_LEN = 16
 _PASS_WORDS = 1 << 16  # block words per part of section_bytes
+MAX_PART = 8 * _PASS_WORDS  # bytes in the longest part: words are at most 8 bytes
 _HEADER = struct.Struct(f"<4sBQII{TOKEN_LEN}s")
 
 SIDE_ALICE = "alice"
@@ -137,23 +139,31 @@ def inventory_token(bob_inventories):
 
 
 def save_inventories(path, inventories, side, token):
-    """Write one or more sections (bin batches, then stash batches) to a file.
-
-    The sections go to a new file beside `path`, which is then renamed over
-    it: a run that maps the old file keeps reading the old bytes, and a
-    failed write leaves `path` as it was and no partial file behind."""
+    """Write one or more sections (bin batches, then stash batches) to a file,
+    as a new file renamed over `path` (write_file)."""
     if side not in (SIDE_ALICE, SIDE_BOB):
         raise ValueError(f"side must be alice or bob, got {side}")
+    write_file(path, section_bytes(inventories, side, token))
+
+
+def write_file(path, parts, check=None):
+    """Write the byte strings `parts` to a new file beside `path`, then rename
+    it over `path`; returns check(new file's path), called before the rename,
+    if a check is given. A run that maps the old file keeps reading the old
+    bytes, and a failed write or check leaves `path` as it was and no partial
+    file behind."""
     path = os.fspath(path)
     tmp = f"{path}.{secrets.token_hex(8)}.tmp"
     f = open(tmp, "xb")
     try:
         with f:
-            f.writelines(section_bytes(inventories, side, token))
+            f.writelines(parts)
+        result = None if check is None else check(tmp)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
         raise
+    return result
 
 
 # per side: the inventory class and the shape of its block for (count, L)
@@ -173,28 +183,19 @@ def alice_file_len(params):
 
 
 def load_inventories(path, side):
-    """Map the file read-only and parse all sections (parse_inventories);
-    returns (inventories, token). Whenever the field width is 1, 2, 4 or 8
-    bytes each block is a read-only view of the mapping, and release_rows
-    can drop its pages; at other widths it is a copy, and the mapping is
-    closed once no view of it is left."""
-    with open(path, "rb") as f:
-        empty = os.fstat(f.fileno()).st_size == 0
-        data = b"" if empty else mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
-    return parse_inventories(data, side)
-
-
-def parse_inventories(data, side):
-    """Parse the tuple file sections held in `data`, a file mapping or any
-    other buffer; returns (inventories, token). Blocks are views of `data`
-    where the field width allows; only views of a file mapping are marked
-    for release_rows."""
+    """Map the file read-only and parse all its sections; returns
+    (inventories, token). Whenever the field width is 1, 2, 4 or 8 bytes
+    each block is a read-only view of the mapping, and release_rows can drop
+    its pages; at other widths it is a copy, and the mapping is closed once
+    no view of it is left."""
     if side not in _SECTIONS:
         raise ValueError(f"side must be alice or bob, got {side}")
     cls, block_shape = _SECTIONS[side]
-    size = len(data)
-    if size == 0:
-        raise TupleFileError("empty tuple file")
+    with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
+        if size == 0:
+            raise TupleFileError("empty tuple file")
+        data = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
     out = []
     token = None
     pos = 0
@@ -230,9 +231,7 @@ def parse_inventories(data, side):
         payload = memoryview(data)[pos : pos + nbytes]
         block = unpack_words(payload, 8 * width, nbytes // width, dtype_for(q))
         inv = cls(modulus, block.reshape(shape))
-        if isinstance(data, mmap.mmap) and np.may_share_memory(
-            block, np.frombuffer(payload, np.uint8)
-        ):
+        if np.may_share_memory(block, np.frombuffer(payload, np.uint8)):
             inv._rows_in_file = (data, pos, nbytes // max(count, 1))
         out.append(inv)
         pos += nbytes

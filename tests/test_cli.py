@@ -4,6 +4,7 @@ Most tests call main() in process; one subprocess test exercises the
 console entry point and the dealer service over real loopback TCP.
 """
 
+import hashlib
 import io
 import os
 import re
@@ -11,30 +12,42 @@ import socket
 import subprocess
 import sys
 import threading
+import tracemalloc
 
 import pytest
 
-from olepsi.cli import main, read_set_file
+from olepsi import tuples as tuples_mod
+from olepsi.cli import _serve_dealer_request, main, read_set_file
 from olepsi.cli import write_set as cli_write_set
 from olepsi.hashing import build_cuckoo_table
 from olepsi.offline import _expand as expand_mod
-from olepsi.offline.dealer import dealer_generate, encode_to_alice
+from olepsi.offline.dealer import dealer_generate
 from olepsi.online import derive_hash_seeds
-from olepsi.params import derive_params
+from olepsi.params import PARAM_TABLE, derive_params, sections
 from olepsi.prg import SEED_LEN, Seed
 from olepsi.transport import (
     _HEAD,
     DEALER_A,
     DEALER_B,
+    MAX_PAYLOAD,
     SETUP,
     ChannelClosed,
     Frame,
+    TcpChannel,
     TcpListener,
     recv_frame,
     send_frame,
     tcp_connect,
 )
-from olepsi.tuples import SIDE_ALICE, SIDE_BOB, alice_file_len, load_inventories
+from olepsi.tuples import (
+    MAX_PART,
+    SIDE_ALICE,
+    SIDE_BOB,
+    alice_file_len,
+    load_inventories,
+    save_inventories,
+    section_bytes,
+)
 
 from oracles import (
     bin_index,
@@ -46,6 +59,8 @@ from oracles import (
 
 BASE = ["--n", "64", "--k", "3", "--sigma", "16"]
 BASE_STASH = ["--n", "64", "--k", "2", "--sigma", "16", "--stash", "4"]
+# a 4.13 MiB Alice file at a 2-byte field: many frames of the dealer's stream
+BIG = ["--n", "65536", "--k", "3", "--sigma", "24"]
 SEED_A = "11" * 32
 SEED_B = "22" * 32
 
@@ -236,8 +251,10 @@ class TestDealerFrameBounds:
         assert err.count("bad dealer request") == 2
         assert "gave up after 2 refused connections" in err
 
-    def fetch_from_fake(self, tmp_path, reply, role):
-        """Fetch `role` from a fake dealer that answers with the bytes `reply`."""
+    def fetch_from_fake(self, tmp_path, reply, role, hold=True, base=BASE):
+        """Fetch `role` from a fake dealer that answers with the bytes `reply`,
+        then holds the connection open until the fetch ends, or closes it
+        at once if not `hold`."""
         srv = TcpListener("127.0.0.1", 0)
         done = threading.Event()
 
@@ -246,14 +263,15 @@ class TestDealerFrameBounds:
             try:
                 recv_frame(chan)
                 chan.send_bytes(reply)
-                done.wait(10)
+                if hold:
+                    done.wait(10)
             finally:
                 chan.close()
 
         server = threading.Thread(target=fake_dealer)
         server.start()
         try:
-            return self.fetch(tmp_path, srv.port, role)
+            return self.fetch(tmp_path, srv.port, role, base)
         finally:
             done.set()
             server.join(timeout=30)
@@ -273,18 +291,20 @@ class TestDealerFrameBounds:
         """A DEALER_A payload for p with `fields` of its bins section header
         replaced."""
         msg = dealer_generate(Seed(bytes([1]) * 32), Seed(bytes([2]) * 32), p)
-        return with_header(encode_to_alice(msg), **fields)
+        return with_header(b"".join(section_bytes(msg.to_alice, SIDE_ALICE, msg.token)), **fields)
 
     @pytest.mark.parametrize("role", ["alice", "bob"])
     def test_truncated_dealer_reply_is_protocol_error(self, tmp_path, capsys, role):
         p = derive_params(64, 3, sigma=16)
+        # Alice's file streams in frames, so her fake dealer closes after
+        # its 60 bytes: the stream ends before the file does
         if role == "alice":
             short = _HEAD.pack(60, DEALER_A) + self.alice_payload(p)[:60]
-            want = f"dealer message is 60 bytes, parameters need {alice_file_len(p)}"
+            want = "stream ended mid-message"
         else:
             short = _HEAD.pack(20, DEALER_B) + bytes(20)
             want = f"dealer-to-Bob message must be {SEED_LEN} bytes"
-        rc = self.fetch_from_fake(tmp_path, short, role)
+        rc = self.fetch_from_fake(tmp_path, short, role, hold=role == "bob")
         assert rc == 3
         err = capsys.readouterr().err
         assert want in err
@@ -337,6 +357,156 @@ class TestDealerFrameBounds:
                        "--out-bob", str(tmp_path / "b.tup")] + base) == 0
         for served, local in (("alice.tup", "a.tup"), ("bob.tup", "b.tup")):
             assert (tmp_path / served).read_bytes() == (tmp_path / local).read_bytes()
+
+    def local_dealer_files(self, tmp_path, base):
+        """The bytes of Alice's and Bob's files from `offline --mode dealer`."""
+        a, b = tmp_path / "local-a.tup", tmp_path / "local-b.tup"
+        assert invoke(["offline", "--mode", "dealer", "--seed", SEED_B,
+                       "--out-alice", str(a), "--out-bob", str(b)] + base) == 0
+        return a.read_bytes(), b.read_bytes()
+
+    @pytest.mark.parametrize("sizes", [(1, 3, 5, 7, 9, 37, 2), None], ids=["odd", "one-frame"])
+    def test_frames_of_any_size_give_the_local_file(self, tmp_path, capsys, sizes):
+        # the client writes what arrives, however the stream is cut: here in
+        # frames of the given sizes, in turn, or (an older dealer's reply) in
+        # one frame, which fits the bound while the file is at most one part
+        local, _ = self.local_dealer_files(tmp_path, BASE)
+        assert len(local) <= MAX_PART
+        reply, pos, turn = b"", 0, 0
+        while pos < len(local):
+            size = len(local) if sizes is None else sizes[turn % len(sizes)]
+            part = local[pos : pos + size]
+            reply += _HEAD.pack(len(part), DEALER_A) + part
+            pos, turn = pos + len(part), turn + 1
+        assert self.fetch_from_fake(tmp_path, reply, "alice") == 0
+        assert (tmp_path / "alice.tup").read_bytes() == local
+
+    @pytest.mark.parametrize("frames, want", [
+        ([(DEALER_A, b"")], "empty DEALER_A frame"),
+        ([(DEALER_A, b"OLEA"), (DEALER_B, bytes(32))], "wanted DEALER_A, got type 5"),
+    ], ids=["empty", "other-type"])
+    def test_bad_stream_frame_is_protocol_error(self, tmp_path, capsys, frames, want):
+        reply = b"".join(_HEAD.pack(len(body), t) + body for t, body in frames)
+        assert self.fetch_from_fake(tmp_path, reply, "alice") == 3
+        err = capsys.readouterr().err
+        assert want in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "alice.tup").exists()
+        assert os.listdir(tmp_path) == []  # no temp file either
+
+    def test_frame_longer_than_a_part_fails_at_header(self, tmp_path, capsys):
+        # within the file's length, but longer than any part the dealer sends:
+        # an older dealer's one-frame reply at this size is refused here too
+        p = derive_params(1 << 16, 3, sigma=24)
+        assert alice_file_len(p) > MAX_PART + 1
+        reply = _HEAD.pack(MAX_PART + 1, DEALER_A)
+        assert self.fetch_from_fake(tmp_path, reply, "alice", base=BIG) == 3
+        assert f"{MAX_PART + 1} byte payload, limit {MAX_PART}" in capsys.readouterr().err
+        assert not (tmp_path / "alice.tup").exists()
+
+    def test_fetch_holds_about_one_frame(self, tmp_path, capsys):
+        # a dealer process streams a 4.13 MiB Alice file; the client's traced
+        # peak stays far below the file it writes (the whole-file reply
+        # peaked at 4.3 MiB), and both served files equal the local ones
+        p = derive_params(1 << 16, 3, sigma=24)
+        assert p.modulus.byte_len == 2 and alice_file_len(p) > 4 << 20
+        with subprocess.Popen(
+            [sys.executable, "-m", "olepsi.cli", "dealer", "--listen", "127.0.0.1:0",
+             "--seed", SEED_B] + BIG,
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+        ) as dealer:
+            try:
+                port = re.search(r"port (\d+)", dealer.stderr.readline()).group(1)
+                tracemalloc.start()
+                try:
+                    rc = self.fetch(tmp_path, port, "alice", BIG)
+                    _, peak = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+                assert rc == 0
+                assert self.fetch(tmp_path, port, "bob", BIG) == 0
+                assert dealer.wait(timeout=60) == 0
+            finally:
+                dealer.kill()
+        assert peak < 1 << 20, peak / (1 << 20)
+        local_a, local_b = self.local_dealer_files(tmp_path, BIG)
+        assert (tmp_path / "alice.tup").read_bytes() == local_a
+        assert (tmp_path / "bob.tup").read_bytes() == local_b
+
+    def test_serve_holds_about_one_part(self):
+        # the dealer sends Alice's 4.13 MiB file part by part, one frame
+        # each; its traced peak stays far below the file (the joined reply
+        # peaked at 8.3 MiB). The client end is drained into one small buffer.
+        p = derive_params(1 << 16, 3, sigma=24)
+        msgs = dealer_generate(Seed(bytes([1]) * 32), Seed(bytes([2]) * 32), p)
+        parts = list(section_bytes(msgs.to_alice, SIDE_ALICE, msgs.token))
+        want = hashlib.sha256(b"".join(_HEAD.pack(len(x), DEALER_A) + bytes(x) for x in parts))
+        total = sum(_HEAD.size + len(x) for x in parts)
+        del parts
+        ours, theirs = socket.socketpair()
+        chan = TcpChannel(ours)
+        theirs.sendall(_HEAD.pack(len(b"alice") + 16, SETUP) + b"alice" + p.digest())
+        got = hashlib.sha256()
+
+        def drain():
+            buf = memoryview(bytearray(1 << 16))
+            left = total
+            while left:
+                k = theirs.recv_into(buf, min(left, len(buf)))
+                assert k
+                got.update(buf[:k])
+                left -= k
+
+        tracemalloc.start()
+        try:
+            reader = threading.Thread(target=drain)
+            reader.start()
+            try:
+                assert _serve_dealer_request(chan, p, msgs, set()) == "alice"
+            finally:
+                reader.join(timeout=60)
+            assert not reader.is_alive()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            chan.close()
+            theirs.close()
+        assert got.digest() == want.digest()
+        assert peak < 1 << 20, peak / (1 << 20)
+
+
+def alice_part_lens(p):
+    """The byte length of each part section_bytes yields for Alice's file at
+    p, from the parameters alone: per section a header, then its rows
+    * (1 + cols) words in passes of tuples._PASS_WORDS."""
+    for _, rows, cols in sections(p):
+        yield tuples_mod._HEADER.size
+        words = rows * (1 + cols)
+        for lo in range(0, words, tuples_mod._PASS_WORDS):
+            yield min(tuples_mod._PASS_WORDS, words - lo) * p.modulus.byte_len
+
+
+def test_alice_part_lens_are_the_parts_section_bytes_yields(tmp_path):
+    # a stash section and a bins section of several passes each
+    p = derive_params(1 << 13, 2, sigma=20)
+    assert p.stash_size and p.alpha * (1 + p.beta) > 2 * tuples_mod._PASS_WORDS
+    msgs = dealer_generate(Seed(bytes([1]) * 32), Seed(bytes([2]) * 32), p)
+    parts = section_bytes(msgs.to_alice, SIDE_ALICE, msgs.token)
+    assert [len(x) for x in parts] == list(alice_part_lens(p))
+    save_inventories(tmp_path / "a.tup", msgs.to_alice, SIDE_ALICE, msgs.token)
+    assert (tmp_path / "a.tup").stat().st_size == sum(alice_part_lens(p))
+
+
+@pytest.mark.parametrize("n, k", sorted(PARAM_TABLE))
+def test_dealer_stream_fits_frames_at_every_param_table_row(n, k):
+    # computed from the parameters, without allocating: every part of
+    # Alice's stream fits the client's per-frame bound, which fits the wire's,
+    # and the parts add up to the file the client waits for (2.4-4.9 GiB at
+    # 2^26, more than one frame could carry)
+    p = derive_params(n, k)
+    lens = list(alice_part_lens(p))
+    assert max(lens) <= MAX_PART <= MAX_PAYLOAD
+    assert sum(lens) == alice_file_len(p)
 
 
 class TestSetFiles:

@@ -27,10 +27,7 @@ from olepsi.offline import (
     ExpansionError,
     OtError,
     dealer_generate,
-    decode_to_alice,
     decode_to_bob,
-    encode_to_alice,
-    encode_to_bob,
     expand_bob,
     gen_seeded,
     generate_psi_inventories,
@@ -61,7 +58,6 @@ from oracles import (
     reference_token,
     residue_loop_reconstruct,
     validate_inventories,
-    with_header,
 )
 
 M11 = PrimeModulus(11)
@@ -434,8 +430,8 @@ def test_dealer_reconstruction_validates():
     p = replace(params_small(), alpha=5)
     msg = dealer_generate(Seed(bytes([1]) * 32), Seed(bytes([2]) * 32), p)
     # Alice's half as she receives it, Bob's as he expands it from his seed
-    alice, _ = decode_to_alice(encode_to_alice(msg), p)
-    bob = expand_bob(decode_to_bob(encode_to_bob(msg)), p)
+    alice = msg.to_alice
+    bob = expand_bob(decode_to_bob(msg.to_bob.value), p)
     assert len(alice) == len(bob) == 2
     assert all(validate_inventories(x, y) for x, y in zip(alice, bob))
     # bins section shaped (alpha, beta), stash section (stash_size, n)
@@ -447,7 +443,9 @@ def test_dealer_to_bob_is_seed_sized():
     for count in (1, 40):
         p = replace(params_small(), alpha=count)
         msg = dealer_generate(Seed.random(), Seed.random(), p)
-        assert len(encode_to_bob(msg)) == 32
+        assert len(msg.to_bob.value) == 32
+    with pytest.raises(TransportError, match="must be 32 bytes"):
+        decode_to_bob(b"\x00" * 31)
 
 
 def test_dealer_token_identifies_bob_half():
@@ -485,7 +483,7 @@ def test_dealer_micro_run_stub(monkeypatch):
     # sections (1, 1) of bins and (0, 1) of stash over F_11
     p = SimpleNamespace(modulus=M11, alpha=1, beta=1, stash_size=0, n=1)
     msg = dealer_mod.dealer_generate(Seed(bytes(32)), Seed(bytes([1]) * 32), p)
-    alice, _ = decode_to_alice(encode_to_alice(msg), p)
+    alice = msg.to_alice
     assert (int(alice[0].s_A[0]), int(alice[0].r_A[0, 0])) == (4, 2)
 
 
@@ -493,7 +491,7 @@ def test_dealer_alice_expansion_golden_prefix():
     # frozen: seed 0x01..01, small parameter set
     p = replace(params_small(), alpha=5)
     msg = dealer_generate(Seed(bytes([1]) * 32), Seed(bytes([2]) * 32), p)
-    alice, _ = decode_to_alice(encode_to_alice(msg), p)
+    alice = msg.to_alice
     assert alice[0].s_A[:4].tolist() == [115, 148, 119, 49]
     prg = Prg(Seed(bytes([1]) * 32), tag=b"sA|bins|0")
     assert reference_elements(prg, p.modulus.q, 4) == [115, 148, 119, 49]
@@ -563,7 +561,7 @@ def test_seed_inventory_and_dealer_bytes_golden(
     assert hashlib.sha256((tmp_path / "a").read_bytes()).hexdigest() == alice_sha
     assert hashlib.sha256((tmp_path / "b").read_bytes()).hexdigest() == bob_sha
     msg = dealer_generate(dealer_a, dealer_b, replace(p, alpha=5))
-    data = encode_to_alice(msg)
+    data = b"".join(tuples_mod.section_bytes(msg.to_alice, "alice", msg.token))
     assert hashlib.sha256(data).hexdigest() == dealer_sha
     ref = _reference_seed_files(p, master, dealer_a, dealer_b)
     assert ref == (tok, (tmp_path / "a").read_bytes(), (tmp_path / "b").read_bytes(), data)
@@ -624,41 +622,15 @@ def test_ot_and_lbe_inventory_golden(tmp_path, backend, k, sigma, q, token, alic
     assert ref_alice == (tmp_path / "a").read_bytes()
 
 
-def test_dealer_alice_message_roundtrip():
-    p = replace(params_small(), alpha=3)
-    msg = dealer_generate(Seed(bytes([1]) * 32), Seed(bytes([2]) * 32), p)
-    data = encode_to_alice(msg)
-    invs, token = decode_to_alice(data, p)
-    assert token == msg.token
-    assert all(np.array_equal(x.block, y.block) for x, y in zip(invs, msg.to_alice, strict=True))
-    for bad in (data + b"\x00", data[:60], data[:-1]):
-        with pytest.raises(TransportError, match="bytes, parameters need"):
-            decode_to_alice(bad, p)
-    # the right length, with a bins header that is not the parameters':
-    # as many words as 1 + beta batches of alpha - 1 slots, another prime
-    # field of the same width, Bob's magic, a q that is not prime
-    assert p.modulus.q == 263
-    for fields, want in (
-        ({"count": p.beta + 1, "slot_len": p.alpha - 1}, "bin batches: need 3 batches, have 16"),
-        ({"q": 257}, "bin batches: inventory modulus 257 does not match params \\(263\\)"),
-        ({"magic": b"OLEB"}, "alice section 1 holds bob-side data"),
-        ({"q": 264}, "alice section 1 header: modulus 264 is not prime"),
-    ):
-        bad = with_header(data, **fields)
-        assert len(bad) == len(data)
-        with pytest.raises(TransportError, match=want):
-            decode_to_alice(bad, p)
-    with pytest.raises(TransportError):
-        decode_to_bob(b"\x00" * 31)
-
-
 def test_dealer_alice_message_length_is_fixed_by_params(tmp_path):
-    # the client bounds the DEALER_A frame by this length before reading it,
-    # and the message is the tuple file that Alice saves
+    # the client reads DEALER_A frames until this many bytes are in, and
+    # the message is the tuple file that Alice saves. Its length and header
+    # refusals, once checked here on the joined message, are test_cli.py's
+    # refuse_alice_payload cases, which fetch it from a fake dealer.
     for count in (None, 1, 7):
         p = params_small() if count is None else replace(params_small(), alpha=count)
         msg = dealer_generate(Seed(bytes([1]) * 32), Seed(bytes([2]) * 32), p)
-        data = encode_to_alice(msg)
+        data = b"".join(tuples_mod.section_bytes(msg.to_alice, "alice", msg.token))
         assert len(data) == tuples_mod.alice_file_len(p)
         save_inventories(tmp_path / "a", msg.to_alice, "alice", msg.token)
         assert data == (tmp_path / "a").read_bytes()

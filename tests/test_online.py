@@ -9,6 +9,7 @@ import dataclasses
 import importlib.util
 import mmap
 import os
+import tracemalloc
 import weakref
 from fractions import Fraction
 from pathlib import Path
@@ -221,6 +222,31 @@ def test_bob_reply_reads_loaded_block_and_stash_piece(tmp_path):
         c_st, enc_rows, stash.s_B[row : row + 1, cols], stash.r_B_inv[row : row + 1, cols], q
     )
     assert (d == expect).all()
+
+
+def test_bob_reply_cuts_a_wide_row_into_passes():
+    """A row wider than one pass (every k=2 stash frame is n slots wide) is
+    cut into passes of at most 2^16 slots, as a bins frame's rows are: the
+    traced peak is the 1 MiB reply plus about one pass's temporaries (one
+    pass over the whole row peaked at 7.0 MiB), and every d equals reducing
+    the sum, then the product."""
+    q, slot = 8209, 1 << 19
+    dt = dtype_for(q)
+    rng = np.random.default_rng(q)
+    c = rng.integers(0, q, 1).astype(dt)
+    enc = rng.integers(0, q, (1, slot)).astype(dt)
+    s_B = rng.integers(0, q, (1, slot)).astype(dt)
+    r_B_inv = rng.integers(1, q, (1, slot)).astype(dt)
+    block = np.stack([r_B_inv, s_B], axis=-1)
+    tracemalloc.start()
+    try:
+        d = bob_reply(c, enc, block, q)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert d.nbytes == 1 << 20
+    assert peak < d.nbytes + (1 << 20), peak / (1 << 20)
+    assert (d == _two_reductions(c, enc, s_B, r_B_inv, q)).all()
 
 
 def test_d_never_hits_r_a_on_mismatch_and_spreads():
