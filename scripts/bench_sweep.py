@@ -1,19 +1,19 @@
 #!/usr/bin/env python3
 """Sequential benchmark sweep over set sizes and offline backends.
 
-Each cell runs one full PSI (offline generation + online protocol over the
-in-memory transport) and prints the structured bench report. Single
-threaded by design; expect the ot backend, at ceil(log2 q) transfers per
-tuple, to dominate.
+Each (backend, size) cell is one `olepsi bench` run, a full PSI (offline
+generation + online protocol over the in-memory transport) that prints its
+bench report; a cell that exits non-zero, such as an incorrect result or a
+cuckoo failure (exit 3), is counted and the sweep goes on. Single threaded
+by design; expect the ot backend, at ceil(log2 q) transfers per tuple, to
+dominate.
 """
 
 import argparse
 import sys
 
+from olepsi.cli import main as olepsi_main
 from olepsi.offline import BACKENDS
-from olepsi.params import derive_params
-from olepsi.prg import Seed
-from olepsi.runner import bench_run
 
 
 def main(argv=None):
@@ -26,17 +26,16 @@ def main(argv=None):
     ap.add_argument("--seed", type=str, default="00" * 32, metavar="HEX")
     args = ap.parse_args(argv)
 
-    master = Seed.from_hex(args.seed)
     failures = 0
     for backend in args.backends:
         for n in args.sizes:
-            p = derive_params(n, args.k, sigma=args.sigma)
-            report = bench_run(p, backend=backend, master_seed=master)
-            print(report.format())
+            rc = olepsi_main(["bench", "--n", str(n), "--k", str(args.k),
+                              "--sigma", str(args.sigma), "--offline", backend,
+                              "--seed", args.seed])
             print()
-            failures += 0 if report.correct else 1
+            failures += rc != 0
     if failures:
-        print(f"{failures} incorrect runs", file=sys.stderr)
+        print(f"{failures} failed runs", file=sys.stderr)
     return 1 if failures else 0
 
 

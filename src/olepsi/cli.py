@@ -11,6 +11,7 @@ Exit codes: 0 success, 2 usage or bad input data, 3 protocol failure,
 
 import argparse
 import sys
+import time
 import warnings
 
 import numpy as np
@@ -24,7 +25,7 @@ from .offline.ot import DealerAssistedOt, OtError
 from .online import OnlineError, PsiSession, ot_via_psi, psi_alice, psi_bob
 from .params import derive_params, online_bits_per_element
 from .prg import SEED_LEN, Prg, Seed
-from .runner import bench_run, small_psi_engine
+from .runner import bench_sets, make_sessions, run_psi_pair, small_psi_engine
 from .transport import (
     DEALER_A,
     DEALER_B,
@@ -33,6 +34,7 @@ from .transport import (
     PeerTimeout,
     TcpListener,
     TransportError,
+    bits_per_element_measured,
     recv_frame,
     send_frame,
     tcp_connect,
@@ -65,6 +67,8 @@ def _hostport(text):
     host, sep, port = text.rpartition(":")
     if not sep or not port.isdigit():
         raise UsageError(f"expected HOST:PORT, got {text!r}")
+    if host.startswith("[") and host.endswith("]"):  # an IPv6 literal, [::1]:7000
+        host = host[1:-1]
     return host or "127.0.0.1", int(port)
 
 
@@ -324,10 +328,44 @@ def cmd_run(args):
 
 
 def cmd_bench(args):
+    """Time one full run on bench_sets' pair, the offline phase and then both
+    roles in this process, and print its bench-report block; exits 3 unless
+    the intersection is the brute-force one. The measured bits/element come
+    from Alice's transcript accounting and the formula from the closed-form
+    cost; they agree exactly whenever the message counts are right."""
     p = _params_from(args)
-    report = bench_run(p, backend=args.offline, master_seed=_seed_from(args))
-    print(report.format())
-    return 0 if report.correct else 3
+    master = _seed_from(args)
+    x, y = bench_sets(p, np.random.default_rng(0xB17))
+
+    t0 = time.perf_counter()
+    alice, bob = make_sessions(p, backend=args.offline, master_seed=master)
+    offline_s = time.perf_counter() - t0
+
+    t0 = time.perf_counter()
+    result, stats, _ = run_psi_pair(alice, x, bob, y)
+    wall_s = time.perf_counter() - t0
+
+    measured = bits_per_element_measured(stats, p.n)
+    formula = online_bits_per_element(p)
+    correct = result == (x & y)
+    print("\n".join([
+        "bench-report:",
+        f"  n: {p.n}",
+        f"  k: {p.k}",
+        f"  backend: {args.offline}",
+        f"  offline-seconds: {offline_s:.3f}",
+        f"  wall-seconds: {wall_s:.3f}",
+        f"  alice-sent-bytes: {stats.bytes_sent}",
+        f"  alice-received-bytes: {stats.bytes_received}",
+        f"  elements-sent: {stats.elements_sent}",
+        f"  elements-received: {stats.elements_received}",
+        f"  bits-per-element-measured: {float(measured):.2f}",
+        f"  bits-per-element-formula: {float(formula):.2f}",
+        f"  measured-equals-formula: {measured == formula}",
+        f"  intersection-size: {len(result)}",
+        f"  correct: {correct}",
+    ]))
+    return 0 if correct else 3
 
 
 def cmd_ot_demo(args):

@@ -152,6 +152,10 @@ def derive_params(n, k, sigma=32, lam=40, stash_size=None):
         raise ValueError(f"unsupported hash-function count k={k}")
     if n < 4:
         raise ValueError("set size must be at least 4")
+    if lam < 0:
+        raise ValueError(f"--lam must be at least 0, got {lam}")
+    if stash_size is not None and stash_size < 0:
+        raise ValueError(f"--stash must be at least 0, got {stash_size}")
     factor = ALPHA_FACTORS[k]
     alpha = -((-factor.numerator * n) // factor.denominator)
     if alpha >= 1 << 31:

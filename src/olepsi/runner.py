@@ -6,21 +6,13 @@ one channel implementation in transport.py.
 """
 
 import threading
-import time
-from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
 from .offline import generate_psi_inventories
 from .online import PsiSession, psi_alice, psi_bob
-from .params import derive_params, online_bits_per_element
-from .transport import (
-    PEER_TIMEOUT,
-    ChannelClosed,
-    bits_per_element_measured,
-    memory_channel_pair,
-)
+from .params import derive_params
+from .transport import PEER_TIMEOUT, ChannelClosed, memory_channel_pair
 from .tuples import inventory_token
 
 
@@ -72,48 +64,6 @@ def run_psi_pair(alice_session, alice_set, bob_session, bob_set):
     return result, chan_a.stats, chan_b.stats
 
 
-@dataclass
-class BenchReport:
-    """One benchmark run's numbers.
-
-    offline_seconds times the offline phase and wall_seconds the real
-    protocol run end to end. The bits/element figures come from the
-    transcript accounting and from the closed-form cost; they agree exactly
-    whenever the message counts are right.
-    """
-
-    n: int
-    k: int
-    backend: str
-    offline_seconds: float
-    wall_seconds: float
-    alice_stats: object
-    bits_measured: Fraction
-    bits_formula: Fraction
-    intersection_size: int
-    correct: bool
-
-    def format(self):
-        lines = [
-            "bench-report:",
-            f"  n: {self.n}",
-            f"  k: {self.k}",
-            f"  backend: {self.backend}",
-            f"  offline-seconds: {self.offline_seconds:.3f}",
-            f"  wall-seconds: {self.wall_seconds:.3f}",
-            f"  alice-sent-bytes: {self.alice_stats.bytes_sent}",
-            f"  alice-received-bytes: {self.alice_stats.bytes_received}",
-            f"  elements-sent: {self.alice_stats.elements_sent}",
-            f"  elements-received: {self.alice_stats.elements_received}",
-            f"  bits-per-element-measured: {float(self.bits_measured):.2f}",
-            f"  bits-per-element-formula: {float(self.bits_formula):.2f}",
-            f"  measured-equals-formula: {self.bits_measured == self.bits_formula}",
-            f"  intersection-size: {self.intersection_size}",
-            f"  correct: {self.correct}",
-        ]
-        return "\n".join(lines)
-
-
 def bench_sets(params, rng):
     """Random input pair of size n with roughly n/2 overlap."""
     n, bound = params.n, 1 << params.sigma
@@ -127,32 +77,6 @@ def bench_sets(params, rng):
     x = set(map(int, pool[:n]))
     y = set(map(int, pool[: n // 2])) | set(map(int, pool[n:need]))
     return x, y
-
-
-def bench_run(params, backend="seed", master_seed=None):
-    """Time one full run, offline and online; see BenchReport."""
-    x, y = bench_sets(params, np.random.default_rng(0xB17))
-
-    t0 = time.perf_counter()
-    alice, bob = make_sessions(params, backend=backend, master_seed=master_seed)
-    offline_s = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    result, stats_a, _ = run_psi_pair(alice, x, bob, y)
-    wall_s = time.perf_counter() - t0
-
-    return BenchReport(
-        n=params.n,
-        k=params.k,
-        backend=backend,
-        offline_seconds=offline_s,
-        wall_seconds=wall_s,
-        alice_stats=stats_a,
-        bits_measured=bits_per_element_measured(stats_a, params.n),
-        bits_formula=online_bits_per_element(params),
-        intersection_size=len(result),
-        correct=result == (x & y),
-    )
 
 
 def small_psi_engine(master_seed=None):

@@ -175,10 +175,12 @@ def memory_channel_pair(timeout=PEER_TIMEOUT):
 class TcpListener:
     """Bound listening socket; port 0 picks an ephemeral port. accept waits
     at most `timeout` seconds for a peer to connect, then raises PeerTimeout,
-    and the channel it returns has the same timeout."""
+    and the channel it returns has the same timeout. A host containing ":"
+    is an IPv6 address."""
 
     def __init__(self, host, port, timeout=PEER_TIMEOUT):
-        self._srv = socket.create_server((host, port))
+        family = socket.AF_INET6 if ":" in host else socket.AF_INET
+        self._srv = socket.create_server((host, port), family=family)
         self._srv.settimeout(timeout)
         self._timeout = timeout
         self.port = self._srv.getsockname()[1]

@@ -13,13 +13,15 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
 from olepsi import tuples as tuples_mod
-from olepsi.cli import _serve_dealer_request, main, read_set_file
+from olepsi.cli import _hostport, _serve_dealer_request, main, read_set_file
 from olepsi.cli import write_set as cli_write_set
 from olepsi.hashing import build_cuckoo_table
+from olepsi.offline import BACKENDS
 from olepsi.offline import _expand as expand_mod
 from olepsi.offline.dealer import dealer_generate
 from olepsi.online import derive_hash_seeds
@@ -57,6 +59,7 @@ from oracles import (
     write_format_1_bob_file,
 )
 
+ROOT = Path(__file__).resolve().parents[1]
 BASE = ["--n", "64", "--k", "3", "--sigma", "16"]
 BASE_STASH = ["--n", "64", "--k", "2", "--sigma", "16", "--stash", "4"]
 # a 4.13 MiB Alice file at a 2-byte field: many frames of the dealer's stream
@@ -119,6 +122,24 @@ class TestParams:
     def test_no_command_prints_help(self, capsys):
         assert invoke([]) == 2
         assert "COMMAND" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["params", "--n", "1024", "--k", "3", "--stash", "-2"], "--stash"),
+        (["bench", "--n", "64", "--k", "2", "--stash", "-1"], "--stash"),
+        (["bench", "--n", "1024", "--k", "3", "--lam", "-5"], "--lam"),
+        (["bench", "--n", "1024", "--k", "3", "--lam", "-5", "--offline", "lbe-sim"], "--lam"),
+    ])
+    def test_negative_stash_or_lambda_is_usage_error(self, capsys, argv, flag):
+        assert invoke(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and flag in err
+
+    @pytest.mark.parametrize("text, want", [("127.0.0.1:7000", ("127.0.0.1", 7000)),
+                                            ("[::1]:7000", ("::1", 7000)),
+                                            (":7000", ("127.0.0.1", 7000))])
+    def test_hostport(self, text, want):
+        assert _hostport(text) == want
 
 
 class TestOffline:
@@ -770,6 +791,33 @@ class TestBench:
         rc = invoke(["bench", "--n", "16", "--sigma", "8", "--offline", "lbe-sim"])
         assert rc == 0
         assert "backend: lbe-sim" in capsys.readouterr().out
+
+
+def readme_bench_keys():
+    """The keys of README's bench-report table, in order."""
+    section = (ROOT / "README.md").read_text().split("## Benchmarks", 1)[1].split("\n## ", 1)[0]
+    return [key for line in section.splitlines() if line.startswith("| `")
+            for key in re.findall(r"`([a-z-]+)`", line.split("|")[1])]
+
+
+class TestBenchReport:
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("k", [3, 2])  # k=2 has a stash at n=64
+    def test_whole_report(self, capsys, backend, k):
+        rc = invoke(["bench", "--n", "64", "--k", str(k), "--sigma", "16",
+                     "--offline", backend, "--seed", SEED_A])
+        assert rc == 0
+        head, *lines = capsys.readouterr().out.splitlines()
+        assert head == "bench-report:"
+        report = dict(line.strip().split(": ", 1) for line in lines)
+        assert list(report) == readme_bench_keys()
+        assert len(report) == 14
+        p = derive_params(64, k, sigma=16)
+        assert report["backend"] == backend
+        assert int(report["elements-sent"]) == p.alpha + p.stash_size
+        assert int(report["elements-received"]) == p.alpha * p.beta + p.stash_size * p.n
+        assert report["measured-equals-formula"] == "True"
+        assert report["correct"] == "True"
 
 
 class TestDemos:

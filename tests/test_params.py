@@ -69,6 +69,17 @@ def test_unsupported_k_rejected():
         derive_params(1 << 10, 1)
 
 
+@pytest.mark.parametrize("kwargs, flag", [({"stash_size": -2}, "--stash"),
+                                           ({"lam": -5}, "--lam")])
+def test_negative_stash_or_lambda_rejected(kwargs, flag):
+    # a negative stash sizes no array; a negative lambda shrinks an
+    # untabulated beta below the bins' loads
+    for n in (1 << 10, 1 << 20):  # untabulated and tabulated
+        with pytest.raises(ValueError, match=flag):
+            derive_params(n, 3, **kwargs)
+    assert derive_params(1 << 10, 3, lam=0, stash_size=0).stash_size == 0
+
+
 def test_modulus_limit_enforced_at_derivation():
     # sigma = 40 at n = 256, k = 3 would need q = 12884901893
     with pytest.raises(ValueError, match="2\\^31"):

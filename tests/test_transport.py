@@ -222,7 +222,18 @@ def test_stats_monotone_and_total():
 
 
 def test_tcp_channel_roundtrip():
-    listener = TcpListener("127.0.0.1", 0)
+    _tcp_roundtrip("127.0.0.1", TcpListener("127.0.0.1", 0))
+
+
+def test_tcp_channel_roundtrip_ipv6():
+    try:
+        listener = TcpListener("::1", 0)
+    except OSError as e:
+        pytest.skip(f"cannot bind ::1: {e}")
+    _tcp_roundtrip("::1", listener)
+
+
+def _tcp_roundtrip(host, listener):
     got = {}
 
     def server():
@@ -233,7 +244,7 @@ def test_tcp_channel_roundtrip():
 
     t = threading.Thread(target=server)
     t.start()
-    ch = tcp_connect("127.0.0.1", listener.port)
+    ch = tcp_connect(host, listener.port)
     send_frame(ch, Frame(ALICE_C, b"ping"))
     reply = recv_frame(ch)
     t.join()
