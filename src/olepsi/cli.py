@@ -2,11 +2,13 @@
 
 Subcommands: params (derive and print a parameter set), offline (generate
 tuple files, locally or from a dealer service), run (one PSI role over TCP),
-dealer (serve correlated randomness to both parties), bench (timing and
-communication report), ot-demo and mismatch-demo (protocol walkthroughs).
+dealer (serve both parties the halves of the dealer backend's one
+expansion), bench (timing and communication report), ot-demo and
+mismatch-demo (protocol walkthroughs).
 
-Exit codes: 0 success, 2 usage or bad input data, 3 protocol failure,
-4 file, network or worker-process failure.
+Exit codes: 0 success, 2 usage or bad input data (a set file of more than n
+elements included), 3 protocol failure, 4 file, network or worker-process
+failure (a --connect that reaches no peer included).
 """
 
 import argparse
@@ -19,8 +21,14 @@ import numpy as np
 from .field import FieldError, PrimeModulus
 from .hashing import HashingError
 from .mismatch import mismatch_keyed, mismatch_plain
-from .offline import BACKENDS, ExpansionError, gen_seeded, generate_psi_inventories, subseed
-from .offline.dealer import dealer_generate, decode_to_bob, expand_bob
+from .offline import (
+    BACKENDS,
+    ExpansionError,
+    dealer_seeds,
+    expand_bob,
+    gen_seeded,
+    generate_psi_inventories,
+)
 from .offline.ot import DealerAssistedOt, OtError
 from .online import OnlineError, PsiSession, ot_via_psi, psi_alice, psi_bob
 from .params import derive_params, online_bits_per_element
@@ -195,8 +203,9 @@ def _offline_fetch(args, p):
             frame = recv_frame(chan, max_payload=SEED_LEN)
             if frame.msg_type != DEALER_B:
                 raise TransportError(f"wanted DEALER_B, got type {frame.msg_type}")
-            seed = decode_to_bob(frame.payload)
-            invs = expand_bob(seed, p)
+            if len(frame.payload) != SEED_LEN:
+                raise TransportError(f"dealer-to-Bob message must be {SEED_LEN} bytes")
+            invs = expand_bob(Seed(bytes(frame.payload)), p)
             token = inventory_token(invs)
             save_inventories(out, invs, SIDE_BOB, token)
     finally:
@@ -237,11 +246,17 @@ def _fetch_alice_file(chan, p, out):
 
 
 def cmd_dealer(args):
+    """Expand both halves once, as `offline --mode dealer` does, keep Bob's
+    only until its token is taken, then serve Alice her tuple file and Bob
+    his seed, each once."""
     p = _params_from(args)
     master = _seed_from(args)
     if master is None:
         master = Seed.random()
-    msgs = dealer_generate(subseed(master, b"RA"), subseed(master, b"RB"), p)
+    alice, bob = generate_psi_inventories("dealer", p, master)
+    token = inventory_token(bob)
+    del bob
+    seed_b = dealer_seeds(master)[1]
 
     listener = TcpListener(*_hostport(args.listen))
     print(f"dealer listening on port {listener.port}", file=sys.stderr, flush=True)
@@ -251,7 +266,7 @@ def cmd_dealer(args):
         while served != {"alice", "bob"}:
             chan = listener.accept()
             try:
-                role = _serve_dealer_request(chan, p, msgs, served)
+                role = _serve_dealer_request(chan, p, alice, token, seed_b, served)
             except (TransportError, OnlineError, OSError) as e:
                 # one bad client loses its connection, not the service
                 refused += 1
@@ -265,12 +280,13 @@ def cmd_dealer(args):
             print(f"served {role}", file=sys.stderr, flush=True)
     finally:
         listener.close()
-    print(f"token: {msgs.token.hex()}")
+    print(f"token: {token.hex()}")
     return 0
 
 
-def _serve_dealer_request(chan, p, msgs, served):
-    """Answer one dealer request; returns the role served."""
+def _serve_dealer_request(chan, p, alice, token, seed_b, served):
+    """Answer one dealer request: Alice gets the tuple file of her
+    inventories under `token`, Bob his seed seed_b. Returns the role served."""
     # a request is a role name and the 16-byte parameter digest
     frame = recv_frame(chan, max_payload=len(b"alice") + 16)
     role = frame.payload[:-16].decode("ascii", "replace")
@@ -282,10 +298,10 @@ def _serve_dealer_request(chan, p, msgs, served):
         raise OnlineError(f"second {role} connection refused")
     if role == "alice":
         # Alice's tuple file, one frame per part
-        for part in section_bytes(msgs.to_alice, SIDE_ALICE, msgs.token):
+        for part in section_bytes(alice, SIDE_ALICE, token):
             send_frame(chan, Frame(DEALER_A, part))
     else:
-        send_frame(chan, Frame(DEALER_B, msgs.to_bob.value))
+        send_frame(chan, Frame(DEALER_B, seed_b.value))
     return role
 
 
@@ -294,6 +310,8 @@ def cmd_run(args):
     if bool(args.listen) == bool(args.connect):
         raise UsageError("need exactly one of --listen or --connect")
     elements = read_set_file(args.set, p.sigma)
+    if len(elements) > p.n:
+        raise UsageError(f"{args.set}: {len(elements)} elements, more than n = {p.n}")
     side = SIDE_ALICE if args.role == "alice" else SIDE_BOB
     sections, token = load_inventories(args.tuples, side)
     session = PsiSession(

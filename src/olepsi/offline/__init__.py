@@ -3,7 +3,8 @@
 Four interchangeable backends produce the same inventory shape:
 
     seed     both parties expand one shared seed (trusted-execution model)
-    dealer   a third party ships Alice her tuple file and Bob his seed
+    dealer   a third party expands both halves once and ships Alice her
+             tuple file and Bob his seed
     ot       Gilboa product sharing over precomputed oblivious transfer
     lbe-sim  plaintext walk through the leveled-encryption pipeline
 
@@ -25,12 +26,25 @@ from __future__ import annotations
 from ..params import sections
 from ..prg import Seed, subseed
 from ._expand import ExpansionError, expand_sections, gen_seeded
-from .dealer import DealerMessages, dealer_generate, decode_to_bob, expand_bob
 from .gilboa import gilboa_batch, gilboa_sections
 from .lbe import LbeSimParams, lbe_params_for, lbe_r_a
 from .ot import DealerAssistedOt, OtError
 
 BACKENDS = ("seed", "dealer", "ot", "lbe-sim")
+
+
+def dealer_seeds(master):
+    """The dealer's (R_A, R_B) from the master seed. Alice's half is
+    expanded from both, Bob's from R_B alone: his streams and his r_A step
+    never read R_A, so the dealer-to-Bob message stays seed-sized no matter
+    how many tuples the run needs."""
+    return subseed(master, b"RA"), subseed(master, b"RB")
+
+
+def expand_bob(R_B, params):
+    """Bob's half of a dealer run, re-expanded from his seed R_B: the same
+    bytes as the dealer's own expansion of it."""
+    return expand_sections(params.modulus, sections(params), seed_a=None, seed_b=R_B)[1]
 
 
 def generate_psi_inventories(backend, params, master_seed=None):
@@ -41,8 +55,8 @@ def generate_psi_inventories(backend, params, master_seed=None):
     master = Seed.random() if master_seed is None else master_seed
 
     if backend == "dealer":
-        msg = dealer_generate(subseed(master, b"RA"), subseed(master, b"RB"), params)
-        return msg.to_alice, expand_bob(msg.to_bob, params)
+        R_A, R_B = dealer_seeds(master)
+        return expand_sections(params.modulus, sections(params), seed_a=R_A, seed_b=R_B)
 
     if backend == "seed":
         shared = subseed(master, b"shared")

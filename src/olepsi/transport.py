@@ -13,7 +13,8 @@ two-process runs, and one end of a socketpair for tests and single-process
 runs (memory_channel_pair). Reads, EOF, backpressure and the deadline are
 the same code either way: a peer that neither sends nor takes data for
 `timeout` seconds raises PeerTimeout, and so does a listener that no peer
-connects to within it.
+connects to within it. A connector whose attempts, which share one
+PEER_TIMEOUT window, reach no listener raises ConnectionError.
 """
 
 from __future__ import annotations
@@ -197,15 +198,24 @@ class TcpListener:
 
 
 def tcp_connect(host, port):
-    """Connect with retries so either party may start first."""
+    """Connect with retries so either party may start first. All attempts
+    share one PEER_TIMEOUT window, and each may take only what is left of
+    it, so a host that drops SYNs cannot hold one attempt for the kernel's
+    SYN retries. Raises ConnectionError, an OSError, when none connects."""
+    deadline = time.monotonic() + PEER_TIMEOUT
     last = None
     for _ in range(_CONNECT_ATTEMPTS):
+        left = deadline - time.monotonic()
+        if left <= 0:
+            break
         try:
-            return TcpChannel(socket.create_connection((host, port)))
+            sock = socket.create_connection((host, port), timeout=left)
         except OSError as e:
             last = e
             time.sleep(_CONNECT_DELAY)
-    raise ChannelClosed(f"could not connect to {host}:{port}: {last}")
+        else:
+            return TcpChannel(sock)
+    raise ConnectionError(f"could not connect to {host}:{port}: {last}")
 
 
 def _check_head(n, msg_type, limit):

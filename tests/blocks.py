@@ -1,14 +1,15 @@
 """Building blocks for tests: tuple inventories built from per-field arrays,
 for tests that write tuples by hand (each helper lays the arrays out as the
 one block the inventory classes take), Gilboa batches on blocks of their
-own, and one PSI run in one call."""
+own, a dealer's reply to Alice, and one PSI run in one call."""
 
 import numpy as np
 
 from olepsi.modvec import dtype_for
-from olepsi.offline import gilboa_batch
+from olepsi.offline import expand_sections, gilboa_batch
+from olepsi.params import sections
 from olepsi.runner import make_sessions, run_psi_pair
-from olepsi.tuples import AliceInventory, BobInventory
+from olepsi.tuples import AliceInventory, BobInventory, inventory_token
 
 
 def alice_inventory(modulus, s_A, r_A):
@@ -35,6 +36,13 @@ def gilboa_inventories(ot, modulus, count, slot_len, seed):
     bob = np.empty((count, slot_len, 2), dt)
     gilboa_batch(ot, modulus, seed, alice, bob)
     return AliceInventory(modulus, alice), BobInventory(modulus, bob)
+
+
+def dealer_reply(R_A, R_B, params):
+    """(Alice's inventories, the token of Bob's half) of a dealer run on the
+    seeds R_A and R_B: what the dealer serves Alice."""
+    alice, bob = expand_sections(params.modulus, sections(params), seed_a=R_A, seed_b=R_B)
+    return alice, inventory_token(bob)
 
 
 def psi_once(alice_set, bob_set, params, backend="seed", master_seed=None):

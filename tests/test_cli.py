@@ -23,7 +23,6 @@ from olepsi.cli import write_set as cli_write_set
 from olepsi.hashing import build_cuckoo_table
 from olepsi.offline import BACKENDS
 from olepsi.offline import _expand as expand_mod
-from olepsi.offline.dealer import dealer_generate
 from olepsi.online import derive_hash_seeds
 from olepsi.params import PARAM_TABLE, derive_params, sections
 from olepsi.prg import SEED_LEN, Seed
@@ -51,6 +50,7 @@ from olepsi.tuples import (
     section_bytes,
 )
 
+from blocks import dealer_reply
 from oracles import (
     bin_index,
     reference_section_bytes,
@@ -311,8 +311,8 @@ class TestDealerFrameBounds:
     def alice_payload(self, p, **fields):
         """A DEALER_A payload for p with `fields` of its bins section header
         replaced."""
-        msg = dealer_generate(Seed(bytes([1]) * 32), Seed(bytes([2]) * 32), p)
-        return with_header(b"".join(section_bytes(msg.to_alice, SIDE_ALICE, msg.token)), **fields)
+        alice, token = dealer_reply(Seed(bytes([1]) * 32), Seed(bytes([2]) * 32), p)
+        return with_header(b"".join(section_bytes(alice, SIDE_ALICE, token)), **fields)
 
     @pytest.mark.parametrize("role", ["alice", "bob"])
     def test_truncated_dealer_reply_is_protocol_error(self, tmp_path, capsys, role):
@@ -459,8 +459,9 @@ class TestDealerFrameBounds:
         # each; its traced peak stays far below the file (the joined reply
         # peaked at 8.3 MiB). The client end is drained into one small buffer.
         p = derive_params(1 << 16, 3, sigma=24)
-        msgs = dealer_generate(Seed(bytes([1]) * 32), Seed(bytes([2]) * 32), p)
-        parts = list(section_bytes(msgs.to_alice, SIDE_ALICE, msgs.token))
+        R_B = Seed(bytes([2]) * 32)
+        alice, token = dealer_reply(Seed(bytes([1]) * 32), R_B, p)
+        parts = list(section_bytes(alice, SIDE_ALICE, token))
         want = hashlib.sha256(b"".join(_HEAD.pack(len(x), DEALER_A) + bytes(x) for x in parts))
         total = sum(_HEAD.size + len(x) for x in parts)
         del parts
@@ -483,7 +484,7 @@ class TestDealerFrameBounds:
             reader = threading.Thread(target=drain)
             reader.start()
             try:
-                assert _serve_dealer_request(chan, p, msgs, set()) == "alice"
+                assert _serve_dealer_request(chan, p, alice, token, R_B, set()) == "alice"
             finally:
                 reader.join(timeout=60)
             assert not reader.is_alive()
@@ -511,10 +512,10 @@ def test_alice_part_lens_are_the_parts_section_bytes_yields(tmp_path):
     # a stash section and a bins section of several passes each
     p = derive_params(1 << 13, 2, sigma=20)
     assert p.stash_size and p.alpha * (1 + p.beta) > 2 * tuples_mod._PASS_WORDS
-    msgs = dealer_generate(Seed(bytes([1]) * 32), Seed(bytes([2]) * 32), p)
-    parts = section_bytes(msgs.to_alice, SIDE_ALICE, msgs.token)
+    alice, token = dealer_reply(Seed(bytes([1]) * 32), Seed(bytes([2]) * 32), p)
+    parts = section_bytes(alice, SIDE_ALICE, token)
     assert [len(x) for x in parts] == list(alice_part_lens(p))
-    save_inventories(tmp_path / "a.tup", msgs.to_alice, SIDE_ALICE, msgs.token)
+    save_inventories(tmp_path / "a.tup", alice, SIDE_ALICE, token)
     assert (tmp_path / "a.tup").stat().st_size == sum(alice_part_lens(p))
 
 
@@ -694,6 +695,42 @@ class TestRun:
         errors = [line for line in capsys.readouterr().err.splitlines()
                   if line.startswith("error:")]
         assert len(errors) == 1 and "no peer connected" in errors[0]
+
+    @pytest.mark.parametrize("command", ["run", "offline"])
+    def test_unreachable_peer_is_io_error(self, tmp_path, tuple_files, monkeypatch, capsys,
+                                          command):
+        # nothing listens on the port: the connector gives up with exit 4, a
+        # network failure, as a listener that no peer reaches does
+        import olepsi.transport as transport
+
+        monkeypatch.setattr(transport, "_CONNECT_DELAY", 0)
+        if command == "run":
+            argv = ["run", "--role", "bob", "--set", write_set(tmp_path / "s.txt", [1]),
+                    "--tuples", tuple_files[1]]
+        else:
+            argv = ["offline", "--role", "bob", "--out-bob", str(tmp_path / "b.tup")]
+        rc = invoke(argv + ["--connect", f"127.0.0.1:{free_port()}"] + BASE)
+        assert rc == 4
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("error:")]
+        assert len(errors) == 1 and "could not connect to 127.0.0.1:" in errors[0]
+
+    def test_oversize_set_exits_2_before_connecting(self, tmp_path, tuple_files, capsys):
+        srv = socket.create_server(("127.0.0.1", 0))
+        s = write_set(tmp_path / "s.txt", range(65))
+        try:
+            rc = invoke(["run", "--role", "bob", "--set", s, "--tuples", tuple_files[1],
+                         "--connect", f"127.0.0.1:{srv.getsockname()[1]}"] + BASE)
+            # refused before connecting: no peer is left waiting on a dead channel
+            srv.settimeout(0.2)
+            with pytest.raises(TimeoutError):
+                srv.accept()
+        finally:
+            srv.close()
+        assert rc == 2
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("error:")]
+        assert errors == [f"error: {s}: 65 elements, more than n = 64"]
 
     def test_missing_tuples_is_io_error(self, tmp_path, capsys):
         s = write_set(tmp_path / "s.txt", [1])

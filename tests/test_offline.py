@@ -26,8 +26,7 @@ from olepsi.offline import (
     DealerAssistedOt,
     ExpansionError,
     OtError,
-    dealer_generate,
-    decode_to_bob,
+    dealer_seeds,
     expand_bob,
     gen_seeded,
     generate_psi_inventories,
@@ -35,17 +34,15 @@ from olepsi.offline import (
     subseed,
 )
 from olepsi.offline import _expand as expand_mod
-from olepsi.offline import dealer as dealer_mod
 from olepsi.offline import gilboa as gilboa_mod
 from olepsi.offline import lbe as lbe_mod
 from olepsi.offline import ot as ot_mod
 from olepsi.offline.lbe import LbeSimParams, lbe_r_a, lbe_reconstruct
 from olepsi.params import PARAM_TABLE, derive_params, sections, tiles
-from olepsi.prg import Prg, Seed
-from olepsi.transport import TransportError
+from olepsi.prg import SEED_LEN, Prg, Seed
 from olepsi.tuples import inventory_token, load_inventories, save_inventories
 
-from blocks import alice_inventory, bob_inventory, gilboa_inventories
+from blocks import alice_inventory, bob_inventory, dealer_reply, gilboa_inventories
 from oracles import (
     RecordingOt,
     alice_words,
@@ -170,14 +167,14 @@ def test_expansion_is_identical_on_any_number_of_processes(monkeypatch, cpus):
     ref = reference_section(seed, seed, q, 9, p.beta, b"bins", chunk_rows=2)
     assert ref == (a.s_A.tolist(), a.r_A.tolist(), b.r_B_inv.tolist(), b.s_B.tolist())
 
-    msg = dealer_generate(R_A, R_B, p)
-    alice, bob = msg.to_alice, expand_bob(R_B, p)
+    alice, token = dealer_reply(R_A, R_B, p)
+    bob = expand_bob(R_B, p)
     refs = [reference_section(R_A, R_B, q, rows, cols, name.encode(), chunk_rows=2)
             for name, rows, cols in layout]
     for x, y, r in zip(alice, bob, refs, strict=True):
         assert r == (x.s_A.tolist(), x.r_A.tolist(), y.r_B_inv.tolist(), y.s_B.tolist())
     words = [(rows, cols, bob_words(r[2], r[3])) for (_, rows, cols), r in zip(layout, refs)]
-    assert msg.token == inventory_token(bob) == reference_token(q, words)
+    assert token == inventory_token(bob) == reference_token(q, words)
     # one fork per extra process for each of the three expansions
     assert len(forks) == 3 * (cpus - 1)
     _no_children_left()
@@ -428,10 +425,9 @@ def test_offline_working_set_does_not_grow_with_a_row(monkeypatch, backend):
 
 def test_dealer_reconstruction_validates():
     p = replace(params_small(), alpha=5)
-    msg = dealer_generate(Seed(bytes([1]) * 32), Seed(bytes([2]) * 32), p)
+    alice, _ = dealer_reply(Seed(bytes([1]) * 32), Seed(bytes([2]) * 32), p)
     # Alice's half as she receives it, Bob's as he expands it from his seed
-    alice = msg.to_alice
-    bob = expand_bob(decode_to_bob(msg.to_bob.value), p)
+    bob = expand_bob(Seed(bytes([2]) * 32), p)
     assert len(alice) == len(bob) == 2
     assert all(validate_inventories(x, y) for x, y in zip(alice, bob))
     # bins section shaped (alpha, beta), stash section (stash_size, n)
@@ -440,27 +436,49 @@ def test_dealer_reconstruction_validates():
 
 
 def test_dealer_to_bob_is_seed_sized():
+    # at any alpha, Bob's half of a dealer run is his expansion of R_B alone
+    master = Seed.random()
+    R_B = dealer_seeds(master)[1]
+    assert len(R_B.value) == SEED_LEN
     for count in (1, 40):
         p = replace(params_small(), alpha=count)
-        msg = dealer_generate(Seed.random(), Seed.random(), p)
-        assert len(msg.to_bob.value) == 32
-    with pytest.raises(TransportError, match="must be 32 bytes"):
-        decode_to_bob(b"\x00" * 31)
+        _, bob = generate_psi_inventories("dealer", p, master)
+        assert inventory_token(bob) == inventory_token(expand_bob(R_B, p))
+
+
+def test_dealer_backend_expands_once(monkeypatch):
+    # k=2 with a stash: the backend fills both halves in one expansion, and
+    # Bob's half and token are those of his expansion of R_B
+    p = replace(params_small(), alpha=7)
+    assert p.k == 2 and p.stash_size > 0
+    master = Seed(bytes([5]) * 32)
+    fill, calls = expand_mod._fill_sections, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fill(*args, **kwargs)
+
+    monkeypatch.setattr(expand_mod, "_fill_sections", counted)
+    _, bob = generate_psi_inventories("dealer", p, master)
+    assert len(calls) == 1
+    ref = expand_bob(dealer_seeds(master)[1], p)
+    for x, y in zip(bob, ref, strict=True):
+        assert np.array_equal(x.r_B_inv, y.r_B_inv) and np.array_equal(x.s_B, y.s_B)
+    assert inventory_token(bob) == inventory_token(ref)
 
 
 def test_dealer_token_identifies_bob_half():
     p = replace(params_small(), alpha=4)
-    msg = dealer_generate(Seed(bytes([1]) * 32), Seed(bytes([2]) * 32), p)
-    bob = expand_bob(msg.to_bob, p)
-    assert msg.token == inventory_token(bob)
+    _, token = dealer_reply(Seed(bytes([1]) * 32), Seed(bytes([2]) * 32), p)
+    bob = expand_bob(Seed(bytes([2]) * 32), p)
+    assert token == inventory_token(bob)
     other = expand_bob(Seed(bytes([9]) * 32), p)
-    assert msg.token != inventory_token(other)
+    assert token != inventory_token(other)
 
 
 def test_dealer_mismatched_seed_fails_validation():
     p = replace(params_small(), alpha=6)
-    msg = dealer_generate(Seed(bytes([1]) * 32), Seed(bytes([2]) * 32), p)
-    alice = msg.to_alice
+    alice, _ = dealer_reply(Seed(bytes([1]) * 32), Seed(bytes([2]) * 32), p)
     wrong = expand_bob(Seed(bytes([3]) * 32), p)
     assert not validate_inventories(alice[0], wrong[0])
 
@@ -482,16 +500,14 @@ def test_dealer_micro_run_stub(monkeypatch):
     monkeypatch.setattr(expand_mod, "_stream", lambda seed, role, domain, c: FixedStream(values[role]))
     # sections (1, 1) of bins and (0, 1) of stash over F_11
     p = SimpleNamespace(modulus=M11, alpha=1, beta=1, stash_size=0, n=1)
-    msg = dealer_mod.dealer_generate(Seed(bytes(32)), Seed(bytes([1]) * 32), p)
-    alice = msg.to_alice
+    alice, _ = dealer_reply(Seed(bytes(32)), Seed(bytes([1]) * 32), p)
     assert (int(alice[0].s_A[0]), int(alice[0].r_A[0, 0])) == (4, 2)
 
 
 def test_dealer_alice_expansion_golden_prefix():
     # frozen: seed 0x01..01, small parameter set
     p = replace(params_small(), alpha=5)
-    msg = dealer_generate(Seed(bytes([1]) * 32), Seed(bytes([2]) * 32), p)
-    alice = msg.to_alice
+    alice, _ = dealer_reply(Seed(bytes([1]) * 32), Seed(bytes([2]) * 32), p)
     assert alice[0].s_A[:4].tolist() == [115, 148, 119, 49]
     prg = Prg(Seed(bytes([1]) * 32), tag=b"sA|bins|0")
     assert reference_elements(prg, p.modulus.q, 4) == [115, 148, 119, 49]
@@ -560,8 +576,8 @@ def test_seed_inventory_and_dealer_bytes_golden(
     save_inventories(tmp_path / "b", bob, "bob", tok)
     assert hashlib.sha256((tmp_path / "a").read_bytes()).hexdigest() == alice_sha
     assert hashlib.sha256((tmp_path / "b").read_bytes()).hexdigest() == bob_sha
-    msg = dealer_generate(dealer_a, dealer_b, replace(p, alpha=5))
-    data = b"".join(tuples_mod.section_bytes(msg.to_alice, "alice", msg.token))
+    dealer_alice, dealer_token = dealer_reply(dealer_a, dealer_b, replace(p, alpha=5))
+    data = b"".join(tuples_mod.section_bytes(dealer_alice, "alice", dealer_token))
     assert hashlib.sha256(data).hexdigest() == dealer_sha
     ref = _reference_seed_files(p, master, dealer_a, dealer_b)
     assert ref == (tok, (tmp_path / "a").read_bytes(), (tmp_path / "b").read_bytes(), data)
@@ -629,10 +645,10 @@ def test_dealer_alice_message_length_is_fixed_by_params(tmp_path):
     # refuse_alice_payload cases, which fetch it from a fake dealer.
     for count in (None, 1, 7):
         p = params_small() if count is None else replace(params_small(), alpha=count)
-        msg = dealer_generate(Seed(bytes([1]) * 32), Seed(bytes([2]) * 32), p)
-        data = b"".join(tuples_mod.section_bytes(msg.to_alice, "alice", msg.token))
+        alice, token = dealer_reply(Seed(bytes([1]) * 32), Seed(bytes([2]) * 32), p)
+        data = b"".join(tuples_mod.section_bytes(alice, "alice", token))
         assert len(data) == tuples_mod.alice_file_len(p)
-        save_inventories(tmp_path / "a", msg.to_alice, "alice", msg.token)
+        save_inventories(tmp_path / "a", alice, "alice", token)
         assert data == (tmp_path / "a").read_bytes()
 
 

@@ -79,6 +79,7 @@ def test_ci_runs_the_tier_1_command():
     job = workflow["jobs"]["tier-1"]
     assert job["strategy"]["matrix"]["python-version"] == ["3.10", "3.11"]
     assert job["steps"][-1]["run"] == tier1
+    assert 0 < job["timeout-minutes"] <= 30
 
 
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)

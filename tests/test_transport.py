@@ -5,15 +5,18 @@ import struct
 import threading
 import time
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from olepsi.codec import packed_len
+from olepsi import transport as transport_mod
 from olepsi.field import PrimeModulus
 from olepsi.transport import (
     ALICE_C,
     BOB_D,
+    PEER_TIMEOUT,
     SETUP,
     ChannelClosed,
     CommStats,
@@ -270,6 +273,29 @@ def test_tcp_peer_hangup_raises():
         recv_frame(ch)
     listener.close()
     ch.close()
+
+
+@pytest.mark.parametrize("attempt_s, attempts", [(1.0, 40), (None, 1)],
+                         ids=["refused", "dropped"])
+def test_connect_attempts_share_one_peer_timeout_window(monkeypatch, attempt_s, attempts):
+    # on a fake clock: each attempt may wait only what is left of one
+    # PEER_TIMEOUT window, so a refused peer is tried 40 times, and a host
+    # that drops SYNs (each attempt waits out its whole timeout) once
+    clock, timeouts = [0.0], []
+
+    def create_connection(address, timeout=None):
+        timeouts.append(timeout)
+        clock[0] += timeout if attempt_s is None else attempt_s
+        raise (TimeoutError if attempt_s is None else ConnectionRefusedError)("no peer")
+
+    monkeypatch.setattr(transport_mod.socket, "create_connection", create_connection)
+    monkeypatch.setattr(transport_mod, "time",
+                        SimpleNamespace(monotonic=lambda: clock[0], sleep=lambda s: None))
+    with pytest.raises(ConnectionError, match="could not connect to h:1: no peer"):
+        tcp_connect("h", 1)
+    assert len(timeouts) == attempts
+    assert all(0 < t <= PEER_TIMEOUT for t in timeouts)
+    assert clock[0] <= PEER_TIMEOUT
 
 
 def test_byte_overhead_within_bound_for_default_sets(channel_pair):
