@@ -73,8 +73,8 @@ class UsageError(Exception):
 
 def _hostport(text):
     host, sep, port = text.rpartition(":")
-    if not sep or not port.isdigit():
-        raise UsageError(f"expected HOST:PORT, got {text!r}")
+    if not sep or not port.isdecimal() or int(port) > 65535:
+        raise UsageError(f"expected HOST:PORT with a port in 0-65535, got {text!r}")
     if host.startswith("[") and host.endswith("]"):  # an IPv6 literal, [::1]:7000
         host = host[1:-1]
     return host or "127.0.0.1", int(port)
@@ -249,6 +249,7 @@ def cmd_dealer(args):
     """Expand both halves once, as `offline --mode dealer` does, keep Bob's
     only until its token is taken, then serve Alice her tuple file and Bob
     his seed, each once."""
+    addr = _hostport(args.listen)
     p = _params_from(args)
     master = _seed_from(args)
     if master is None:
@@ -258,7 +259,7 @@ def cmd_dealer(args):
     del bob
     seed_b = dealer_seeds(master)[1]
 
-    listener = TcpListener(*_hostport(args.listen))
+    listener = TcpListener(*addr)
     print(f"dealer listening on port {listener.port}", file=sys.stderr, flush=True)
     served = set()
     refused = 0
@@ -309,6 +310,7 @@ def cmd_run(args):
     p = _params_from(args)
     if bool(args.listen) == bool(args.connect):
         raise UsageError("need exactly one of --listen or --connect")
+    addr = _hostport(args.listen or args.connect)
     elements = read_set_file(args.set, p.sigma)
     if len(elements) > p.n:
         raise UsageError(f"{args.set}: {len(elements)} elements, more than n = {p.n}")
@@ -319,14 +321,14 @@ def cmd_run(args):
     )
 
     if args.listen:
-        listener = TcpListener(*_hostport(args.listen))
+        listener = TcpListener(*addr)
         print(f"listening on port {listener.port}", file=sys.stderr, flush=True)
         try:
             chan = listener.accept()
         finally:
             listener.close()
     else:
-        chan = tcp_connect(*_hostport(args.connect))
+        chan = tcp_connect(*addr)
 
     try:
         if args.role == "alice":

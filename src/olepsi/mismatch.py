@@ -23,8 +23,7 @@ import secrets
 
 import numpy as np
 
-from .modvec import bob_reply
-from .online import _alice_c
+from .modvec import alice_c, bob_reply
 
 
 def keyed_hash(seed, x, range_size):
@@ -61,7 +60,7 @@ def set_compare_single(e, candidates, alice, bob):
     if alice.slot_len < k or bob.slot_len < k:
         raise ValueError("batch too short for the candidate set")
     q = alice.modulus.q
-    c = _alice_c(alice.s_A[:1], e, q)
+    c = alice_c(alice.s_A[:1], e, q)
     enc = np.roll(np.asarray(candidates, dtype=np.int64), secrets.randbelow(max(k, 1)))
     d = bob_reply(c, enc.reshape(1, k), bob.block[:1, :k], q)
     return bool((d[0] == alice.r_A[0, :k]).any())

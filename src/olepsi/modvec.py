@@ -4,9 +4,11 @@ All protocol moduli fit below MAX_Q = 2^31, so products of reduced values
 fit int64. Moduli from 2^31 up are rejected here, and derive_params refuses
 parameters that would need them.
 
-bob_reply is the one OLE kernel, (c + enc + s_B) * r_B_inv mod q per slot:
-Bob's online reply, and, at c = s_A and enc = 0, the r_A = (s_A + s_B) *
-r_B_inv of every tuple the offline expansion derives.
+The comparison has two kernels, one per party. alice_c is Alice's message,
+c = s_A - enc mod q. bob_reply is the one OLE kernel, (c + enc + s_B) *
+r_B_inv mod q per slot: Bob's online reply, and, at c = s_A and enc = 0,
+the r_A = (s_A + s_B) * r_B_inv of every tuple the offline expansion
+derives.
 """
 
 import numpy as np
@@ -81,6 +83,15 @@ def reply_dtype(q):
     term is below q, so the product is below 3 (q - 1)^2. uint32 up to
     q = 37838, uint64 (below 3 * 2^62) for every q < MAX_Q."""
     return np.uint32 if 3 * (q - 1) ** 2 < 1 << 32 else np.uint64
+
+
+def alice_c(s_A, enc, q):
+    """c = s_A - enc mod q: Alice's message per batch, as int32. Both are
+    reduced, so the difference lies in (-q, q) and one conditional +q
+    replaces the remainder; (x >> 31) & q is q exactly where x < 0."""
+    c = np.subtract(s_A, enc, dtype=np.int32)
+    c += (c >> 31) & q
+    return c
 
 
 def bob_reply(c, enc_rows, block, q):

@@ -41,7 +41,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .hashing import build_bin_table, build_cuckoo_table, stash_encode
-from .modvec import bob_reply, dtype_for
+from .modvec import alice_c, bob_reply, dtype_for
 from .params import sections, tiles
 from .prg import Prg, Seed
 from .transport import (
@@ -246,7 +246,7 @@ def psi_alice(session, elements, channel):
         # column 0 of every row, so the frame touches every page of its rows
         for part, _ in tiles(cut.count, 1, _PASS_ROWS):
             rows = slice(cut.rows.start + part.start, cut.rows.start + part.stop)
-            c[part] = _alice_c(inv.s_A[rows], enc[cut.section][rows], q)
+            c[part] = alice_c(inv.s_A[rows], enc[cut.section][rows], q)
             release_rows(inv, rows)
         send_elements(channel, ALICE_C, c, p.modulus)
 
@@ -322,15 +322,6 @@ def _release(inv, cut):
     keeps those from staying resident."""
     if cut.cols.stop == inv.slot_len:
         release_rows(inv, slice(0, cut.rows.stop))
-
-
-def _alice_c(s_A, enc, q):
-    """c = s_A - enc mod q: Alice's message per batch, as int32. Both are
-    reduced, so the difference lies in (-q, q) and one conditional +q
-    replaces the remainder; (x >> 31) & q is q exactly where x < 0."""
-    c = np.subtract(s_A, enc, dtype=np.int32)
-    c += (c >> 31) & q
-    return c
 
 
 def _stash_encodings(arr, seeds, params):

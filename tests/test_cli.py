@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 from olepsi import tuples as tuples_mod
-from olepsi.cli import _hostport, _serve_dealer_request, main, read_set_file
+from olepsi.cli import UsageError, _hostport, _serve_dealer_request, main, read_set_file
 from olepsi.cli import write_set as cli_write_set
 from olepsi.hashing import build_cuckoo_table
 from olepsi.offline import BACKENDS
@@ -137,9 +137,33 @@ class TestParams:
 
     @pytest.mark.parametrize("text, want", [("127.0.0.1:7000", ("127.0.0.1", 7000)),
                                             ("[::1]:7000", ("::1", 7000)),
-                                            (":7000", ("127.0.0.1", 7000))])
+                                            (":7000", ("127.0.0.1", 7000)),
+                                            ("127.0.0.1:0", ("127.0.0.1", 0)),
+                                            ("127.0.0.1:65535", ("127.0.0.1", 65535)),
+                                            ("127.0.0.1:65536", None),
+                                            ("127.0.0.1:70000", None),
+                                            ("[::1]:99999", None),
+                                            ("127.0.0.1:-1", None),
+                                            ("127.0.0.1:\u00b2", None)])
     def test_hostport(self, text, want):
-        assert _hostport(text) == want
+        if want is None:
+            with pytest.raises(UsageError, match="0-65535"):
+                _hostport(text)
+        else:
+            assert _hostport(text) == want
+
+    @pytest.mark.parametrize("argv", [
+        ["dealer", "--listen", "127.0.0.1:99999", "--seed", SEED_B],
+        ["offline", "--connect", "127.0.0.1:70000", "--role", "alice", "--out-alice", "{tmp}/a"],
+        ["run", "--role", "bob", "--connect", "127.0.0.1:70000",
+         "--set", "{tmp}/set", "--tuples", "{tmp}/b"],
+    ], ids=["dealer", "offline", "run"])
+    def test_port_above_65535_is_usage_error(self, tmp_path, capsys, argv):
+        # the port is refused before any work, and not wrapped mod 2^16
+        assert invoke([a.format(tmp=tmp_path) for a in argv] + BASE) == 2
+        out, err = capsys.readouterr()
+        assert err.startswith("error: ") and err.count("\n") == 1 and "0-65535" in err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestOffline:

@@ -77,3 +77,16 @@ def test_nonzero_pad_bits_rejected(bits):
 def test_empty_vector():
     assert len(pack_words(np.zeros(0, np.uint16), 13)) == 0
     assert unpack_words(b"", 13, 0, np.uint16).size == 0
+
+
+@pytest.mark.parametrize("bits, dtype", [(8, np.uint8), (16, np.uint16), (24, np.uint32),
+                                         (32, np.uint32), (64, np.uint64)])
+def test_view_widths_share_memory(bits, dtype):
+    # load_inventories maps a tuple file's blocks as views of the file and
+    # release_rows drops their pages, so the view widths must not copy;
+    # 24 bits goes through the lane kernels, which do
+    views = bits in (8, 16, 32, 64)
+    vals = np.arange(1000, dtype=dtype)
+    buf = np.frombuffer(bytes(pack_words(vals, bits)), np.uint8)
+    assert np.shares_memory(unpack_words(buf, bits, vals.size, dtype), buf) == views
+    assert np.shares_memory(np.frombuffer(pack_words(vals, bits), np.uint8), vals) == views

@@ -23,11 +23,10 @@ from olepsi import online, runner
 from olepsi.codec import packed_len
 from olepsi.field import PrimeModulus
 from olepsi.hashing import BinOverflow, build_cuckoo_table
-from olepsi.modvec import bob_reply, dtype_for, reply_dtype
+from olepsi.modvec import alice_c, bob_reply, dtype_for, reply_dtype
 from olepsi.offline import BACKENDS, gen_seeded, generate_psi_inventories
 from olepsi.online import (
     PROTOCOL_VERSION,
-    _alice_c,
     PsiSession,
     SeedMismatch,
     TupleExhausted,
@@ -76,7 +75,7 @@ def _reply(c, y_enc, s_B, r_B_inv, q):
 
 def test_compare_alice_c_pinned():
     # x_enc = 5, s_A = 4  ->  c = 4 - 5 = 10 (mod 11)
-    assert _alice_c(_ints(4), 5, 11).tolist() == [10]
+    assert alice_c(_ints(4), 5, 11).tolist() == [10]
 
 
 def test_compare_bob_d_pinned_match():
@@ -92,7 +91,7 @@ def test_compare_bob_d_pinned_mismatch():
 def test_compare_alice_check():
     # tuple (r_A, r_B, s_A, s_B) = (2, 3, 4, 2): d equals r_A = 2 only for
     # the matching encoding
-    c = _alice_c(_ints(4), 5, 11)
+    c = alice_c(_ints(4), 5, 11)
     d = _reply(c, [[5, 7]], 2, 4, 11)
     assert (d == 2).tolist() == [[True, False]]
 
@@ -104,7 +103,7 @@ def test_comparison_exhaustive_small_field():
     m = PrimeModulus(q)
     alice, bob = gen_seeded(Seed(b"\x31" * 32), q * q, m, 1, domain=b"exh")
     x, y = np.divmod(np.arange(q * q), q)
-    c = _alice_c(alice.s_A, x, q)
+    c = alice_c(alice.s_A, x, q)
     d = bob_reply(c, y[:, None], bob.block, q)
     assert ((d == alice.r_A)[:, 0] == (x == y)).all()
 
@@ -117,7 +116,7 @@ def test_comparison_supports_r_a_zero():
     s_B = -s_A % q
     r_A = (s_A + s_B) * pow(r_B, -1, q) % q
     assert r_A == 0
-    c = _alice_c(np.full(q, s_A), np.arange(q), q)  # row x
+    c = alice_c(np.full(q, s_A), np.arange(q), q)  # row x
     d = _reply(c, np.tile(np.arange(q), (q, 1)), s_B, pow(r_B, -1, q), q)  # slot y
     assert ((d == r_A) == np.eye(q, dtype=bool)).all()
 
@@ -135,7 +134,7 @@ def test_comparison_equivalence_property(q, x, y, raw):
     r_B = 1 + (raw // q) % (q - 1)
     s_B = (raw // q // (q - 1)) % q
     r_A = (s_A + s_B) * pow(r_B, -1, q) % q
-    c = _alice_c(_ints(s_A), x, q)
+    c = alice_c(_ints(s_A), x, q)
     d = _reply(c, [[y]], s_B, pow(r_B, -1, q), q)
     assert (int(d[0, 0]) == r_A) == (x == y)
 
@@ -257,7 +256,7 @@ def test_d_never_hits_r_a_on_mismatch_and_spreads():
     alice, bob = gen_seeded(Seed(b"\x07" * 32), trials, m, 1, domain=b"chi")
     r_A = alice.r_A[:, 0].astype(np.int64)
     x, y = 4, 9  # fixed distinct encodings
-    d = bob_reply(_alice_c(alice.s_A, x, q), np.full((trials, 1), y), bob.block, q)[:, 0]
+    d = bob_reply(alice_c(alice.s_A, x, q), np.full((trials, 1), y), bob.block, q)[:, 0]
     assert not np.any(d == r_A)
     # chi-square over the q-1 reachable values per tuple: shift so r_A -> 0
     shifted = (d - r_A) % q

@@ -79,6 +79,14 @@ def test_ci_runs_the_tier_1_command():
     job = workflow["jobs"]["tier-1"]
     assert job["strategy"]["matrix"]["python-version"] == ["3.10", "3.11"]
     assert job["steps"][-1]["run"] == tier1
+    # one more job tests the declared numpy floor, installed with the test
+    # extras in one pip call so that the resolver picks a matching scipy
+    floor = re.search(r'"numpy>=([\d.]+)"', (ROOT / "pyproject.toml").read_text()).group(1)
+    assert job["strategy"]["matrix"]["include"] == [
+        {"python-version": "3.10", "numpy": f"numpy=={floor}.*"}
+    ]
+    install = [step["run"] for step in job["steps"] if step.get("name") == "Install"]
+    assert install == ["pip install -e '.[test]' '${{ matrix.numpy }}'"]
     assert 0 < job["timeout-minutes"] <= 30
 
 
