@@ -19,6 +19,9 @@ the documented formats rather than from the vectorised code they check.
   view of every transfer from the pad and bit streams
 - gilboa_share: one Gilboa product sharing with its rho list given
 - residue_loop_reconstruct: the LBE simulation's CRT, one residue at a time
+- lbe_reconstruct: the LBE simulation's v on Python ints, from the
+  production kernel's Garner digits (lbe_digits), so that scalar tests
+  exercise the arithmetic the backend runs
 - consecutive_prime_ladder: the LBE modulus ladder by a scan over primes
 """
 
@@ -33,6 +36,7 @@ import numpy as np
 from olepsi.field import is_prime
 from olepsi.hashing import CuckooFailure, _candidate_bins, _check_input_set
 from olepsi.modvec import dtype_for
+from olepsi.offline.lbe import lbe_digits
 from olepsi.offline.ot import DealerAssistedOt
 from olepsi.prg import Prg, Seed
 
@@ -336,6 +340,12 @@ def residue_loop_reconstruct(lbe, s_A, s_B, r_B, u):
         d_i = (((s_A % qi) + (s_B % qi)) * (inv % qi) + (u * Q) % qi) % qi
         v += d_i * Ni * pow(Ni, -1, qi)
     return v % Qp
+
+
+def lbe_reconstruct(lbe, s_A, s_B, r_B_inv, u):
+    """v = a_1 + q_1 * t from lbe_digits, before Alice reduces it mod Q."""
+    a1, t = lbe_digits(lbe, s_A, s_B, r_B_inv, u)
+    return a1 + lbe.q_i[0] * t
 
 
 def consecutive_prime_ladder(Q, lam, start=2):

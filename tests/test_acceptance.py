@@ -14,7 +14,7 @@ from scipy.stats import chisquare
 from olepsi.field import PrimeModulus
 from olepsi.mismatch import mismatch_keyed, mismatch_plain
 from olepsi.offline import BACKENDS, gen_seeded
-from olepsi.offline.lbe import lbe_params_for, lbe_reconstruct
+from olepsi.offline.lbe import lbe_params_for
 from olepsi.offline.ot import DealerAssistedOt
 from olepsi.modvec import mod_inv
 from olepsi.params import derive_params, online_bits_per_element
@@ -23,7 +23,7 @@ from olepsi.runner import bench_sets, make_sessions, run_psi_pair, small_psi_eng
 from olepsi.transport import bits_per_element_measured
 
 from blocks import alice_inventory, bob_inventory, gilboa_inventories, psi_once
-from oracles import RecordingOt, validate_inventories
+from oracles import RecordingOt, lbe_reconstruct, validate_inventories
 
 
 def seed(i):

@@ -1,9 +1,11 @@
 """Offline backends: seeded, dealer, OT/Gilboa, LBE simulation."""
 
 import hashlib
+import itertools
 import math
 import mmap
 import os
+import random
 import subprocess
 import sys
 import threading
@@ -37,7 +39,7 @@ from olepsi.offline import _expand as expand_mod
 from olepsi.offline import gilboa as gilboa_mod
 from olepsi.offline import lbe as lbe_mod
 from olepsi.offline import ot as ot_mod
-from olepsi.offline.lbe import LbeSimParams, lbe_r_a, lbe_reconstruct
+from olepsi.offline.lbe import LbeSimParams, lbe_digits, lbe_r_a
 from olepsi.params import PARAM_TABLE, derive_params, sections, tiles
 from olepsi.prg import SEED_LEN, Prg, Seed
 from olepsi.tuples import inventory_token, load_inventories, save_inventories
@@ -49,6 +51,7 @@ from oracles import (
     bob_words,
     consecutive_prime_ladder,
     gilboa_share,
+    lbe_reconstruct,
     reference_elements,
     reference_section,
     reference_section_bytes,
@@ -356,14 +359,13 @@ def test_offline_passes_bounded_at_every_table_row(n, k):
     p = derive_params(n, k)
     ell = p.modulus.bit_len
     tile = expand_mod._TILE
-    assert tile == 1 << 16 and lbe_mod._CHUNK_SLOTS == 1 << 14
+    assert tile == 1 << 16
     for _, rows, cols in sections(p):
         expand_rows = expand_mod._row_chunk(cols)
         gilboa_rows = gilboa_mod._chunk_rows(cols, ell)
         kernels = [
-            (cols, expand_rows, [tile]),  # expansion: r_B^-1, s_B and r_A
+            (cols, expand_rows, [tile]),  # expansion: r_B^-1, s_B and r_A (lbe-sim's too)
             (1, expand_rows, [tile]),  # expansion: s_A
-            (cols, expand_rows, [tile, lbe_mod._CHUNK_SLOTS]),  # lbe-sim's CRT
             (cols, gilboa_rows, [tile]),  # Gilboa: r_A and r_B
             (1, gilboa_rows, [tile]),  # Gilboa: s_A
             (cols, gilboa_rows, [tile // ell]),  # Gilboa: one OT session each
@@ -380,16 +382,15 @@ def test_offline_passes_bounded_at_every_table_row(n, k):
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_tile_sizes_move_no_byte(monkeypatch, backend):
-    # tiles of a few slots (every n = 256 stash row cut into pieces), CRT
-    # passes of 5 slots and sampler passes of 7 words give the blocks of the
-    # default passes
+    # tiles of a few slots (every n = 256 stash row cut into pieces, and
+    # lbe-sim's CRT with them) and sampler passes of 7 words give the blocks
+    # of the default passes
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     p = replace(params_small(), alpha=9)
     master = Seed(bytes([8]) * 32)
     want = generate_psi_inventories(backend, p, master)
     monkeypatch.setattr(expand_mod, "_TILE", 40)
     monkeypatch.setattr(gilboa_mod, "_TILE", 40)
-    monkeypatch.setattr(lbe_mod, "_CHUNK_SLOTS", 5)
     monkeypatch.setattr(prg_mod, "_PASS_WORDS", 7)
     got = generate_psi_inventories(backend, p, master)
     for side_want, side_got in zip(want, got, strict=True):
@@ -399,9 +400,10 @@ def test_tile_sizes_move_no_byte(monkeypatch, backend):
 
 # traced peak MiB of one backend's passes: the blocks sit on anonymous
 # mappings, which tracemalloc does not see, so what it traces is the working
-# set of the passes. Measured: 1.9 (seed, dealer), 6.4 (ot) and 4.9
-# (lbe-sim); sampling or inverting a whole 2^17-slot row at once takes
-# 4.5 MiB at the least, and the ot backend's Gilboa temporaries for it 207 MiB
+# set of the passes. Measured: 1.9 (seed, dealer), 6.4 (ot) and 3.7
+# (lbe-sim, on 2^16-slot tiles); sampling or inverting a whole 2^17-slot
+# row at once takes 4.5 MiB at the least, and the ot backend's Gilboa
+# temporaries for it 207 MiB
 _PASS_PEAK_MIB = {"seed": 3, "dealer": 3, "ot": 8, "lbe-sim": 6}
 
 
@@ -976,6 +978,9 @@ def test_lbe_validation_errors():
         LbeSimParams(modulus=M11, lam=4, q_i=(13, 17))  # product too small
     with pytest.raises(ValueError):
         LbeSimParams(modulus=M11, lam=-1, q_i=(43, 47))
+    for q_i in [(47, 43), (43, 47, 53), (43, (1 << 63) + 29)]:  # lbe_digits' Garner step
+        with pytest.raises(ValueError):
+            LbeSimParams(modulus=M11, lam=4, q_i=q_i)
     with pytest.raises(FieldError):  # ladder primes near 2^93
         lbe_params_for(PrimeModulus((1 << 61) - 1), 64)
 
@@ -988,18 +993,20 @@ def test_lbe_batch_validates():
 
 def _assert_batch_matches_scalar(monkeypatch, p, count, lam):
     # one bins section of `count` rows through the lbe-sim r_A step, in one
-    # process: every v that lbe_reconstruct returns is the per-residue
-    # reference's, with u replayed from each chunk's rA stream, and r_A is v
-    # reduced mod Q; the tuple values are the seed expansion's
+    # process: every v = a_1 + q_1 * t from the digits lbe_digits returns is
+    # the per-residue reference's, with u replayed from each chunk's rA
+    # stream, and r_A is v reduced mod Q; the tuple values are the seed
+    # expansion's
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    recorded, real = [], lbe_mod.lbe_reconstruct
+    recorded, real = [], lbe_mod.lbe_digits
 
     def recording(*args):
-        v = real(*args)
-        recorded.append(v)
-        return v
+        a1, t = real(*args)
+        assert a1.dtype == t.dtype == np.uint64
+        recorded.append((a1.tolist(), t.tolist()))
+        return a1, t
 
-    monkeypatch.setattr(lbe_mod, "lbe_reconstruct", recording)
+    monkeypatch.setattr(lbe_mod, "lbe_digits", recording)
     q, seed = p.modulus.q, Seed(bytes([6]) * 32)
     layout = [("bins", count, p.beta)]
     (alice,), (bob,) = expand_mod.expand_sections(p.modulus, layout, seed, seed, lbe_r_a(lam))
@@ -1012,7 +1019,8 @@ def _assert_batch_matches_scalar(monkeypatch, p, count, lam):
         prg = Prg(seed, tag=b"rA|bins|%d" % c)
         slots = (min(lo + chunk_rows, count) - lo) * p.beta
         u += [int.from_bytes(prg.read(8), "little") % lbe.u_domain for _ in range(slots)]
-    v = [int(x) for rows in recorded for row in rows for x in row]
+    q1 = lbe.q_i[0]
+    v = [a + q1 * t for a1, t1 in recorded for ra, rt in zip(a1, t1) for a, t in zip(ra, rt)]
     assert len(v) == len(u) == count * p.beta
     for i in range(count):
         s_A = int(alice.s_A[i])
@@ -1025,16 +1033,17 @@ def _assert_batch_matches_scalar(monkeypatch, p, count, lam):
 
 
 def test_lbe_batch_matches_scalar_across_ragged_chunks(monkeypatch):
-    # chunks of 6 rows in 64-slot passes of 4 rows at beta=15: 10 rows give
+    # chunks of 6 rows in 64-slot tiles of 4 rows at beta=15: 10 rows give
     # chunks 0 (passes of 4 and 2 rows) and 1 (one pass of 4)
-    monkeypatch.setattr(lbe_mod, "_CHUNK_SLOTS", 64)
+    monkeypatch.setattr(expand_mod, "_TILE", 64)
     monkeypatch.setattr(expand_mod, "_row_chunk", lambda slot_len: 6)
     p = params_small()
     _assert_batch_matches_scalar(monkeypatch, p, 10, p.lam)
 
 
 def test_lbe_batch_matches_scalar_lambda40_width3(monkeypatch):
-    # 40-bit q_i: each CRT basis term is near 2^77, far past int64
+    # 39-bit q_i: v is near 2^77, far past one word, and Garner's step
+    # multiplies by q_1^-1 mod q_2 in two 25-bit limbs
     p = derive_params(1 << 8, 3, sigma=25)
     assert p.modulus.byte_len == 3
     lbe = lbe_params_for(p.modulus, 40)
@@ -1070,6 +1079,88 @@ def test_lbe_reconstruct_matches_residue_loop_at_extremes():
                              (12345, 6789, Q - 2, 1 << 39)]:
         got = lbe_reconstruct(lbe, s_A, s_B, pow(r_B, -1, Q), u)
         assert got == residue_loop_reconstruct(lbe, s_A, s_B, r_B, u)
+
+
+def _r_a_on_words(lam, modulus, s_A, s_B, r_B_inv, u):
+    """lbe-sim's r_A step on one (rows, cols) tile, its stream yielding the
+    words of u: s_A per row, the others per slot."""
+    dt = dtype_for(modulus.q)
+    bob_rows = np.stack([r_B_inv, s_B], axis=-1).astype(dt)
+    words = np.ascontiguousarray(u, "<u8").tobytes()
+
+    def read(n):
+        assert n == len(words)
+        return words
+
+    return lbe_r_a(lam)(modulus, s_A.astype(dt), bob_rows, SimpleNamespace(read=read))
+
+
+def _assert_digits_are_words(lbe, s_A, s_B, r_B_inv, u):
+    # lbe_digits on uint64 arrays: both digits stay uint64 words
+    a1, t = lbe_digits(lbe, s_A[:, None], s_B, r_B_inv, u)
+    assert a1.dtype == t.dtype == np.uint64
+    assert a1.shape == t.shape == s_B.shape
+    return a1, t
+
+
+@pytest.mark.parametrize("Q", [5, 7, 11, 13, 17, 19, 23, 29, 31])
+def test_lbe_kernel_exhaustive_on_words(Q):
+    # criterion 7's grid as one uint64 tile per lambda: row s_A, every
+    # (s_B, r_B, u) along it. r_A from lbe_r_a is the dealer formula's, and
+    # v = a_1 + q_1 t (below 2^15 here) is x = (s_A + s_B) r_B^-1 + u Q,
+    # which is what residue_loop_reconstruct returns (checked on a stride)
+    m = PrimeModulus(Q)
+    inv_of = np.array([0] + [pow(r, -1, Q) for r in range(1, Q)], dtype=np.uint64)
+    for lam in range(5):
+        lbe = lbe_params_for(m, lam)
+        row = itertools.product(range(Q), range(1, Q), range(lbe.u_domain))
+        s_B, r_B, u = (np.tile(np.array(c, np.uint64), (Q, 1)) for c in zip(*row))
+        s_A = np.arange(Q, dtype=np.uint64)
+        inv = inv_of[r_B]
+        x = (s_A[:, None] + s_B) * inv + u * Q
+        assert (_r_a_on_words(lam, m, s_A, s_B, inv, u) == x % Q).all()
+        a1, t = _assert_digits_are_words(lbe, s_A, s_B, inv, u)
+        assert (a1 + lbe.q_i[0] * t == x).all()
+        for i, j in itertools.product(range(Q), range(0, s_B.shape[1], 37)):
+            args = int(s_A[i]), int(s_B[i, j]), int(r_B[i, j]), int(u[i, j])
+            assert residue_loop_reconstruct(lbe, *args) == int(x[i, j])
+
+
+def _ladder_exists(Q, lam):
+    try:
+        lbe_params_for(PrimeModulus(Q), lam)
+    except FieldError:  # refused before any kernel runs: sqrt of the bound passes 2^62
+        assert math.isqrt(Q * Q << lam) >= 1 << 62
+        return False
+    return True
+
+
+@pytest.mark.parametrize("Q, lam", [
+    (Q, lam) for Q in (5, 31, 12301, 786449, 2147483477, (1 << 31) - 1)
+    for lam in (0, 40, 60, 62, 64) if _ladder_exists(Q, lam)
+])
+def test_lbe_kernel_exact_on_wide_ladders(Q, lam):
+    # q_i up to 62 bits, where Horner runs on 2-bit limbs: edge and random
+    # values, r_A from lbe_r_a against the dealer formula, and v from the
+    # word digits against residue_loop_reconstruct and the Python-int path
+    m = PrimeModulus(Q)
+    lbe = lbe_params_for(m, lam)
+    rng = random.Random(Q ^ lam)
+    top = lbe.u_domain - 1
+    s_A = [0, 1, Q - 1, rng.randrange(Q)]
+    combos = list(itertools.product([0, 1, Q - 1, rng.randrange(Q)],
+                                    [1, 2, Q - 1, rng.randrange(1, Q)],
+                                    [0, 1, top, rng.randrange(lbe.u_domain)]))
+    s_B, r_B, u = (np.array([c[k] for c in combos] * len(s_A), np.uint64).reshape(len(s_A), -1)
+                   for k in range(3))
+    inv = np.array([pow(int(r), -1, Q) for r in r_B.ravel()], np.uint64).reshape(r_B.shape)
+    r_A = _r_a_on_words(lam, m, np.array(s_A, np.uint64), s_B, inv, u)
+    a1, t = _assert_digits_are_words(lbe, np.array(s_A, np.uint64), s_B, inv, u)
+    for i, j in np.ndindex(s_B.shape):
+        a, b, r, w, r_inv = s_A[i], int(s_B[i, j]), int(r_B[i, j]), int(u[i, j]), int(inv[i, j])
+        v = int(a1[i, j]) + lbe.q_i[0] * int(t[i, j])
+        assert v == residue_loop_reconstruct(lbe, a, b, r, w) == lbe_reconstruct(lbe, a, b, r_inv, w)
+        assert int(r_A[i, j]) == (a + b) * r_inv % Q
 
 
 # ---------------------------------------------------------------- orchestrator

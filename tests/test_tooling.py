@@ -143,6 +143,44 @@ def test_src_has_no_definition_reached_only_from_tests():
     assert _unused_definitions(paths) == []
 
 
+def _object_dtype_lines(source):
+    """Lines of `source` that use numpy's object dtype: astype(object), a
+    dtype=object keyword or np.object_. An `object` annotation is not a use."""
+    def is_object(node):
+        return isinstance(node, ast.Name) and node.id == "object"
+
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            if (isinstance(node.func, ast.Attribute) and node.func.attr == "astype"
+                    and any(map(is_object, node.args))):
+                lines.add(node.lineno)
+            if any(kw.arg == "dtype" and is_object(kw.value) for kw in node.keywords):
+                lines.add(node.lineno)
+        if isinstance(node, ast.Attribute) and node.attr == "object_":
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_object_dtype_scan_sees_each_form():
+    source = ("import numpy as np\n"
+              "params: object = None\n"
+              "def f(x: object) -> object:\n"
+              "    return isinstance(x, object)\n"
+              "a = np.arange(3).astype(object)\n"
+              "b = np.empty(3, dtype=object)\n"
+              "c = np.object_\n")
+    assert _object_dtype_lines(source) == [5, 6, 7]
+
+
+def test_src_has_no_object_arrays():
+    # field data is numpy words and plain ints: no Python-int object arrays
+    found = [f"{path.relative_to(ROOT).as_posix()}:{line}"
+             for path in sorted((ROOT / "src" / "olepsi").rglob("*.py"))
+             for line in _object_dtype_lines(path.read_text())]
+    assert found == []
+
+
 def _unread_attributes(src_paths, reader_paths):
     """Dataclass-style fields (annotated names in a class body) and self.X
     attributes assigned in src_paths whose name no ast.Attribute load in
