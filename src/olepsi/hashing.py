@@ -104,11 +104,16 @@ def _candidate_bins(arr, seeds, params, dtype=np.int64):
 
 
 def as_element_array(elements):
-    """Elements as an int64 array: an ndarray is taken as is, anything else
-    iterable is read with np.fromiter."""
+    """Elements as a 1-D int64 array: an ndarray is taken as is, anything
+    else iterable is read through a list, which numpy converts faster than
+    np.fromiter reads an iterator. Input that is not 1-D is refused."""
     if isinstance(elements, np.ndarray):
-        return elements.astype(np.int64, copy=False)
-    return np.fromiter(elements, dtype=np.int64)
+        arr = elements.astype(np.int64, copy=False)
+    else:
+        arr = np.array(list(elements), dtype=np.int64)
+    if arr.ndim != 1:
+        raise ValueError(f"elements must form a 1-D collection, got {arr.ndim} dimensions")
+    return arr
 
 
 def _check_input_set(elements, params):

@@ -40,6 +40,12 @@ def reduce_in_place(x, m):
     return x
 
 
+def reduce_once(x, q):
+    """x mod q for an unsigned array x below 2q, in place: x - q wraps past
+    x exactly where x < q, so the smaller of the two is x mod q."""
+    return np.minimum(x, x - q, out=x)
+
+
 def _check(q):
     if q >= MAX_Q:
         raise ValueError(f"vectorized path requires q < 2^31, got {q}")

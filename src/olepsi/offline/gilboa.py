@@ -10,6 +10,10 @@ so s_A = sum rho_i and s_B = sum o_i satisfy s_A + s_B = r_A * r_B.
 
 gilboa_batch runs this on every slot of a batch, tile by tile, and shares
 one s_A across the batch by constraining each slot's rho list to sum to it.
+A tile's rho, m0, m1 and choice bits are uint32, the OT session's word
+(offline.ot): every value is reduced and q < 2^31. r_A * 2^(i-1) is one
+uint64 product with one reduction, and the two sums of up to ell <= 31
+terms below 2^31, the closing rho's and s_B's, are taken in uint64.
 
 gilboa_sections runs the ot backend through the section filler the other
 backends share (_expand._fill_sections): every chunk of _chunk_rows whole
@@ -30,7 +34,7 @@ from functools import partial
 import numpy as np
 
 from .. import tuples
-from ..modvec import reduce_in_place
+from ..modvec import reduce_in_place, reduce_once
 from ..params import tiles
 from ..prg import Prg, subseed
 from ._expand import _TILE, _fill_sections, _sample_into
@@ -69,29 +73,26 @@ def gilboa_batch(ot, modulus, seed, alice, bob):
         _sample_into(r_A[rows, cols], prg, modulus)
     for rows, cols in tiles(count, L, _TILE):
         _sample_into(r_B[rows, cols], prg, modulus, nonzero=True)
-    pow2 = np.array([pow(2, i, q) for i in range(ell)], dtype=np.int64)
-    positions = np.arange(ell, dtype=np.int64)
+    pow2 = np.array([pow(2, i, q) for i in range(ell)], dtype=np.uint64)
+    positions = np.arange(ell, dtype=np.uint32)
     for rows, cols in tiles(count, L, _TILE // ell):
         b = r_B[rows, cols]
-        rho = np.empty(b.shape + (ell,), np.int64)
+        rho = np.empty(b.shape + (ell,), np.uint32)
         _sample_into(rho[:, :, : ell - 1], prg, modulus)
-        # every term is reduced, so each form below is non-negative before
-        # its one reduction: the closing rho is s_A - sum mod q, m0 = -rho
-        # and m1 = r_A * 2^i - rho mod q
-        closing = rho[:, :, ell - 1]
-        np.sum(rho[:, :, : ell - 1], axis=2, out=closing)
-        reduce_in_place(closing, q)
-        np.subtract(s_A[rows, None].astype(np.int64) + q, closing, out=closing)
-        reduce_in_place(closing, q)
-        m0 = np.subtract(q, rho)
-        m1 = r_A[rows, cols, None].astype(np.int64) * pow2
+        # the closing rho is s_A - sum mod q, the sum of ell - 1 <= 30 terms
+        # taken in uint64; m0 = q - rho mod q; m1 = r_A * 2^i + m0 mod q,
+        # one uint64 product below 2^62 and one reduction
+        total = reduce_in_place(rho[:, :, : ell - 1].sum(axis=2, dtype=np.uint64), q)
+        closing = np.subtract(s_A[rows, None].astype(np.uint64) + q, total)
+        rho[:, :, ell - 1] = reduce_once(closing, q)
+        m0 = reduce_once(np.subtract(q, rho), q)
+        m1 = r_A[rows, cols, None].astype(np.uint64) * pow2
         m1 += m0
-        reduce_in_place(m0, q)
-        reduce_in_place(m1, q)
-        bits = (b[:, :, None].astype(np.int64) >> positions) & 1
+        m1 = reduce_in_place(m1, q).astype(np.uint32)
+        bits = (b[:, :, None] >> positions) & 1
         ot.ot_send_many(m0.ravel(), m1.ravel())
         o = ot.ot_receive_many(bits.ravel()).reshape(bits.shape)
-        bob[rows, cols, 1] = reduce_in_place(o.sum(axis=2), q)
+        bob[rows, cols, 1] = reduce_in_place(o.sum(axis=2, dtype=np.uint64), q)
     # every tile's bits are read above, so r_B turns into r_B^-1 only now
     for rows, cols in tiles(count, L, _TILE):
         r_B[rows, cols] = tuples.mod_inv(r_B[rows, cols], q)

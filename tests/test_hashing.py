@@ -310,6 +310,22 @@ def test_cuckoo_build_matches_int64_rounds(n, k, sigma, stash, size, seed, outco
     assert (len(stash_items) > 0) == (outcome == "stash")
 
 
+def test_as_element_array_reads_any_iterable():
+    for given in ({8, 3, 5}, [8, 3, 5], (x for x in (8, 3, 5)), np.array([8, 3, 5], np.uint32)):
+        got = hashing.as_element_array(given)
+        assert got.dtype == np.int64 and got.ndim == 1 and sorted(got.tolist()) == [3, 5, 8]
+    for empty in (set(), [], iter(())):
+        got = hashing.as_element_array(empty)
+        assert got.dtype == np.int64 and got.shape == (0,)
+    # as np.fromiter read them: an int from 2^63 up overflows, a float is truncated
+    with pytest.raises(OverflowError):
+        hashing.as_element_array([1 << 63])
+    assert hashing.as_element_array([2.9, 7.0]).tolist() == [2, 7]
+    for nested in ([[1, 2], [3, 4]], np.zeros((2, 2), np.int64), np.array(5)):
+        with pytest.raises(ValueError, match="1-D"):
+            hashing.as_element_array(nested)
+
+
 def test_cuckoo_rejects_bad_input():
     p = derive_params(1 << 8, 3)
     with pytest.raises(ValueError):

@@ -400,10 +400,10 @@ def test_tile_sizes_move_no_byte(monkeypatch, backend):
 
 # traced peak MiB of one backend's passes: the blocks sit on anonymous
 # mappings, which tracemalloc does not see, so what it traces is the working
-# set of the passes. Measured: 1.9 (seed, dealer), 6.4 (ot) and 3.7
-# (lbe-sim, on 2^16-slot tiles); sampling or inverting a whole 2^17-slot
-# row at once takes 4.5 MiB at the least, and the ot backend's Gilboa
-# temporaries for it 207 MiB
+# set of the passes. Measured: 2.2 (seed, dealer), 4.0 (ot, with uint32
+# OT sessions; 6.4 in int64) and 3.8 (lbe-sim, on 2^16-slot tiles);
+# sampling or inverting a whole 2^17-slot row at once takes 4.5 MiB at the
+# least, and the ot backend's Gilboa temporaries for it 207 MiB
 _PASS_PEAK_MIB = {"seed": 3, "dealer": 3, "ot": 8, "lbe-sim": 6}
 
 
@@ -767,6 +767,55 @@ def test_ot_session_discipline():
     assert ot.invocations == 2
 
 
+def test_ot_session_at_the_widest_field():
+    # q = 2^31 - 1, where a sum of two reduced values comes closest to 2^32:
+    # one session past 2^16 transfers, every message at 0 or q - 1
+    big = PrimeModulus((1 << 31) - 1)
+    q, n = big.q, (1 << 16) + 1000
+    rng = np.random.default_rng(5)
+    m0 = np.where(rng.integers(2, size=n) == 1, q - 1, 0)
+    m1 = np.where(rng.integers(2, size=n) == 1, q - 1, 0)
+    c = rng.integers(2, size=n)
+    ot = RecordingOt(big, seed=Seed(bytes([4]) * 32))
+    ot.ot_send_many(m0, m1)
+    out = ot.ot_receive_many(c)
+    assert (out == np.where(c == 1, m1, m0)).all()
+    view = ot.view()
+    assert (view[:, 5] == out).all()
+    # every (c, c*) case and every (m0, m1) pair of end values occurs
+    assert set(zip(c.tolist(), view[:, 3].tolist())) == {(0, 0), (0, 1), (1, 0), (1, 1)}
+    assert len(set(zip(m0.tolist(), m1.tolist()))) == 4
+
+
+def test_ot_dtypes_and_refusals():
+    # the session runs in uint32 whatever integer dtype the messages come in,
+    # which pins the numpy promotions it relies on (the uint32 - uint32
+    # wrap, Python-int operands kept at uint32); anything outside [0, q) or
+    # not an integer is refused before it can be cast
+    ot = DealerAssistedOt(M11, seed=Seed(bytes(32)))
+    for dtype in (None, np.int64, np.uint64, np.uint8):
+        m0 = [0, 10, 3] if dtype is None else np.array([0, 10, 3], dtype)
+        ot.ot_send_many(m0, m0[::-1])
+        out = ot.ot_receive_many([0, 1, 1])
+        assert out.dtype == np.uint32 and out.tolist() == [0, 10, 0]
+    out_of_range = [[11], [-1], np.array([11, 0]), np.array([-1, 0]),
+                    np.array([11], np.uint64), np.array([1 << 63], np.uint64)]
+    for bad in out_of_range:
+        with pytest.raises(ValueError, match="lie in"):
+            ot.ot_send_many(bad, np.zeros(len(bad), np.int64))
+        with pytest.raises(ValueError, match="lie in"):
+            ot.ot_send_many(np.zeros(len(bad), np.int64), bad)
+    for bad in ([1.0], [0.5], np.array([1], object), [1 << 70]):
+        with pytest.raises(ValueError, match="integers"):
+            ot.ot_send_many(bad, [0])
+    # choices are 0 or 1 in an integer or bool dtype
+    ot.ot_send_many([1, 2], [3, 4])
+    for bad in ([0.0, 1.0], [2, 0], np.array([0, -1]), np.array([1 << 32, 0])):
+        with pytest.raises(ValueError, match="0 or 1"):
+            ot.ot_receive_many(bad)
+    assert ot.ot_receive_many(np.array([True, False])).tolist() == [3, 2]
+
+
 # ---------------------------------------------------------------- Gilboa
 
 def test_gilboa_worked_example():
@@ -808,6 +857,20 @@ def test_gilboa_batch_validates_and_counts():
     alice, bob = gilboa_inventories(ot, p.modulus, 6, p.beta, Seed(bytes(32)))
     assert validate_inventories(alice, bob)
     assert ot.invocations == 6 * p.beta * p.modulus.bit_len
+
+
+def test_gilboa_batch_at_the_widest_field():
+    # ell = 31 at q = 2^31 - 1: the closing rho sums 30 terms and s_B 31,
+    # each below 2^31, so both sums need their uint64
+    big = PrimeModulus((1 << 31) - 1)
+    assert big.bit_len == 31
+    ot = RecordingOt(big, seed=Seed(bytes([6]) * 32))
+    alice, bob = gilboa_inventories(ot, big, 40, 7, Seed(bytes([2]) * 32))
+    assert ot.invocations == 40 * 7 * 31
+    q = big.q
+    s_A = alice.s_A.astype(np.int64)[:, None]
+    assert ((s_A + bob.s_B) % q == alice.r_A.astype(np.int64) * _r_b(bob) % q).all()
+    assert (ot.rho(40, 7).sum(axis=2) % q == s_A).all()
 
 
 def test_gilboa_batch_rho_sums_to_shared_s_a():
